@@ -20,12 +20,10 @@ from .market import (
     weighted_mean_tech,
 )
 from .dynamics import (
-    BankruptcyOutcome,
     EventKind,
     EventRecord,
     RENORM_TOLERANCE,
     SweepStats,
-    attempt_bankruptcy,
     external_diffusion,
     firm_update,
     interact,
@@ -51,9 +49,9 @@ __all__ = [
     "Firm", "Lattice", "MarketState", "Segment",
     "classify_segment", "frontier", "init_market", "neighbors",
     "population_sd_tech", "survival_probability", "weighted_mean_tech",
-    "BankruptcyOutcome", "EventKind", "EventRecord", "RENORM_TOLERANCE",
-    "SweepStats", "attempt_bankruptcy", "external_diffusion", "firm_update",
-    "interact", "redistribute_shares_equal", "renormalize_shares", "sweep",
+    "EventKind", "EventRecord", "RENORM_TOLERANCE", "SweepStats",
+    "external_diffusion", "firm_update", "interact",
+    "redistribute_shares_equal", "renormalize_shares", "sweep",
     "EnsembleStats", "TcCurve", "Trajectory", "estimate_tc",
     "run_ensemble", "run_replica", "run_trajectories", "tc_vs_q",
 ]

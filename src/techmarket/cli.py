@@ -49,6 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _describe(exc: Exception) -> str:
+    """The message with any notes added on the way up, such as the seed of
+    the replica that failed."""
+    return "; ".join([str(exc), *getattr(exc, "__notes__", ())])
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -57,10 +63,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         params, controls = resolve_config(file_values, flag_values)
         result = run_scenario(controls.scenario, params, controls)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_describe(exc)}", file=sys.stderr)
         return 1
     except IntegrityError as exc:
-        print(f"integrity failure: {exc}", file=sys.stderr)
+        print(f"integrity failure: {_describe(exc)}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -34,14 +34,21 @@ noise r2 (diffusion, only with an empty Moore ring) or the meeting-site pick
 u; then, when a partner was found or the move was blocked, the merge coin u
 and the spin-off site u when the coin came up spin-off. Threshold draws
 (r1, q_rnd, merge coin) use (0, 1] so q=0 can never rescue and q=1 always
-does.
+does. Site picks use int(u * n), clamped to n - 1 for the u -> 1 rounding
+edge.
+
+The cycle has one implementation, ``_update_cycle``: ``sweep`` runs it over
+the shuffled visit order and ``firm_update`` over a single firm. It reads
+the sweep's fixed values (parameters, lattice tables, frontier, sweep index)
+once, tallies outcomes by EventKind, and builds an EventRecord only when
+the caller passes a list to collect them.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import NamedTuple, Optional
 
 from .errors import IntegrityError
@@ -53,7 +60,7 @@ from .market import (
     survival_probability,
 )
 from .params import PolicyKind, SimParams, VariantKind
-from .rng import open_unit, rand_index, shuffle_in_place
+from .rng import open_unit, shuffle_in_place
 
 #: Allowed pre-correction drift of sum(shares) from 1 at a sweep boundary.
 RENORM_TOLERANCE = 1e-2
@@ -66,15 +73,21 @@ _POLICY_SEGMENT = {
 
 
 class EventKind(IntEnum):
-    SURVIVED = 0
-    BANKRUPTED = 1
-    RESCUED = 2
-    MOVED_COPIED_FRONTIER = 3
-    MOVED_NO_DIFFUSION = 4
-    MERGED = 5
-    SPIN_OFF = 6
-    SPIN_OFF_BLOCKED = 7
-    IDLE = 8
+    """Terminal outcome of one per-firm step; the value indexes the sweep's
+    tallies."""
+
+    BANKRUPTED = 0
+    RESCUED = 1
+    MOVED_COPIED_FRONTIER = 2
+    MOVED_NO_DIFFUSION = 3
+    MERGED = 4
+    SPIN_OFF = 5
+    SPIN_OFF_BLOCKED = 6
+
+
+_KINDS = tuple(EventKind)
+(_BANKRUPTED, _RESCUED, _MOVED_COPIED_FRONTIER, _MOVED_NO_DIFFUSION, _MERGED,
+ _SPIN_OFF, _SPIN_OFF_BLOCKED) = _KINDS
 
 
 class EventRecord(NamedTuple):
@@ -92,12 +105,6 @@ class EventRecord(NamedTuple):
     partner: Optional[int] = None
     child: Optional[int] = None
     rescued: bool = False
-
-
-class BankruptcyOutcome(Enum):
-    SURVIVES = "survives"
-    RESCUED = "rescued"
-    BANKRUPTS = "bankrupts"
 
 
 @dataclass(slots=True)
@@ -156,55 +163,24 @@ def renormalize_shares(market: MarketState,
     return err
 
 
-def attempt_bankruptcy(market: MarketState, firm_id: int, params: SimParams,
-                       rng: random.Random) -> BankruptcyOutcome:
-    """Survival roll with possible government rescue.
-
-    Draws r1 on (0, 1]; r1 <= p is survival. On a failed roll, a rescue roll
-    q_rnd is drawn only if the policy covers the firm's current segment
-    (egalitarian covers every firm); q_rnd <= q rescues, otherwise the firm
-    bankrupts, leaves its site, and its share is redistributed equally.
-    """
-    firm = market.firms[firm_id]
-    mean = market.weighted_sum
-    p = survival_probability(firm.tech, mean, market.frontier_value, params.s)
-    r1 = 1.0 - rng.random()
-    if r1 <= p:
-        return BankruptcyOutcome.SURVIVES
-    policy = params.policy
-    if policy is PolicyKind.EGALITARIAN:
-        covered = True
-    else:
-        segment = classify_segment(firm.tech, mean, sigma_g_from_sums(market))
-        covered = _POLICY_SEGMENT[policy] is segment
-    if covered:
-        q_rnd = 1.0 - rng.random()
-        if q_rnd <= params.q:
-            return BankruptcyOutcome.RESCUED
-    share = firm.share
-    market.remove_firm(firm)
-    redistribute_shares_equal(market, share)
-    return BankruptcyOutcome.BANKRUPTS
-
-
 def interact(market: MarketState, firm_i: int, firm_j: int, params: SimParams,
-             rng: random.Random) -> EventRecord:
-    """Merge or spin-off between firm i (the actor) and neighbor j.
+             rng: random.Random) -> EventKind:
+    """Merge or spin-off between firm i (the actor) and neighbor j; returns
+    MERGED, SPIN_OFF or SPIN_OFF_BLOCKED.
 
     With probability b firm j is absorbed: i keeps max(A_i, A_j) and gains
     j's share. Otherwise a spin-off site is picked uniformly among i's 8
     Moore sites; if free, a new firm appears there with max(A_i, A_j) and
     share omega_s * (omega_i + omega_j), deducted proportionally from both
-    parents. A blocked spin-off changes nothing. Total share is conserved
-    in every branch.
+    parents, and takes id ``market.next_id - 1``. A blocked spin-off changes
+    nothing. Total share is conserved in every branch.
     """
     if firm_i == firm_j:
         raise ValueError("a firm cannot interact with itself")
     firms = market.firms
     i = firms[firm_i]
     j = firms[firm_j]
-    u = 1.0 - rng.random()
-    if u <= params.b:
+    if 1.0 - rng.random() <= params.b:
         share_j = j.share
         tech_j = j.tech
         market.remove_firm(j)
@@ -212,66 +188,113 @@ def interact(market: MarketState, firm_i: int, firm_j: int, params: SimParams,
             market.set_tech(i, tech_j)
         i.share += share_j
         market.weighted_sum += share_j * i.tech
-        return EventRecord(EventKind.MERGED, firm_i, market.sweep, partner=firm_j)
-    k = market.lattice.moore8[i.site][rand_index(8, rng)]
-    if market.lattice.occupancy[k] >= 0:
-        return EventRecord(EventKind.SPIN_OFF_BLOCKED, firm_i, market.sweep,
-                           partner=firm_j)
-    d_i = i.share * params.omega_s
-    d_j = j.share * params.omega_s
+        return _MERGED
+    lattice = market.lattice
+    k = int(rng.random() * 8)
+    k = lattice.moore8[i.site][k if k < 8 else 7]  # u -> 1 edge
+    if lattice.occupancy[k] >= 0:
+        return _SPIN_OFF_BLOCKED
+    omega_s = params.omega_s
+    d_i = i.share * omega_s
+    d_j = j.share * omega_s
     i.share -= d_i
     j.share -= d_j
     market.weighted_sum -= d_i * i.tech + d_j * j.tech
-    tech_k = i.tech if i.tech >= j.tech else j.tech
-    child = market.add_firm(tech_k, d_i + d_j, k)
-    return EventRecord(EventKind.SPIN_OFF, firm_i, market.sweep,
-                       partner=firm_j, child=child.id)
+    market.add_firm(i.tech if i.tech >= j.tech else j.tech, d_i + d_j, k)
+    return _SPIN_OFF
+
+
+def _update_cycle(market: MarketState, params: SimParams, rng: random.Random,
+                  order, events: Optional[list[EventRecord]]
+                  ) -> tuple[list[int], int]:
+    """Run the update cycle for each firm of ``order`` still alive, in
+    order; returns the tallies indexed by EventKind and the number of
+    rescues fired. One EventRecord per step is appended to ``events`` when
+    it is a list.
+
+    Everything fixed for the sweep is read once here: the frontier and the
+    sweep index only change between sweeps.
+    """
+    random = rng.random
+    firms = market.firms
+    lattice = market.lattice
+    occ = lattice.occupancy
+    vn4 = lattice.vn4
+    moore8 = lattice.moore8
+    n_min = params.n_min
+    s = params.s
+    q = params.q
+    segment = _POLICY_SEGMENT.get(params.policy)  # None: every firm covered
+    passive = params.variant is VariantKind.PASSIVE_AFTER_RESCUE
+    frontier = market.frontier_value
+    t = market.sweep
+    counts = [0] * len(_KINDS)
+    rescued_total = 0
+    for fid in order:
+        firm = firms.get(fid)
+        if firm is None:  # absorbed by a merge earlier in this sweep
+            continue
+        rescued = False
+        kind = None
+        partner = -1
+        if len(firms) > n_min:
+            mean = market.weighted_sum
+            if 1.0 - random() > survival_probability(firm.tech, mean,
+                                                     frontier, s):
+                if ((segment is None
+                     or classify_segment(firm.tech, mean,
+                                         sigma_g_from_sums(market)) is segment)
+                        and 1.0 - random() <= q):
+                    rescued = True
+                    rescued_total += 1
+                    if passive:
+                        kind = _RESCUED
+                else:
+                    share = firm.share
+                    market.remove_firm(firm)
+                    redistribute_shares_equal(market, share)
+                    kind = _BANKRUPTED
+        if kind is None:
+            site = firm.site
+            k = int(random() * 4)
+            target = vn4[site][k if k < 4 else 3]  # u -> 1 edge
+            partner = occ[target]
+            if partner < 0:
+                occ[site] = -1
+                occ[target] = fid
+                firm.site = target
+                hood = moore8[target]
+                for nb in hood:
+                    if occ[nb] >= 0:
+                        k = int(random() * 8)
+                        partner = occ[hood[k if k < 8 else 7]]  # u -> 1 edge
+                        break
+                else:
+                    market.set_tech(firm, external_diffusion(
+                        firm.tech, frontier, open_unit(rng)))
+                    kind = _MOVED_COPIED_FRONTIER
+            if kind is None:
+                if partner < 0:  # looked at an empty site: no meeting
+                    kind = _MOVED_NO_DIFFUSION
+                else:
+                    kind = interact(market, fid, partner, params, rng)
+        counts[kind] += 1
+        if events is not None:
+            events.append(EventRecord(
+                kind, fid, t, partner if partner >= 0 else None,
+                market.next_id - 1 if kind is _SPIN_OFF else None, rescued))
+    return counts, rescued_total
 
 
 def firm_update(market: MarketState, firm_id: int, params: SimParams,
                 rng: random.Random) -> EventRecord:
     """One full update step for a single live firm; see the module docstring
     for the cycle and the draw order."""
-    firms = market.firms
-    firm = firms.get(firm_id)
-    if firm is None:
+    if firm_id not in market.firms:
         raise KeyError(f"firm {firm_id} is not alive")
-    rescued = False
-    if len(firms) > params.n_min:
-        outcome = attempt_bankruptcy(market, firm_id, params, rng)
-        if outcome is BankruptcyOutcome.BANKRUPTS:
-            return EventRecord(EventKind.BANKRUPTED, firm_id, market.sweep)
-        if outcome is BankruptcyOutcome.RESCUED:
-            if params.variant is VariantKind.PASSIVE_AFTER_RESCUE:
-                return EventRecord(EventKind.RESCUED, firm_id, market.sweep,
-                                   rescued=True)
-            rescued = True
-    lattice = market.lattice
-    occ = lattice.occupancy
-    target = lattice.vn4[firm.site][rand_index(4, rng)]
-    occupant = occ[target]
-    if occupant < 0:
-        occ[firm.site] = -1
-        occ[target] = firm_id
-        firm.site = target
-        hood = lattice.moore8[target]
-        for s in hood:
-            if occ[s] >= 0:
-                break
-        else:
-            r2 = open_unit(rng)
-            market.set_tech(
-                firm, external_diffusion(firm.tech, market.frontier_value, r2))
-            return EventRecord(EventKind.MOVED_COPIED_FRONTIER, firm_id,
-                               market.sweep, rescued=rescued)
-        partner = occ[hood[rand_index(8, rng)]]
-        if partner < 0:  # looked at an empty site: no meeting this step
-            return EventRecord(EventKind.MOVED_NO_DIFFUSION, firm_id,
-                               market.sweep, rescued=rescued)
-        event = interact(market, firm_id, partner, params, rng)
-    else:
-        event = interact(market, firm_id, occupant, params, rng)
-    return event._replace(rescued=True) if rescued else event
+    events: list[EventRecord] = []
+    _update_cycle(market, params, rng, (firm_id,), events)
+    return events[0]
 
 
 def sweep(market: MarketState, params: SimParams, rng: random.Random,
@@ -289,18 +312,7 @@ def sweep(market: MarketState, params: SimParams, rng: random.Random,
     ratio_start = mean_start / market.frontier_value
     order = list(market.firms)
     shuffle_in_place(order, rng)
-    counts = [0] * len(EventKind)
-    rescued_total = 0
-    firms = market.firms
-    for fid in order:
-        if fid not in firms:  # absorbed by a merge earlier in this sweep
-            continue
-        event = firm_update(market, fid, params, rng)
-        counts[event.kind] += 1
-        if event.rescued:
-            rescued_total += 1
-        if events is not None:
-            events.append(event)
+    counts, rescued = _update_cycle(market, params, rng, order, events)
     err = renormalize_shares(market)
     stats = SweepStats(
         t=market.sweep,
@@ -308,8 +320,8 @@ def sweep(market: MarketState, params: SimParams, rng: random.Random,
         mean_tech=mean_start,
         ratio=ratio_start,
         renorm_error=err,
-        counts={kind: counts[kind] for kind in EventKind},
-        rescued=rescued_total,
+        counts=dict(zip(_KINDS, counts)),
+        rescued=rescued,
     )
     market.sweep += 1
     market.frontier_value = math.exp(params.sigma * market.sweep)

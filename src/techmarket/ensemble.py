@@ -155,7 +155,8 @@ def run_trajectories(params: SimParams, n_replicas: int,
     """All replica trajectories of an ensemble, ordered by replica index.
 
     Event collection forces serial execution (event lists are bulky); the
-    trajectories are identical either way.
+    trajectories are identical either way. A replica's exception propagates
+    unchanged, with a note naming its seed.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
@@ -167,7 +168,8 @@ def run_trajectories(params: SimParams, n_replicas: int,
             try:
                 out.append(run_replica(params, seed, collect_events))
             except Exception as exc:
-                raise type(exc)(f"replica seed {seed}: {exc}") from exc
+                exc.add_note(f"replica seed {seed}")
+                raise
         return out
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_replica_task, (params, seed)) for seed in seeds]
@@ -176,7 +178,8 @@ def run_trajectories(params: SimParams, n_replicas: int,
             try:
                 out.append(fut.result())
             except Exception as exc:
-                raise type(exc)(f"replica seed {seed}: {exc}") from exc
+                exc.add_note(f"replica seed {seed}")
+                raise
     return out
 
 

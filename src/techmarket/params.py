@@ -6,6 +6,7 @@ n_min=10, omega_s=0.1, c=0.8 on a 10x10 lattice.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,10 +64,10 @@ class SimParams:
 
 def validate_params(p: SimParams) -> None:
     """Raise ConfigError naming the offending key if any field is out of range."""
-    if not p.sigma >= 0.0:
-        raise ConfigError(f"sigma must be >= 0, got {p.sigma}")
-    if not p.s >= 0.0:
-        raise ConfigError(f"s must be >= 0, got {p.s}")
+    if not 0.0 <= p.sigma < math.inf:
+        raise ConfigError(f"sigma must be finite and >= 0, got {p.sigma}")
+    if not 0.0 <= p.s < math.inf:
+        raise ConfigError(f"s must be finite and >= 0, got {p.s}")
     if not 0.0 <= p.b <= 1.0:
         raise ConfigError(f"b must be in [0, 1], got {p.b}")
     if not (isinstance(p.n_min, int) and p.n_min >= 1):
@@ -88,6 +89,12 @@ def validate_params(p: SimParams) -> None:
         raise ConfigError(f"ly must be an integer >= 3, got {p.ly}")
     if not (isinstance(p.t_max, int) and p.t_max >= 0):
         raise ConfigError(f"tmax must be a nonnegative integer, got {p.t_max}")
+    try:
+        math.exp(p.sigma * p.t_max)  # the frontier at the horizon
+    except OverflowError:
+        raise ConfigError(
+            f"sigma ({p.sigma}) overflows the frontier exp(sigma * tmax) "
+            f"at tmax={p.t_max}") from None
     if not (isinstance(p.seed, int) and 0 <= p.seed <= MAX_SEED):
         raise ConfigError(f"seed must be an integer in [0, 2^64), got {p.seed}")
     if p.n_min > p.lx * p.ly:

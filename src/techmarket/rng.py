@@ -5,9 +5,10 @@ Each replica owns one ``random.Random`` stream seeded through numpy's
 ``(base_seed, k)`` and replicas can run in any order or in parallel without
 affecting results.
 
-Only ``Random.random()`` is consumed; shuffles, index picks and interval
-draws are built on top of it here so the draw sequence is fully specified
-by this module and stable across Python versions.
+Only ``Random.random()`` is consumed, so the draw sequence is stable across
+Python versions. Shuffles and interval draws are built on top of it here;
+the update kernel in ``dynamics`` makes its site picks inline from the same
+stream.
 """
 from __future__ import annotations
 
@@ -26,18 +27,6 @@ def make_stream(base_seed: int, *path: int) -> random.Random:
     return random.Random(derive_seed(base_seed, *path))
 
 
-def rand_index(n: int, rng: random.Random) -> int:
-    """Uniform index in [0, n). n must be >= 1."""
-    i = int(rng.random() * n)
-    return i if i < n else n - 1  # guards the u -> 1 rounding edge
-
-
-def open_closed_unit(rng: random.Random) -> float:
-    """Uniform draw on (0, 1]; used for threshold comparisons so that
-    probability-0 events never fire and probability-1 events always do."""
-    return 1.0 - rng.random()
-
-
 def open_unit(rng: random.Random) -> float:
     """Uniform draw on the open interval (0, 1)."""
     u = rng.random()
@@ -48,8 +37,9 @@ def open_unit(rng: random.Random) -> float:
 
 def shuffle_in_place(items: list, rng: random.Random) -> None:
     """Fisher-Yates shuffle driven by rng.random() only."""
+    random = rng.random
     for i in range(len(items) - 1, 0, -1):
-        j = int(rng.random() * (i + 1))
+        j = int(random() * (i + 1))
         if j > i:
             j = i
         items[i], items[j] = items[j], items[i]

@@ -21,6 +21,7 @@ from typing import Optional
 
 from . import __version__
 from .config import RunControls
+from .errors import ConfigError
 from .ensemble import (
     EnsembleStats,
     aggregate,
@@ -115,6 +116,10 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
                  ) -> ScenarioResult:
     """Run every ensemble of a scenario and write its CSVs plus one
     metadata record into the output directory."""
+    if name == "fig5" and controls.events:
+        raise ConfigError(
+            "events (--events) is not supported by fig5, whose q-grid "
+            "ensembles keep no per-replica event lists")
     out_dir = Path(controls.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

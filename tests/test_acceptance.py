@@ -190,11 +190,11 @@ def test_criterion_01_conservation_suite():
                 if not partners:
                     continue
                 j = rng.choice(partners)
-                event = interact(m, i, j, params, rng)
+                kind = interact(m, i, j, params, rng)
                 new_total = _total_share(m)
                 assert abs(new_total - total) <= 1e-12
                 total = new_total
-                if event.kind is want_kind:
+                if kind is want_kind:
                     done += 1
         return done
 

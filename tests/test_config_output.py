@@ -195,9 +195,9 @@ class TestScenarios:
         assert records, "event log should not be empty"
         assert {r["replica"] for r in records} == {0, 1}
         kinds = {r["kind"] for r in records}
-        assert kinds <= {"survived", "bankrupted", "rescued",
+        assert kinds <= {"bankrupted", "rescued",
                          "moved_copied_frontier", "moved_no_diffusion",
-                         "merged", "spin_off", "spin_off_blocked", "idle"}
+                         "merged", "spin_off", "spin_off_blocked"}
         replicas = [r["replica"] for r in records]
         assert replicas == sorted(replicas)
 
@@ -239,3 +239,50 @@ class TestCli:
         code = main(["--tmax", "5", "--replicas", "1", "--out", str(tmp_path)])
         assert code == 2
         assert "integrity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--sigma", "1e6", "--tmax", "3"],
+                                       ["--sigma", "2", "--tmax", "400"],
+                                       ["--sigma", "inf", "--tmax", "3"]])
+    def test_overflowing_sigma_exit_one(self, tmp_path, capsys, flags):
+        code = main(flags + ["--replicas", "1", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "sigma" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    def test_large_finite_sigma_runs(self, tmp_path):
+        code = main(["--sigma", "1", "--tmax", "300", "--replicas", "2",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "custom_q0_egalitarian_passive.csv").read_text()
+        values = [float(x) for line in rows.splitlines()[1:]
+                  for x in line.split(",")]
+        assert all(math.isfinite(v) for v in values)
+
+    def test_fig5_events_exit_one(self, monkeypatch, tmp_path, capsys):
+        import techmarket.ensemble as ens
+
+        def no_replicas(*args, **kwargs):
+            raise AssertionError("a replica ran")
+
+        monkeypatch.setattr(ens, "run_replica", no_replicas)
+        code = main(["--scenario", "fig5", "--events", "--replicas", "1",
+                     "--tmax", "20", "--out", str(tmp_path)])
+        assert code == 1
+        assert "--events" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_replica_failure_names_seed_and_keeps_exit_code(
+            self, monkeypatch, tmp_path, capsys):
+        import techmarket.ensemble as ens
+
+        def drift(params, seed, collect_events=False):
+            raise IntegrityError("normalization error 0.5 exceeds tolerance")
+
+        monkeypatch.setattr(ens, "run_replica", drift)
+        code = main(["--tmax", "5", "--replicas", "1", "--seed", "3",
+                     "--out", str(tmp_path)])
+        seed = ens.replica_seeds(3, 1)[0]
+        assert code == 2
+        assert f"replica seed {seed}" in capsys.readouterr().err

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from techmarket import (
-    BankruptcyOutcome,
     EventKind,
     IntegrityError,
     PolicyKind,
     SimParams,
     VariantKind,
-    attempt_bankruptcy,
     external_diffusion,
     firm_update,
     interact,
@@ -107,8 +105,8 @@ class TestInteract:
     def test_merge_takes_max_and_pools_shares(self):
         m = build_market(firms=[((2, 2), 0.4, 0.2), ((3, 2), 0.7, 0.3),
                                 ((0, 0), 0.5, 0.5)])
-        ev = interact(m, 0, 1, self.params(b=1.0), random.Random(0))
-        assert ev.kind is EventKind.MERGED and ev.partner == 1
+        kind = interact(m, 0, 1, self.params(b=1.0), random.Random(0))
+        assert kind is EventKind.MERGED
         assert 1 not in m.firms
         assert m.firms[0].tech == 0.7
         assert m.firms[0].share == pytest.approx(0.5, abs=1e-15)
@@ -118,9 +116,9 @@ class TestInteract:
         m = build_market(firms=[((2, 2), 0.4, 0.2), ((3, 2), 0.7, 0.3),
                                 ((0, 0), 0.5, 0.5)])
         before = total_share(m)
-        ev = interact(m, 0, 1, self.params(b=0.0, omega_s=0.1), random.Random(1))
-        assert ev.kind is EventKind.SPIN_OFF
-        child = m.firms[ev.child]
+        kind = interact(m, 0, 1, self.params(b=0.0, omega_s=0.1), random.Random(1))
+        assert kind is EventKind.SPIN_OFF
+        child = m.firms[m.next_id - 1]
         assert child.tech == 0.7
         assert child.share == pytest.approx(0.05, abs=1e-15)
         assert m.firms[0].share == pytest.approx(0.18, abs=1e-15)
@@ -135,8 +133,8 @@ class TestInteract:
         actor = m.lattice.occupancy[m.lattice.index((2, 2))]
         partner = m.lattice.occupancy[m.lattice.index((3, 2))]
         snapshot = {fid: (f.tech, f.share, f.site) for fid, f in m.firms.items()}
-        ev = interact(m, actor, partner, self.params(b=0.0), random.Random(2))
-        assert ev.kind is EventKind.SPIN_OFF_BLOCKED
+        kind = interact(m, actor, partner, self.params(b=0.0), random.Random(2))
+        assert kind is EventKind.SPIN_OFF_BLOCKED
         assert {fid: (f.tech, f.share, f.site) for fid, f in m.firms.items()} == snapshot
 
     def test_self_interaction_rejected(self):
@@ -146,29 +144,32 @@ class TestInteract:
 
 
 class TestAttemptBankruptcy:
+    """The survival roll and the rescue, each checked on one firm_update
+    step; n_min=1 keeps the roll on for these small markets."""
+
     def safe_market(self):
         # single dominant firm at the mean: everyone at/above mean*frontier
         return build_market(firms=[((0, 0), 0.5, 0.5), ((1, 0), 0.5, 0.5)])
 
     def test_safe_firm_always_survives(self):
-        p = SimParams(q=0.0)
+        p = SimParams(q=0.0, n_min=1)
         rng = random.Random(9)
-        m = self.safe_market()
         for _ in range(200):
-            assert attempt_bankruptcy(m, 0, p, rng) is BankruptcyOutcome.SURVIVES
+            ev = firm_update(self.safe_market(), 0, p, rng)
+            assert ev.kind is not EventKind.BANKRUPTED and not ev.rescued
 
     def test_certain_rescue_never_bankrupts(self):
-        p = SimParams(q=1.0)
+        p = SimParams(q=1.0, n_min=1)
         rng = random.Random(10)
         for _ in range(200):
             m = build_market(firms=[((0, 0), 0.0, 0.1), ((1, 0), 0.9, 0.9)])
-            out = attempt_bankruptcy(m, 0, p, rng)
-            assert out is not BankruptcyOutcome.BANKRUPTS
+            ev = firm_update(m, 0, p, rng)
+            assert ev.kind is not EventKind.BANKRUPTED
 
     def test_rescue_frequency_matches_product(self):
         # P(rescued) = (1 - p_survive) * q, checked by brute-force frequency
         q = 0.8
-        params = SimParams(q=q)
+        params = SimParams(q=q, n_min=1)
         tech = 0.9 - math.log(2.0)
         anchor_share = (0.99 - 0.9) / (0.99 - tech)
         firms = [((0, 0), tech, anchor_share), ((3, 3), 0.99, 1.0 - anchor_share)]
@@ -180,20 +181,20 @@ class TestAttemptBankruptcy:
         rescued = 0
         for _ in range(trials):
             m = build_market(firms=firms)
-            if attempt_bankruptcy(m, 0, params, rng) is BankruptcyOutcome.RESCUED:
+            if firm_update(m, 0, params, rng).kind is EventKind.RESCUED:
                 rescued += 1
         freq = rescued / trials
         se = math.sqrt(expected * (1.0 - expected) / trials)
         assert abs(freq - expected) < 3.0 * se
 
     def test_bankruptcy_removes_and_redistributes(self):
-        params = SimParams(q=0.0)
+        params = SimParams(q=0.0, n_min=1)
         rng = random.Random(11)
         while True:
             m = build_market(firms=[((0, 0), 0.0, 0.2), ((1, 0), 0.9, 0.4),
                                     ((2, 0), 0.8, 0.4)])
-            out = attempt_bankruptcy(m, 0, params, rng)
-            if out is BankruptcyOutcome.BANKRUPTS:
+            ev = firm_update(m, 0, params, rng)
+            if ev.kind is EventKind.BANKRUPTED:
                 break
         assert 0 not in m.firms
         assert m.lattice.occupancy[0] == -1
@@ -202,20 +203,20 @@ class TestAttemptBankruptcy:
     def test_policy_gates_rescue_by_segment(self):
         # low firm far below mean - sigma_g, high firm far above; q = 1
         firms = [((0, 0), 0.01, 0.05), ((3, 3), 0.95, 0.9), ((5, 5), 0.90, 0.05)]
-        low = SimParams(q=1.0, policy=PolicyKind.LOW_TECH)
-        high = SimParams(q=1.0, policy=PolicyKind.HIGH_TECH)
+        low = SimParams(q=1.0, policy=PolicyKind.LOW_TECH, n_min=1)
+        high = SimParams(q=1.0, policy=PolicyKind.HIGH_TECH, n_min=1)
         rng = random.Random(13)
         rescued_low = bankrupted_high = 0
         for _ in range(300):
             m = build_market(firms=firms)
-            out = attempt_bankruptcy(m, 0, low, rng)
-            assert out is not BankruptcyOutcome.BANKRUPTS  # covered, q=1
-            if out is BankruptcyOutcome.RESCUED:
+            ev = firm_update(m, 0, low, rng)
+            assert ev.kind is not EventKind.BANKRUPTED  # covered, q=1
+            if ev.kind is EventKind.RESCUED:
                 rescued_low += 1
             m = build_market(firms=firms)
-            out = attempt_bankruptcy(m, 0, high, rng)
-            assert out is not BankruptcyOutcome.RESCUED  # low firm not covered
-            if out is BankruptcyOutcome.BANKRUPTS:
+            ev = firm_update(m, 0, high, rng)
+            assert not ev.rescued  # low firm not covered
+            if ev.kind is EventKind.BANKRUPTED:
                 bankrupted_high += 1
         assert rescued_low > 0
         assert bankrupted_high > 0

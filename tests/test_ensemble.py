@@ -152,6 +152,34 @@ class TestRunEnsemble:
             ens.run_trajectories(small_params(t_max=5), 3, jobs=1)
 
 
+class TwoArgError(Exception):
+    """An exception whose constructor takes two arguments."""
+
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
+        self.code = code
+
+
+class TestReplicaFailure:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exception_type_and_fields_kept(self, monkeypatch, jobs):
+        import techmarket.ensemble as ens
+
+        bad_seed = replica_seeds(99, 3)[1]
+        real = ens.run_replica
+
+        def sabotaged(params, seed, collect_events=False):
+            if seed == bad_seed:
+                raise TwoArgError(7, "boom")
+            return real(params, seed, collect_events)
+
+        monkeypatch.setattr(ens, "run_replica", sabotaged)
+        with pytest.raises(TwoArgError) as info:
+            ens.run_trajectories(small_params(t_max=5), 3, jobs=jobs)
+        assert info.value.code == 7
+        assert info.value.__notes__ == [f"replica seed {bad_seed}"]
+
+
 class TestTcVsQ:
     def test_distinct_q_required(self):
         with pytest.raises(ValueError):
