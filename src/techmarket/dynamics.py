@@ -49,7 +49,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import IntegrityError
 from .market import (
@@ -205,7 +205,7 @@ def interact(market: MarketState, firm_i: int, firm_j: int, params: SimParams,
 
 
 def _update_cycle(market: MarketState, params: SimParams, rng: random.Random,
-                  order, events: Optional[list[EventRecord]]
+                  order: Iterable[int], events: Optional[list[EventRecord]]
                   ) -> tuple[list[int], int]:
     """Run the update cycle for each firm of ``order`` still alive, in
     order; returns the tallies indexed by EventKind and the number of
