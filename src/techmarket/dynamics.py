@@ -180,7 +180,8 @@ def interact(market: MarketState, firm_i: int, firm_j: int, params: SimParams,
     firms = market.firms
     i = firms[firm_i]
     j = firms[firm_j]
-    if 1.0 - rng.random() <= params.b:
+    u = 1.0 - rng.random()
+    if u <= params.b:
         share_j = j.share
         tech_j = j.tech
         market.remove_firm(j)
@@ -189,18 +190,17 @@ def interact(market: MarketState, firm_i: int, firm_j: int, params: SimParams,
         i.share += share_j
         market.weighted_sum += share_j * i.tech
         return _MERGED
-    lattice = market.lattice
     k = int(rng.random() * 8)
-    k = lattice.moore8[i.site][k if k < 8 else 7]  # u -> 1 edge
-    if lattice.occupancy[k] >= 0:
+    k = market.lattice.moore8[i.site][k if k < 8 else 7]  # u -> 1 edge
+    if market.lattice.occupancy[k] >= 0:
         return _SPIN_OFF_BLOCKED
-    omega_s = params.omega_s
-    d_i = i.share * omega_s
-    d_j = j.share * omega_s
+    d_i = i.share * params.omega_s
+    d_j = j.share * params.omega_s
     i.share -= d_i
     j.share -= d_j
     market.weighted_sum -= d_i * i.tech + d_j * j.tech
-    market.add_firm(i.tech if i.tech >= j.tech else j.tech, d_i + d_j, k)
+    tech_k = i.tech if i.tech >= j.tech else j.tech
+    market.add_firm(tech_k, d_i + d_j, k)
     return _SPIN_OFF
 
 
