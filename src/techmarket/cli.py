@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="spin-off share fraction (0,1)")
     parser.add_argument("--out", help="output directory (default: out)")
     parser.add_argument("--events", action="store_true", default=None,
-                        help="also write per-event JSONL logs (runs serially)")
+                        help="also write one JSONL event log per cell")
     parser.add_argument("--jobs", help="worker processes for replicas (default 1)")
     return parser
 

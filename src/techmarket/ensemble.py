@@ -3,7 +3,8 @@
 A replica is one full simulation of the market for t_max sweeps; an ensemble
 is n_replicas of them run from seeds derived as ``derive_seed(base_seed, k)``
 for replica k. Replicas are independent, so they may run serially or on a
-process pool; the aggregated statistics are identical either way.
+process pool; the aggregated statistics and event logs are identical either
+way.
 
 Across-replica spread is reported as the population standard deviation
 (divide by n), matching descriptive +-1 SD bands.
@@ -11,15 +12,18 @@ Across-replica spread is reported as the population standard deviation
 from __future__ import annotations
 
 import hashlib
+import io
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
 from .dynamics import EventKind, EventRecord, sweep
 from .market import init_market
+from .output import emit_event_log
 from .params import SimParams, VariantKind
 from .rng import derive_seed
 
@@ -144,42 +148,53 @@ def replica_seeds(base_seed: int, n_replicas: int) -> list[int]:
     return [derive_seed(base_seed, k) for k in range(n_replicas)]
 
 
-def _replica_task(args: tuple[SimParams, int]) -> Trajectory:
-    params, seed = args
-    return run_replica(params, seed)
+def _replica_task(args: tuple[SimParams, int, int, bool],
+                  ) -> tuple[Trajectory, Optional[str]]:
+    """Replica k of an ensemble, plus its event log as JSONL text when
+    ``log_events`` is set; the records themselves are not kept."""
+    params, k, seed, log_events = args
+    trajectory = run_replica(params, seed, log_events)
+    if not log_events:
+        return trajectory, None
+    text = io.StringIO()
+    emit_event_log(text, k, trajectory.events)
+    trajectory.events = None
+    return trajectory, text.getvalue()
 
 
 def run_trajectories(params: SimParams, n_replicas: int,
                      base_seed: Optional[int] = None, jobs: int = 1,
-                     collect_events: bool = False) -> list[Trajectory]:
+                     event_log: Optional[TextIO] = None) -> list[Trajectory]:
     """All replica trajectories of an ensemble, ordered by replica index.
 
-    Event collection forces serial execution (event lists are bulky); the
-    trajectories are identical either way. A replica's exception propagates
-    unchanged, with a note naming its seed.
+    With ``event_log``, each replica renders its events to JSON lines in the
+    process that ran it, and the text is written to the stream in replica
+    order as soon as that replica and every earlier one have finished. Serial
+    and pool runs share one task function and give the same bytes. A
+    replica's exception propagates unchanged, with a note naming its seed.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
     base = params.seed if base_seed is None else base_seed
     seeds = replica_seeds(base, n_replicas)
-    if collect_events or jobs <= 1 or n_replicas == 1:
-        out = []
+    tasks = [(params, k, seed, event_log is not None)
+             for k, seed in enumerate(seeds)]
+    out = []
+    with ExitStack() as stack:
+        if jobs <= 1 or n_replicas == 1:
+            results = map(_replica_task, tasks)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(_replica_task, tasks)
         for seed in seeds:
             try:
-                out.append(run_replica(params, seed, collect_events))
+                trajectory, text = next(results)
             except Exception as exc:
                 exc.add_note(f"replica seed {seed}")
                 raise
-        return out
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_replica_task, (params, seed)) for seed in seeds]
-        out = []
-        for seed, fut in zip(seeds, futures):
-            try:
-                out.append(fut.result())
-            except Exception as exc:
-                exc.add_note(f"replica seed {seed}")
-                raise
+            if text is not None:
+                event_log.write(text)
+            out.append(trajectory)
     return out
 
 

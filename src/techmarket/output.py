@@ -4,23 +4,48 @@ Time-series CSV schema (fixed): ``t,N_mean,N_sd,A_mean,A_sd,ratio_mean,ratio_sd`
 with one row per sweep. Catch-up curve CSV: ``q,tc_mean,tc_sd,fraction_reached``.
 Floats carry 12 significant digits. The metadata file doubles as a config
 file: plain lines are config keys, informational records are comments.
+Every file is written through ``atomic_write``, so it appears complete or
+not at all.
 """
 from __future__ import annotations
 
-import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO
 
-from .dynamics import EventRecord
-from .ensemble import EnsembleStats, TcCurve
+from .dynamics import EventKind, EventRecord
 from .params import SimParams
+
+if TYPE_CHECKING:  # ensemble imports this module to render event logs
+    from .ensemble import EnsembleStats, TcCurve
 
 TIMESERIES_HEADER = "t,N_mean,N_sd,A_mean,A_sd,ratio_mean,ratio_sd"
 TC_CURVE_HEADER = "q,tc_mean,tc_sd,fraction_reached"
 
 
+#: The ``,"kind":"<name>"`` fragment of an event line, indexed by EventKind.
+_KIND_FIELDS = tuple(f',"kind":"{kind.name.lower()}"' for kind in EventKind)
+
+
 def _fmt(x: float) -> str:
     return format(x, ".12g")
+
+
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for writing text through a temporary file in the same
+    directory, renamed over ``path`` when the block ends normally and
+    deleted when it raises."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def emit_timeseries_csv(stats: EnsembleStats, path: str | Path) -> Path:
@@ -36,7 +61,8 @@ def emit_timeseries_csv(stats: EnsembleStats, path: str | Path) -> Path:
             _fmt(stats.ratio_mean[i]),
             _fmt(stats.ratio_sd[i]),
         )))
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -50,7 +76,8 @@ def emit_tc_curve_csv(curve: TcCurve, path: str | Path) -> Path:
             _fmt(curve.tc_sd[i]),
             _fmt(curve.fraction_reached[i]),
         )))
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -89,31 +116,33 @@ def emit_run_metadata(path: str | Path, params: SimParams, scenario: str,
                       max_renorm_error: Optional[float] = None,
                       notes: Iterable[str] = ()) -> Path:
     path = Path(path)
-    path.write_text(metadata_text(params, scenario, replicas, version,
-                                  max_renorm_error, notes))
+    with atomic_write(path) as fh:
+        fh.write(metadata_text(params, scenario, replicas, version,
+                               max_renorm_error, notes))
     return path
 
 
-def event_to_json(event: EventRecord, replica: int) -> str:
-    record = {"replica": replica, "t": event.sweep, "firm": event.firm,
-              "kind": event.kind.name.lower()}
-    if event.partner is not None:
-        record["partner"] = event.partner
-    if event.child is not None:
-        record["child"] = event.child
-    if event.rescued:
-        record["rescued"] = True
-    return json.dumps(record, separators=(",", ":"))
+def emit_event_log(out: TextIO, replica: int,
+                   events: Iterable[EventRecord]) -> None:
+    """Write one replica's events to ``out`` as JSON lines, in one write.
 
-
-def emit_event_log(path: str | Path,
-                   events_by_replica: Iterable[tuple[int, Iterable[EventRecord]]],
-                   ) -> Path:
-    """Line-delimited JSON event log, ordered by replica then sweep."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for replica, events in events_by_replica:
-            for event in events:
-                fh.write(event_to_json(event, replica))
-                fh.write("\n")
-    return path
+    Each line is what ``json.dumps(..., separators=(",", ":"))`` gives for
+    the keys replica, t, firm and kind, then partner when set, child when
+    set (only spin-offs have one, and they always have a partner), and
+    ``"rescued":true`` only when a rescue fired.
+    """
+    head = f'{{"replica":{replica},"t":'
+    kinds = _KIND_FIELDS
+    ends = ('}\n', ',"rescued":true}\n')  # indexed by the rescued flag
+    lines = []
+    append = lines.append
+    for kind, firm, t, partner, child, rescued in events:
+        if partner is None:
+            append(f'{head}{t},"firm":{firm}{kinds[kind]}{ends[rescued]}')
+        elif child is None:
+            append(f'{head}{t},"firm":{firm}{kinds[kind]},"partner":{partner}'
+                   f'{ends[rescued]}')
+        else:
+            append(f'{head}{t},"firm":{firm}{kinds[kind]},"partner":{partner}'
+                   f',"child":{child}{ends[rescued]}')
+    out.write("".join(lines))

@@ -90,11 +90,16 @@ def validate_params(p: SimParams) -> None:
     if not (isinstance(p.t_max, int) and p.t_max >= 0):
         raise ConfigError(f"tmax must be a nonnegative integer, got {p.t_max}")
     try:
-        math.exp(p.sigma * p.t_max)  # the frontier at the horizon
+        horizon = math.exp(p.sigma * p.t_max)  # the frontier at the horizon
     except OverflowError:
+        horizon = math.inf
+    # MarketState.tech_sq_sum holds up to lx*ly squared technologies below
+    # the frontier, and sigma_g_from_sums forms twice that much
+    if not math.isfinite(2.0 * horizon * horizon * (p.lx * p.ly)):
         raise ConfigError(
-            f"sigma ({p.sigma}) overflows the frontier exp(sigma * tmax) "
-            f"at tmax={p.t_max}") from None
+            f"sigma ({p.sigma}) overflows 2 * exp(sigma * tmax)**2 * lx * ly, "
+            f"the largest running sum of squared technologies, at "
+            f"tmax={p.t_max} on a {p.lx}x{p.ly} lattice")
     if not (isinstance(p.seed, int) and 0 <= p.seed <= MAX_SEED):
         raise ConfigError(f"seed must be an integer in [0, 2^64), got {p.seed}")
     if p.n_min > p.lx * p.ly:

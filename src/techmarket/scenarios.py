@@ -15,6 +15,7 @@ replicas are honored, otherwise the preset's values apply (400 replicas).
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -29,7 +30,7 @@ from .ensemble import (
     tc_vs_q,
 )
 from .output import (
-    emit_event_log,
+    atomic_write,
     emit_run_metadata,
     emit_tc_curve_csv,
     emit_timeseries_csv,
@@ -115,7 +116,8 @@ def resolve_cells(name: str, base: SimParams,
 def run_scenario(name: str, base: SimParams, controls: RunControls,
                  ) -> ScenarioResult:
     """Run every ensemble of a scenario and write its CSVs plus one
-    metadata record into the output directory."""
+    metadata record into the output directory; with ``controls.events``,
+    each cell's event log is streamed to its JSONL file replica by replica."""
     if name == "fig5" and controls.events:
         raise ConfigError(
             "events (--events) is not supported by fig5, whose q-grid "
@@ -151,17 +153,17 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
         notes.append("preset cells override q/policy/variant below:")
         notes.extend(f"cell {label}" for label, _ in cells)
     for label, cell_params in cells:
-        trajectories = run_trajectories(
-            cell_params, replicas, jobs=controls.jobs,
-            collect_events=controls.events)
+        log_path = out_dir / f"{name}_{label}_events.jsonl"
+        with (atomic_write(log_path) if controls.events
+              else nullcontext()) as event_log:
+            trajectories = run_trajectories(
+                cell_params, replicas, jobs=controls.jobs, event_log=event_log)
         stats: EnsembleStats = aggregate(trajectories)
         max_err = max(max_err, stats.max_renorm_error)
         written.append(emit_timeseries_csv(
             stats, out_dir / f"{name}_{label}.csv"))
         if controls.events:
-            written.append(emit_event_log(
-                out_dir / f"{name}_{label}_events.jsonl",
-                ((k, tr.events or ()) for k, tr in enumerate(trajectories))))
+            written.append(log_path)
         tc = stats.tc_of_mean
         notes.append(
             f"{label}: tc_of_mean={'none' if tc is None else tc} "

@@ -1,4 +1,5 @@
 """Config resolution, CSV/metadata emission, event logs, and the CLI."""
+import io
 import json
 import math
 import re
@@ -6,13 +7,23 @@ import re
 import numpy as np
 import pytest
 
-from techmarket import ConfigError, IntegrityError, PolicyKind, SimParams, VariantKind
+from techmarket import (
+    ConfigError,
+    EventKind,
+    EventRecord,
+    IntegrityError,
+    PolicyKind,
+    SimParams,
+    VariantKind,
+)
 from techmarket.cli import main
 from techmarket.config import RunControls, parse_config_file, resolve_config
 from techmarket.ensemble import run_ensemble
 from techmarket.output import (
     TC_CURVE_HEADER,
     TIMESERIES_HEADER,
+    atomic_write,
+    emit_event_log,
     emit_run_metadata,
     emit_timeseries_csv,
     metadata_text,
@@ -151,6 +162,60 @@ class TestMetadata:
             assert a.read_bytes() == b.read_bytes()
 
 
+class TestEventLog:
+    RECORDS = [
+        EventRecord(EventKind.MOVED_NO_DIFFUSION, 4, 0),
+        EventRecord(EventKind.BANKRUPTED, 17, 3),
+        EventRecord(EventKind.RESCUED, 5, 3, rescued=True),
+        EventRecord(EventKind.MERGED, 8, 12, partner=9),
+        EventRecord(EventKind.SPIN_OFF, 31, 12, partner=17, child=92),
+        EventRecord(EventKind.SPIN_OFF_BLOCKED, 2, 40, partner=0, rescued=True),
+        EventRecord(EventKind.MOVED_COPIED_FRONTIER, 0, 41, rescued=True),
+    ]
+
+    def test_lines_match_compact_json(self):
+        out = io.StringIO()
+        emit_event_log(out, 7, self.RECORDS)
+        expected = []
+        for ev in self.RECORDS:
+            record = {"replica": 7, "t": ev.sweep, "firm": ev.firm,
+                      "kind": ev.kind.name.lower()}
+            if ev.partner is not None:
+                record["partner"] = ev.partner
+            if ev.child is not None:
+                record["child"] = ev.child
+            if ev.rescued:
+                record["rescued"] = True
+            expected.append(json.dumps(record, separators=(",", ":")) + "\n")
+        assert out.getvalue() == "".join(expected)
+        assert out.getvalue().splitlines()[4] == (
+            '{"replica":7,"t":12,"firm":31,"kind":"spin_off",'
+            '"partner":17,"child":92}')
+
+    def test_no_events_writes_nothing(self):
+        out = io.StringIO()
+        emit_event_log(out, 0, [])
+        assert out.getvalue() == ""
+
+
+class TestAtomicWrite:
+    def test_replaces_target_on_success(self, tmp_path):
+        target = tmp_path / "a.csv"
+        target.write_text("old\n")
+        with atomic_write(target) as fh:
+            fh.write("new\n")
+            assert target.read_text() == "old\n"
+        assert target.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+    def test_failure_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with atomic_write(tmp_path / "a.jsonl") as fh:
+                fh.write("partial\n")
+                raise RuntimeError("replica failed")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestScenarios:
     def test_preset_cells_fixed_by_scenario(self):
         params, controls = resolve_config(None, {"seed": "5"})
@@ -201,6 +266,43 @@ class TestScenarios:
         replicas = [r["replica"] for r in records]
         assert replicas == sorted(replicas)
 
+    def test_event_log_same_bytes_serial_and_pool(self, tmp_path):
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            code = main(["--q", "0.99", "--variant", "active", "--tmax", "50",
+                         "--replicas", "3", "--seed", "8", "--events",
+                         "--jobs", jobs, "--out", str(out)])
+            assert code == 0
+            outputs.append(out)
+        serial, pool = outputs
+        names = sorted(p.name for p in serial.iterdir())
+        assert names == sorted(p.name for p in pool.iterdir())
+        assert "custom_q0.99_egalitarian_active_events.jsonl" in names
+        assert "custom_q0.99_egalitarian_active.csv" in names
+        for name in names:
+            assert (serial / name).read_bytes() == (pool / name).read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_replica_leaves_no_event_log(self, monkeypatch, tmp_path,
+                                                 capsys, jobs):
+        import techmarket.ensemble as ens
+
+        real = ens.run_replica
+        bad_seed = ens.replica_seeds(3, 3)[1]
+
+        def drift(params, seed, collect_events=False):
+            if seed == bad_seed:
+                raise IntegrityError("normalization error 0.5 exceeds tolerance")
+            return real(params, seed, collect_events)
+
+        monkeypatch.setattr(ens, "run_replica", drift)
+        code = main(["--tmax", "5", "--replicas", "3", "--seed", "3",
+                     "--events", "--jobs", jobs, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"replica seed {bad_seed}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_tc_curve_csv_schema(self, tmp_path):
         params, controls = resolve_config(
             None, {"seed": "5", "tmax": "60", "replicas": "2",
@@ -242,7 +344,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flags", [["--sigma", "1e6", "--tmax", "3"],
                                        ["--sigma", "2", "--tmax", "400"],
-                                       ["--sigma", "inf", "--tmax", "3"]])
+                                       ["--sigma", "inf", "--tmax", "3"],
+                                       ["--sigma", "1.2", "--tmax", "300"]])
     def test_overflowing_sigma_exit_one(self, tmp_path, capsys, flags):
         code = main(flags + ["--replicas", "1", "--out", str(tmp_path)])
         err = capsys.readouterr().err
@@ -256,6 +359,18 @@ class TestCli:
                      "--out", str(tmp_path)])
         assert code == 0
         rows = (tmp_path / "custom_q0_egalitarian_passive.csv").read_text()
+        values = [float(x) for line in rows.splitlines()[1:]
+                  for x in line.split(",")]
+        assert all(math.isfinite(v) for v in values)
+
+    def test_sigma_just_inside_squared_frontier_bound_runs(self, tmp_path):
+        # 2 * exp(1.174 * 300)**2 * 100 is about 1.65e308, just below the
+        # largest double (1.80e308, reached at sigma of about 1.17414)
+        code = main(["--sigma", "1.174", "--tmax", "300", "--replicas", "2",
+                     "--policy", "mediumtech", "--q", "0.9",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "custom_q0.9_mediumtech_passive.csv").read_text()
         values = [float(x) for line in rows.splitlines()[1:]
                   for x in line.split(",")]
         assert all(math.isfinite(v) for v in values)

@@ -7,12 +7,13 @@ untouched; a change that alters floating-point rounding or the draw order
 must say so and replace them in the same change.
 """
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
 from techmarket import PolicyKind, SimParams, VariantKind, run_replica
-from techmarket.output import event_to_json
+from techmarket.output import emit_event_log
 from techmarket.rng import derive_seed
 
 EGAL = PolicyKind.EGALITARIAN
@@ -80,8 +81,7 @@ def test_event_log_digest(key):
     params = SimParams(q=q, policy=policy, variant=variant, t_max=T_MAX,
                        seed=seed)
     tr = run_replica(params, derive_seed(seed, 0), collect_events=True)
-    h = hashlib.sha256()
-    for event in tr.events:
-        h.update(event_to_json(event, 0).encode())
-        h.update(b"\n")
-    assert h.hexdigest() == EVENT_LOG_DIGESTS[key]
+    log = io.StringIO()
+    emit_event_log(log, 0, tr.events)
+    assert hashlib.sha256(log.getvalue().encode()).hexdigest() \
+        == EVENT_LOG_DIGESTS[key]
