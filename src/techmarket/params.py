@@ -97,9 +97,9 @@ def validate_params(p: SimParams) -> None:
     # the frontier, and sigma_g_from_sums forms twice that much
     if not math.isfinite(2.0 * horizon * horizon * (p.lx * p.ly)):
         raise ConfigError(
-            f"sigma ({p.sigma}) overflows 2 * exp(sigma * tmax)**2 * lx * ly, "
-            f"the largest running sum of squared technologies, at "
-            f"tmax={p.t_max} on a {p.lx}x{p.ly} lattice")
+            f"sigma ({p.sigma}) is too large for tmax={p.t_max} on a "
+            f"{p.lx}x{p.ly} lattice: 2 * exp(sigma * tmax)**2 * lx * ly, the "
+            f"bound on the running sums of squared technologies, overflows")
     if not (isinstance(p.seed, int) and 0 <= p.seed <= MAX_SEED):
         raise ConfigError(f"seed must be an integer in [0, 2^64), got {p.seed}")
     if p.n_min > p.lx * p.ly:

@@ -192,11 +192,6 @@ class TestEventLog:
             '{"replica":7,"t":12,"firm":31,"kind":"spin_off",'
             '"partner":17,"child":92}')
 
-    def test_no_events_writes_nothing(self):
-        out = io.StringIO()
-        emit_event_log(out, 0, [])
-        assert out.getvalue() == ""
-
 
 class TestAtomicWrite:
     def test_replaces_target_on_success(self, tmp_path):
@@ -207,13 +202,6 @@ class TestAtomicWrite:
             assert target.read_text() == "old\n"
         assert target.read_text() == "new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
-
-    def test_failure_leaves_nothing(self, tmp_path):
-        with pytest.raises(RuntimeError):
-            with atomic_write(tmp_path / "a.jsonl") as fh:
-                fh.write("partial\n")
-                raise RuntimeError("replica failed")
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestScenarios:
