@@ -39,7 +39,6 @@ from .ensemble import (
     run_ensemble,
     run_replica,
     run_trajectories,
-    tc_vs_q,
 )
 
 __all__ = [
@@ -53,5 +52,5 @@ __all__ = [
     "external_diffusion", "firm_update", "interact",
     "redistribute_shares_equal", "renormalize_shares", "sweep",
     "EnsembleStats", "TcCurve", "Trajectory", "estimate_tc",
-    "run_ensemble", "run_replica", "run_trajectories", "tc_vs_q",
+    "run_ensemble", "run_replica", "run_trajectories",
 ]

@@ -11,20 +11,19 @@ Across-replica spread is reported as the population standard deviation
 """
 from __future__ import annotations
 
-import hashlib
 import io
 import random
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, TextIO
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
 from .dynamics import EventKind, EventRecord, sweep
 from .market import init_market
 from .output import emit_event_log
-from .params import SimParams, VariantKind
+from .params import SimParams
 from .rng import derive_seed
 
 #: Threshold the mean technology must reach to end the catch-up phase; the
@@ -36,7 +35,6 @@ TC_THRESHOLD = 1.0
 class Trajectory:
     """Per-sweep time series of one replica, for t = 0 .. t_max."""
 
-    params_digest: str
     replica_seed: int
     t: np.ndarray           # sweep index
     n_firms: np.ndarray     # N(t) at sweep start
@@ -79,18 +77,7 @@ class TcCurve:
     tc_sd: np.ndarray
     fraction_reached: np.ndarray
     tc_of_mean: list[Optional[int]]
-    max_renorm_error: float = 0.0
-
-
-def params_digest(params: SimParams) -> str:
-    """Short stable fingerprint of a parameter set."""
-    canon = "|".join((
-        repr(params.sigma), repr(params.s), repr(params.b), repr(params.n_min),
-        repr(params.omega_s), repr(params.c), repr(params.q),
-        params.policy.value, params.variant.value,
-        repr(params.lx), repr(params.ly), repr(params.t_max), repr(params.seed),
-    ))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+    max_renorm_error: float
 
 
 def run_replica(params: SimParams, replica_seed: int,
@@ -124,7 +111,6 @@ def run_replica(params: SimParams, replica_seed: int,
     a_arr[t_max] = market.weighted_sum
     r_arr[t_max] = market.weighted_sum / market.frontier_value
     return Trajectory(
-        params_digest=params_digest(params),
         replica_seed=replica_seed,
         t=np.arange(t_max + 1, dtype=np.int64),
         n_firms=n_arr,
@@ -238,35 +224,20 @@ def run_ensemble(params: SimParams, n_replicas: int,
     return aggregate(run_trajectories(params, n_replicas, base_seed, jobs))
 
 
-def tc_vs_q(params: SimParams, q_values: Sequence[float], n_replicas: int,
-            base_seed: Optional[int] = None, jobs: int = 1) -> TcCurve:
-    """Catch-up time statistics over a grid of intervention probabilities.
-
-    Runs with the passive-after-rescue variant regardless of params.variant
-    (the curve characterizes the original dynamics). Every grid cell reuses
-    the same base seed, so replica k shares its initial market across cells.
-    """
-    qs = sorted(q_values)
-    if len(set(qs)) != len(qs):
-        raise ValueError("q_values must be distinct")
-    tc_mean = np.empty(len(qs))
-    tc_sd = np.empty(len(qs))
-    fraction = np.empty(len(qs))
-    tc_of_mean: list[Optional[int]] = []
-    max_err = 0.0
-    for i, q in enumerate(qs):
-        cell = replace(params, q=q, variant=VariantKind.PASSIVE_AFTER_RESCUE)
-        stats = run_ensemble(cell, n_replicas, base_seed, jobs)
-        tc_mean[i] = stats.tc_mean
-        tc_sd[i] = stats.tc_sd
-        fraction[i] = stats.fraction_reached
-        tc_of_mean.append(stats.tc_of_mean)
-        max_err = max(max_err, stats.max_renorm_error)
+def tc_curve(q_values: Sequence[float],
+             ensembles: Iterable[EnsembleStats]) -> TcCurve:
+    """Catch-up time statistics of ensembles run at the given q values,
+    one ensemble per q, in the order given. ``ensembles`` is read once and
+    only its scalar statistics are kept, so it may be a generator that
+    produces one ensemble at a time."""
+    rows = [(st.tc_mean, st.tc_sd, st.fraction_reached, st.tc_of_mean,
+             st.max_renorm_error) for st in ensembles]
+    tc_mean, tc_sd, fraction, tc_of_mean, errors = zip(*rows)
     return TcCurve(
-        q=np.asarray(qs, dtype=np.float64),
-        tc_mean=tc_mean,
-        tc_sd=tc_sd,
-        fraction_reached=fraction,
-        tc_of_mean=tc_of_mean,
-        max_renorm_error=max_err,
+        q=np.asarray(q_values, dtype=np.float64),
+        tc_mean=np.array(tc_mean),
+        tc_sd=np.array(tc_sd),
+        fraction_reached=np.array(fraction),
+        tc_of_mean=list(tc_of_mean),
+        max_renorm_error=max(errors),
     )

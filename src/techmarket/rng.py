@@ -23,10 +23,6 @@ def derive_seed(base_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def make_stream(base_seed: int, *path: int) -> random.Random:
-    return random.Random(derive_seed(base_seed, *path))
-
-
 def open_unit(rng: random.Random) -> float:
     """Uniform draw on the open interval (0, 1)."""
     u = rng.random()

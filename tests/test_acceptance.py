@@ -23,10 +23,9 @@ from techmarket import (
     run_ensemble,
     run_replica,
     survival_probability,
-    tc_vs_q,
 )
 from techmarket.config import resolve_config
-from techmarket.ensemble import run_trajectories, aggregate
+from techmarket.ensemble import aggregate, run_trajectories, tc_curve
 from techmarket.rng import derive_seed
 from techmarket.scenarios import run_scenario
 
@@ -124,7 +123,9 @@ def mediumtech_q99():
 @pytest.fixture(scope="module")
 def tc_grid():
     params = SimParams(t_max=3000, seed=303)
-    curve = tc_vs_q(params, [0.0, 0.3, 0.9, 0.99], 60, jobs=JOBS)
+    qs = [0.0, 0.3, 0.9, 0.99]
+    curve = tc_curve(qs, [run_ensemble(replace(params, q=q), 60, jobs=JOBS)
+                          for q in qs])
     full = run_ensemble(replace(params, q=1.0), 24, jobs=JOBS)
     RENORM_PEAKS["q1"] = full.max_renorm_error
     return curve, full

@@ -28,7 +28,12 @@ from techmarket.output import (
     emit_timeseries_csv,
     metadata_text,
 )
-from techmarket.scenarios import SCENARIOS, resolve_cells, run_scenario
+from techmarket.scenarios import (
+    SCENARIOS,
+    TC_Q_GRID,
+    resolve_cells,
+    run_scenario,
+)
 
 
 class TestConfigResolution:
@@ -224,6 +229,18 @@ class TestScenarios:
         assert all(p.t_max == 50 for _, p in cells)
         assert all(p.policy is PolicyKind.LOW_TECH for _, p in cells)
 
+    def test_fig5_cells_passive_with_callers_policy(self):
+        params, controls = resolve_config(
+            None, {"policy": "lowtech", "variant": "active", "q": "0.5"})
+        cells, replicas = resolve_cells("fig5", params, controls)
+        assert [p.q for _, p in cells] == list(TC_Q_GRID)
+        assert all(p.policy is PolicyKind.LOW_TECH for _, p in cells)
+        assert all(p.variant is VariantKind.PASSIVE_AFTER_RESCUE
+                   for _, p in cells)
+        assert all(p.t_max == 3000 for _, p in cells)
+        assert replicas == 400
+        assert cells[1][0] == "q0.1_lowtech_passive"
+
     def test_fig6_contrasts_variants(self):
         variants = [c.variant for c in SCENARIOS["fig6"].cells]
         assert variants == [VariantKind.PASSIVE_AFTER_RESCUE,
@@ -255,21 +272,37 @@ class TestScenarios:
         assert replicas == sorted(replicas)
 
     def test_event_log_same_bytes_serial_and_pool(self, tmp_path):
-        outputs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            code = main(["--q", "0.99", "--variant", "active", "--tmax", "50",
-                         "--replicas", "3", "--seed", "8", "--events",
-                         "--jobs", jobs, "--out", str(out)])
-            assert code == 0
-            outputs.append(out)
-        serial, pool = outputs
-        names = sorted(p.name for p in serial.iterdir())
-        assert names == sorted(p.name for p in pool.iterdir())
-        assert "custom_q0.99_egalitarian_active_events.jsonl" in names
-        assert "custom_q0.99_egalitarian_active.csv" in names
-        for name in names:
-            assert (serial / name).read_bytes() == (pool / name).read_bytes()
+        cases = {
+            "custom": (["--q", "0.99", "--variant", "active", "--tmax", "50",
+                        "--replicas", "3"],
+                       ["custom_q0.99_egalitarian_active_events.jsonl"],
+                       ["custom_metadata.txt",
+                        "custom_q0.99_egalitarian_active.csv"]),
+            "fig5": (["--scenario", "fig5", "--tmax", "30", "--replicas", "2"],
+                     [f"fig5_q{q:g}_egalitarian_passive_events.jsonl"
+                      for q in TC_Q_GRID],
+                     ["fig5_metadata.txt", "fig5_tc_curve.csv"]),
+        }
+        for scenario, (flags, logs, outputs) in cases.items():
+            runs = {}
+            for tag, extra in (("plain", ["--jobs", "2"]),
+                               ("serial", ["--events", "--jobs", "1"]),
+                               ("pool", ["--events", "--jobs", "2"])):
+                runs[tag] = tmp_path / scenario / tag
+                code = main(flags + ["--seed", "8", "--out", str(runs[tag])]
+                            + extra)
+                assert code == 0
+            names = sorted(p.name for p in runs["serial"].iterdir())
+            assert names == sorted(p.name for p in runs["pool"].iterdir())
+            assert names == sorted(logs + outputs)
+            for name in names:
+                assert (runs["serial"] / name).read_bytes() == \
+                    (runs["pool"] / name).read_bytes()
+            # --events adds the logs and changes no other output
+            assert sorted(p.name for p in runs["plain"].iterdir()) == outputs
+            for name in outputs:
+                assert (runs["plain"] / name).read_bytes() == \
+                    (runs["pool"] / name).read_bytes()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failing_replica_leaves_no_event_log(self, monkeypatch, tmp_path,
@@ -363,18 +396,17 @@ class TestCli:
                   for x in line.split(",")]
         assert all(math.isfinite(v) for v in values)
 
-    def test_fig5_events_exit_one(self, monkeypatch, tmp_path, capsys):
-        import techmarket.ensemble as ens
-
-        def no_replicas(*args, **kwargs):
-            raise AssertionError("a replica ran")
-
-        monkeypatch.setattr(ens, "run_replica", no_replicas)
-        code = main(["--scenario", "fig5", "--events", "--replicas", "1",
-                     "--tmax", "20", "--out", str(tmp_path)])
-        assert code == 1
-        assert "--events" in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
+    def test_metadata_reruns_preset_bit_exactly(self, tmp_path):
+        # no --tmax: the metadata must carry fig7's own 2000 sweeps
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
+        assert main(["--scenario", "fig7", "--replicas", "1",
+                     "--out", str(first)]) == 0
+        assert "tmax=2000\n" in (first / "fig7_metadata.txt").read_text()
+        assert main(["--config", str(first / "fig7_metadata.txt"),
+                     "--out", str(rerun)]) == 0
+        csv = "fig7_q0.99_egalitarian_active.csv"
+        assert len((first / csv).read_text().splitlines()) == 2002
+        assert (rerun / csv).read_bytes() == (first / csv).read_bytes()
 
     def test_replica_failure_names_seed_and_keeps_exit_code(
             self, monkeypatch, tmp_path, capsys):

@@ -10,9 +10,8 @@ from techmarket import (
     estimate_tc,
     run_ensemble,
     run_replica,
-    tc_vs_q,
 )
-from techmarket.ensemble import Trajectory, aggregate, params_digest, replica_seeds
+from techmarket.ensemble import Trajectory, aggregate, replica_seeds, tc_curve
 from techmarket.rng import derive_seed
 
 
@@ -94,10 +93,6 @@ class TestSeeding:
         seeds = replica_seeds(7, 100) + replica_seeds(8, 100)
         assert len(set(seeds)) == 200
 
-    def test_digest_tracks_params(self):
-        assert params_digest(small_params()) == params_digest(small_params())
-        assert params_digest(small_params()) != params_digest(small_params(q=0.5))
-
 
 class TestRunEnsemble:
     def test_single_replica_degenerate_sd(self):
@@ -122,7 +117,7 @@ class TestRunEnsemble:
         t = np.arange(5)
         row = np.full(5, 3.0)
         trs = [
-            Trajectory("x", k, t.copy(), np.full(5, 7), row.copy(), row.copy(),
+            Trajectory(k, t.copy(), np.full(5, 7), row.copy(), row.copy(),
                        np.zeros(5, int), np.zeros(5, int), 0.0)
             for k in range(4)
         ]
@@ -180,23 +175,24 @@ class TestReplicaFailure:
         assert info.value.__notes__ == [f"replica seed {bad_seed}"]
 
 
-class TestTcVsQ:
-    def test_distinct_q_required(self):
-        with pytest.raises(ValueError):
-            tc_vs_q(small_params(), [0.1, 0.1], 2)
-
+class TestTcCurve:
     def test_free_market_always_crosses(self):
-        curve = tc_vs_q(small_params(t_max=250), [0.0], 4)
+        curve = tc_curve([0.0], [run_ensemble(small_params(t_max=250), 4)])
         assert curve.fraction_reached[0] == 1.0
         assert math.isfinite(curve.tc_mean[0])
         assert curve.tc_of_mean[0] is not None
 
-    def test_sorted_output_and_passive_forcing(self):
-        p = small_params(t_max=120, variant=VariantKind.ACTIVE_AFTER_RESCUE)
-        curve = tc_vs_q(p, [0.3, 0.0], 3)
-        assert list(curve.q) == [0.0, 0.3]
-        # forcing the passive variant: identical to an explicitly passive run
-        p_passive = small_params(t_max=120)
-        curve2 = tc_vs_q(p_passive, [0.0, 0.3], 3)
-        assert np.array_equal(curve.tc_mean, curve2.tc_mean,  equal_nan=True)
-        assert np.array_equal(curve.fraction_reached, curve2.fraction_reached)
+    def test_one_row_per_ensemble_in_order(self):
+        qs = [0.0, 0.3]
+        ensembles = [run_ensemble(small_params(t_max=120, q=q), 3) for q in qs]
+        curve = tc_curve(qs, ensembles)
+        assert list(curve.q) == qs
+        assert np.array_equal(curve.tc_mean,
+                              [st.tc_mean for st in ensembles], equal_nan=True)
+        assert np.array_equal(curve.tc_sd,
+                              [st.tc_sd for st in ensembles], equal_nan=True)
+        assert list(curve.fraction_reached) == [
+            st.fraction_reached for st in ensembles]
+        assert curve.tc_of_mean == [st.tc_of_mean for st in ensembles]
+        assert curve.max_renorm_error == max(
+            st.max_renorm_error for st in ensembles)
