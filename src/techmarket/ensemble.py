@@ -1,22 +1,36 @@
-"""Replica orchestration, deterministic seeding, and ensemble statistics.
+"""Replica orchestration, deterministic seeding, ensemble statistics, and
+the ensemble store.
 
 A replica is one full simulation of the market for t_max sweeps; an ensemble
 is n_replicas of them run from seeds derived as ``derive_seed(base_seed, k)``
 for replica k. Replicas are independent, so they may run serially or on a
 process pool; the aggregated statistics and event logs are identical either
-way.
+way. A replica hands back its end state, from which a later run carries on
+with exactly the draws and states of one uninterrupted run.
 
 Across-replica spread is reported as the population standard deviation
 (divide by n), matching descriptive +-1 SD bands.
+
+The ensemble store (``stored_ensemble``) shares ensembles between the cells
+of every scenario run in one process. Per parameter set other than t_max
+and per replica count it keeps the aggregates up to the longest horizon run
+so far, each replica's first crossing sweep and each replica's pickled end
+state. A request up to that horizon is answered by slicing the aggregates:
+a column-wise mean or SD over replicas depends only on that sweep's values,
+so the slice is bit-identical to a fresh run. A longer request resumes every
+replica from its end state and aggregates only the new sweeps. The store
+costs memory: about 5 kB per replica end state and 72 bytes per aggregate
+row, kept until the process ends or ``clear_store`` is called.
 """
 from __future__ import annotations
 
 import io
+import pickle
 import random
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -33,17 +47,19 @@ TC_THRESHOLD = 1.0
 
 @dataclass(slots=True)
 class Trajectory:
-    """Per-sweep time series of one replica, for t = 0 .. t_max."""
+    """Per-sweep time series of one replica, for t = t_start .. t_max
+    (t_start is 0 unless the run resumed an end state)."""
 
     replica_seed: int
-    t: np.ndarray           # sweep index
-    n_firms: np.ndarray     # N(t) at sweep start
-    mean_tech: np.ndarray   # weighted mean technology at sweep start
-    ratio: np.ndarray       # mean_tech / frontier(t)
-    rescued: np.ndarray     # rescues fired during sweep t (0 in the last row)
-    bankrupted: np.ndarray  # bankruptcies during sweep t (0 in the last row)
-    max_renorm_error: float
+    t: np.ndarray             # sweep index
+    n_firms: np.ndarray       # N(t) at sweep start
+    mean_tech: np.ndarray     # weighted mean technology at sweep start
+    ratio: np.ndarray         # mean_tech / frontier(t)
+    rescued: np.ndarray       # rescues fired during sweep t (0 in the last row)
+    bankrupted: np.ndarray    # bankruptcies during sweep t (0 in the last row)
+    renorm_error: np.ndarray  # share renormalization error of sweep t (0 in the last row)
     events: Optional[list[EventRecord]] = None
+    end_state: Optional[bytes] = None  # pickled (MarketState, Random) at t_max
 
 
 @dataclass(slots=True)
@@ -59,13 +75,18 @@ class EnsembleStats:
     ratio_mean: np.ndarray
     ratio_sd: np.ndarray
     rescued_sum: np.ndarray     # total rescues per sweep over all replicas
-    bankrupted_sum: np.ndarray  # total bankruptcies per sweep over all replicas
+    renorm_error: np.ndarray    # largest renormalization error per sweep
     tc_values: np.ndarray       # per-replica crossing sweep (nan if never)
     tc_mean: float              # mean over replicas that crossed (nan if none)
     tc_sd: float                # population SD over replicas that crossed
     fraction_reached: float     # share of replicas that crossed within t_max
     tc_of_mean: Optional[int]   # crossing sweep of the ensemble-mean series
     max_renorm_error: float
+
+
+#: EnsembleStats fields with one value per sweep.
+_ROW_FIELDS = ("t", "n_mean", "n_sd", "a_mean", "a_sd", "ratio_mean",
+               "ratio_sd", "rescued_sum", "renorm_error")
 
 
 @dataclass(slots=True)
@@ -81,45 +102,56 @@ class TcCurve:
 
 
 def run_replica(params: SimParams, replica_seed: int,
-                collect_events: bool = False) -> Trajectory:
-    """Simulate one replica for t_max sweeps from the given stream seed.
+                collect_events: bool = False,
+                start: Optional[bytes] = None) -> Trajectory:
+    """Simulate one replica up to sweep t_max from the given stream seed,
+    or from ``start``, the ``end_state`` of an earlier run of the same
+    replica with the same parameters and a horizon of at most t_max.
 
     N, the mean technology and the mean-to-frontier ratio are recorded at
-    the beginning of every sweep, plus one final snapshot at t = t_max.
+    the beginning of every sweep from the start state on, plus one final
+    snapshot at t = t_max.
     """
-    rng = random.Random(replica_seed)
-    market = init_market(params, rng)
-    t_max = params.t_max
-    n_arr = np.empty(t_max + 1, dtype=np.int64)
-    a_arr = np.empty(t_max + 1, dtype=np.float64)
-    r_arr = np.empty(t_max + 1, dtype=np.float64)
-    rescued = np.zeros(t_max + 1, dtype=np.int64)
-    bankrupted = np.zeros(t_max + 1, dtype=np.int64)
+    if start is None:
+        rng = random.Random(replica_seed)
+        market = init_market(params, rng)
+    else:
+        market, rng = pickle.loads(start)
+    t_start, t_max = market.sweep, params.t_max
+    if t_start > t_max:
+        raise ValueError(f"start state at sweep {t_start} is past "
+                         f"tmax={t_max}")
+    rows = t_max - t_start + 1
+    n_arr = np.empty(rows, dtype=np.int64)
+    a_arr = np.empty(rows, dtype=np.float64)
+    r_arr = np.empty(rows, dtype=np.float64)
+    rescued = np.zeros(rows, dtype=np.int64)
+    bankrupted = np.zeros(rows, dtype=np.int64)
+    renorm = np.zeros(rows, dtype=np.float64)
     events: Optional[list[EventRecord]] = [] if collect_events else None
-    max_err = 0.0
-    for t in range(t_max):
+    for i in range(rows - 1):
         stats = sweep(market, params, rng, events)
-        n_arr[t] = stats.n_firms
-        a_arr[t] = stats.mean_tech
-        r_arr[t] = stats.ratio
-        rescued[t] = stats.rescued
-        bankrupted[t] = stats.counts[EventKind.BANKRUPTED]
-        if stats.renorm_error > max_err:
-            max_err = stats.renorm_error
+        n_arr[i] = stats.n_firms
+        a_arr[i] = stats.mean_tech
+        r_arr[i] = stats.ratio
+        rescued[i] = stats.rescued
+        bankrupted[i] = stats.counts[EventKind.BANKRUPTED]
+        renorm[i] = stats.renorm_error
     market.resync_sums()
-    n_arr[t_max] = len(market.firms)
-    a_arr[t_max] = market.weighted_sum
-    r_arr[t_max] = market.weighted_sum / market.frontier_value
+    n_arr[-1] = len(market.firms)
+    a_arr[-1] = market.weighted_sum
+    r_arr[-1] = market.weighted_sum / market.frontier_value
     return Trajectory(
         replica_seed=replica_seed,
-        t=np.arange(t_max + 1, dtype=np.int64),
+        t=np.arange(t_start, t_max + 1, dtype=np.int64),
         n_firms=n_arr,
         mean_tech=a_arr,
         ratio=r_arr,
         rescued=rescued,
         bankrupted=bankrupted,
-        max_renorm_error=max_err,
+        renorm_error=renorm,
         events=events,
+        end_state=pickle.dumps((market, rng), pickle.HIGHEST_PROTOCOL),
     )
 
 
@@ -134,12 +166,12 @@ def replica_seeds(base_seed: int, n_replicas: int) -> list[int]:
     return [derive_seed(base_seed, k) for k in range(n_replicas)]
 
 
-def _replica_task(args: tuple[SimParams, int, int, bool],
+def _replica_task(args: tuple[SimParams, int, int, bool, Optional[bytes]],
                   ) -> tuple[Trajectory, Optional[str]]:
     """Replica k of an ensemble, plus its event log as JSONL text when
     ``log_events`` is set; the records themselves are not kept."""
-    params, k, seed, log_events = args
-    trajectory = run_replica(params, seed, log_events)
+    params, k, seed, log_events, start = args
+    trajectory = run_replica(params, seed, log_events, start)
     if not log_events:
         return trajectory, None
     text = io.StringIO()
@@ -148,9 +180,34 @@ def _replica_task(args: tuple[SimParams, int, int, bool],
     return trajectory, text.getvalue()
 
 
+class LazyPool:
+    """A process pool whose workers start at the first ``map`` call; leaving
+    its ``with`` block shuts them down and reaps them, cancelling queued
+    tasks when the block raised."""
+
+    def __init__(self, jobs: int) -> None:
+        self.jobs = jobs
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    def map(self, fn: Callable, iterable: Iterable) -> Iterator:
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+        return self._executor.map(fn, iterable)
+
+    def __enter__(self) -> LazyPool:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=exc_type is not None)
+            self._executor = None
+
+
 def run_trajectories(params: SimParams, n_replicas: int,
                      base_seed: Optional[int] = None, jobs: int = 1,
-                     event_log: Optional[TextIO] = None) -> list[Trajectory]:
+                     event_log: Optional[TextIO] = None,
+                     starts: Optional[Sequence[bytes]] = None,
+                     pool: Optional[LazyPool] = None) -> list[Trajectory]:
     """All replica trajectories of an ensemble, ordered by replica index.
 
     With ``event_log``, each replica renders its events to JSON lines in the
@@ -158,19 +215,25 @@ def run_trajectories(params: SimParams, n_replicas: int,
     order as soon as that replica and every earlier one have finished. Serial
     and pool runs share one task function and give the same bytes. A
     replica's exception propagates unchanged, with a note naming its seed.
+
+    ``starts`` gives each replica an end state to resume from. With
+    ``jobs > 1`` the replicas run on ``pool``, or on a pool of this call's
+    own when none is given.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
     base = params.seed if base_seed is None else base_seed
     seeds = replica_seeds(base, n_replicas)
-    tasks = [(params, k, seed, event_log is not None)
-             for k, seed in enumerate(seeds)]
+    starts = [None] * n_replicas if starts is None else starts
+    tasks = [(params, k, seed, event_log is not None, start)
+             for k, (seed, start) in enumerate(zip(seeds, starts))]
     out = []
     with ExitStack() as stack:
         if jobs <= 1 or n_replicas == 1:
             results = map(_replica_task, tasks)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            if pool is None:
+                pool = stack.enter_context(LazyPool(jobs))
             results = pool.map(_replica_task, tasks)
         for seed in seeds:
             try:
@@ -186,42 +249,105 @@ def run_trajectories(params: SimParams, n_replicas: int,
 
 def aggregate(trajectories: Sequence[Trajectory]) -> EnsembleStats:
     """Across-replica mean/SD per sweep; order of the input is fixed by
-    replica index, so results do not depend on completion order."""
-    n = len(trajectories)
+    replica index, so results do not depend on completion order. Crossing
+    sweeps count from the trajectories' first row."""
     n_mat = np.vstack([tr.n_firms for tr in trajectories]).astype(np.float64)
     a_mat = np.vstack([tr.mean_tech for tr in trajectories])
     r_mat = np.vstack([tr.ratio for tr in trajectories])
-    rescued = np.vstack([tr.rescued for tr in trajectories]).sum(axis=0)
-    bankrupted = np.vstack([tr.bankrupted for tr in trajectories]).sum(axis=0)
     tc_vals = np.array(
         [float(tc) if (tc := estimate_tc(tr.mean_tech)) is not None else np.nan
          for tr in trajectories])
+    return _stats({
+        "t": trajectories[0].t.copy(),
+        "n_mean": n_mat.mean(axis=0),
+        "n_sd": n_mat.std(axis=0),
+        "a_mean": a_mat.mean(axis=0),
+        "a_sd": a_mat.std(axis=0),
+        "ratio_mean": r_mat.mean(axis=0),
+        "ratio_sd": r_mat.std(axis=0),
+        "rescued_sum": np.vstack([tr.rescued for tr in trajectories]).sum(axis=0),
+        "renorm_error": np.vstack(
+            [tr.renorm_error for tr in trajectories]).max(axis=0),
+    }, tc_vals)
+
+
+def _stats(rows: dict[str, np.ndarray], tc_vals: np.ndarray) -> EnsembleStats:
+    """EnsembleStats from its per-sweep rows and per-replica crossings."""
     crossed = ~np.isnan(tc_vals)
-    a_mean = a_mat.mean(axis=0)
     return EnsembleStats(
-        n_replicas=n,
-        t=trajectories[0].t.copy(),
-        n_mean=n_mat.mean(axis=0),
-        n_sd=n_mat.std(axis=0),
-        a_mean=a_mean,
-        a_sd=a_mat.std(axis=0),
-        ratio_mean=r_mat.mean(axis=0),
-        ratio_sd=r_mat.std(axis=0),
-        rescued_sum=rescued,
-        bankrupted_sum=bankrupted,
+        n_replicas=len(tc_vals),
+        **rows,
         tc_values=tc_vals,
         tc_mean=float(tc_vals[crossed].mean()) if crossed.any() else float("nan"),
         tc_sd=float(tc_vals[crossed].std()) if crossed.any() else float("nan"),
         fraction_reached=float(crossed.mean()),
-        tc_of_mean=estimate_tc(a_mean),
-        max_renorm_error=max(tr.max_renorm_error for tr in trajectories),
+        tc_of_mean=estimate_tc(rows["a_mean"]),
+        max_renorm_error=float(rows["renorm_error"].max()),
     )
+
+
+def _slice(stats: EnsembleStats, t_max: int) -> EnsembleStats:
+    """The statistics of the same ensemble run only to sweep t_max."""
+    rows = {name: getattr(stats, name)[:t_max + 1].copy()
+            for name in _ROW_FIELDS}
+    rows["rescued_sum"][t_max] = 0  # a run's last row has no sweep after it
+    rows["renorm_error"][t_max] = 0.0
+    tc_vals = np.where(stats.tc_values <= t_max, stats.tc_values, np.nan)
+    return _stats(rows, tc_vals)
+
+
+def _join(head: EnsembleStats, tail: EnsembleStats) -> EnsembleStats:
+    """One ensemble's statistics from its run to some sweep and the run
+    resumed from there: head's rows before tail's first sweep, then tail's
+    rows. A replica keeps its crossing in head, if any."""
+    t_start = int(tail.t[0])
+    rows = {name: np.concatenate((getattr(head, name)[:t_start],
+                                  getattr(tail, name)))
+            for name in _ROW_FIELDS}
+    tc_vals = np.where(np.isnan(head.tc_values), tail.tc_values + t_start,
+                       head.tc_values)
+    return _stats(rows, tc_vals)
 
 
 def run_ensemble(params: SimParams, n_replicas: int,
                  base_seed: Optional[int] = None, jobs: int = 1) -> EnsembleStats:
     """Run an ensemble and aggregate it; base_seed defaults to params.seed."""
     return aggregate(run_trajectories(params, n_replicas, base_seed, jobs))
+
+
+@dataclass(slots=True)
+class _Stored:
+    stats: EnsembleStats    # up to the longest horizon run so far
+    end_states: list[bytes]  # each replica's end state at that horizon
+
+
+#: Ensembles run in this process, keyed by (params with t_max=0, replicas);
+#: params.seed is the base seed.
+_STORE: dict[tuple[SimParams, int], _Stored] = {}
+
+
+def stored_ensemble(params: SimParams, n_replicas: int, jobs: int = 1,
+                    pool: Optional[LazyPool] = None) -> EnsembleStats:
+    """``run_ensemble(params, n_replicas)``, bit for bit, through the store:
+    sliced from a stored run at least as long, resumed from the end states
+    of a shorter one, and simulated otherwise. Runs that simulate use
+    ``run_trajectories`` with ``jobs`` and ``pool``."""
+    key = (replace(params, t_max=0), n_replicas)
+    entry = _STORE.get(key)
+    if entry is None or entry.stats.t[-1] < params.t_max:
+        trajectories = run_trajectories(
+            params, n_replicas, jobs=jobs, pool=pool,
+            starts=None if entry is None else entry.end_states)
+        stats = aggregate(trajectories)
+        entry = _STORE[key] = _Stored(
+            stats if entry is None else _join(entry.stats, stats),
+            [tr.end_state for tr in trajectories])
+    return _slice(entry.stats, params.t_max)
+
+
+def clear_store() -> None:
+    """Forget every stored ensemble."""
+    _STORE.clear()
 
 
 def tc_curve(q_values: Sequence[float],

@@ -17,17 +17,32 @@ tmax and replicas are honored, otherwise the preset's values apply (400
 replicas). Every scenario runs its cells through one loop, optionally
 streaming each cell's event log; only the emitted CSVs depend on the kind:
 one time series per cell, or one catch-up curve over all cells.
+
+Cells without an event log go through the process's ensemble store
+(``ensemble.stored_ensemble``), so scenarios run in one process share
+trajectories. With the same seed and replicas, and fig5 at its default
+egalitarian policy, fig1 and fig2 seed the fig5 cells at the same q, fig6's
+passive cell is a prefix of fig5's q=0.99 cell, and fig7 is fig6's active
+cell. A cell with an event log always simulates. Each scenario call starts
+at most one process pool, when its first cell simulates with jobs > 1, and
+reaps its workers before it returns or raises.
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
 
 from . import __version__
 from .config import RunControls
-from .ensemble import EnsembleStats, aggregate, run_trajectories, tc_curve
+from .ensemble import (
+    EnsembleStats,
+    LazyPool,
+    aggregate,
+    run_trajectories,
+    stored_ensemble,
+    tc_curve,
+)
 from .output import (
     atomic_write,
     emit_run_metadata,
@@ -125,15 +140,17 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def run_cells() -> Iterator[EnsembleStats]:
+    def run_cells(pool: LazyPool) -> Iterator[EnsembleStats]:
         for label, cell_params in cells:
-            log_path = out_dir / f"{name}_{label}_events.jsonl"
-            with (atomic_write(log_path) if controls.events
-                  else nullcontext()) as event_log:
-                trajectories = run_trajectories(
-                    cell_params, replicas, jobs=controls.jobs,
-                    event_log=event_log)
-            stats = aggregate(trajectories)
+            if controls.events:
+                log_path = out_dir / f"{name}_{label}_events.jsonl"
+                with atomic_write(log_path) as event_log:
+                    stats = aggregate(run_trajectories(
+                        cell_params, replicas, jobs=controls.jobs,
+                        event_log=event_log, pool=pool))
+            else:
+                stats = stored_ensemble(cell_params, replicas,
+                                        controls.jobs, pool)
             if kind == "timeseries":
                 written.append(emit_timeseries_csv(
                     stats, out_dir / f"{name}_{label}.csv"))
@@ -142,7 +159,8 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
             yield stats
 
     # one cell's time series at a time: the curve keeps only its scalars
-    curve = tc_curve([p.q for _, p in cells], run_cells())
+    with LazyPool(controls.jobs) as pool:
+        curve = tc_curve([p.q for _, p in cells], run_cells(pool))
     notes: list[str] = []
     if kind == "tc_curve":
         written.append(emit_tc_curve_csv(curve, out_dir / f"{name}_tc_curve.csv"))

@@ -3,7 +3,17 @@ import random
 
 import pytest
 
+from techmarket.ensemble import clear_store
 from techmarket.market import Lattice, MarketState
+
+
+@pytest.fixture(autouse=True)
+def empty_ensemble_store():
+    """Every test starts with an empty ensemble store, so no test is
+    answered from the ensembles of another."""
+    clear_store()
+    yield
+    clear_store()
 
 
 def build_market(lx=6, ly=6, firms=(), sweep=0, sigma=0.01):

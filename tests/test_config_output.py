@@ -1,7 +1,9 @@
-"""Config resolution, CSV/metadata emission, event logs, and the CLI."""
+"""Config resolution, CSV/metadata emission, event logs, scenarios with
+the ensemble store, and the CLI."""
 import io
 import json
 import math
+import multiprocessing
 import re
 
 import numpy as np
@@ -18,7 +20,7 @@ from techmarket import (
 )
 from techmarket.cli import main
 from techmarket.config import RunControls, parse_config_file, resolve_config
-from techmarket.ensemble import run_ensemble
+from techmarket.ensemble import clear_store, run_ensemble
 from techmarket.output import (
     TC_CURVE_HEADER,
     TIMESERIES_HEADER,
@@ -160,6 +162,7 @@ class TestMetadata:
 
         params2, controls2 = resolve_config(parse_config_file(meta))
         controls2.out = tmp_path / "b"
+        clear_store()  # the rerun must simulate, not read the first run
         result2 = run_scenario("custom", params2, controls2)
         csvs2 = sorted(p for p in result2.written if p.suffix == ".csv")
         assert [p.name for p in csvs] == [p.name for p in csvs2]
@@ -312,10 +315,10 @@ class TestScenarios:
         real = ens.run_replica
         bad_seed = ens.replica_seeds(3, 3)[1]
 
-        def drift(params, seed, collect_events=False):
+        def drift(params, seed, collect_events=False, start=None):
             if seed == bad_seed:
                 raise IntegrityError("normalization error 0.5 exceeds tolerance")
-            return real(params, seed, collect_events)
+            return real(params, seed, collect_events, start)
 
         monkeypatch.setattr(ens, "run_replica", drift)
         code = main(["--tmax", "5", "--replicas", "3", "--seed", "3",
@@ -323,6 +326,65 @@ class TestScenarios:
         assert code == 2
         assert f"replica seed {bad_seed}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_events_bypass_the_store(self, monkeypatch, tmp_path):
+        import techmarket.ensemble as ens
+
+        real = ens.run_replica
+        calls = []
+
+        def spy(params, seed, collect_events=False, start=None):
+            calls.append((collect_events, start is not None))
+            return real(params, seed, collect_events, start)
+
+        monkeypatch.setattr(ens, "run_replica", spy)
+        flags = {"seed": "5", "tmax": "12", "replicas": "2", "q": "0.5"}
+        for out, events in (("a", "true"), ("b", "false"), ("c", "true")):
+            params, controls = resolve_config(
+                None, dict(flags, out=str(tmp_path / out), events=events))
+            run_scenario("custom", params, controls)
+        # the first logged run neither read nor wrote the store, so the
+        # plain run simulated; the second logged run simulated again
+        assert calls == [(True, False)] * 2 + [(False, False)] * 2 \
+            + [(True, False)] * 2
+        csv = "custom_q0.5_egalitarian_passive.csv"
+        assert (tmp_path / "a" / csv).read_bytes() \
+            == (tmp_path / "b" / csv).read_bytes() \
+            == (tmp_path / "c" / csv).read_bytes()
+
+    def test_one_pool_per_call_and_no_child_left(self, monkeypatch, tmp_path):
+        import techmarket.ensemble as ens
+
+        started = []
+
+        class CountedPool(ens.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ens, "ProcessPoolExecutor", CountedPool)
+        params, controls = resolve_config(
+            None, {"seed": "5", "tmax": "10", "replicas": "2", "jobs": "2",
+                   "out": str(tmp_path)})
+        run_scenario("fig2", params, controls)
+        assert started == [1]  # three cells, one pool
+        assert multiprocessing.active_children() == []
+        run_scenario("fig2", params, controls)  # served from the store
+        assert started == [1]
+
+    def test_no_child_left_when_a_replica_fails(self, monkeypatch, tmp_path):
+        import techmarket.ensemble as ens
+
+        def drift(params, seed, collect_events=False, start=None):
+            raise IntegrityError("normalization error 0.5 exceeds tolerance")
+
+        monkeypatch.setattr(ens, "run_replica", drift)
+        params, controls = resolve_config(
+            None, {"seed": "5", "tmax": "10", "replicas": "4", "jobs": "2",
+                   "out": str(tmp_path)})
+        with pytest.raises(IntegrityError):
+            run_scenario("fig2", params, controls)
+        assert multiprocessing.active_children() == []
 
     def test_tc_curve_csv_schema(self, tmp_path):
         params, controls = resolve_config(
@@ -402,6 +464,7 @@ class TestCli:
         assert main(["--scenario", "fig7", "--replicas", "1",
                      "--out", str(first)]) == 0
         assert "tmax=2000\n" in (first / "fig7_metadata.txt").read_text()
+        clear_store()  # the rerun must simulate, not read the first run
         assert main(["--config", str(first / "fig7_metadata.txt"),
                      "--out", str(rerun)]) == 0
         csv = "fig7_q0.99_egalitarian_active.csv"
@@ -412,7 +475,7 @@ class TestCli:
             self, monkeypatch, tmp_path, capsys):
         import techmarket.ensemble as ens
 
-        def drift(params, seed, collect_events=False):
+        def drift(params, seed, collect_events=False, start=None):
             raise IntegrityError("normalization error 0.5 exceeds tolerance")
 
         monkeypatch.setattr(ens, "run_replica", drift)

@@ -1,8 +1,12 @@
-"""Replica runs, deterministic seeding, aggregation, catch-up times."""
+"""Replica runs, deterministic seeding, aggregation, catch-up times, and
+the ensemble store."""
+import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from techmarket import (
     SimParams,
@@ -11,7 +15,15 @@ from techmarket import (
     run_ensemble,
     run_replica,
 )
-from techmarket.ensemble import Trajectory, aggregate, replica_seeds, tc_curve
+from techmarket import PolicyKind
+from techmarket.ensemble import (
+    EnsembleStats,
+    Trajectory,
+    aggregate,
+    replica_seeds,
+    stored_ensemble,
+    tc_curve,
+)
 from techmarket.rng import derive_seed
 
 
@@ -54,6 +66,33 @@ class TestRunReplica:
         tr = run_replica(p, derive_seed(42, 0))
         assert 8 <= tr.n_firms[600] <= 20
 
+    def test_resumed_replica_continues_the_run(self):
+        p = small_params(t_max=70, q=0.9, policy=PolicyKind.MEDIUM_TECH)
+        seed = derive_seed(p.seed, 2)
+        whole = run_replica(p, seed)
+        head = run_replica(replace(p, t_max=30), seed)
+        tail = run_replica(p, seed, start=head.end_state)
+        assert list(tail.t) == list(range(30, 71))
+        assert tail.end_state == whole.end_state
+        for name in ("n_firms", "mean_tech", "ratio"):
+            joined = np.concatenate((getattr(head, name)[:30],
+                                     getattr(tail, name)))
+            assert np.array_equal(joined, getattr(whole, name)), name
+        # the short run's last row has no sweep after it; the resumed one
+        # records sweep 30's rescues, bankruptcies and renorm error
+        for name in ("rescued", "bankrupted", "renorm_error"):
+            assert getattr(head, name)[30] == 0
+            assert np.array_equal(getattr(tail, name),
+                                  getattr(whole, name)[30:]), name
+        assert whole.rescued[30:].sum() > 0
+
+    def test_start_past_the_horizon_rejected(self):
+        p = small_params(t_max=20)
+        end = run_replica(p, derive_seed(p.seed, 0)).end_state
+        with pytest.raises(ValueError, match="past"):
+            run_replica(replace(p, t_max=10), derive_seed(p.seed, 0),
+                        start=end)
+
     def test_variants_identical_without_intervention(self):
         p_passive = small_params(t_max=80, q=0.0,
                                  variant=VariantKind.PASSIVE_AFTER_RESCUE)
@@ -93,6 +132,20 @@ class TestSeeding:
         seeds = replica_seeds(7, 100) + replica_seeds(8, 100)
         assert len(set(seeds)) == 200
 
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.integers(0, 2**100),
+           path=st.lists(st.integers(0, 2**70), max_size=3))
+    def test_derive_seed_matches_numpy_seed_sequence(self, base, path):
+        oracle = np.random.SeedSequence(entropy=base, spawn_key=tuple(path))
+        assert derive_seed(base, *path) == int(
+            oracle.generate_state(1, dtype=np.uint64)[0])
+
+    def test_derive_seed_rejects_negative_words(self):
+        with pytest.raises(ValueError):
+            derive_seed(-1, 0)
+        with pytest.raises(ValueError):
+            derive_seed(1, -1)
+
 
 class TestRunEnsemble:
     def test_single_replica_degenerate_sd(self):
@@ -118,7 +171,7 @@ class TestRunEnsemble:
         row = np.full(5, 3.0)
         trs = [
             Trajectory(k, t.copy(), np.full(5, 7), row.copy(), row.copy(),
-                       np.zeros(5, int), np.zeros(5, int), 0.0)
+                       np.zeros(5, int), np.zeros(5, int), np.zeros(5))
             for k in range(4)
         ]
         st = aggregate(trs)
@@ -136,10 +189,10 @@ class TestRunEnsemble:
 
         bad_seed = replica_seeds(99, 3)[2]
 
-        def sabotaged(params, seed, collect_events=False):
+        def sabotaged(params, seed, collect_events=False, start=None):
             if seed == bad_seed:
                 raise ValueError("boom")
-            return real(params, seed, collect_events)
+            return real(params, seed, collect_events, start)
 
         real = ens.run_replica
         monkeypatch.setattr(ens, "run_replica", sabotaged)
@@ -163,10 +216,10 @@ class TestReplicaFailure:
         bad_seed = replica_seeds(99, 3)[1]
         real = ens.run_replica
 
-        def sabotaged(params, seed, collect_events=False):
+        def sabotaged(params, seed, collect_events=False, start=None):
             if seed == bad_seed:
                 raise TwoArgError(7, "boom")
-            return real(params, seed, collect_events)
+            return real(params, seed, collect_events, start)
 
         monkeypatch.setattr(ens, "run_replica", sabotaged)
         with pytest.raises(TwoArgError) as info:
@@ -196,3 +249,79 @@ class TestTcCurve:
         assert curve.tc_of_mean == [st.tc_of_mean for st in ensembles]
         assert curve.max_renorm_error == max(
             st.max_renorm_error for st in ensembles)
+
+
+def assert_same_stats(got: EnsembleStats, want: EnsembleStats) -> None:
+    """Every field equal, arrays in dtype and value, nan where nan."""
+    for field in dataclasses.fields(EnsembleStats):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, field.name
+            assert np.array_equal(a, b, equal_nan=True), field.name
+        elif isinstance(b, float) and math.isnan(b):
+            assert math.isnan(a), field.name
+        else:
+            assert a == b, field.name
+
+
+# crossings at sweeps 78..133 for seed 99 and 4 replicas
+MEDIUM_Q09 = small_params(q=0.9, policy=PolicyKind.MEDIUM_TECH, t_max=150)
+
+
+class TestEnsembleStore:
+    def test_slice_equals_fresh_run(self):
+        full = stored_ensemble(MEDIUM_Q09, 4)
+        assert_same_stats(full, run_ensemble(MEDIUM_Q09, 4))
+        short = replace(MEDIUM_Q09, t_max=100)
+        sliced = stored_ensemble(short, 4)
+        assert_same_stats(sliced, run_ensemble(short, 4))
+        # the slice drops crossings after its horizon and zeroes the rows
+        # of the sweep after it
+        assert np.isnan(sliced.tc_values).any()
+        assert not np.isnan(sliced.tc_values).all()
+        assert full.rescued_sum[100] > 0 and sliced.rescued_sum[100] == 0
+        assert sliced.renorm_error[100] == 0.0
+
+    def test_slice_served_without_simulating(self, monkeypatch):
+        import techmarket.ensemble as ens
+
+        stored_ensemble(small_params(t_max=40), 2)
+        monkeypatch.setattr(ens, "run_replica", None)  # any call fails
+        st = stored_ensemble(small_params(t_max=25), 2)
+        assert len(st.t) == 26
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("params", [
+        small_params(q=0.5, t_max=90),
+        small_params(q=0.9, t_max=90, variant=VariantKind.ACTIVE_AFTER_RESCUE),
+        MEDIUM_Q09,
+    ], ids=["passive", "active", "mediumtech"])
+    def test_resume_equals_fresh_run(self, monkeypatch, params, jobs):
+        import techmarket.ensemble as ens
+
+        real = ens.run_replica
+        starts = []
+
+        def spy(params, seed, collect_events=False, start=None):
+            starts.append(start is not None)
+            return real(params, seed, collect_events, start)
+
+        monkeypatch.setattr(ens, "run_replica", spy)
+        first = replace(params, t_max=params.t_max * 2 // 3)
+        assert_same_stats(stored_ensemble(first, 4, jobs), run_ensemble(first, 4))
+        resumed = stored_ensemble(params, 4, jobs)
+        assert_same_stats(resumed, run_ensemble(params, 4))
+        middle = replace(params, t_max=params.t_max * 5 // 6)
+        assert_same_stats(stored_ensemble(middle, 4, jobs),
+                          run_ensemble(middle, 4))
+        if jobs == 1:  # pool workers do not report back
+            # 4 fresh, then 4 resumed, then the two run_ensemble calls
+            assert starts == [False] * 8 + [True] * 4 + [False] * 8
+
+    def test_key_separates_seed_replicas_and_params(self):
+        a = stored_ensemble(small_params(t_max=20), 2)
+        for other, n in ((small_params(t_max=20, seed=100), 2),
+                         (small_params(t_max=20), 3),
+                         (small_params(t_max=20, q=0.3), 2)):
+            assert_same_stats(stored_ensemble(other, n), run_ensemble(other, n))
+            assert not np.array_equal(stored_ensemble(other, n).a_mean, a.a_mean)
