@@ -68,7 +68,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except IntegrityError as exc:
         print(f"integrity failure: {_describe(exc)}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an unreadable --config or an unusable --out
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     for path in result.written:

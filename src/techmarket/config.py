@@ -126,7 +126,7 @@ class RunControls:
     out: Path = Path("out")
     events: bool = False
     # keys the user set explicitly (file or flag); scenario presets leave
-    # explicitly set tmax/replicas alone
+    # an explicitly set tmax alone
     explicit: set[str] = field(default_factory=set)
 
 

@@ -143,19 +143,18 @@ def redistribute_shares_equal(market: MarketState, departing_share: float) -> No
     market.weighted_sum += delta * market.tech_sum
 
 
-def renormalize_shares(market: MarketState,
-                       tolerance: float = RENORM_TOLERANCE) -> float:
+def renormalize_shares(market: MarketState) -> float:
     """Rescale all shares so they sum to exactly 1; returns the
-    pre-correction error |sum - 1|. Error above ``tolerance`` means the
+    pre-correction error |sum - 1|. Error above RENORM_TOLERANCE means the
     dynamics corrupted the shares and raises IntegrityError."""
     total = market.total_share()
     if total <= 0.0:
         raise ValueError("total share must be positive")
     err = abs(total - 1.0)
-    if err > tolerance:
+    if err > RENORM_TOLERANCE:
         raise IntegrityError(
             f"share normalization error {err:.3e} exceeds tolerance "
-            f"{tolerance:g} at sweep {market.sweep}"
+            f"{RENORM_TOLERANCE:g} at sweep {market.sweep}"
         )
     for f in market.firms.values():
         f.share /= total

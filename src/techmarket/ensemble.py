@@ -2,11 +2,11 @@
 the ensemble store.
 
 A replica is one full simulation of the market for t_max sweeps; an ensemble
-is n_replicas of them run from seeds derived as ``derive_seed(base_seed, k)``
-for replica k. Replicas are independent, so they may run serially or on a
-process pool; the aggregated statistics and event logs are identical either
-way. A replica hands back its end state, from which a later run carries on
-with exactly the draws and states of one uninterrupted run.
+is n_replicas of them run from seeds derived as ``derive_seed(params.seed,
+k)`` for replica k. Replicas are independent, so they may run in the calling
+process or on a process pool; the aggregated statistics and event logs are
+identical either way. A replica hands back its end state, from which a later
+run carries on with exactly the draws and states of one uninterrupted run.
 
 Across-replica spread is reported as the population standard deviation
 (divide by n), matching descriptive +-1 SD bands.
@@ -28,7 +28,6 @@ import io
 import pickle
 import random
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -50,7 +49,6 @@ class Trajectory:
     """Per-sweep time series of one replica, for t = t_start .. t_max
     (t_start is 0 unless the run resumed an end state)."""
 
-    replica_seed: int
     t: np.ndarray             # sweep index
     n_firms: np.ndarray       # N(t) at sweep start
     mean_tech: np.ndarray     # weighted mean technology at sweep start
@@ -58,7 +56,6 @@ class Trajectory:
     rescued: np.ndarray       # rescues fired during sweep t (0 in the last row)
     bankrupted: np.ndarray    # bankruptcies during sweep t (0 in the last row)
     renorm_error: np.ndarray  # share renormalization error of sweep t (0 in the last row)
-    events: Optional[list[EventRecord]] = None
     end_state: Optional[bytes] = None  # pickled (MarketState, Random) at t_max
 
 
@@ -102,11 +99,12 @@ class TcCurve:
 
 
 def run_replica(params: SimParams, replica_seed: int,
-                collect_events: bool = False,
+                events: Optional[list[EventRecord]] = None,
                 start: Optional[bytes] = None) -> Trajectory:
     """Simulate one replica up to sweep t_max from the given stream seed,
     or from ``start``, the ``end_state`` of an earlier run of the same
     replica with the same parameters and a horizon of at most t_max.
+    Every step's EventRecord is appended to ``events`` when a list is given.
 
     N, the mean technology and the mean-to-frontier ratio are recorded at
     the beginning of every sweep from the start state on, plus one final
@@ -128,7 +126,6 @@ def run_replica(params: SimParams, replica_seed: int,
     rescued = np.zeros(rows, dtype=np.int64)
     bankrupted = np.zeros(rows, dtype=np.int64)
     renorm = np.zeros(rows, dtype=np.float64)
-    events: Optional[list[EventRecord]] = [] if collect_events else None
     for i in range(rows - 1):
         stats = sweep(market, params, rng, events)
         n_arr[i] = stats.n_firms
@@ -142,7 +139,6 @@ def run_replica(params: SimParams, replica_seed: int,
     a_arr[-1] = market.weighted_sum
     r_arr[-1] = market.weighted_sum / market.frontier_value
     return Trajectory(
-        replica_seed=replica_seed,
         t=np.arange(t_start, t_max + 1, dtype=np.int64),
         n_firms=n_arr,
         mean_tech=a_arr,
@@ -150,7 +146,6 @@ def run_replica(params: SimParams, replica_seed: int,
         rescued=rescued,
         bankrupted=bankrupted,
         renorm_error=renorm,
-        events=events,
         end_state=pickle.dumps((market, rng), pickle.HIGHEST_PROTOCOL),
     )
 
@@ -171,28 +166,35 @@ def _replica_task(args: tuple[SimParams, int, int, bool, Optional[bytes]],
     """Replica k of an ensemble, plus its event log as JSONL text when
     ``log_events`` is set; the records themselves are not kept."""
     params, k, seed, log_events, start = args
-    trajectory = run_replica(params, seed, log_events, start)
     if not log_events:
-        return trajectory, None
+        return run_replica(params, seed, None, start), None
+    events: list[EventRecord] = []
+    trajectory = run_replica(params, seed, events, start)
     text = io.StringIO()
-    emit_event_log(text, k, trajectory.events)
-    trajectory.events = None
+    emit_event_log(text, k, events)
     return trajectory, text.getvalue()
 
 
 class LazyPool:
-    """A process pool whose workers start at the first ``map`` call; leaving
-    its ``with`` block shuts them down and reaps them, cancelling queued
-    tasks when the block raised."""
+    """Up to ``jobs`` worker processes that run the replicas of ensembles.
+
+    ``map`` runs in the calling process when jobs <= 1 or when it is given
+    a single task, and never starts a worker then. Otherwise the workers
+    start at the first ``map`` call, at most one per task of that call;
+    leaving the ``with`` block shuts them down and reaps them, cancelling
+    queued tasks when the block raised."""
 
     def __init__(self, jobs: int) -> None:
         self.jobs = jobs
         self._executor: Optional[ProcessPoolExecutor] = None
 
-    def map(self, fn: Callable, iterable: Iterable) -> Iterator:
+    def map(self, fn: Callable, tasks: Sequence) -> Iterator:
+        if self.jobs <= 1 or len(tasks) == 1:
+            return map(fn, tasks)
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._executor.map(fn, iterable)
+            self._executor = ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(tasks)))
+        return self._executor.map(fn, tasks)
 
     def __enter__(self) -> LazyPool:
         return self
@@ -203,47 +205,39 @@ class LazyPool:
             self._executor = None
 
 
-def run_trajectories(params: SimParams, n_replicas: int,
-                     base_seed: Optional[int] = None, jobs: int = 1,
+def run_trajectories(params: SimParams, n_replicas: int, pool: LazyPool,
                      event_log: Optional[TextIO] = None,
                      starts: Optional[Sequence[bytes]] = None,
-                     pool: Optional[LazyPool] = None) -> list[Trajectory]:
-    """All replica trajectories of an ensemble, ordered by replica index.
+                     ) -> list[Trajectory]:
+    """All replica trajectories of an ensemble, ordered by replica index,
+    run through ``pool``.
 
     With ``event_log``, each replica renders its events to JSON lines in the
     process that ran it, and the text is written to the stream in replica
-    order as soon as that replica and every earlier one have finished. Serial
-    and pool runs share one task function and give the same bytes. A
-    replica's exception propagates unchanged, with a note naming its seed.
+    order as soon as that replica and every earlier one have finished. Runs
+    in the calling process and on workers share one task function and give
+    the same bytes. A replica's exception propagates unchanged, with a note
+    naming its seed.
 
-    ``starts`` gives each replica an end state to resume from. With
-    ``jobs > 1`` the replicas run on ``pool``, or on a pool of this call's
-    own when none is given.
+    ``starts`` gives each replica an end state to resume from.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
-    base = params.seed if base_seed is None else base_seed
-    seeds = replica_seeds(base, n_replicas)
+    seeds = replica_seeds(params.seed, n_replicas)
     starts = [None] * n_replicas if starts is None else starts
     tasks = [(params, k, seed, event_log is not None, start)
              for k, (seed, start) in enumerate(zip(seeds, starts))]
+    results = pool.map(_replica_task, tasks)
     out = []
-    with ExitStack() as stack:
-        if jobs <= 1 or n_replicas == 1:
-            results = map(_replica_task, tasks)
-        else:
-            if pool is None:
-                pool = stack.enter_context(LazyPool(jobs))
-            results = pool.map(_replica_task, tasks)
-        for seed in seeds:
-            try:
-                trajectory, text = next(results)
-            except Exception as exc:
-                exc.add_note(f"replica seed {seed}")
-                raise
-            if text is not None:
-                event_log.write(text)
-            out.append(trajectory)
+    for seed in seeds:
+        try:
+            trajectory, text = next(results)
+        except Exception as exc:
+            exc.add_note(f"replica seed {seed}")
+            raise
+        if text is not None:
+            event_log.write(text)
+        out.append(trajectory)
     return out
 
 
@@ -310,9 +304,11 @@ def _join(head: EnsembleStats, tail: EnsembleStats) -> EnsembleStats:
 
 
 def run_ensemble(params: SimParams, n_replicas: int,
-                 base_seed: Optional[int] = None, jobs: int = 1) -> EnsembleStats:
-    """Run an ensemble and aggregate it; base_seed defaults to params.seed."""
-    return aggregate(run_trajectories(params, n_replicas, base_seed, jobs))
+                 jobs: int = 1) -> EnsembleStats:
+    """Run an ensemble from base seed ``params.seed`` on ``jobs`` worker
+    processes of its own, and aggregate it."""
+    with LazyPool(jobs) as pool:
+        return aggregate(run_trajectories(params, n_replicas, pool))
 
 
 @dataclass(slots=True)
@@ -326,17 +322,17 @@ class _Stored:
 _STORE: dict[tuple[SimParams, int], _Stored] = {}
 
 
-def stored_ensemble(params: SimParams, n_replicas: int, jobs: int = 1,
-                    pool: Optional[LazyPool] = None) -> EnsembleStats:
+def stored_ensemble(params: SimParams, n_replicas: int,
+                    pool: LazyPool) -> EnsembleStats:
     """``run_ensemble(params, n_replicas)``, bit for bit, through the store:
     sliced from a stored run at least as long, resumed from the end states
     of a shorter one, and simulated otherwise. Runs that simulate use
-    ``run_trajectories`` with ``jobs`` and ``pool``."""
+    ``run_trajectories`` on ``pool``."""
     key = (replace(params, t_max=0), n_replicas)
     entry = _STORE.get(key)
     if entry is None or entry.stats.t[-1] < params.t_max:
         trajectories = run_trajectories(
-            params, n_replicas, jobs=jobs, pool=pool,
+            params, n_replicas, pool,
             starts=None if entry is None else entry.end_states)
         stats = aggregate(trajectories)
         entry = _STORE[key] = _Stored(

@@ -13,13 +13,11 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .errors import ConfigError
 from .params import SimParams
 from .rng import sample_distinct
 
-Site = tuple[int, int]
 NeighborTable = tuple[tuple[int, ...], ...]  # per flat site index
 
 # von Neumann then Moore offsets; table order fixes the meaning of each
@@ -95,39 +93,6 @@ class Lattice:
     def n_sites(self) -> int:
         return self.width * self.height
 
-    def index(self, site: Site) -> int:
-        x, y = site
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise ValueError(f"site {site} outside {self.width}x{self.height} lattice")
-        return y * self.width + x
-
-    def site(self, index: int) -> Site:
-        return index % self.width, index // self.width
-
-    def occupant(self, site: Site) -> Optional[int]:
-        fid = self.occupancy[self.index(site)]
-        return fid if fid >= 0 else None
-
-    @property
-    def n_occupied(self) -> int:
-        return sum(1 for fid in self.occupancy if fid >= 0)
-
-
-def neighbors(lattice: Lattice, site: Site, kind: str = "von_neumann") -> list[Site]:
-    """Neighboring sites of ``site`` under periodic boundaries.
-
-    kind: "von_neumann" for the 4 nearest sites, "moore" for the 8 nearest
-    plus next-nearest sites.
-    """
-    idx = lattice.index(site)
-    if kind == "von_neumann":
-        table = lattice.vn4
-    elif kind == "moore":
-        table = lattice.moore8
-    else:
-        raise ValueError(f"unknown neighborhood kind {kind!r}")
-    return [lattice.site(i) for i in table[idx]]
-
 
 class MarketState:
     """Full simulable state: lattice occupancy, live-firm registry, sweep
@@ -152,10 +117,6 @@ class MarketState:
         self.weighted_sum = 0.0
         self.tech_sum = 0.0
         self.tech_sq_sum = 0.0
-
-    @property
-    def n_firms(self) -> int:
-        return len(self.firms)
 
     def total_share(self) -> float:
         return sum(f.share for f in self.firms.values())

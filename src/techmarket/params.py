@@ -54,10 +54,6 @@ class SimParams:
         validate_params(self)
 
     @property
-    def n_sites(self) -> int:
-        return self.lx * self.ly
-
-    @property
     def n_initial_firms(self) -> int:
         return int(round(self.c * self.lx * self.ly))
 

@@ -12,11 +12,11 @@ experiment:
 - fig7: active-variant firm count at q=0.99, 2000 sweeps.
 - custom: a single ensemble from the resolved parameters.
 
-Presets force q, variant and (except fig5) policy per cell; explicitly set
-tmax and replicas are honored, otherwise the preset's values apply (400
-replicas). Every scenario runs its cells through one loop, optionally
-streaming each cell's event log; only the emitted CSVs depend on the kind:
-one time series per cell, or one catch-up curve over all cells.
+Presets force q, variant and (except fig5) policy per cell and keep an
+explicitly set tmax; every scenario runs the caller's replica count. All
+cells run through one loop, optionally streaming each cell's event log; only
+the emitted CSVs depend on the kind: one time series per cell, or one
+catch-up curve over all cells.
 
 Cells without an event log go through the process's ensemble store
 (``ensemble.stored_ensemble``), so scenarios run in one process share
@@ -73,7 +73,6 @@ class ScenarioSpec:
     kind: str                      # "timeseries" or "tc_curve"
     t_max: int
     cells: tuple[CellSpec, ...]
-    replicas: int = 400
 
 
 def _policy_sweep(policy: PolicyKind) -> tuple[CellSpec, ...]:
@@ -101,7 +100,6 @@ SCENARIOS: dict[str, ScenarioSpec] = {
 
 @dataclass(slots=True)
 class ScenarioResult:
-    name: str
     written: list[Path]
     max_renorm_error: float
 
@@ -117,13 +115,12 @@ def resolve_cells(name: str, base: SimParams,
         return [(_cell_label(base), base)], controls.replicas
     spec = SCENARIOS[name]
     t_max = base.t_max if "tmax" in controls.explicit else spec.t_max
-    replicas = controls.replicas if "replicas" in controls.explicit else spec.replicas
     cells = [
         replace(base, q=cell.q, variant=cell.variant, t_max=t_max,
                 policy=base.policy if cell.policy is None else cell.policy)
         for cell in spec.cells
     ]
-    return [(_cell_label(p), p) for p in cells], replicas
+    return [(_cell_label(p), p) for p in cells], controls.replicas
 
 
 def run_scenario(name: str, base: SimParams, controls: RunControls,
@@ -146,11 +143,9 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
                 log_path = out_dir / f"{name}_{label}_events.jsonl"
                 with atomic_write(log_path) as event_log:
                     stats = aggregate(run_trajectories(
-                        cell_params, replicas, jobs=controls.jobs,
-                        event_log=event_log, pool=pool))
+                        cell_params, replicas, pool, event_log))
             else:
-                stats = stored_ensemble(cell_params, replicas,
-                                        controls.jobs, pool)
+                stats = stored_ensemble(cell_params, replicas, pool)
             if kind == "timeseries":
                 written.append(emit_timeseries_csv(
                     stats, out_dir / f"{name}_{label}.csv"))
@@ -180,4 +175,4 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
         out_dir / f"{name}_metadata.txt",
         replace(base, t_max=cells[0][1].t_max), name, replicas, __version__,
         curve.max_renorm_error, notes))
-    return ScenarioResult(name, written, curve.max_renorm_error)
+    return ScenarioResult(written, curve.max_renorm_error)

@@ -16,11 +16,17 @@ def empty_ensemble_store():
     clear_store()
 
 
+def site_index(lattice, site):
+    """Flat lattice index of site (x, y)."""
+    x, y = site
+    return y * lattice.width + x
+
+
 def build_market(lx=6, ly=6, firms=(), sweep=0, sigma=0.01):
     """Hand-placed market: firms is a list of ((x, y), tech, share)."""
     state = MarketState(Lattice(lx, ly))
     for site, tech, share in firms:
-        state.add_firm(tech, share, state.lattice.index(site))
+        state.add_firm(tech, share, site_index(state.lattice, site))
     state.sweep = sweep
     state.frontier_value = math.exp(sigma * sweep)
     state.resync_sums()

@@ -13,19 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from techmarket import (
-    EventKind,
-    PolicyKind,
-    SimParams,
-    VariantKind,
-    interact,
-    redistribute_shares_equal,
-    run_ensemble,
-    run_replica,
-    survival_probability,
-)
+from techmarket import PolicyKind, SimParams, VariantKind, run_ensemble
 from techmarket.config import resolve_config
-from techmarket.ensemble import aggregate, run_trajectories, tc_curve
+from techmarket.dynamics import EventKind, interact, redistribute_shares_equal
+from techmarket.ensemble import run_replica, tc_curve
+from techmarket.market import survival_probability
 from techmarket.rng import derive_seed
 from techmarket.scenarios import run_scenario
 

@@ -11,8 +11,6 @@ import pytest
 
 from techmarket import (
     ConfigError,
-    EventKind,
-    EventRecord,
     IntegrityError,
     PolicyKind,
     SimParams,
@@ -20,6 +18,7 @@ from techmarket import (
 )
 from techmarket.cli import main
 from techmarket.config import RunControls, parse_config_file, resolve_config
+from techmarket.dynamics import EventKind, EventRecord
 from techmarket.ensemble import clear_store, run_ensemble
 from techmarket.output import (
     TC_CURVE_HEADER,
@@ -315,10 +314,10 @@ class TestScenarios:
         real = ens.run_replica
         bad_seed = ens.replica_seeds(3, 3)[1]
 
-        def drift(params, seed, collect_events=False, start=None):
+        def drift(params, seed, events=None, start=None):
             if seed == bad_seed:
                 raise IntegrityError("normalization error 0.5 exceeds tolerance")
-            return real(params, seed, collect_events, start)
+            return real(params, seed, events, start)
 
         monkeypatch.setattr(ens, "run_replica", drift)
         code = main(["--tmax", "5", "--replicas", "3", "--seed", "3",
@@ -333,9 +332,9 @@ class TestScenarios:
         real = ens.run_replica
         calls = []
 
-        def spy(params, seed, collect_events=False, start=None):
-            calls.append((collect_events, start is not None))
-            return real(params, seed, collect_events, start)
+        def spy(params, seed, events=None, start=None):
+            calls.append((events is not None, start is not None))
+            return real(params, seed, events, start)
 
         monkeypatch.setattr(ens, "run_replica", spy)
         flags = {"seed": "5", "tmax": "12", "replicas": "2", "q": "0.5"}
@@ -375,7 +374,7 @@ class TestScenarios:
     def test_no_child_left_when_a_replica_fails(self, monkeypatch, tmp_path):
         import techmarket.ensemble as ens
 
-        def drift(params, seed, collect_events=False, start=None):
+        def drift(params, seed, events=None, start=None):
             raise IntegrityError("normalization error 0.5 exceeds tolerance")
 
         monkeypatch.setattr(ens, "run_replica", drift)
@@ -397,6 +396,16 @@ class TestScenarios:
         assert len(lines) == 1 + 12  # the preset q grid
 
 
+def test_package_root_exports_the_entry_points():
+    import techmarket
+
+    assert sorted(techmarket.__all__) == sorted([
+        "__version__", "ConfigError", "IntegrityError", "PolicyKind",
+        "SimParams", "VariantKind", "EnsembleStats", "run_ensemble"])
+    for name in techmarket.__all__:
+        assert getattr(techmarket, name) is not None
+
+
 class TestCli:
     def test_custom_run_exit_zero(self, tmp_path, capsys):
         code = main(["--tmax", "10", "--replicas", "2", "--seed", "3",
@@ -413,6 +422,36 @@ class TestCli:
 
     def test_missing_config_file_exit_one(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 1
+
+    @pytest.mark.parametrize("case", ["config_is_a_directory", "out_is_a_file"])
+    def test_unusable_path_exit_one(self, tmp_path, capsys, case):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        flags = (["--config", str(tmp_path), "--out", str(tmp_path / "out")]
+                 if case == "config_is_a_directory" else ["--out", str(taken)])
+        code = main(flags + ["--tmax", "5", "--replicas", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert taken.read_text() == "keep\n"
+
+    def test_pool_starts_at_most_one_worker_per_replica(self, monkeypatch,
+                                                         tmp_path):
+        import techmarket.ensemble as ens
+
+        workers = []
+
+        class RecordedPool(ens.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(ens, "ProcessPoolExecutor", RecordedPool)
+        assert main(["--tmax", "5", "--replicas", "2", "--jobs", "4",
+                     "--out", str(tmp_path)]) == 0
+        assert workers == [2]
+        assert multiprocessing.active_children() == []
 
     def test_integrity_failure_exit_two(self, monkeypatch, tmp_path, capsys):
         import techmarket.cli as cli_mod
@@ -475,7 +514,7 @@ class TestCli:
             self, monkeypatch, tmp_path, capsys):
         import techmarket.ensemble as ens
 
-        def drift(params, seed, collect_events=False, start=None):
+        def drift(params, seed, events=None, start=None):
             raise IntegrityError("normalization error 0.5 exceeds tolerance")
 
         monkeypatch.setattr(ens, "run_replica", drift)

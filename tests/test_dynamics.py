@@ -6,22 +6,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from techmarket import (
+from techmarket import IntegrityError, PolicyKind, SimParams, VariantKind
+from techmarket.dynamics import (
     EventKind,
-    IntegrityError,
-    PolicyKind,
-    SimParams,
-    VariantKind,
     external_diffusion,
     firm_update,
     interact,
     redistribute_shares_equal,
     renormalize_shares,
-    survival_probability,
     sweep,
 )
+from techmarket.market import survival_probability
 
-from conftest import build_market, random_market
+from conftest import build_market, random_market, site_index
 
 
 def total_share(market):
@@ -110,7 +107,7 @@ class TestInteract:
         assert 1 not in m.firms
         assert m.firms[0].tech == 0.7
         assert m.firms[0].share == pytest.approx(0.5, abs=1e-15)
-        assert m.lattice.occupancy[m.lattice.index((3, 2))] == -1
+        assert m.lattice.occupancy[site_index(m.lattice, (3, 2))] == -1
 
     def test_spin_off_share_split(self):
         m = build_market(firms=[((2, 2), 0.4, 0.2), ((3, 2), 0.7, 0.3),
@@ -130,8 +127,8 @@ class TestInteract:
         firms = [((x, y), 0.1 * (x + 1) + 0.01 * y, 1.0 / 9.0)
                  for x in (1, 2, 3) for y in (1, 2, 3)]
         m = build_market(firms=firms)
-        actor = m.lattice.occupancy[m.lattice.index((2, 2))]
-        partner = m.lattice.occupancy[m.lattice.index((3, 2))]
+        actor = m.lattice.occupancy[site_index(m.lattice, (2, 2))]
+        partner = m.lattice.occupancy[site_index(m.lattice, (3, 2))]
         snapshot = {fid: (f.tech, f.share, f.site) for fid, f in m.firms.items()}
         kind = interact(m, actor, partner, self.params(b=0.0), random.Random(2))
         assert kind is EventKind.SPIN_OFF_BLOCKED
@@ -230,12 +227,12 @@ class TestFirmUpdate:
         rng = random.Random(5)
         for _ in range(100):
             m = build_market(firms=firms)
-            actor = m.lattice.occupancy[m.lattice.index((2, 2))]
+            actor = m.lattice.occupancy[site_index(m.lattice, (2, 2))]
             ev = firm_update(m, actor, params, rng)
             assert ev.kind in (EventKind.MERGED, EventKind.SPIN_OFF,
                                EventKind.SPIN_OFF_BLOCKED)
             if actor in m.firms:
-                assert m.firms[actor].site == m.lattice.index((2, 2))
+                assert m.firms[actor].site == site_index(m.lattice, (2, 2))
 
     def test_isolated_mover_copies_frontier(self):
         params = SimParams(q=0.0, n_min=2, lx=9, ly=9)
@@ -363,7 +360,7 @@ class TestSweep:
 
     def test_running_sums_track_exact_recomputation(self):
         # mid-sweep survival and segment decisions read these sums
-        from techmarket import init_market
+        from techmarket.market import init_market
         from techmarket.rng import derive_seed, shuffle_in_place
 
         params = SimParams(q=0.5, t_max=0, seed=9,

@@ -9,18 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from techmarket import (
+    EnsembleStats,
+    PolicyKind,
     SimParams,
     VariantKind,
-    estimate_tc,
     run_ensemble,
-    run_replica,
 )
-from techmarket import PolicyKind
 from techmarket.ensemble import (
-    EnsembleStats,
+    LazyPool,
     Trajectory,
     aggregate,
+    estimate_tc,
     replica_seeds,
+    run_replica,
     stored_ensemble,
     tc_curve,
 )
@@ -170,9 +171,9 @@ class TestRunEnsemble:
         t = np.arange(5)
         row = np.full(5, 3.0)
         trs = [
-            Trajectory(k, t.copy(), np.full(5, 7), row.copy(), row.copy(),
+            Trajectory(t.copy(), np.full(5, 7), row.copy(), row.copy(),
                        np.zeros(5, int), np.zeros(5, int), np.zeros(5))
-            for k in range(4)
+            for _ in range(4)
         ]
         st = aggregate(trs)
         assert np.all(st.a_mean == 3.0) and np.all(st.a_sd == 0.0)
@@ -189,15 +190,15 @@ class TestRunEnsemble:
 
         bad_seed = replica_seeds(99, 3)[2]
 
-        def sabotaged(params, seed, collect_events=False, start=None):
+        def sabotaged(params, seed, events=None, start=None):
             if seed == bad_seed:
                 raise ValueError("boom")
-            return real(params, seed, collect_events, start)
+            return real(params, seed, events, start)
 
         real = ens.run_replica
         monkeypatch.setattr(ens, "run_replica", sabotaged)
         with pytest.raises(ValueError, match=str(bad_seed)):
-            ens.run_trajectories(small_params(t_max=5), 3, jobs=1)
+            ens.run_trajectories(small_params(t_max=5), 3, LazyPool(1))
 
 
 class TwoArgError(Exception):
@@ -216,14 +217,14 @@ class TestReplicaFailure:
         bad_seed = replica_seeds(99, 3)[1]
         real = ens.run_replica
 
-        def sabotaged(params, seed, collect_events=False, start=None):
+        def sabotaged(params, seed, events=None, start=None):
             if seed == bad_seed:
                 raise TwoArgError(7, "boom")
-            return real(params, seed, collect_events, start)
+            return real(params, seed, events, start)
 
         monkeypatch.setattr(ens, "run_replica", sabotaged)
-        with pytest.raises(TwoArgError) as info:
-            ens.run_trajectories(small_params(t_max=5), 3, jobs=jobs)
+        with pytest.raises(TwoArgError) as info, LazyPool(jobs) as pool:
+            ens.run_trajectories(small_params(t_max=5), 3, pool)
         assert info.value.code == 7
         assert info.value.__notes__ == [f"replica seed {bad_seed}"]
 
@@ -266,14 +267,16 @@ def assert_same_stats(got: EnsembleStats, want: EnsembleStats) -> None:
 
 # crossings at sweeps 78..133 for seed 99 and 4 replicas
 MEDIUM_Q09 = small_params(q=0.9, policy=PolicyKind.MEDIUM_TECH, t_max=150)
+# runs every replica in the calling process and never starts a worker
+SERIAL = LazyPool(1)
 
 
 class TestEnsembleStore:
     def test_slice_equals_fresh_run(self):
-        full = stored_ensemble(MEDIUM_Q09, 4)
+        full = stored_ensemble(MEDIUM_Q09, 4, SERIAL)
         assert_same_stats(full, run_ensemble(MEDIUM_Q09, 4))
         short = replace(MEDIUM_Q09, t_max=100)
-        sliced = stored_ensemble(short, 4)
+        sliced = stored_ensemble(short, 4, SERIAL)
         assert_same_stats(sliced, run_ensemble(short, 4))
         # the slice drops crossings after its horizon and zeroes the rows
         # of the sweep after it
@@ -285,9 +288,9 @@ class TestEnsembleStore:
     def test_slice_served_without_simulating(self, monkeypatch):
         import techmarket.ensemble as ens
 
-        stored_ensemble(small_params(t_max=40), 2)
+        stored_ensemble(small_params(t_max=40), 2, SERIAL)
         monkeypatch.setattr(ens, "run_replica", None)  # any call fails
-        st = stored_ensemble(small_params(t_max=25), 2)
+        st = stored_ensemble(small_params(t_max=25), 2, SERIAL)
         assert len(st.t) == 26
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -302,26 +305,29 @@ class TestEnsembleStore:
         real = ens.run_replica
         starts = []
 
-        def spy(params, seed, collect_events=False, start=None):
+        def spy(params, seed, events=None, start=None):
             starts.append(start is not None)
-            return real(params, seed, collect_events, start)
+            return real(params, seed, events, start)
 
         monkeypatch.setattr(ens, "run_replica", spy)
         first = replace(params, t_max=params.t_max * 2 // 3)
-        assert_same_stats(stored_ensemble(first, 4, jobs), run_ensemble(first, 4))
-        resumed = stored_ensemble(params, 4, jobs)
-        assert_same_stats(resumed, run_ensemble(params, 4))
         middle = replace(params, t_max=params.t_max * 5 // 6)
-        assert_same_stats(stored_ensemble(middle, 4, jobs),
-                          run_ensemble(middle, 4))
+        with LazyPool(jobs) as pool:
+            assert_same_stats(stored_ensemble(first, 4, pool),
+                              run_ensemble(first, 4))
+            resumed = stored_ensemble(params, 4, pool)
+            assert_same_stats(resumed, run_ensemble(params, 4))
+            assert_same_stats(stored_ensemble(middle, 4, pool),
+                              run_ensemble(middle, 4))
         if jobs == 1:  # pool workers do not report back
             # 4 fresh, then 4 resumed, then the two run_ensemble calls
             assert starts == [False] * 8 + [True] * 4 + [False] * 8
 
     def test_key_separates_seed_replicas_and_params(self):
-        a = stored_ensemble(small_params(t_max=20), 2)
+        a = stored_ensemble(small_params(t_max=20), 2, SERIAL)
         for other, n in ((small_params(t_max=20, seed=100), 2),
                          (small_params(t_max=20), 3),
                          (small_params(t_max=20, q=0.3), 2)):
-            assert_same_stats(stored_ensemble(other, n), run_ensemble(other, n))
-            assert not np.array_equal(stored_ensemble(other, n).a_mean, a.a_mean)
+            st = stored_ensemble(other, n, SERIAL)
+            assert_same_stats(st, run_ensemble(other, n))
+            assert not np.array_equal(st.a_mean, a.a_mean)

@@ -12,7 +12,8 @@ import io
 import numpy as np
 import pytest
 
-from techmarket import PolicyKind, SimParams, VariantKind, run_replica
+from techmarket import PolicyKind, SimParams, VariantKind
+from techmarket.ensemble import run_replica
 from techmarket.output import emit_event_log
 from techmarket.rng import derive_seed
 
@@ -80,8 +81,9 @@ def test_event_log_digest(key):
     q, policy, variant, seed = key
     params = SimParams(q=q, policy=policy, variant=variant, t_max=T_MAX,
                        seed=seed)
-    tr = run_replica(params, derive_seed(seed, 0), collect_events=True)
+    events = []
+    run_replica(params, derive_seed(seed, 0), events)
     log = io.StringIO()
-    emit_event_log(log, 0, tr.events)
+    emit_event_log(log, 0, events)
     assert hashlib.sha256(log.getvalue().encode()).hexdigest() \
         == EVENT_LOG_DIGESTS[key]

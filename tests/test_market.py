@@ -5,21 +5,19 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from techmarket import (
+from techmarket import ConfigError, SimParams
+from techmarket.market import (
+    Lattice,
     Segment,
-    SimParams,
     classify_segment,
     frontier,
     init_market,
-    neighbors,
     population_sd_tech,
     survival_probability,
     weighted_mean_tech,
 )
-from techmarket.errors import ConfigError
-from techmarket.market import Lattice
 
-from conftest import build_market
+from conftest import build_market, random_market, site_index
 
 
 class TestFrontier:
@@ -58,7 +56,6 @@ class TestWeightedMeanTech:
             weighted_mean_tech(build_market(firms=[]))
 
     def test_within_tech_range(self, rng):
-        from conftest import random_market
         for _ in range(50):
             m = random_market(rng)
             techs = [f.tech for f in m.firms.values()]
@@ -150,7 +147,7 @@ class TestInitMarket:
     def test_full_lattice(self):
         m = init_market(SimParams(c=1.0), random.Random(1))
         assert len(m.firms) == 100
-        assert m.lattice.n_occupied == 100
+        assert all(fid >= 0 for fid in m.lattice.occupancy)
 
     def test_sites_distinct_and_consistent(self):
         m = init_market(SimParams(), random.Random(3))
@@ -181,32 +178,23 @@ class TestInitMarket:
 class TestNeighbors:
     def test_periodic_wrap_von_neumann(self):
         lat = Lattice(10, 10)
-        assert set(neighbors(lat, (0, 0))) == {(9, 0), (1, 0), (0, 9), (0, 1)}
+        want = {site_index(lat, s) for s in ((9, 0), (1, 0), (0, 9), (0, 1))}
+        assert set(lat.vn4[site_index(lat, (0, 0))]) == want
 
     def test_moore_interior(self):
         lat = Lattice(10, 10)
-        got = set(neighbors(lat, (5, 5), kind="moore"))
-        want = {(x, y) for x in (4, 5, 6) for y in (4, 5, 6)} - {(5, 5)}
-        assert got == want
+        center = site_index(lat, (5, 5))
+        want = {site_index(lat, (x, y)) for x in (4, 5, 6) for y in (4, 5, 6)}
+        assert set(lat.moore8[center]) == want - {center}
 
     def test_von_neumann_subset_of_moore(self):
         lat = Lattice(7, 5)
         for site in [(0, 0), (3, 2), (6, 4), (0, 4)]:
-            assert set(neighbors(lat, site)) < set(neighbors(lat, site, "moore"))
+            idx = site_index(lat, site)
+            assert set(lat.vn4[idx]) < set(lat.moore8[idx])
 
     def test_counts_distinct(self):
         lat = Lattice(5, 5)
         for idx in range(25):
-            site = lat.site(idx)
-            assert len(set(neighbors(lat, site))) == 4
-            assert len(set(neighbors(lat, site, "moore"))) == 8
-
-    def test_out_of_bounds_rejected(self):
-        lat = Lattice(5, 5)
-        with pytest.raises(ValueError):
-            neighbors(lat, (5, 0))
-
-    def test_unknown_kind_rejected(self):
-        lat = Lattice(5, 5)
-        with pytest.raises(ValueError):
-            neighbors(lat, (0, 0), kind="hex")
+            assert len(set(lat.vn4[idx])) == 4
+            assert len(set(lat.moore8[idx])) == 8
