@@ -37,11 +37,16 @@ and the spin-off site u when the coin came up spin-off. Threshold draws
 does. Site picks use int(u * n), clamped to n - 1 for the u -> 1 rounding
 edge.
 
-The cycle has one implementation, ``_update_cycle``: ``sweep`` runs it over
-the shuffled visit order and ``firm_update`` over a single firm. It reads
-the sweep's fixed values (parameters, lattice tables, frontier, sweep index)
+The cycle has two implementations with bit-identical results. The Python
+one, ``_update_cycle``, is the reference: ``sweep`` runs it over the
+shuffled visit order and ``firm_update`` over a single firm. It reads the
+sweep's fixed values (parameters, lattice tables, frontier, sweep index)
 once, tallies outcomes by EventKind, and builds an EventRecord only when
-the caller passes a list to collect them.
+the caller passes a list to collect them. The compiled one, ``_sweep.c``
+(see ``compiled``), runs a whole sweep per call on a replica held in C
+buffers; ``sweep`` hands such a replica to it. It keeps no EventRecords,
+so runs that log events use the Python one, as do machines where the C
+kernel cannot be built.
 """
 from __future__ import annotations
 
@@ -49,7 +54,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .errors import IntegrityError
 from .market import (
@@ -61,6 +66,9 @@ from .market import (
 )
 from .params import PolicyKind, SimParams, VariantKind
 from .rng import open_unit, shuffle_in_place
+
+if TYPE_CHECKING:  # compiled imports this module
+    from .compiled import ResidentReplica
 
 #: Allowed pre-correction drift of sum(shares) from 1 at a sweep boundary.
 RENORM_TOLERANCE = 1e-2
@@ -112,7 +120,6 @@ class SweepStats:
     """Observables measured at the start of a sweep plus that sweep's event
     tallies and the pre-correction normalization error at its end."""
 
-    t: int
     n_firms: int
     mean_tech: float
     ratio: float
@@ -143,6 +150,13 @@ def redistribute_shares_equal(market: MarketState, departing_share: float) -> No
     market.weighted_sum += delta * market.tech_sum
 
 
+def renorm_failure(err: float, t: int) -> IntegrityError:
+    """The error for a renormalization error above RENORM_TOLERANCE at
+    sweep t."""
+    return IntegrityError(f"share normalization error {err:.3e} exceeds "
+                          f"tolerance {RENORM_TOLERANCE:g} at sweep {t}")
+
+
 def renormalize_shares(market: MarketState) -> float:
     """Rescale all shares so they sum to exactly 1; returns the
     pre-correction error |sum - 1|. Error above RENORM_TOLERANCE means the
@@ -152,10 +166,7 @@ def renormalize_shares(market: MarketState) -> float:
         raise ValueError("total share must be positive")
     err = abs(total - 1.0)
     if err > RENORM_TOLERANCE:
-        raise IntegrityError(
-            f"share normalization error {err:.3e} exceeds tolerance "
-            f"{RENORM_TOLERANCE:g} at sweep {market.sweep}"
-        )
+        raise renorm_failure(err, market.sweep)
     for f in market.firms.values():
         f.share /= total
     market.weighted_sum /= total
@@ -296,7 +307,8 @@ def firm_update(market: MarketState, firm_id: int, params: SimParams,
     return events[0]
 
 
-def sweep(market: MarketState, params: SimParams, rng: random.Random,
+def sweep(market: MarketState | ResidentReplica, params: SimParams,
+          rng: random.Random,
           events: Optional[list[EventRecord]] = None) -> SweepStats:
     """Advance the market by one sweep and return its statistics.
 
@@ -304,7 +316,12 @@ def sweep(market: MarketState, params: SimParams, rng: random.Random,
     from the state at sweep start, then updates each firm alive at the start
     once in random order, renormalizes shares, and advances the clock and
     the cached frontier. Pass ``events`` to collect every EventRecord.
+
+    ``market`` may instead be a replica held by the compiled kernel, which
+    runs the same sweep on its own state and stream in one C call.
     """
+    if not isinstance(market, MarketState):
+        return market.sweep()
     market.resync_sums()
     n_start = len(market.firms)
     mean_start = market.weighted_sum
@@ -314,7 +331,6 @@ def sweep(market: MarketState, params: SimParams, rng: random.Random,
     counts, rescued = _update_cycle(market, params, rng, order, events)
     err = renormalize_shares(market)
     stats = SweepStats(
-        t=market.sweep,
         n_firms=n_start,
         mean_tech=mean_start,
         ratio=ratio_start,

@@ -7,6 +7,9 @@ k)`` for replica k. Replicas are independent, so they may run in the calling
 process or on a process pool; the aggregated statistics and event logs are
 identical either way. A replica hands back its end state, from which a later
 run carries on with exactly the draws and states of one uninterrupted run.
+A replica without an event log runs its sweeps on the compiled kernel when
+this machine can build it (see ``compiled``), and on the Python kernel
+otherwise; both give the same bits.
 
 Across-replica spread is reported as the population standard deviation
 (divide by n), matching descriptive +-1 SD bands.
@@ -19,8 +22,9 @@ state. A request up to that horizon is answered by slicing the aggregates:
 a column-wise mean or SD over replicas depends only on that sweep's values,
 so the slice is bit-identical to a fresh run. A longer request resumes every
 replica from its end state and aggregates only the new sweeps. The store
-costs memory: about 5 kB per replica end state and 72 bytes per aggregate
-row, kept until the process ends or ``clear_store`` is called.
+costs memory: about 3.8 kB per replica end state at the n_min floor (the
+stream packed into 2.6 kB) and 72 bytes per aggregate row, kept until the
+process ends or ``clear_store`` is called.
 """
 from __future__ import annotations
 
@@ -33,11 +37,12 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
+from . import compiled
 from .dynamics import EventKind, EventRecord, sweep
 from .market import init_market
 from .output import emit_event_log
 from .params import SimParams
-from .rng import derive_seed
+from .rng import derive_seed, pack_stream, unpack_stream
 
 #: Threshold the mean technology must reach to end the catch-up phase; the
 #: frontier value at t=0.
@@ -56,7 +61,7 @@ class Trajectory:
     rescued: np.ndarray       # rescues fired during sweep t (0 in the last row)
     bankrupted: np.ndarray    # bankruptcies during sweep t (0 in the last row)
     renorm_error: np.ndarray  # share renormalization error of sweep t (0 in the last row)
-    end_state: Optional[bytes] = None  # pickled (MarketState, Random) at t_max
+    end_state: Optional[bytes] = None  # (MarketState, packed stream) at t_max
 
 
 @dataclass(slots=True)
@@ -104,7 +109,9 @@ def run_replica(params: SimParams, replica_seed: int,
     """Simulate one replica up to sweep t_max from the given stream seed,
     or from ``start``, the ``end_state`` of an earlier run of the same
     replica with the same parameters and a horizon of at most t_max.
-    Every step's EventRecord is appended to ``events`` when a list is given.
+    Every step's EventRecord is appended to ``events`` when a list is given;
+    the sweeps then run on the Python kernel, and otherwise on the compiled
+    one when this machine can build it.
 
     N, the mean technology and the mean-to-frontier ratio are recorded at
     the beginning of every sweep from the start state on, plus one final
@@ -114,7 +121,8 @@ def run_replica(params: SimParams, replica_seed: int,
         rng = random.Random(replica_seed)
         market = init_market(params, rng)
     else:
-        market, rng = pickle.loads(start)
+        market, words = pickle.loads(start)
+        rng = unpack_stream(words)
     t_start, t_max = market.sweep, params.t_max
     if t_start > t_max:
         raise ValueError(f"start state at sweep {t_start} is past "
@@ -126,14 +134,19 @@ def run_replica(params: SimParams, replica_seed: int,
     rescued = np.zeros(rows, dtype=np.int64)
     bankrupted = np.zeros(rows, dtype=np.int64)
     renorm = np.zeros(rows, dtype=np.float64)
+    lib = None if events is not None else compiled.kernel().lib
+    state = (market if lib is None
+             else compiled.ResidentReplica(lib, market, rng, params))
     for i in range(rows - 1):
-        stats = sweep(market, params, rng, events)
+        stats = sweep(state, params, rng, events)
         n_arr[i] = stats.n_firms
         a_arr[i] = stats.mean_tech
         r_arr[i] = stats.ratio
         rescued[i] = stats.rescued
         bankrupted[i] = stats.counts[EventKind.BANKRUPTED]
         renorm[i] = stats.renorm_error
+    if state is not market:
+        state.unload()
     market.resync_sums()
     n_arr[-1] = len(market.firms)
     a_arr[-1] = market.weighted_sum
@@ -146,7 +159,8 @@ def run_replica(params: SimParams, replica_seed: int,
         rescued=rescued,
         bankrupted=bankrupted,
         renorm_error=renorm,
-        end_state=pickle.dumps((market, rng), pickle.HIGHEST_PROTOCOL),
+        end_state=pickle.dumps((market, pack_stream(rng)),
+                               pickle.HIGHEST_PROTOCOL),
     )
 
 
@@ -223,6 +237,8 @@ def run_trajectories(params: SimParams, n_replicas: int, pool: LazyPool,
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
+    if event_log is None:
+        compiled.kernel()  # built and loaded here, before any worker forks
     seeds = replica_seeds(params.seed, n_replicas)
     starts = [None] * n_replicas if starts is None else starts
     tasks = [(params, k, seed, event_log is not None, start)

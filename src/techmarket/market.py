@@ -119,7 +119,12 @@ class MarketState:
         self.tech_sq_sum = 0.0
 
     def total_share(self) -> float:
-        return sum(f.share for f in self.firms.values())
+        # left to right from 0.0: the built-in sum() compensates float
+        # rounding from Python 3.12 on
+        total = 0.0
+        for f in self.firms.values():
+            total += f.share
+        return total
 
     def resync_sums(self) -> None:
         """Recompute the running sums exactly from the registry."""

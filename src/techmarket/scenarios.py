@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
 
-from . import __version__
+from . import __version__, compiled
 from .config import RunControls
 from .ensemble import (
     EnsembleStats,
@@ -171,6 +171,9 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
             f"tc_mean={tc_mean:g} fraction_reached={fraction:g}"
             for (label, _), tc, tc_mean, fraction in zip(
                 cells, curve.tc_of_mean, curve.tc_mean, curve.fraction_reached))
+    notes.append("kernel=" + ("python (event logs are kept by the Python "
+                              "kernel)" if controls.events
+                              else compiled.kernel().note))
     written.append(emit_run_metadata(
         out_dir / f"{name}_metadata.txt",
         replace(base, t_max=cells[0][1].t_max), name, replicas, __version__,

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from techmarket import compiled
 from techmarket.ensemble import clear_store
 from techmarket.market import Lattice, MarketState
 
@@ -14,6 +15,23 @@ def empty_ensemble_store():
     clear_store()
     yield
     clear_store()
+
+
+@pytest.fixture
+def python_kernel(monkeypatch):
+    """Replicas run on the Python kernel, as on a machine where the compiled
+    one cannot be built."""
+    monkeypatch.setattr(compiled, "kernel", lambda: compiled.Kernel(
+        None, "python (compiled kernel switched off by a test)"))
+
+
+@pytest.fixture
+def compiled_lib():
+    """The compiled kernel's library; the test is skipped without one."""
+    lib, note = compiled.kernel()
+    if lib is None:
+        pytest.skip(f"no compiled kernel: {note}")
+    return lib
 
 
 def site_index(lattice, site):

@@ -300,11 +300,19 @@ class TestScenarios:
             for name in names:
                 assert (runs["serial"] / name).read_bytes() == \
                     (runs["pool"] / name).read_bytes()
-            # --events adds the logs and changes no other output
+            # --events adds the logs and changes no other output, except
+            # for the metadata line naming the kernel that ran
             assert sorted(p.name for p in runs["plain"].iterdir()) == outputs
             for name in outputs:
-                assert (runs["plain"] / name).read_bytes() == \
-                    (runs["pool"] / name).read_bytes()
+                plain, logged = ((runs[tag] / name).read_bytes()
+                                 for tag in ("plain", "pool"))
+                if name.endswith("_metadata.txt"):  # its last line
+                    plain, kernel = plain[:-1].rsplit(b"\n", 1)
+                    logged, logged_kernel = logged[:-1].rsplit(b"\n", 1)
+                    assert kernel.startswith(b"# kernel=")
+                    assert logged_kernel == b"# kernel=python (event logs " \
+                                            b"are kept by the Python kernel)"
+                assert plain == logged
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failing_replica_leaves_no_event_log(self, monkeypatch, tmp_path,

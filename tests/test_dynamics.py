@@ -329,7 +329,6 @@ class TestSweep:
         m = build_market(firms=[((0, 0), 0.2, 0.5), ((1, 0), 0.4, 0.5)], sweep=0)
         params = SimParams(q=0.0, lx=6, ly=6, n_min=1)
         stats = sweep(m, params, random.Random(24))
-        assert stats.t == 0
         assert stats.n_firms == 2
         assert stats.mean_tech == pytest.approx(0.3, abs=1e-15)
         assert stats.ratio == pytest.approx(0.3, abs=1e-15)

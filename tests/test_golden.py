@@ -1,5 +1,7 @@
 """Golden digests: fixed (params, replica seed) pairs must reproduce these
-trajectories and this event log bit for bit.
+trajectories and this event log bit for bit. The trajectories are checked
+on the kernel a replica runs by default (the compiled one where it can be
+built) and on the Python kernel; event logs always come from the Python one.
 
 The digests pin the behaviour contract (bit-identical trajectories, CSVs and
 event logs for a fixed seed). A change that keeps behaviour leaves them
@@ -74,6 +76,11 @@ def test_trajectory_digest(key):
                        seed=seed)
     tr = run_replica(params, derive_seed(seed, replica))
     assert _series_digest(tr) == TRAJECTORY_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", list(TRAJECTORY_DIGESTS), ids=_case_id)
+def test_trajectory_digest_python_kernel(key, python_kernel):
+    test_trajectory_digest(key)
 
 
 @pytest.mark.parametrize("key", list(EVENT_LOG_DIGESTS), ids=_case_id)
