@@ -19,6 +19,11 @@
  *
  * compiled.py mirrors the State struct with ctypes and checks its size
  * against tm_state_size() before use.
+ *
+ * When State.events is set, each visit also writes the row that
+ * _update_cycle appends to an event sink: (kind, firm, t, partner, child,
+ * rescued), with -1 for no partner and no child. A sweep writes at most one
+ * row per firm alive at its start, so n_sites rows always suffice.
  */
 #include <math.h>
 #include <stddef.h>
@@ -39,6 +44,7 @@ typedef struct {
     double mean_start, ratio_start, renorm_error;
     int64_t counts[N_KINDS];
     int64_t rescued;
+    int64_t n_events;  /* rows written to events */
     /* parameters */
     double s, b, q, omega_s, sigma, tolerance;
     int64_t n_min, segment, passive;
@@ -57,6 +63,8 @@ typedef struct {
     double frontier, ws, ts, tq;
     /* MT19937: 624 words, then the position */
     uint32_t *mt;
+    /* the sweep's event rows, six int64 each; NULL keeps none */
+    int64_t *events;
 } State;
 
 size_t tm_state_size(void) { return sizeof(State); }
@@ -180,9 +188,11 @@ static void update_cycle(State *st, int64_t n_order)
     double frontier = st->frontier;
     for (int64_t v = 0; v < n_order; v++) {
         int64_t f = st->order[v];
-        if (st->id[f] < 0)  /* absorbed by a merge earlier in this sweep */
+        int64_t fid = st->id[f];
+        if (fid < 0)  /* absorbed by a merge earlier in this sweep */
             continue;
-        int kind = -1;
+        int kind = -1, rescued = 0;
+        int64_t partner_id = -1;
         if (st->n_live > st->n_min) {
             double mean = st->ws;
             double tech = st->tech[f];
@@ -193,6 +203,7 @@ static void update_cycle(State *st, int64_t n_order)
                      || segment_of(st, tech, mean) == st->segment)
                         && 1.0 - uniform(mt) <= st->q) {
                     st->rescued++;
+                    rescued = 1;
                     if (st->passive)
                         kind = RESCUED;
                 } else {
@@ -235,11 +246,25 @@ static void update_cycle(State *st, int64_t n_order)
                     kind = MOVED_COPIED_FRONTIER;
                 }
             }
-            if (kind < 0)
-                kind = partner < 0 ? MOVED_NO_DIFFUSION
-                                   : interact(st, f, partner);
+            if (kind < 0) {
+                if (partner < 0) {
+                    kind = MOVED_NO_DIFFUSION;
+                } else {
+                    partner_id = st->id[partner];  /* before a merge clears it */
+                    kind = interact(st, f, partner);
+                }
+            }
         }
         st->counts[kind]++;
+        if (st->events) {
+            int64_t *row = st->events + 6 * st->n_events++;
+            row[0] = kind;
+            row[1] = fid;
+            row[2] = st->sweep;
+            row[3] = partner_id;
+            row[4] = kind == SPIN_OFF ? st->next_id - 1 : -1;
+            row[5] = rescued;
+        }
     }
 }
 
@@ -291,6 +316,7 @@ int tm_sweep(State *st)
     for (int k = 0; k < N_KINDS; k++)
         st->counts[k] = 0;
     st->rescued = 0;
+    st->n_events = 0;
     update_cycle(st, n);
     compact(st);
 

@@ -2,11 +2,11 @@
 loaded with ctypes.
 
 ``_sweep.c`` runs one whole sweep per call, the same cycle as
-``dynamics.sweep`` with bit-identical results. ``ResidentReplica`` copies a
-market and its random stream into C buffers once, hands itself to
-``dynamics.sweep`` in place of the market for every sweep, and copies both
-back at the end, so a replica pays for the conversion once and not per
-sweep.
+``dynamics.sweep`` with bit-identical results and the same event rows.
+``ResidentReplica`` copies a market and its random stream into C buffers
+once, hands itself to ``dynamics.sweep`` in place of the market for every
+sweep, and copies both back at the end, so a replica pays for the
+conversion once and not per sweep.
 
 ``kernel()`` builds the library on first use with gcc into
 ``$XDG_CACHE_HOME/techmarket`` (``~/.cache/techmarket`` by default), named
@@ -23,6 +23,7 @@ import os
 import random
 import struct
 import zlib
+from array import array
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -30,6 +31,7 @@ from typing import NamedTuple, Optional
 from .dynamics import (
     _KINDS,
     _POLICY_SEGMENT,
+    EVENT_FIELDS,
     RENORM_TOLERANCE,
     SweepStats,
     renorm_failure,
@@ -56,7 +58,7 @@ class _State(ctypes.Structure):
     _fields_ = [
         ("n_start", _I64), ("mean_start", _F64), ("ratio_start", _F64),
         ("renorm_error", _F64), ("counts", _I64 * _N_KINDS),
-        ("rescued", _I64),
+        ("rescued", _I64), ("n_events", _I64),
         ("s", _F64), ("b", _F64), ("q", _F64), ("omega_s", _F64),
         ("sigma", _F64), ("tolerance", _F64),
         ("n_min", _I64), ("segment", _I64), ("passive", _I64),
@@ -69,12 +71,15 @@ class _State(ctypes.Structure):
         ("sweep", _I64), ("next_id", _I64),
         ("frontier", _F64), ("ws", _F64), ("ts", _F64), ("tq", _F64),
         ("mt", ctypes.POINTER(ctypes.c_uint32)),
+        ("events", ctypes.POINTER(_I64)),
     ]
 
 
 #: The statistics at the head of _State: n_start, mean_start, ratio_start,
-#: renorm_error, the counts by EventKind and rescued.
-_STATS = struct.Struct(f"q3d{_N_KINDS}qq")
+#: renorm_error, the counts by EventKind, rescued and n_events.
+_STATS = struct.Struct(f"q3d{_N_KINDS}qqq")
+#: Bytes of one event row.
+_ROW_BYTES = EVENT_FIELDS * ctypes.sizeof(_I64)
 #: tm_sweep's return codes.
 _OK, _RENORM_ABOVE_TOLERANCE, _NO_SHARE = range(3)
 _SEGMENT_CODE = {None: -1, Segment.LOW: 0, Segment.MEDIUM: 1,
@@ -150,7 +155,8 @@ class ResidentReplica:
 
     ``dynamics.sweep`` runs one sweep of it per call; ``unload`` writes the
     state back into the market and the stream it was built from. Both must
-    be left alone in between.
+    be left alone in between. The C sweeps write event rows from the first
+    sweep that is given a sink on.
     """
 
     def __init__(self, lib: ctypes.CDLL, market: MarketState,
@@ -175,6 +181,9 @@ class ResidentReplica:
         self._share = _array(_F64, cap, (f.share for f in firms))
         self._site = _array(_I32, cap, (f.site for f in firms))
         self._order = _array(_I32, cap)
+        # a sweep's event rows: at most one per site
+        self._events = _array(_I64, EVENT_FIELDS * n_sites)
+        self._event_bytes = memoryview(self._events).cast("B")
         self._state = _State(
             s=params.s, b=params.b, q=params.q, omega_s=params.omega_s,
             sigma=params.sigma, tolerance=RENORM_TOLERANCE,
@@ -189,10 +198,16 @@ class ResidentReplica:
             ts=market.tech_sum, tq=market.tech_sq_sum, mt=self._mt)
         self._run = functools.partial(lib.tm_sweep, ctypes.byref(self._state))
 
-    def sweep(self) -> SweepStats:
-        """One sweep, as ``dynamics.sweep`` runs it on the market."""
+    def sweep(self, events: Optional[array] = None) -> SweepStats:
+        """One sweep, as ``dynamics.sweep`` runs it on the market; its
+        event rows are appended to ``events`` when it is given."""
+        if events is not None and not self._state.events:
+            self._state.events = self._events
         status = self._run()
-        n, mean, ratio, err, *counts, rescued = _STATS.unpack_from(self._state)
+        n, mean, ratio, err, *counts, rescued, n_events = \
+            _STATS.unpack_from(self._state)
+        if events is not None:
+            events.frombytes(self._event_bytes[:n_events * _ROW_BYTES])
         if status != _OK:
             if status == _NO_SHARE:
                 raise ValueError("total share must be positive")

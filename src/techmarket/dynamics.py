@@ -41,17 +41,21 @@ The cycle has two implementations with bit-identical results. The Python
 one, ``_update_cycle``, is the reference: ``sweep`` runs it over the
 shuffled visit order and ``firm_update`` over a single firm. It reads the
 sweep's fixed values (parameters, lattice tables, frontier, sweep index)
-once, tallies outcomes by EventKind, and builds an EventRecord only when
-the caller passes a list to collect them. The compiled one, ``_sweep.c``
-(see ``compiled``), runs a whole sweep per call on a replica held in C
-buffers; ``sweep`` hands such a replica to it. It keeps no EventRecords,
-so runs that log events use the Python one, as do machines where the C
-kernel cannot be built.
+once and tallies outcomes by EventKind. The compiled one, ``_sweep.c`` (see
+``compiled``), runs a whole sweep per call on a replica held in C buffers;
+``sweep`` hands such a replica to it. Machines where the C kernel cannot be
+built use the Python one.
+
+Both kernels log events the same way: given an event sink, an
+``array('q')``, each step appends one row of EVENT_FIELDS int64 values,
+``(kind, firm, t, partner, child, rescued)``, the fields of EventRecord
+with -1 for no partner and no child and 0/1 for the rescued flag.
 """
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
@@ -99,7 +103,8 @@ _KINDS = tuple(EventKind)
 
 
 class EventRecord(NamedTuple):
-    """Terminal outcome of one per-firm step.
+    """Terminal outcome of one per-firm step, as ``firm_update`` returns
+    it; an event sink holds the same fields as one row of int64 values.
 
     partner: absorbed firm for MERGED, interaction partner for SPIN_OFF /
     SPIN_OFF_BLOCKED. child: id of a newly founded spin-off. rescued: the
@@ -113,6 +118,10 @@ class EventRecord(NamedTuple):
     partner: Optional[int] = None
     child: Optional[int] = None
     rescued: bool = False
+
+
+#: int64 values per row of an event sink: the fields of EventRecord.
+EVENT_FIELDS = len(EventRecord._fields)
 
 
 @dataclass(slots=True)
@@ -215,12 +224,12 @@ def interact(market: MarketState, firm_i: int, firm_j: int, params: SimParams,
 
 
 def _update_cycle(market: MarketState, params: SimParams, rng: random.Random,
-                  order: Iterable[int], events: Optional[list[EventRecord]]
+                  order: Iterable[int], events: Optional[array]
                   ) -> tuple[list[int], int]:
     """Run the update cycle for each firm of ``order`` still alive, in
     order; returns the tallies indexed by EventKind and the number of
-    rescues fired. One EventRecord per step is appended to ``events`` when
-    it is a list.
+    rescues fired. One event row per step is appended to ``events`` when it
+    is given.
 
     Everything fixed for the sweep is read once here: the frontier and the
     sweep index only change between sweeps.
@@ -290,9 +299,9 @@ def _update_cycle(market: MarketState, params: SimParams, rng: random.Random,
                     kind = interact(market, fid, partner, params, rng)
         counts[kind] += 1
         if events is not None:
-            events.append(EventRecord(
-                kind, fid, t, partner if partner >= 0 else None,
-                market.next_id - 1 if kind is _SPIN_OFF else None, rescued))
+            events.extend((kind, fid, t, partner,
+                           market.next_id - 1 if kind is _SPIN_OFF else -1,
+                           rescued))
     return counts, rescued_total
 
 
@@ -302,26 +311,29 @@ def firm_update(market: MarketState, firm_id: int, params: SimParams,
     for the cycle and the draw order."""
     if firm_id not in market.firms:
         raise KeyError(f"firm {firm_id} is not alive")
-    events: list[EventRecord] = []
+    events = array("q")
     _update_cycle(market, params, rng, (firm_id,), events)
-    return events[0]
+    kind, firm, t, partner, child, rescued = events
+    return EventRecord(EventKind(kind), firm, t,
+                       partner if partner >= 0 else None,
+                       child if child >= 0 else None, bool(rescued))
 
 
 def sweep(market: MarketState | ResidentReplica, params: SimParams,
-          rng: random.Random,
-          events: Optional[list[EventRecord]] = None) -> SweepStats:
+          rng: random.Random, events: Optional[array] = None) -> SweepStats:
     """Advance the market by one sweep and return its statistics.
 
     Measures N, the weighted mean technology and its ratio to the frontier
     from the state at sweep start, then updates each firm alive at the start
     once in random order, renormalizes shares, and advances the clock and
-    the cached frontier. Pass ``events`` to collect every EventRecord.
+    the cached frontier. Pass an event sink as ``events`` to collect every
+    step's row.
 
     ``market`` may instead be a replica held by the compiled kernel, which
     runs the same sweep on its own state and stream in one C call.
     """
     if not isinstance(market, MarketState):
-        return market.sweep()
+        return market.sweep(events)
     market.resync_sums()
     n_start = len(market.firms)
     mean_start = market.weighted_sum

@@ -7,9 +7,9 @@ k)`` for replica k. Replicas are independent, so they may run in the calling
 process or on a process pool; the aggregated statistics and event logs are
 identical either way. A replica hands back its end state, from which a later
 run carries on with exactly the draws and states of one uninterrupted run.
-A replica without an event log runs its sweeps on the compiled kernel when
-this machine can build it (see ``compiled``), and on the Python kernel
-otherwise; both give the same bits.
+A replica runs its sweeps on the compiled kernel when this machine can
+build it (see ``compiled``), and on the Python kernel otherwise; both give
+the same bits and the same event rows.
 
 Across-replica spread is reported as the population standard deviation
 (divide by n), matching descriptive +-1 SD bands.
@@ -31,6 +31,7 @@ from __future__ import annotations
 import io
 import pickle
 import random
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 import numpy as np
 
 from . import compiled
-from .dynamics import EventKind, EventRecord, sweep
+from .dynamics import EventKind, sweep
 from .market import init_market
 from .output import emit_event_log
 from .params import SimParams
@@ -104,14 +105,13 @@ class TcCurve:
 
 
 def run_replica(params: SimParams, replica_seed: int,
-                events: Optional[list[EventRecord]] = None,
+                events: Optional[array] = None,
                 start: Optional[bytes] = None) -> Trajectory:
     """Simulate one replica up to sweep t_max from the given stream seed,
     or from ``start``, the ``end_state`` of an earlier run of the same
     replica with the same parameters and a horizon of at most t_max.
-    Every step's EventRecord is appended to ``events`` when a list is given;
-    the sweeps then run on the Python kernel, and otherwise on the compiled
-    one when this machine can build it.
+    Every step's event row is appended to ``events`` when a sink is given.
+    The sweeps run on the compiled kernel when this machine can build it.
 
     N, the mean technology and the mean-to-frontier ratio are recorded at
     the beginning of every sweep from the start state on, plus one final
@@ -134,7 +134,7 @@ def run_replica(params: SimParams, replica_seed: int,
     rescued = np.zeros(rows, dtype=np.int64)
     bankrupted = np.zeros(rows, dtype=np.int64)
     renorm = np.zeros(rows, dtype=np.float64)
-    lib = None if events is not None else compiled.kernel().lib
+    lib = compiled.kernel().lib
     state = (market if lib is None
              else compiled.ResidentReplica(lib, market, rng, params))
     for i in range(rows - 1):
@@ -178,11 +178,11 @@ def replica_seeds(base_seed: int, n_replicas: int) -> list[int]:
 def _replica_task(args: tuple[SimParams, int, int, bool, Optional[bytes]],
                   ) -> tuple[Trajectory, Optional[str]]:
     """Replica k of an ensemble, plus its event log as JSONL text when
-    ``log_events`` is set; the records themselves are not kept."""
+    ``log_events`` is set; the rows themselves are not kept."""
     params, k, seed, log_events, start = args
     if not log_events:
         return run_replica(params, seed, None, start), None
-    events: list[EventRecord] = []
+    events = array("q")
     trajectory = run_replica(params, seed, events, start)
     text = io.StringIO()
     emit_event_log(text, k, events)
@@ -237,8 +237,7 @@ def run_trajectories(params: SimParams, n_replicas: int, pool: LazyPool,
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
-    if event_log is None:
-        compiled.kernel()  # built and loaded here, before any worker forks
+    compiled.kernel()  # built and loaded here, before any worker forks
     seeds = replica_seeds(params.seed, n_replicas)
     starts = [None] * n_replicas if starts is None else starts
     tasks = [(params, k, seed, event_log is not None, start)

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO
 
-from .dynamics import EventKind, EventRecord
+from .dynamics import EVENT_FIELDS, EventKind
 from .params import SimParams
 
 if TYPE_CHECKING:  # ensemble imports this module to render event logs
@@ -122,27 +122,31 @@ def emit_run_metadata(path: str | Path, params: SimParams, scenario: str,
     return path
 
 
-def emit_event_log(out: TextIO, replica: int,
-                   events: Iterable[EventRecord]) -> None:
-    """Write one replica's events to ``out`` as JSON lines, in one write.
+def emit_event_log(out: TextIO, replica: int, events: Iterable[int]) -> None:
+    """Write one replica's event rows (see ``dynamics``) to ``out`` as JSON
+    lines, in one write.
 
     Each line is what ``json.dumps(..., separators=(",", ":"))`` gives for
     the keys replica, t, firm and kind, then partner when set, child when
     set (only spin-offs have one, and they always have a partner), and
     ``"rescued":true`` only when a rescue fired.
     """
-    head = f'{{"replica":{replica},"t":'
     kinds = _KIND_FIELDS
     ends = ('}\n', ',"rescued":true}\n')  # indexed by the rescued flag
     lines = []
     append = lines.append
-    for kind, firm, t, partner, child, rescued in events:
-        if partner is None:
-            append(f'{head}{t},"firm":{firm}{kinds[kind]}{ends[rescued]}')
-        elif child is None:
-            append(f'{head}{t},"firm":{firm}{kinds[kind]},"partner":{partner}'
+    head_t = None
+    rows = zip(*[iter(events)] * EVENT_FIELDS)
+    for kind, firm, t, partner, child, rescued in rows:
+        if t != head_t:  # rows come sweep by sweep: one head per sweep
+            head_t = t
+            head = f'{{"replica":{replica},"t":{t},"firm":'
+        if partner < 0:
+            append(f'{head}{firm}{kinds[kind]}{ends[rescued]}')
+        elif child < 0:
+            append(f'{head}{firm}{kinds[kind]},"partner":{partner}'
                    f'{ends[rescued]}')
         else:
-            append(f'{head}{t},"firm":{firm}{kinds[kind]},"partner":{partner}'
+            append(f'{head}{firm}{kinds[kind]},"partner":{partner}'
                    f',"child":{child}{ends[rescued]}')
     out.write("".join(lines))

@@ -109,10 +109,10 @@ def _cell_label(params: SimParams) -> str:
 
 
 def resolve_cells(name: str, base: SimParams,
-                  controls: RunControls) -> tuple[list[tuple[str, SimParams]], int]:
-    """Concrete (label, params) cells for a scenario plus the replica count."""
+                  controls: RunControls) -> list[tuple[str, SimParams]]:
+    """Concrete (label, params) cells for a scenario."""
     if name == "custom":
-        return [(_cell_label(base), base)], controls.replicas
+        return [(_cell_label(base), base)]
     spec = SCENARIOS[name]
     t_max = base.t_max if "tmax" in controls.explicit else spec.t_max
     cells = [
@@ -120,7 +120,7 @@ def resolve_cells(name: str, base: SimParams,
                 policy=base.policy if cell.policy is None else cell.policy)
         for cell in spec.cells
     ]
-    return [(_cell_label(p), p) for p in cells], controls.replicas
+    return [(_cell_label(p), p) for p in cells]
 
 
 def run_scenario(name: str, base: SimParams, controls: RunControls,
@@ -131,7 +131,8 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
 
     The metadata records the caller's parameters with the resolved tmax, so
     feeding it back as a config file reruns the scenario exactly."""
-    cells, replicas = resolve_cells(name, base, controls)
+    cells = resolve_cells(name, base, controls)
+    replicas = controls.replicas
     kind = "timeseries" if name == "custom" else SCENARIOS[name].kind
     out_dir = Path(controls.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -171,9 +172,7 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
             f"tc_mean={tc_mean:g} fraction_reached={fraction:g}"
             for (label, _), tc, tc_mean, fraction in zip(
                 cells, curve.tc_of_mean, curve.tc_mean, curve.fraction_reached))
-    notes.append("kernel=" + ("python (event logs are kept by the Python "
-                              "kernel)" if controls.events
-                              else compiled.kernel().note))
+    notes.append(f"kernel={compiled.kernel().note}")
     written.append(emit_run_metadata(
         out_dir / f"{name}_metadata.txt",
         replace(base, t_max=cells[0][1].t_max), name, replicas, __version__,

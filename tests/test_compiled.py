@@ -1,9 +1,10 @@
 """The compiled sweep kernel against the Python kernel, its reference, and
-its build: fallback, cache and the runs that must never load it."""
+its build: fallback, cache and the runs that must load it."""
 import copy
 import os
 import pickle
 import random
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -61,8 +62,10 @@ def test_compiled_sweeps_match_python(compiled_lib, params):
     market_c = init_market(params, rng_c)
     resident = compiled.ResidentReplica(compiled_lib, market_c, rng_c, params)
     for _ in range(params.t_max):
-        compiled_stats = sweep(resident, params, rng_c)
-        assert compiled_stats == sweep(market_py, params, rng_py)
+        events_c, events_py = array("q"), array("q")
+        compiled_stats = sweep(resident, params, rng_c, events_c)
+        assert compiled_stats == sweep(market_py, params, rng_py, events_py)
+        assert events_c == events_py
     resident.unload()
     assert pickle.dumps(market_c) == pickle.dumps(market_py)
     assert rng_c.getstate() == rng_py.getstate()
@@ -192,13 +195,31 @@ def test_parent_builds_once_and_workers_never(compiled_lib, monkeypatch,
     assert library.name.startswith("sweep-") and library.suffix == ".so"
 
 
-def test_event_log_run_never_loads_the_kernel(monkeypatch, tmp_path):
-    def refuse():
-        raise AssertionError("the compiled kernel was loaded")
+def test_event_log_run_uses_the_compiled_kernel(compiled_lib, monkeypatch,
+                                                tmp_path):
+    def python_cycle(*args):
+        raise AssertionError("the Python kernel ran")
 
-    monkeypatch.setattr(compiled, "kernel", refuse)
+    monkeypatch.setattr(dynamics, "_update_cycle", python_cycle)
     assert main(["--q", "0.9", "--tmax", "10", "--replicas", "2",
                  "--jobs", "2", "--events", "--out", str(tmp_path)]) == 0
     _, kernel = _metadata_without_kernel(tmp_path / "custom_metadata.txt")
-    assert kernel == "# kernel=python (event logs are kept by the Python " \
-                     "kernel)"
+    assert kernel == "# kernel=compiled"
+
+
+def test_build_failure_logs_the_same_events(compiled_lib, monkeypatch,
+                                            tmp_path, fresh_kernel):
+    flags = ["--q", "0.9", "--policy", "mediumtech", "--tmax", "40",
+             "--replicas", "3", "--jobs", "2", "--seed", "4", "--events"]
+    assert main(flags + ["--out", str(tmp_path / "compiled")]) == 0
+    monkeypatch.setattr(compiled, "COMPILER", str(tmp_path / "no-compiler"))
+    monkeypatch.setattr(compiled, "cache_dir", lambda: tmp_path / "cache")
+    compiled.kernel.cache_clear()
+    assert main(flags + ["--out", str(tmp_path / "python")]) == 0
+    assert compiled.kernel().lib is None
+    log = "custom_q0.9_mediumtech_passive_events.jsonl"
+    assert (tmp_path / "compiled" / log).read_bytes() \
+        == (tmp_path / "python" / log).read_bytes()
+    _, kernel_py = _metadata_without_kernel(
+        tmp_path / "python" / "custom_metadata.txt")
+    assert kernel_py.startswith("# kernel=python (build failed: ")

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -179,10 +180,13 @@ class TestEventLog:
         EventRecord(EventKind.SPIN_OFF_BLOCKED, 2, 40, partner=0, rescued=True),
         EventRecord(EventKind.MOVED_COPIED_FRONTIER, 0, 41, rescued=True),
     ]
+    #: the same records as one event sink: -1 for None, 0/1 for the flag
+    SINK = array("q", [-1 if value is None else value
+                       for ev in RECORDS for value in ev])
 
     def test_lines_match_compact_json(self):
         out = io.StringIO()
-        emit_event_log(out, 7, self.RECORDS)
+        emit_event_log(out, 7, self.SINK)
         expected = []
         for ev in self.RECORDS:
             record = {"replica": 7, "t": ev.sweep, "firm": ev.firm,
@@ -214,33 +218,30 @@ class TestAtomicWrite:
 class TestScenarios:
     def test_preset_cells_fixed_by_scenario(self):
         params, controls = resolve_config(None, {"seed": "5"})
-        cells, replicas = resolve_cells("fig2", params, controls)
+        cells = resolve_cells("fig2", params, controls)
         assert [(round(p.q, 2), p.policy) for _, p in cells] == [
             (0.3, PolicyKind.EGALITARIAN),
             (0.9, PolicyKind.EGALITARIAN),
             (0.99, PolicyKind.EGALITARIAN),
         ]
-        assert replicas == 400
         assert all(p.t_max == 600 for _, p in cells)
 
     def test_explicit_tmax_and_replicas_override_preset(self):
         params, controls = resolve_config(None, {"seed": "5", "tmax": "50",
                                                  "replicas": "8"})
-        cells, replicas = resolve_cells("fig3", params, controls)
-        assert replicas == 8
+        cells = resolve_cells("fig3", params, controls)
         assert all(p.t_max == 50 for _, p in cells)
         assert all(p.policy is PolicyKind.LOW_TECH for _, p in cells)
 
     def test_fig5_cells_passive_with_callers_policy(self):
         params, controls = resolve_config(
             None, {"policy": "lowtech", "variant": "active", "q": "0.5"})
-        cells, replicas = resolve_cells("fig5", params, controls)
+        cells = resolve_cells("fig5", params, controls)
         assert [p.q for _, p in cells] == list(TC_Q_GRID)
         assert all(p.policy is PolicyKind.LOW_TECH for _, p in cells)
         assert all(p.variant is VariantKind.PASSIVE_AFTER_RESCUE
                    for _, p in cells)
         assert all(p.t_max == 3000 for _, p in cells)
-        assert replicas == 400
         assert cells[1][0] == "q0.1_lowtech_passive"
 
     def test_fig6_contrasts_variants(self):
@@ -300,19 +301,11 @@ class TestScenarios:
             for name in names:
                 assert (runs["serial"] / name).read_bytes() == \
                     (runs["pool"] / name).read_bytes()
-            # --events adds the logs and changes no other output, except
-            # for the metadata line naming the kernel that ran
+            # --events adds the logs and changes no other output
             assert sorted(p.name for p in runs["plain"].iterdir()) == outputs
             for name in outputs:
-                plain, logged = ((runs[tag] / name).read_bytes()
-                                 for tag in ("plain", "pool"))
-                if name.endswith("_metadata.txt"):  # its last line
-                    plain, kernel = plain[:-1].rsplit(b"\n", 1)
-                    logged, logged_kernel = logged[:-1].rsplit(b"\n", 1)
-                    assert kernel.startswith(b"# kernel=")
-                    assert logged_kernel == b"# kernel=python (event logs " \
-                                            b"are kept by the Python kernel)"
-                assert plain == logged
+                assert (runs["plain"] / name).read_bytes() == \
+                    (runs["pool"] / name).read_bytes()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failing_replica_leaves_no_event_log(self, monkeypatch, tmp_path,

@@ -2,12 +2,14 @@
 import copy
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from techmarket import IntegrityError, PolicyKind, SimParams, VariantKind
 from techmarket.dynamics import (
+    EVENT_FIELDS,
     EventKind,
     external_diffusion,
     firm_update,
@@ -275,11 +277,12 @@ class TestFirmUpdate:
         params = SimParams(q=0.0, lx=6, ly=6, n_min=2)
         rng = random.Random(8)
         m = random_market(random.Random(4), n_min=8, n_max=12)
-        events = []
+        events = array("q")
         for _ in range(30):
             sweep(m, params, rng, events)
-        assert all(ev.kind is not EventKind.RESCUED for ev in events)
-        assert all(not ev.rescued for ev in events)
+        kinds, rescued = events[0::EVENT_FIELDS], events[5::EVENT_FIELDS]
+        assert all(kind != EventKind.RESCUED for kind in kinds)
+        assert all(not flag for flag in rescued)
 
 
 class TestSweep:

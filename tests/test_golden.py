@@ -1,7 +1,7 @@
 """Golden digests: fixed (params, replica seed) pairs must reproduce these
-trajectories and this event log bit for bit. The trajectories are checked
-on the kernel a replica runs by default (the compiled one where it can be
-built) and on the Python kernel; event logs always come from the Python one.
+trajectories and this event log bit for bit. Both are checked on the
+kernel a replica runs by default (the compiled one where it can be built)
+and on the Python kernel.
 
 The digests pin the behaviour contract (bit-identical trajectories, CSVs and
 event logs for a fixed seed). A change that keeps behaviour leaves them
@@ -10,6 +10,7 @@ must say so and replace them in the same change.
 """
 import hashlib
 import io
+from array import array
 
 import numpy as np
 import pytest
@@ -88,9 +89,14 @@ def test_event_log_digest(key):
     q, policy, variant, seed = key
     params = SimParams(q=q, policy=policy, variant=variant, t_max=T_MAX,
                        seed=seed)
-    events = []
+    events = array("q")
     run_replica(params, derive_seed(seed, 0), events)
     log = io.StringIO()
     emit_event_log(log, 0, events)
     assert hashlib.sha256(log.getvalue().encode()).hexdigest() \
         == EVENT_LOG_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", list(EVENT_LOG_DIGESTS), ids=_case_id)
+def test_event_log_digest_python_kernel(key, python_kernel):
+    test_event_log_digest(key)
