@@ -11,8 +11,7 @@ import sys
 import time
 
 from techmarket.cli import main as cli_main
-
-SCENARIOS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
+from techmarket.scenarios import SCENARIOS
 
 def main() -> int:
     ap = argparse.ArgumentParser()

@@ -8,15 +8,25 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
-from .config import SCENARIO_NAMES, parse_config_file, resolve_config
+from .config import CONFIG_KEYS, parse_config_file, resolve_config
 from .errors import ConfigError, IntegrityError
 from .scenarios import run_scenario
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, so that it exits 1 like any
+    other bad input; ``--help`` still exits 0."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """``--config`` and one flag per run key: ``--`` + the key with ``_``
+    as ``-``."""
+    parser = _Parser(
         prog="techmarket",
         description=(
             "Monte Carlo simulator of a lattice firm market with "
@@ -24,28 +34,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="FILE",
                         help="key=value config file (flags take precedence)")
-    parser.add_argument("--scenario", choices=SCENARIO_NAMES,
-                        help="preset experiment to run (default: custom)")
-    parser.add_argument("--q", help="government intervention probability [0,1]")
-    parser.add_argument("--policy",
-                        help="rescue policy: egalitarian/lowtech/mediumtech/hightech")
-    parser.add_argument("--variant", help="post-rescue behavior: passive/active")
-    parser.add_argument("--replicas", help="ensemble size")
-    parser.add_argument("--tmax", help="horizon in sweeps")
-    parser.add_argument("--seed", help="base seed (64-bit integer)")
-    parser.add_argument("--lx", help="lattice width")
-    parser.add_argument("--ly", help="lattice height")
-    parser.add_argument("--c", help="initial lattice concentration (0,1]")
-    parser.add_argument("--sigma", help="frontier growth rate per sweep")
-    parser.add_argument("--s", help="bankruptcy susceptibility")
-    parser.add_argument("--b", help="merge probability per interaction")
-    parser.add_argument("--nmin", help="bankruptcy-free firm floor")
-    parser.add_argument("--omega-s", dest="omega_s",
-                        help="spin-off share fraction (0,1)")
-    parser.add_argument("--out", help="output directory (default: out)")
-    parser.add_argument("--events", action="store_true", default=None,
-                        help="also write one JSONL event log per cell")
-    parser.add_argument("--jobs", help="worker processes for replicas (default 1)")
+    for key, row in CONFIG_KEYS.items():
+        switch = ({"action": "store_true", "default": None}
+                  if row.is_switch else {})
+        parser.add_argument("--" + key.replace("_", "-"), help=row.help,
+                            **switch)
     return parser
 
 
@@ -56,8 +49,8 @@ def _describe(exc: Exception) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         file_values = parse_config_file(args.config) if args.config else None
         flag_values = {k: v for k, v in vars(args).items() if k != "config"}
         params, controls = resolve_config(file_values, flag_values)

@@ -10,13 +10,15 @@ conversion once and not per sweep.
 
 ``kernel()`` builds the library on first use with gcc into
 ``$XDG_CACHE_HOME/techmarket`` (``~/.cache/techmarket`` by default), named
-by a CRC-32 of the source, the compiler and the flags, and loads it.
+by a CRC-32 of the source, the compiler and the flags, and loads it. A
+build deletes the libraries left there by other sources or flags.
 Nothing is built at import. When the build or the load fails, ``kernel()``
 says why and the callers run the Python kernel, which is also the
 reference the compiled one is tested against.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -126,6 +128,9 @@ def kernel() -> Kernel:
     try:
         if not path.exists():
             _build(path)
+            with contextlib.suppress(OSError):  # loaded copies stay mapped
+                for stale in set(path.parent.glob("sweep-*.so")) - {path}:
+                    stale.unlink()
         lib = ctypes.CDLL(str(path))
     except subprocess.CalledProcessError as exc:
         lines = exc.stderr.splitlines()

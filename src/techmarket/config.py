@@ -3,35 +3,26 @@
 The config file is flat ``key=value`` text; keys mirror the long flag names
 (dashes and underscores are interchangeable). Blank lines and lines starting
 with ``#`` are ignored, which lets an emitted run-metadata file be fed back
-in as a config file unchanged.
+in as a config file unchanged. ``CONFIG_KEYS`` describes each key once;
+the flags, the config keys and the metadata lines are all built from it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import ConfigError
 from .params import PolicyKind, SimParams, VariantKind
+from .scenarios import SCENARIOS
 
-SCENARIO_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "custom")
-
-_POLICY_ALIASES = {
-    "egalitarian": PolicyKind.EGALITARIAN,
-    "lowtech": PolicyKind.LOW_TECH,
-    "low": PolicyKind.LOW_TECH,
-    "mediumtech": PolicyKind.MEDIUM_TECH,
-    "medium": PolicyKind.MEDIUM_TECH,
-    "hightech": PolicyKind.HIGH_TECH,
-    "high": PolicyKind.HIGH_TECH,
-}
-
-_VARIANT_ALIASES = {
-    "passive": VariantKind.PASSIVE_AFTER_RESCUE,
-    "passive_after_rescue": VariantKind.PASSIVE_AFTER_RESCUE,
-    "active": VariantKind.ACTIVE_AFTER_RESCUE,
-    "active_after_rescue": VariantKind.ACTIVE_AFTER_RESCUE,
-}
+# each kind by its value; a policy also without "tech", a variant also by
+# its member name
+_POLICY_ALIASES = {alias: kind for kind in PolicyKind
+                   for alias in (kind.value, kind.value.removesuffix("tech"))}
+_VARIANT_ALIASES = {alias: kind for kind in VariantKind
+                    for alias in (kind.value, kind.name.lower())}
 
 
 def _cast_float(key: str, raw: Any) -> float:
@@ -82,37 +73,60 @@ def _cast_bool(key: str, raw: Any) -> bool:
     raise ConfigError(f"{key} must be a boolean, got {raw!r}")
 
 
+def _cast_count(key: str, raw: Any) -> int:
+    value = _cast_int(key, raw)
+    if value < 1:
+        raise ConfigError(f"{key} must be >= 1, got {value}")
+    return value
+
+
 def _cast_scenario(key: str, raw: Any) -> str:
     token = str(raw).strip().lower()
-    if token in SCENARIO_NAMES:
+    if token in _SCENARIO_CHOICES:
         return token
-    raise ConfigError(f"{key} must be one of {', '.join(SCENARIO_NAMES)}, got {raw!r}")
+    raise ConfigError(f"{key} must be one of {', '.join(_SCENARIO_CHOICES)}, got {raw!r}")
 
 
-def _cast_str(key: str, raw: Any) -> str:
-    return str(raw)
+def _cast_path(key: str, raw: Any) -> Path:
+    return Path(str(raw))
 
 
-# key -> (caster, SimParams field name or None for run controls)
+class Key(NamedTuple):
+    cast: Callable[[str, Any], Any]
+    field: Optional[str]  # the SimParams field; None for a RunControls one
+    help: str
+
+    @property
+    def is_switch(self) -> bool:  # a flag without a value
+        return self.cast is _cast_bool
+
+
+_SCENARIO_CHOICES = (*SCENARIOS, "custom")
+
+#: Every run key, in the order of the metadata lines and of ``--help``.
 CONFIG_KEYS = {
-    "sigma": (_cast_float, "sigma"),
-    "s": (_cast_float, "s"),
-    "b": (_cast_float, "b"),
-    "nmin": (_cast_int, "n_min"),
-    "omega_s": (_cast_float, "omega_s"),
-    "c": (_cast_float, "c"),
-    "q": (_cast_float, "q"),
-    "policy": (_cast_policy, "policy"),
-    "variant": (_cast_variant, "variant"),
-    "lx": (_cast_int, "lx"),
-    "ly": (_cast_int, "ly"),
-    "tmax": (_cast_int, "t_max"),
-    "seed": (_cast_int, "seed"),
-    "scenario": (_cast_scenario, None),
-    "replicas": (_cast_int, None),
-    "jobs": (_cast_int, None),
-    "out": (_cast_str, None),
-    "events": (_cast_bool, None),
+    "scenario": Key(_cast_scenario, None,
+                    f"preset experiment to run: {', '.join(_SCENARIO_CHOICES)}"
+                    " (default: custom)"),
+    "seed": Key(_cast_int, "seed", "base seed (64-bit integer)"),
+    "replicas": Key(_cast_count, None, "ensemble size"),
+    "sigma": Key(_cast_float, "sigma", "frontier growth rate per sweep"),
+    "s": Key(_cast_float, "s", "bankruptcy susceptibility"),
+    "b": Key(_cast_float, "b", "merge probability per interaction"),
+    "nmin": Key(_cast_int, "n_min", "bankruptcy-free firm floor"),
+    "omega_s": Key(_cast_float, "omega_s", "spin-off share fraction (0,1)"),
+    "c": Key(_cast_float, "c", "initial lattice concentration (0,1]"),
+    "q": Key(_cast_float, "q", "government intervention probability [0,1]"),
+    "policy": Key(_cast_policy, "policy",
+                  "rescue policy: egalitarian/lowtech/mediumtech/hightech"),
+    "variant": Key(_cast_variant, "variant",
+                   "post-rescue behavior: passive/active"),
+    "lx": Key(_cast_int, "lx", "lattice width"),
+    "ly": Key(_cast_int, "ly", "lattice height"),
+    "tmax": Key(_cast_int, "t_max", "horizon in sweeps"),
+    "jobs": Key(_cast_count, None, "worker processes for replicas (default 1)"),
+    "out": Key(_cast_path, None, "output directory (default: out)"),
+    "events": Key(_cast_bool, None, "also write one JSONL event log per cell"),
 }
 
 
@@ -159,7 +173,6 @@ def resolve_config(file_values: Optional[dict[str, str]] = None,
     """Merge defaults, config-file values, and flag overrides (in that
     order of increasing precedence) into validated params and controls."""
     merged: dict[str, Any] = {}
-    explicit: set[str] = set()
     for source in (file_values or {}), (flag_values or {}):
         for raw_key, raw_value in source.items():
             if raw_value is None:
@@ -167,30 +180,27 @@ def resolve_config(file_values: Optional[dict[str, str]] = None,
             key = normalize_key(raw_key)
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {raw_key!r}")
-            caster, _ = CONFIG_KEYS[key]
-            merged[key] = caster(key, raw_value)
-            explicit.add(key)
-
-    param_kwargs = {
-        field_name: merged[key]
-        for key, (_, field_name) in CONFIG_KEYS.items()
-        if field_name is not None and key in merged
-    }
-    params = SimParams(**param_kwargs)  # validates ranges and cross-field rules
-
-    controls = RunControls(explicit=explicit)
-    if "scenario" in merged:
-        controls.scenario = merged["scenario"]
-    if "replicas" in merged:
-        if merged["replicas"] < 1:
-            raise ConfigError(f"replicas must be >= 1, got {merged['replicas']}")
-        controls.replicas = merged["replicas"]
-    if "jobs" in merged:
-        if merged["jobs"] < 1:
-            raise ConfigError(f"jobs must be >= 1, got {merged['jobs']}")
-        controls.jobs = merged["jobs"]
-    if "out" in merged:
-        controls.out = Path(merged["out"])
-    if "events" in merged:
-        controls.events = merged["events"]
+            merged[key] = CONFIG_KEYS[key].cast(key, raw_value)
+    params = SimParams(**{  # validates ranges and cross-field rules
+        CONFIG_KEYS[key].field: value for key, value in merged.items()
+        if CONFIG_KEYS[key].field})
+    controls = RunControls(explicit=set(merged), **{
+        key: value for key, value in merged.items()
+        if not CONFIG_KEYS[key].field})
     return params, controls
+
+
+def config_lines(params: SimParams, **controls: Any) -> list[str]:
+    """The ``key=value`` lines ``parse_config_file`` reads back into
+    ``params`` and the given run controls, in table order: enums by
+    value, strings as they are, anything else by ``repr``."""
+    lines = []
+    for key, (_, field_name, _) in CONFIG_KEYS.items():
+        value = (getattr(params, field_name) if field_name
+                 else controls.get(key))
+        if isinstance(value, Enum):
+            value = value.value
+        if value is not None:
+            text = value if isinstance(value, str) else repr(value)
+            lines.append(f"{key}={text}")
+    return lines

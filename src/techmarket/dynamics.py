@@ -65,6 +65,7 @@ from .market import (
     MarketState,
     Segment,
     classify_segment,
+    frontier,
     sigma_g_from_sums,
     survival_probability,
 )
@@ -351,5 +352,5 @@ def sweep(market: MarketState | ResidentReplica, params: SimParams,
         rescued=rescued,
     )
     market.sweep += 1
-    market.frontier_value = math.exp(params.sigma * market.sweep)
+    market.frontier_value = frontier(market.sweep, params.sigma)
     return stats

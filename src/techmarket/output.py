@@ -85,25 +85,14 @@ def metadata_text(params: SimParams, scenario: str, replicas: int,
                   version: str, max_renorm_error: Optional[float] = None,
                   notes: Iterable[str] = ()) -> str:
     """Render run metadata; the plain lines round-trip as a config file."""
+    # here, not at the top: config imports scenarios, which imports this module
+    from .config import config_lines
+
     lines = [
         "# techmarket run metadata; reusable as a config file",
         f"# version={version}",
         "# replica k stream seed: SeedSequence(entropy=seed, spawn_key=(k,))",
-        f"scenario={scenario}",
-        f"seed={params.seed}",
-        f"replicas={replicas}",
-        f"sigma={params.sigma!r}",
-        f"s={params.s!r}",
-        f"b={params.b!r}",
-        f"nmin={params.n_min}",
-        f"omega_s={params.omega_s!r}",
-        f"c={params.c!r}",
-        f"q={params.q!r}",
-        f"policy={params.policy.value}",
-        f"variant={params.variant.value}",
-        f"lx={params.lx}",
-        f"ly={params.ly}",
-        f"tmax={params.t_max}",
+        *config_lines(params, scenario=scenario, replicas=replicas),
     ]
     if max_renorm_error is not None:
         lines.append(f"# max_renorm_error={max_renorm_error:.6e}")

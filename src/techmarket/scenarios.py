@@ -31,10 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from . import __version__, compiled
-from .config import RunControls
 from .ensemble import (
     EnsembleStats,
     LazyPool,
@@ -50,6 +49,9 @@ from .output import (
     emit_timeseries_csv,
 )
 from .params import PolicyKind, SimParams, VariantKind
+
+if TYPE_CHECKING:  # config imports this module to check scenario names
+    from .config import RunControls
 
 EGAL = PolicyKind.EGALITARIAN
 PASSIVE = VariantKind.PASSIVE_AFTER_RESCUE
@@ -69,7 +71,6 @@ class CellSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    name: str
     kind: str                      # "timeseries" or "tc_curve"
     t_max: int
     cells: tuple[CellSpec, ...]
@@ -80,20 +81,20 @@ def _policy_sweep(policy: PolicyKind) -> tuple[CellSpec, ...]:
 
 
 SCENARIOS: dict[str, ScenarioSpec] = {
-    "fig1": ScenarioSpec("fig1", "timeseries", 600,
+    "fig1": ScenarioSpec("timeseries", 600,
                          cells=(CellSpec(0.0, EGAL, PASSIVE),)),
-    "fig2": ScenarioSpec("fig2", "timeseries", 600, cells=_policy_sweep(EGAL)),
-    "fig3": ScenarioSpec("fig3", "timeseries", 600,
+    "fig2": ScenarioSpec("timeseries", 600, cells=_policy_sweep(EGAL)),
+    "fig3": ScenarioSpec("timeseries", 600,
                          cells=_policy_sweep(PolicyKind.LOW_TECH)),
-    "fig4": ScenarioSpec("fig4", "timeseries", 600,
+    "fig4": ScenarioSpec("timeseries", 600,
                          cells=_policy_sweep(PolicyKind.MEDIUM_TECH)),
-    "fig5": ScenarioSpec("fig5", "tc_curve", 3000,
+    "fig5": ScenarioSpec("tc_curve", 3000,
                          cells=tuple(CellSpec(q, None, PASSIVE)
                                      for q in TC_Q_GRID)),
-    "fig6": ScenarioSpec("fig6", "timeseries", 2000,
+    "fig6": ScenarioSpec("timeseries", 2000,
                          cells=(CellSpec(0.99, EGAL, PASSIVE),
                                 CellSpec(0.99, EGAL, ACTIVE))),
-    "fig7": ScenarioSpec("fig7", "timeseries", 2000,
+    "fig7": ScenarioSpec("timeseries", 2000,
                          cells=(CellSpec(0.99, EGAL, ACTIVE),)),
 }
 

@@ -195,6 +195,21 @@ def test_parent_builds_once_and_workers_never(compiled_lib, monkeypatch,
     assert library.name.startswith("sweep-") and library.suffix == ".so"
 
 
+def test_build_deletes_only_stale_libraries(compiled_lib, monkeypatch,
+                                            tmp_path, fresh_kernel):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "sweep-00000000.so").write_bytes(b"an older source's library")
+    (cache / "notes.txt").write_text("keep\n")
+    monkeypatch.setattr(compiled, "cache_dir", lambda: cache)
+    assert compiled.kernel().note == "compiled"
+    built = [p.name for p in cache.glob("sweep-*.so")]
+    assert len(built) == 1 and built != ["sweep-00000000.so"]
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        ["notes.txt", *built])
+    assert (cache / "notes.txt").read_text() == "keep\n"
+
+
 def test_event_log_run_uses_the_compiled_kernel(compiled_lib, monkeypatch,
                                                 tmp_path):
     def python_cycle(*args):

@@ -17,8 +17,13 @@ from techmarket import (
     SimParams,
     VariantKind,
 )
-from techmarket.cli import main
-from techmarket.config import RunControls, parse_config_file, resolve_config
+from techmarket.cli import build_parser, main
+from techmarket.config import (
+    CONFIG_KEYS,
+    RunControls,
+    parse_config_file,
+    resolve_config,
+)
 from techmarket.dynamics import EventKind, EventRecord
 from techmarket.ensemble import clear_store, run_ensemble
 from techmarket.output import (
@@ -74,6 +79,26 @@ class TestConfigResolution:
         params, _ = resolve_config(None, {"policy": "low", "variant": "active"})
         assert params.policy is PolicyKind.LOW_TECH
         assert params.variant is VariantKind.ACTIVE_AFTER_RESCUE
+
+    def test_every_policy_and_variant_alias(self):
+        policies = {
+            "egalitarian": PolicyKind.EGALITARIAN,
+            "lowtech": PolicyKind.LOW_TECH, "low": PolicyKind.LOW_TECH,
+            "Medium-Tech": PolicyKind.MEDIUM_TECH,
+            "medium": PolicyKind.MEDIUM_TECH,
+            "high_tech": PolicyKind.HIGH_TECH, "high": PolicyKind.HIGH_TECH}
+        variants = {
+            "passive": VariantKind.PASSIVE_AFTER_RESCUE,
+            "passive-after-rescue": VariantKind.PASSIVE_AFTER_RESCUE,
+            "ACTIVE": VariantKind.ACTIVE_AFTER_RESCUE,
+            "active_after_rescue": VariantKind.ACTIVE_AFTER_RESCUE}
+        for alias, kind in policies.items():
+            assert resolve_config(None, {"policy": alias})[0].policy is kind
+        for alias, kind in variants.items():
+            assert resolve_config(None, {"variant": alias})[0].variant is kind
+        for key, bad in (("policy", "tech"), ("variant", "after_rescue")):
+            with pytest.raises(ConfigError, match=f"{key} must be"):
+                resolve_config(None, {key: bad})
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -141,6 +166,22 @@ class TestMetadata:
         assert sorted(keys) == sorted(
             ["scenario", "seed", "replicas", "sigma", "s", "b", "nmin",
              "omega_s", "c", "q", "policy", "variant", "lx", "ly", "tmax"])
+
+    def test_non_default_params_render_fixed_bytes(self):
+        params = SimParams(sigma=0.015, q=0.25, policy=PolicyKind.MEDIUM_TECH,
+                           variant=VariantKind.ACTIVE_AFTER_RESCUE, seed=31,
+                           t_max=17)
+        assert metadata_text(params, "fig4", 9, "0.1.0", 1.5e-16,
+                             ["note"]) == (
+            "# techmarket run metadata; reusable as a config file\n"
+            "# version=0.1.0\n"
+            "# replica k stream seed: SeedSequence(entropy=seed, "
+            "spawn_key=(k,))\n"
+            "scenario=fig4\nseed=31\nreplicas=9\nsigma=0.015\ns=1.0\n"
+            "b=0.01\nnmin=10\nomega_s=0.1\nc=0.8\nq=0.25\n"
+            "policy=mediumtech\nvariant=active\nlx=10\nly=10\ntmax=17\n"
+            "# max_renorm_error=1.500000e-16\n"
+            "# note\n")
 
     def test_metadata_reloads_as_config(self, tmp_path):
         params = SimParams(q=0.25, policy=PolicyKind.MEDIUM_TECH, seed=31,
@@ -420,6 +461,32 @@ class TestCli:
         code = main(["--q", "1.5", "--out", str(tmp_path)])
         assert code == 1
         assert "q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--scenario", "bogus"],
+                                      ["--bogus", "1"], ["--q"]])
+    def test_usage_error_exit_one(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_help_exit_zero_and_names_presets(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in [*SCENARIOS, "custom"])
+
+    def test_one_flag_per_config_key(self):
+        flags = {flag for action in build_parser()._actions
+                 for flag in action.option_strings} - {"-h", "--help"}
+        assert flags == {"--config"} | {"--" + key.replace("_", "-")
+                                        for key in CONFIG_KEYS}
+        assert flags == {
+            "--config", "--scenario", "--seed", "--replicas", "--sigma",
+            "--s", "--b", "--nmin", "--omega-s", "--c", "--q", "--policy",
+            "--variant", "--lx", "--ly", "--tmax", "--jobs", "--out",
+            "--events"}
 
     def test_missing_config_file_exit_one(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 1
