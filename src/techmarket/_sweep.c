@@ -1,4 +1,4 @@
-/* One sweep of the techmarket update cycle, compiled.
+/* The techmarket update cycle, compiled: one call runs a replica's sweeps.
  *
  * This is the second implementation of the cycle that dynamics._update_cycle
  * runs in Python; dynamics.py documents the model and the draw order, and
@@ -20,10 +20,13 @@
  * compiled.py mirrors the State struct with ctypes and checks its size
  * against tm_state_size() before use.
  *
- * When State.events is set, each visit also writes the row that
- * _update_cycle appends to an event sink: (kind, firm, t, partner, child,
- * rescued), with -1 for no partner and no child. A sweep writes at most one
- * row per firm alive at its start, so n_sites rows always suffice.
+ * tm_run writes the rows of a dynamics.Trajectory into the columns State
+ * points to, as dynamics.run_sweeps does. When State.events is set, each
+ * visit also writes the row that _update_cycle appends to an event sink:
+ * (kind, firm, t, partner, child, rescued), with -1 for no partner and no
+ * child. A sweep writes at most one row per firm alive at its start, so
+ * tm_run returns PAUSED before a sweep whose rows might not fit; the caller
+ * takes the rows and calls again.
  */
 #include <math.h>
 #include <stddef.h>
@@ -31,20 +34,14 @@
 
 enum {
     BANKRUPTED, RESCUED, MOVED_COPIED_FRONTIER, MOVED_NO_DIFFUSION, MERGED,
-    SPIN_OFF, SPIN_OFF_BLOCKED, N_KINDS
+    SPIN_OFF, SPIN_OFF_BLOCKED
 };
 
 enum { SEGMENT_ANY = -1, SEGMENT_LOW, SEGMENT_MEDIUM, SEGMENT_HIGH };
 
-enum { OK, RENORM_ABOVE_TOLERANCE, NO_SHARE };
+enum { OK, RENORM_ABOVE_TOLERANCE, NO_SHARE, PAUSED };
 
 typedef struct {
-    /* the sweep just run: measured at its start, tallied, renormalised */
-    int64_t n_start;
-    double mean_start, ratio_start, renorm_error;
-    int64_t counts[N_KINDS];
-    int64_t rescued;
-    int64_t n_events;  /* rows written to events */
     /* parameters */
     double s, b, q, omega_s, sigma, tolerance;
     int64_t n_min, segment, passive;
@@ -52,7 +49,7 @@ typedef struct {
     const int32_t *vn4, *moore8;
     int32_t *occ;
     /* firms by slot; a dead firm has id -1 until the sweep ends. Slots
-     * hold the n_start firms of the sweep plus at most one spin-off per
+     * hold the firms alive at the sweep's start plus at most one spin-off per
      * visit, so twice the site count always suffices. */
     int64_t *id;
     double *tech, *share;
@@ -63,8 +60,14 @@ typedef struct {
     double frontier, ws, ts, tq;
     /* MT19937: 624 words, then the position */
     uint32_t *mt;
-    /* the sweep's event rows, six int64 each; NULL keeps none */
+    /* the trajectory's columns: row is the next one to write, of n_rows */
+    int64_t row, n_rows;
+    int64_t *n_firms, *rescued, *bankrupted;
+    double *mean_tech, *ratio, *renorm_error;
+    /* event rows, six int64 each: this call wrote n_events of at most
+     * max_events; NULL keeps none */
     int64_t *events;
+    int64_t n_events, max_events;
 } State;
 
 size_t tm_state_size(void) { return sizeof(State); }
@@ -202,7 +205,7 @@ static void update_cycle(State *st, int64_t n_order)
                 if ((st->segment == SEGMENT_ANY
                      || segment_of(st, tech, mean) == st->segment)
                         && 1.0 - uniform(mt) <= st->q) {
-                    st->rescued++;
+                    st->rescued[st->row]++;
                     rescued = 1;
                     if (st->passive)
                         kind = RESCUED;
@@ -214,6 +217,7 @@ static void update_cycle(State *st, int64_t n_order)
                         if (st->id[g] >= 0)
                             st->share[g] += delta;
                     st->ws += delta * st->ts;
+                    st->bankrupted[st->row]++;
                     kind = BANKRUPTED;
                 }
             }
@@ -255,7 +259,6 @@ static void update_cycle(State *st, int64_t n_order)
                 }
             }
         }
-        st->counts[kind]++;
         if (st->events) {
             int64_t *row = st->events + 6 * st->n_events++;
             row[0] = kind;
@@ -285,54 +288,59 @@ static void compact(State *st)
     st->n_slots = n;
 }
 
-/* dynamics.sweep: returns OK, or the failure renormalize_shares raises
- * (the statistics then hold the error and the sweep is not advanced). */
-int tm_sweep(State *st)
+/* dynamics.run_sweeps from row st->row on: returns OK once the last row is
+ * written, PAUSED before a sweep whose event rows might not fit, or the
+ * failure renormalize_shares raises, with the error in the sweep's row and
+ * the sweep not advanced. Columns rescued and bankrupted must start at 0. */
+int tm_run(State *st)
 {
-    int64_t n = st->n_slots;
-    double ws = 0.0, ts = 0.0, tq = 0.0;
-    for (int64_t f = 0; f < n; f++) {
-        double a = st->tech[f];
-        ws += st->share[f] * a;
-        ts += a;
-        tq += a * a;
-    }
-    st->ws = ws;
-    st->ts = ts;
-    st->tq = tq;
-    st->n_start = n;
-    st->mean_start = ws;
-    st->ratio_start = ws / st->frontier;
-
-    int32_t *order = st->order;
-    for (int64_t f = 0; f < n; f++)
-        order[f] = (int32_t)f;
-    for (int64_t i = n - 1; i > 0; i--) {
-        int64_t j = pick(st->mt, i + 1);
-        int32_t tmp = order[i];
-        order[i] = order[j];
-        order[j] = tmp;
-    }
-    for (int k = 0; k < N_KINDS; k++)
-        st->counts[k] = 0;
-    st->rescued = 0;
     st->n_events = 0;
-    update_cycle(st, n);
-    compact(st);
+    for (;;) {
+        int64_t n = st->n_slots, row = st->row;
+        double ws = 0.0, ts = 0.0, tq = 0.0;
+        for (int64_t f = 0; f < n; f++) {
+            double a = st->tech[f];
+            ws += st->share[f] * a;
+            ts += a;
+            tq += a * a;
+        }
+        st->ws = ws;
+        st->ts = ts;
+        st->tq = tq;
+        st->n_firms[row] = n;
+        st->mean_tech[row] = ws;
+        st->ratio[row] = ws / st->frontier;
+        if (row == st->n_rows - 1)
+            return OK;
+        if (st->events && st->n_events + n > st->max_events)
+            return PAUSED;
 
-    double total = 0.0;
-    for (int64_t f = 0; f < st->n_slots; f++)
-        total += st->share[f];
-    if (total <= 0.0)
-        return NO_SHARE;
-    double err = fabs(total - 1.0);
-    st->renorm_error = err;
-    if (err > st->tolerance)
-        return RENORM_ABOVE_TOLERANCE;
-    for (int64_t f = 0; f < st->n_slots; f++)
-        st->share[f] /= total;
-    st->ws /= total;
-    st->sweep++;
-    st->frontier = exp(st->sigma * (double)st->sweep);
-    return OK;
+        int32_t *order = st->order;
+        for (int64_t f = 0; f < n; f++)
+            order[f] = (int32_t)f;
+        for (int64_t i = n - 1; i > 0; i--) {
+            int64_t j = pick(st->mt, i + 1);
+            int32_t tmp = order[i];
+            order[i] = order[j];
+            order[j] = tmp;
+        }
+        update_cycle(st, n);
+        compact(st);
+
+        double total = 0.0;
+        for (int64_t f = 0; f < st->n_slots; f++)
+            total += st->share[f];
+        if (total <= 0.0)
+            return NO_SHARE;
+        double err = fabs(total - 1.0);
+        st->renorm_error[row] = err;
+        if (err > st->tolerance)
+            return RENORM_ABOVE_TOLERANCE;
+        for (int64_t f = 0; f < st->n_slots; f++)
+            st->share[f] /= total;
+        st->ws /= total;
+        st->sweep++;
+        st->frontier = exp(st->sigma * (double)st->sweep);
+        st->row++;
+    }
 }

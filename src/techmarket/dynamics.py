@@ -37,14 +37,20 @@ and the spin-off site u when the coin came up spin-off. Threshold draws
 does. Site picks use int(u * n), clamped to n - 1 for the u -> 1 rounding
 edge.
 
+A replica's sweeps run through one entry, ``run_sweeps``, which writes a
+``Trajectory``: per sweep N, the weighted mean technology and its ratio to
+the frontier at the sweep's start, and the rescues, bankruptcies and
+renormalization error of the sweep, plus one last row holding only the
+state at the end.
+
 The cycle has two implementations with bit-identical results. The Python
-one, ``_update_cycle``, is the reference: ``sweep`` runs it over the
-shuffled visit order and ``firm_update`` over a single firm. It reads the
-sweep's fixed values (parameters, lattice tables, frontier, sweep index)
-once and tallies outcomes by EventKind. The compiled one, ``_sweep.c`` (see
-``compiled``), runs a whole sweep per call on a replica held in C buffers;
-``sweep`` hands such a replica to it. Machines where the C kernel cannot be
-built use the Python one.
+one, ``_update_cycle``, is the reference: ``run_sweeps`` runs it over each
+sweep's shuffled visit order and ``firm_update`` over a single firm. It
+reads the sweep's fixed values (parameters, lattice tables, frontier, sweep
+index) once and counts the sweep's bankruptcies and rescues. The compiled
+one, ``_sweep.c`` (see ``compiled``), runs all of a replica's sweeps in one
+call on a copy held in C buffers and writes the same trajectory. Machines
+where the C kernel cannot be built use the Python one.
 
 Both kernels log events the same way: given an event sink, an
 ``array('q')``, each step appends one row of EVENT_FIELDS int64 values,
@@ -58,7 +64,9 @@ import random
 from array import array
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
+
+import numpy as np
 
 from .errors import IntegrityError
 from .market import (
@@ -72,9 +80,6 @@ from .market import (
 from .params import PolicyKind, SimParams, VariantKind
 from .rng import open_unit, shuffle_in_place
 
-if TYPE_CHECKING:  # compiled imports this module
-    from .compiled import ResidentReplica
-
 #: Allowed pre-correction drift of sum(shares) from 1 at a sweep boundary.
 RENORM_TOLERANCE = 1e-2
 
@@ -86,8 +91,8 @@ _POLICY_SEGMENT = {
 
 
 class EventKind(IntEnum):
-    """Terminal outcome of one per-firm step; the value indexes the sweep's
-    tallies."""
+    """Terminal outcome of one per-firm step; the value is the kind column
+    of an event row."""
 
     BANKRUPTED = 0
     RESCUED = 1
@@ -98,9 +103,8 @@ class EventKind(IntEnum):
     SPIN_OFF_BLOCKED = 6
 
 
-_KINDS = tuple(EventKind)
 (_BANKRUPTED, _RESCUED, _MOVED_COPIED_FRONTIER, _MOVED_NO_DIFFUSION, _MERGED,
- _SPIN_OFF, _SPIN_OFF_BLOCKED) = _KINDS
+ _SPIN_OFF, _SPIN_OFF_BLOCKED) = EventKind
 
 
 class EventRecord(NamedTuple):
@@ -125,17 +129,33 @@ class EventRecord(NamedTuple):
 EVENT_FIELDS = len(EventRecord._fields)
 
 
-@dataclass(slots=True)
-class SweepStats:
-    """Observables measured at the start of a sweep plus that sweep's event
-    tallies and the pre-correction normalization error at its end."""
+#: dtypes of Trajectory's columns after t, in field order.
+_COLUMN_DTYPES = (np.int64, np.float64, np.float64, np.int64, np.int64,
+                  np.float64)
+#: Bytes a Trajectory holds per row: t and six 8-byte columns.
+ROW_BYTES = 8 * (1 + len(_COLUMN_DTYPES))
 
-    n_firms: int
-    mean_tech: float
-    ratio: float
-    renorm_error: float
-    counts: dict[EventKind, int]
-    rescued: int  # rescue interventions fired (both variants)
+
+@dataclass(slots=True)
+class Trajectory:
+    """Per-sweep time series of one replica, for t = t_start .. t_max
+    (t_start is 0 unless the run resumed an end state)."""
+
+    t: np.ndarray             # sweep index
+    n_firms: np.ndarray       # N(t) at sweep start
+    mean_tech: np.ndarray     # weighted mean technology at sweep start
+    ratio: np.ndarray         # mean_tech / frontier(t)
+    rescued: np.ndarray       # rescues fired during sweep t (0 in the last row)
+    bankrupted: np.ndarray    # bankruptcies during sweep t (0 in the last row)
+    renorm_error: np.ndarray  # share renormalization error of sweep t (0 in the last row)
+    end_state: Optional[bytes] = None  # (MarketState, packed stream) at t_max
+
+    @classmethod
+    def empty(cls, t_start: int, t_max: int) -> Trajectory:
+        """Zeroed columns for sweeps t_start .. t_max, for ``run_sweeps``
+        to write."""
+        t = np.arange(t_start, t_max + 1, dtype=np.int64)
+        return cls(t, *(np.zeros(t.size, dtype) for dtype in _COLUMN_DTYPES))
 
 
 def external_diffusion(tech: float, frontier: float, r2: float) -> float:
@@ -226,11 +246,10 @@ def interact(market: MarketState, firm_i: int, firm_j: int, params: SimParams,
 
 def _update_cycle(market: MarketState, params: SimParams, rng: random.Random,
                   order: Iterable[int], events: Optional[array]
-                  ) -> tuple[list[int], int]:
+                  ) -> tuple[int, int]:
     """Run the update cycle for each firm of ``order`` still alive, in
-    order; returns the tallies indexed by EventKind and the number of
-    rescues fired. One event row per step is appended to ``events`` when it
-    is given.
+    order; returns the number of bankruptcies and of rescues fired. One
+    event row per step is appended to ``events`` when it is given.
 
     Everything fixed for the sweep is read once here: the frontier and the
     sweep index only change between sweeps.
@@ -248,8 +267,7 @@ def _update_cycle(market: MarketState, params: SimParams, rng: random.Random,
     passive = params.variant is VariantKind.PASSIVE_AFTER_RESCUE
     frontier = market.frontier_value
     t = market.sweep
-    counts = [0] * len(_KINDS)
-    rescued_total = 0
+    bankrupted = rescued_total = 0
     for fid in order:
         firm = firms.get(fid)
         if firm is None:  # absorbed by a merge earlier in this sweep
@@ -273,6 +291,7 @@ def _update_cycle(market: MarketState, params: SimParams, rng: random.Random,
                     share = firm.share
                     market.remove_firm(firm)
                     redistribute_shares_equal(market, share)
+                    bankrupted += 1
                     kind = _BANKRUPTED
         if kind is None:
             site = firm.site
@@ -298,12 +317,11 @@ def _update_cycle(market: MarketState, params: SimParams, rng: random.Random,
                     kind = _MOVED_NO_DIFFUSION
                 else:
                     kind = interact(market, fid, partner, params, rng)
-        counts[kind] += 1
         if events is not None:
             events.extend((kind, fid, t, partner,
                            market.next_id - 1 if kind is _SPIN_OFF else -1,
                            rescued))
-    return counts, rescued_total
+    return bankrupted, rescued_total
 
 
 def firm_update(market: MarketState, firm_id: int, params: SimParams,
@@ -320,37 +338,30 @@ def firm_update(market: MarketState, firm_id: int, params: SimParams,
                        child if child >= 0 else None, bool(rescued))
 
 
-def sweep(market: MarketState | ResidentReplica, params: SimParams,
-          rng: random.Random, events: Optional[array] = None) -> SweepStats:
-    """Advance the market by one sweep and return its statistics.
-
-    Measures N, the weighted mean technology and its ratio to the frontier
-    from the state at sweep start, then updates each firm alive at the start
-    once in random order, renormalizes shares, and advances the clock and
-    the cached frontier. Pass an event sink as ``events`` to collect every
+def run_sweeps(market: MarketState, params: SimParams, rng: random.Random,
+               trajectory: Trajectory, events: Optional[array] = None) -> None:
+    """Run the market from its sweep, ``trajectory.t[0]``, to
+    ``trajectory.t[-1]`` and write every row of ``trajectory``, a
+    ``Trajectory.empty``. Pass an event sink as ``events`` to collect every
     step's row.
 
-    ``market`` may instead be a replica held by the compiled kernel, which
-    runs the same sweep on its own state and stream in one C call.
+    Each sweep resyncs the running sums, records N, the weighted mean
+    technology and its ratio to the frontier, updates each firm alive at
+    its start once in random order, renormalizes shares, and advances the
+    clock and the cached frontier; the last row records the end state.
     """
-    if not isinstance(market, MarketState):
-        return market.sweep(events)
-    market.resync_sums()
-    n_start = len(market.firms)
-    mean_start = market.weighted_sum
-    ratio_start = mean_start / market.frontier_value
-    order = list(market.firms)
-    shuffle_in_place(order, rng)
-    counts, rescued = _update_cycle(market, params, rng, order, events)
-    err = renormalize_shares(market)
-    stats = SweepStats(
-        n_firms=n_start,
-        mean_tech=mean_start,
-        ratio=ratio_start,
-        renorm_error=err,
-        counts=dict(zip(_KINDS, counts)),
-        rescued=rescued,
-    )
-    market.sweep += 1
-    market.frontier_value = frontier(market.sweep, params.sigma)
-    return stats
+    last = len(trajectory.t) - 1
+    for row in range(last + 1):
+        market.resync_sums()
+        trajectory.n_firms[row] = len(market.firms)
+        trajectory.mean_tech[row] = market.weighted_sum
+        trajectory.ratio[row] = market.weighted_sum / market.frontier_value
+        if row == last:
+            return
+        order = list(market.firms)
+        shuffle_in_place(order, rng)
+        trajectory.bankrupted[row], trajectory.rescued[row] = _update_cycle(
+            market, params, rng, order, events)
+        trajectory.renorm_error[row] = renormalize_shares(market)
+        market.sweep += 1
+        market.frontier_value = frontier(market.sweep, params.sigma)

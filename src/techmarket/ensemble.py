@@ -7,9 +7,10 @@ k)`` for replica k. Replicas are independent, so they may run in the calling
 process or on a process pool; the aggregated statistics and event logs are
 identical either way. A replica hands back its end state, from which a later
 run carries on with exactly the draws and states of one uninterrupted run.
-A replica runs its sweeps on the compiled kernel when this machine can
-build it (see ``compiled``), and on the Python kernel otherwise; both give
-the same bits and the same event rows.
+A replica runs all of its sweeps in one call of a kernel entry, the
+compiled kernel's when this machine can build it (see ``compiled``) and
+the Python kernel's otherwise; both write the same trajectory bits and the
+same event rows.
 
 Across-replica spread is reported as the population standard deviation
 (divide by n), matching descriptive +-1 SD bands.
@@ -39,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 import numpy as np
 
 from . import compiled
-from .dynamics import EventKind, sweep
+from .dynamics import Trajectory, run_sweeps
 from .market import init_market
 from .output import emit_event_log
 from .params import SimParams
@@ -48,21 +49,6 @@ from .rng import derive_seed, pack_stream, unpack_stream
 #: Threshold the mean technology must reach to end the catch-up phase; the
 #: frontier value at t=0.
 TC_THRESHOLD = 1.0
-
-
-@dataclass(slots=True)
-class Trajectory:
-    """Per-sweep time series of one replica, for t = t_start .. t_max
-    (t_start is 0 unless the run resumed an end state)."""
-
-    t: np.ndarray             # sweep index
-    n_firms: np.ndarray       # N(t) at sweep start
-    mean_tech: np.ndarray     # weighted mean technology at sweep start
-    ratio: np.ndarray         # mean_tech / frontier(t)
-    rescued: np.ndarray       # rescues fired during sweep t (0 in the last row)
-    bankrupted: np.ndarray    # bankruptcies during sweep t (0 in the last row)
-    renorm_error: np.ndarray  # share renormalization error of sweep t (0 in the last row)
-    end_state: Optional[bytes] = None  # (MarketState, packed stream) at t_max
 
 
 @dataclass(slots=True)
@@ -111,11 +97,11 @@ def run_replica(params: SimParams, replica_seed: int,
     or from ``start``, the ``end_state`` of an earlier run of the same
     replica with the same parameters and a horizon of at most t_max.
     Every step's event row is appended to ``events`` when a sink is given.
-    The sweeps run on the compiled kernel when this machine can build it.
 
-    N, the mean technology and the mean-to-frontier ratio are recorded at
-    the beginning of every sweep from the start state on, plus one final
-    snapshot at t = t_max.
+    The trajectory is allocated here and written by one kernel entry,
+    ``compiled.run_sweeps`` when this machine can build the kernel and
+    ``dynamics.run_sweeps`` otherwise: a row per sweep from the start
+    state on, plus one final snapshot at t = t_max.
     """
     if start is None:
         rng = random.Random(replica_seed)
@@ -123,45 +109,18 @@ def run_replica(params: SimParams, replica_seed: int,
     else:
         market, words = pickle.loads(start)
         rng = unpack_stream(words)
-    t_start, t_max = market.sweep, params.t_max
-    if t_start > t_max:
-        raise ValueError(f"start state at sweep {t_start} is past "
-                         f"tmax={t_max}")
-    rows = t_max - t_start + 1
-    n_arr = np.empty(rows, dtype=np.int64)
-    a_arr = np.empty(rows, dtype=np.float64)
-    r_arr = np.empty(rows, dtype=np.float64)
-    rescued = np.zeros(rows, dtype=np.int64)
-    bankrupted = np.zeros(rows, dtype=np.int64)
-    renorm = np.zeros(rows, dtype=np.float64)
+    if market.sweep > params.t_max:
+        raise ValueError(f"start state at sweep {market.sweep} is past "
+                         f"tmax={params.t_max}")
+    trajectory = Trajectory.empty(market.sweep, params.t_max)
     lib = compiled.kernel().lib
-    state = (market if lib is None
-             else compiled.ResidentReplica(lib, market, rng, params))
-    for i in range(rows - 1):
-        stats = sweep(state, params, rng, events)
-        n_arr[i] = stats.n_firms
-        a_arr[i] = stats.mean_tech
-        r_arr[i] = stats.ratio
-        rescued[i] = stats.rescued
-        bankrupted[i] = stats.counts[EventKind.BANKRUPTED]
-        renorm[i] = stats.renorm_error
-    if state is not market:
-        state.unload()
-    market.resync_sums()
-    n_arr[-1] = len(market.firms)
-    a_arr[-1] = market.weighted_sum
-    r_arr[-1] = market.weighted_sum / market.frontier_value
-    return Trajectory(
-        t=np.arange(t_start, t_max + 1, dtype=np.int64),
-        n_firms=n_arr,
-        mean_tech=a_arr,
-        ratio=r_arr,
-        rescued=rescued,
-        bankrupted=bankrupted,
-        renorm_error=renorm,
-        end_state=pickle.dumps((market, pack_stream(rng)),
-                               pickle.HIGHEST_PROTOCOL),
-    )
+    if lib is None:
+        run_sweeps(market, params, rng, trajectory, events)
+    else:
+        compiled.run_sweeps(lib, market, params, rng, trajectory, events)
+    trajectory.end_state = pickle.dumps((market, pack_stream(rng)),
+                                        pickle.HIGHEST_PROTOCOL)
+    return trajectory
 
 
 def estimate_tc(mean_tech_series: Sequence[float],

@@ -29,11 +29,13 @@ reaps its workers before it returns or raises.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from . import __version__, compiled
+from .dynamics import ROW_BYTES
 from .ensemble import (
     EnsembleStats,
     LazyPool,
@@ -48,6 +50,7 @@ from .output import (
     emit_tc_curve_csv,
     emit_timeseries_csv,
 )
+from .errors import ConfigError
 from .params import PolicyKind, SimParams, VariantKind
 
 if TYPE_CHECKING:  # config imports this module to check scenario names
@@ -134,6 +137,15 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
     feeding it back as a config file reruns the scenario exactly."""
     cells = resolve_cells(name, base, controls)
     replicas = controls.replicas
+    # a cell's trajectories are all held at once until they are aggregated
+    t_max = cells[0][1].t_max
+    need = replicas * (t_max + 1) * ROW_BYTES
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"replicas={replicas} and tmax={t_max} need {need / 2**30:,.1f} "
+            f"GiB of trajectories, more than the {have / 2**30:,.1f} GiB of "
+            f"physical memory")
     kind = "timeseries" if name == "custom" else SCENARIOS[name].kind
     out_dir = Path(controls.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -176,6 +188,6 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
     notes.append(f"kernel={compiled.kernel().note}")
     written.append(emit_run_metadata(
         out_dir / f"{name}_metadata.txt",
-        replace(base, t_max=cells[0][1].t_max), name, replicas, __version__,
+        replace(base, t_max=t_max), name, replicas, __version__,
         curve.max_renorm_error, notes))
     return ScenarioResult(written, curve.max_renorm_error)

@@ -1,6 +1,7 @@
 """The compiled sweep kernel against the Python kernel, its reference, and
 its build: fallback, cache and the runs that must load it."""
 import copy
+import functools
 import os
 import pickle
 import random
@@ -21,7 +22,7 @@ from techmarket import (
     dynamics,
 )
 from techmarket.cli import main
-from techmarket.dynamics import sweep
+from techmarket.dynamics import EVENT_FIELDS, Trajectory
 from techmarket.ensemble import clear_store, run_ensemble, run_replica
 from techmarket.market import init_market
 from techmarket.rng import derive_seed
@@ -53,22 +54,53 @@ def sim_params(draw):
         assume(False)
 
 
+#: The columns the kernels write.
+COLUMNS = ("n_firms", "mean_tech", "ratio", "rescued", "bankrupted",
+           "renorm_error")
+
+
+def run_both(lib, market, params, rng):
+    """Each kernel's run_sweeps to params.t_max, from copies of ``market``
+    and ``rng``, with an event sink: (trajectory, events, market, rng) per
+    kernel, the compiled one first."""
+    runs = []
+    for entry in (functools.partial(compiled.run_sweeps, lib),
+                  dynamics.run_sweeps):
+        m, r, events = copy.deepcopy(market), copy.deepcopy(rng), array("q")
+        trajectory = Trajectory.empty(m.sweep, params.t_max)
+        entry(m, params, r, trajectory, events)
+        runs.append((trajectory, events, m, r))
+    return runs
+
+
+def assert_same_runs(compiled_run, python_run):
+    (tr_c, events_c, market_c, rng_c), (tr_py, events_py, market_py,
+                                        rng_py) = compiled_run, python_run
+    for name in ("t", *COLUMNS):
+        assert np.array_equal(getattr(tr_c, name), getattr(tr_py, name)), name
+    assert events_c == events_py
+    assert pickle.dumps(market_c) == pickle.dumps(market_py)
+    assert rng_c.getstate() == rng_py.getstate()
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(params=sim_params())
 def test_compiled_sweeps_match_python(compiled_lib, params):
-    rng_py, rng_c = random.Random(params.seed), random.Random(params.seed)
-    market_py = init_market(params, rng_py)
-    market_c = init_market(params, rng_c)
-    resident = compiled.ResidentReplica(compiled_lib, market_c, rng_c, params)
-    for _ in range(params.t_max):
-        events_c, events_py = array("q"), array("q")
-        compiled_stats = sweep(resident, params, rng_c, events_c)
-        assert compiled_stats == sweep(market_py, params, rng_py, events_py)
-        assert events_c == events_py
-    resident.unload()
-    assert pickle.dumps(market_c) == pickle.dumps(market_py)
-    assert rng_c.getstate() == rng_py.getstate()
+    rng = random.Random(params.seed)
+    market = init_market(params, rng)
+    assert_same_runs(*run_both(compiled_lib, market, params, rng))
+
+
+def test_logged_run_crosses_the_event_buffer(compiled_lib):
+    # about 98 live firms, so about 98 rows per sweep
+    params = SimParams(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE,
+                       t_max=120, seed=5)
+    rng = random.Random(params.seed)
+    market = init_market(params, rng)
+    compiled_run, python_run = run_both(compiled_lib, market, params, rng)
+    assert len(compiled_run[1]) > 2 * EVENT_FIELDS * compiled.EVENT_ROWS
+    assert_same_runs(compiled_run, python_run)
 
 
 def test_replicas_run_on_the_compiled_kernel(compiled_lib, monkeypatch):
@@ -99,8 +131,7 @@ def test_end_states_and_resumes_cross_kernels(compiled_lib, monkeypatch,
     assert head_c.end_state == head_py.end_state
     assert whole_c.end_state == whole_py.end_state == tail_py.end_state \
         == tail_c.end_state
-    for name in ("n_firms", "mean_tech", "ratio", "rescued", "bankrupted",
-                 "renorm_error"):
+    for name in COLUMNS:
         whole = getattr(whole_c, name)
         assert np.array_equal(whole, getattr(whole_py, name)), name
         assert np.array_equal(whole[25:], getattr(tail_py, name)), name
@@ -111,15 +142,19 @@ def test_share_drift_raises_the_python_message(compiled_lib):
     # three firms at n_min: nothing fails, and every move keeps the total
     market = build_market(firms=[((0, 0), 0.2, 0.5), ((2, 2), 0.4, 0.5),
                                  ((4, 4), 0.3, 0.5)])
-    params = SimParams(lx=6, ly=6, n_min=3)
+    params = SimParams(lx=6, ly=6, n_min=3, t_max=5)
+    events_py, events_c = array("q"), array("q")
     with pytest.raises(IntegrityError) as python_error:
-        sweep(copy.deepcopy(market), params, random.Random(1))
-    resident = compiled.ResidentReplica(compiled_lib, market,
-                                        random.Random(1), params)
+        dynamics.run_sweeps(copy.deepcopy(market), params, random.Random(1),
+                            Trajectory.empty(0, params.t_max), events_py)
     with pytest.raises(IntegrityError) as compiled_error:
-        sweep(resident, params, None)
+        compiled.run_sweeps(compiled_lib, market, params, random.Random(1),
+                            Trajectory.empty(0, params.t_max), events_c)
     assert str(compiled_error.value) == str(python_error.value)
     assert "error 5.000e-01" in str(compiled_error.value)
+    # the failing sweep's rows are appended before the error is raised
+    assert len(events_py) == 3 * EVENT_FIELDS
+    assert events_c == events_py
 
 
 @pytest.fixture

@@ -470,6 +470,16 @@ class TestCli:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
+    def test_trajectories_beyond_memory_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--sigma", "0", "--tmax", "10000000000000",
+                     "--replicas", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: replicas=1 and tmax=10000000000000"
+                              " need 521,540.6 GiB of trajectories")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_help_exit_zero_and_names_presets(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(["--help"])

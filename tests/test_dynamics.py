@@ -4,6 +4,7 @@ import math
 import random
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,12 +12,13 @@ from techmarket import IntegrityError, PolicyKind, SimParams, VariantKind
 from techmarket.dynamics import (
     EVENT_FIELDS,
     EventKind,
+    Trajectory,
     external_diffusion,
     firm_update,
     interact,
     redistribute_shares_equal,
     renormalize_shares,
-    sweep,
+    run_sweeps,
 )
 from techmarket.market import survival_probability
 
@@ -25,6 +27,14 @@ from conftest import build_market, random_market, site_index
 
 def total_share(market):
     return sum(f.share for f in market.firms.values())
+
+
+def run(market, params, rng, sweeps, events=None):
+    """The trajectory of ``sweeps`` sweeps of the market on the Python
+    kernel; row k is the market's k-th sweep from now."""
+    trajectory = Trajectory.empty(market.sweep, market.sweep + sweeps)
+    run_sweeps(market, params, rng, trajectory, events)
+    return trajectory
 
 
 class TestExternalDiffusion:
@@ -278,8 +288,7 @@ class TestFirmUpdate:
         rng = random.Random(8)
         m = random_market(random.Random(4), n_min=8, n_max=12)
         events = array("q")
-        for _ in range(30):
-            sweep(m, params, rng, events)
+        run(m, params, rng, 30, events)
         kinds, rescued = events[0::EVENT_FIELDS], events[5::EVENT_FIELDS]
         assert all(kind != EventKind.RESCUED for kind in kinds)
         assert all(not flag for flag in rescued)
@@ -290,12 +299,10 @@ class TestSweep:
         params = SimParams(q=1.0, b=0.0, lx=6, ly=6, n_min=2)
         rng = random.Random(21)
         m = random_market(random.Random(2), n_min=6, n_max=10)
-        n_prev = len(m.firms)
-        for _ in range(40):
-            stats = sweep(m, params, rng)
-            assert stats.counts[EventKind.BANKRUPTED] == 0
-            assert len(m.firms) >= n_prev
-            n_prev = len(m.firms)
+        n_start = len(m.firms)
+        tr = run(m, params, rng, 40)
+        assert not tr.bankrupted.any()
+        assert tr.n_firms[0] == n_start and (np.diff(tr.n_firms) >= 0).all()
 
     def test_no_bankruptcies_at_firm_floor(self):
         # full lattice so no mid-sweep spin-off can lift N back above the floor
@@ -304,10 +311,9 @@ class TestSweep:
         firms = [((x, y), random.Random(30 + x + 4 * y).random(), 1.0 / 16.0)
                  for x in range(4) for y in range(4)]
         m = build_market(lx=4, ly=4, firms=firms)
-        for _ in range(20):
-            stats = sweep(m, params, rng)
-            assert stats.counts[EventKind.BANKRUPTED] == 0
-            assert stats.counts[EventKind.RESCUED] == 0  # check skipped entirely
+        tr = run(m, params, rng, 20)
+        assert not tr.bankrupted.any()
+        assert not tr.rescued.any()  # check skipped entirely
 
     def test_bankruptcies_resume_above_floor(self):
         params = SimParams(q=0.0, lx=6, ly=6, n_min=2)
@@ -315,8 +321,7 @@ class TestSweep:
         bankrupted = 0
         for trial in range(40):
             m = random_market(random.Random(trial), n_min=8, n_max=16)
-            stats = sweep(m, params, rng)
-            bankrupted += stats.counts[EventKind.BANKRUPTED]
+            bankrupted += run(m, params, rng, 1).bankrupted[0]
         assert bankrupted > 0
 
     def test_shares_exactly_normalized_after_sweep(self):
@@ -324,17 +329,17 @@ class TestSweep:
         rng = random.Random(23)
         m = random_market(random.Random(5), n_min=10, n_max=16)
         for _ in range(25):
-            stats = sweep(m, params, rng)
+            tr = run(m, params, rng, 1)
             assert abs(total_share(m) - 1.0) <= 1e-12
-            assert stats.renorm_error <= 1e-2
+            assert tr.renorm_error[0] <= 1e-2
 
     def test_stats_measure_sweep_start(self):
         m = build_market(firms=[((0, 0), 0.2, 0.5), ((1, 0), 0.4, 0.5)], sweep=0)
         params = SimParams(q=0.0, lx=6, ly=6, n_min=1)
-        stats = sweep(m, params, random.Random(24))
-        assert stats.n_firms == 2
-        assert stats.mean_tech == pytest.approx(0.3, abs=1e-15)
-        assert stats.ratio == pytest.approx(0.3, abs=1e-15)
+        tr = run(m, params, random.Random(24), 1)
+        assert tr.n_firms[0] == 2
+        assert tr.mean_tech[0] == pytest.approx(0.3, abs=1e-15)
+        assert tr.ratio[0] == pytest.approx(0.3, abs=1e-15)
         assert m.sweep == 1
         assert m.frontier_value == pytest.approx(math.exp(0.01), rel=1e-15)
 
@@ -343,7 +348,7 @@ class TestSweep:
         rng = random.Random(25)
         m = random_market(random.Random(6), n_min=10, n_max=18)
         for _ in range(30):
-            sweep(m, params, rng)
+            run(m, params, rng, 1)
             occupied = {i for i, fid in enumerate(m.lattice.occupancy) if fid >= 0}
             assert occupied == {f.site for f in m.firms.values()}
             for f in m.firms.values():
@@ -355,7 +360,7 @@ class TestSweep:
         m = random_market(random.Random(7), n_min=10, n_max=18)
         for _ in range(30):
             before = {fid: f.tech for fid, f in m.firms.items()}
-            sweep(m, params, rng)
+            run(m, params, rng, 1)
             for fid, f in m.firms.items():
                 if fid in before:
                     assert f.tech >= before[fid]
@@ -394,7 +399,7 @@ class TestSweep:
             # at a sweep boundary frontier_value is F(t) for the coming sweep
             assert all(0.0 <= f.tech < m.frontier_value
                        for f in m.firms.values())
-            sweep(m, params, rng)
+            run(m, params, rng, 1)
 
 
 # Conservation properties across randomized markets -------------------------
@@ -434,6 +439,6 @@ def test_sweep_conserves_shares_within_tolerance(seed):
     params = SimParams(q=rng.random(), lx=6, ly=6, n_min=2)
     stream = random.Random(seed + 1)
     for _ in range(10):
-        stats = sweep(m, params, stream)
-        assert stats.renorm_error <= 1e-10  # per-sweep drift is tiny
+        tr = run(m, params, stream, 1)
+        assert tr.renorm_error[0] <= 1e-10  # per-sweep drift is tiny
         assert abs(total_share(m) - 1.0) <= 1e-12
