@@ -37,7 +37,7 @@ from .dynamics import (
     Trajectory,
     renorm_failure,
 )
-from .market import Firm, MarketState, Segment
+from .market import Firm, MarketState, Segment, _neighbor_tables
 from .params import SimParams, VariantKind
 
 SOURCE = Path(__file__).with_name("_sweep.c")
@@ -154,6 +154,17 @@ def _array(ctype, size: int, values=()) -> ctypes.Array:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _c_neighbor_tables(width: int,
+                       height: int) -> tuple[ctypes.Array, ctypes.Array]:
+    """The vn4 and moore8 tables of a width x height torus as C arrays.
+    The kernel only reads them, so every replica of one lattice shape
+    shares them."""
+    vn4, moore8 = _neighbor_tables(width, height)
+    return (_array(_I32, 4 * width * height, chain.from_iterable(vn4)),
+            _array(_I32, 8 * width * height, chain.from_iterable(moore8)))
+
+
 def run_sweeps(lib: ctypes.CDLL, market: MarketState, params: SimParams,
                rng: random.Random, trajectory: Trajectory,
                events: Optional[array] = None) -> None:
@@ -169,6 +180,7 @@ def run_sweeps(lib: ctypes.CDLL, market: MarketState, params: SimParams,
     max_events = max(EVENT_ROWS, n_sites)
     buffer = None if events is None else _array(_I64,
                                                 EVENT_FIELDS * max_events)
+    vn4, moore8 = _c_neighbor_tables(lattice.width, lattice.height)
     # the struct keeps the ctypes arrays it points into alive
     state = _State(
         s=params.s, b=params.b, q=params.q, omega_s=params.omega_s,
@@ -176,8 +188,7 @@ def run_sweeps(lib: ctypes.CDLL, market: MarketState, params: SimParams,
         n_min=params.n_min,
         segment=_SEGMENT_CODE[_POLICY_SEGMENT.get(params.policy)],
         passive=params.variant is VariantKind.PASSIVE_AFTER_RESCUE,
-        vn4=_array(_I32, 4 * n_sites, chain.from_iterable(lattice.vn4)),
-        moore8=_array(_I32, 8 * n_sites, chain.from_iterable(lattice.moore8)),
+        vn4=vn4, moore8=moore8,
         occ=_array(_I32, n_sites, (slot.get(fid, -1)
                                    for fid in lattice.occupancy)),
         id=_array(_I64, cap, (f.id for f in firms)),

@@ -14,8 +14,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import ConfigError
-from .params import PolicyKind, SimParams, VariantKind
-from .scenarios import SCENARIOS
+from .params import SCENARIOS, PolicyKind, SimParams, VariantKind
 
 # each kind by its value; a policy also without "tech", a variant also by
 # its member name

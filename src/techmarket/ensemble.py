@@ -35,7 +35,7 @@ import random
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -76,18 +76,6 @@ class EnsembleStats:
 #: EnsembleStats fields with one value per sweep.
 _ROW_FIELDS = ("t", "n_mean", "n_sd", "a_mean", "a_sd", "ratio_mean",
                "ratio_sd", "rescued_sum", "renorm_error")
-
-
-@dataclass(slots=True)
-class TcCurve:
-    """Catch-up time statistics on a grid of intervention probabilities."""
-
-    q: np.ndarray
-    tc_mean: np.ndarray
-    tc_sd: np.ndarray
-    fraction_reached: np.ndarray
-    tc_of_mean: list[Optional[int]]
-    max_renorm_error: float
 
 
 def run_replica(params: SimParams, replica_seed: int,
@@ -319,21 +307,3 @@ def clear_store() -> None:
     """Forget every stored ensemble."""
     _STORE.clear()
 
-
-def tc_curve(q_values: Sequence[float],
-             ensembles: Iterable[EnsembleStats]) -> TcCurve:
-    """Catch-up time statistics of ensembles run at the given q values,
-    one ensemble per q, in the order given. ``ensembles`` is read once and
-    only its scalar statistics are kept, so it may be a generator that
-    produces one ensemble at a time."""
-    rows = [(st.tc_mean, st.tc_sd, st.fraction_reached, st.tc_of_mean,
-             st.max_renorm_error) for st in ensembles]
-    tc_mean, tc_sd, fraction, tc_of_mean, errors = zip(*rows)
-    return TcCurve(
-        q=np.asarray(q_values, dtype=np.float64),
-        tc_mean=np.array(tc_mean),
-        tc_sd=np.array(tc_sd),
-        fraction_reached=np.array(fraction),
-        tc_of_mean=list(tc_of_mean),
-        max_renorm_error=max(errors),
-    )

@@ -14,11 +14,12 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO
 
+from .config import config_lines
 from .dynamics import EVENT_FIELDS, EventKind
 from .params import SimParams
 
 if TYPE_CHECKING:  # ensemble imports this module to render event logs
-    from .ensemble import EnsembleStats, TcCurve
+    from .ensemble import EnsembleStats
 
 TIMESERIES_HEADER = "t,N_mean,N_sd,A_mean,A_sd,ratio_mean,ratio_sd"
 TC_CURVE_HEADER = "q,tc_mean,tc_sd,fraction_reached"
@@ -26,10 +27,6 @@ TC_CURVE_HEADER = "q,tc_mean,tc_sd,fraction_reached"
 
 #: The ``,"kind":"<name>"`` fragment of an event line, indexed by EventKind.
 _KIND_FIELDS = tuple(f',"kind":"{kind.name.lower()}"' for kind in EventKind)
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
 
 
 @contextmanager
@@ -48,46 +45,35 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+def _emit_csv(path: str | Path, header: str, row: str,
+              rows: Iterable[tuple]) -> Path:
+    """Write ``header`` and then each of ``rows`` formatted by the printf
+    template ``row``, line by line. ``%.12g`` renders a float exactly as
+    ``format(x, ".12g")`` does, nan, inf and -0 included."""
+    path = Path(path)
+    with atomic_write(path) as fh:
+        fh.write(header + "\n")
+        fh.writelines(map(row.__mod__, rows))
+    return path
+
+
 def emit_timeseries_csv(stats: EnsembleStats, path: str | Path) -> Path:
-    path = Path(path)
-    lines = [TIMESERIES_HEADER]
-    for i in range(len(stats.t)):
-        lines.append(",".join((
-            str(int(stats.t[i])),
-            _fmt(stats.n_mean[i]),
-            _fmt(stats.n_sd[i]),
-            _fmt(stats.a_mean[i]),
-            _fmt(stats.a_sd[i]),
-            _fmt(stats.ratio_mean[i]),
-            _fmt(stats.ratio_sd[i]),
-        )))
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    columns = (stats.t, stats.n_mean, stats.n_sd, stats.a_mean, stats.a_sd,
+               stats.ratio_mean, stats.ratio_sd)
+    return _emit_csv(path, TIMESERIES_HEADER, "%d" + ",%.12g" * 6 + "\n",
+                     zip(*(column.tolist() for column in columns)))
 
 
-def emit_tc_curve_csv(curve: TcCurve, path: str | Path) -> Path:
-    path = Path(path)
-    lines = [TC_CURVE_HEADER]
-    for i in range(len(curve.q)):
-        lines.append(",".join((
-            _fmt(curve.q[i]),
-            _fmt(curve.tc_mean[i]),
-            _fmt(curve.tc_sd[i]),
-            _fmt(curve.fraction_reached[i]),
-        )))
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+def emit_tc_curve_csv(rows: Iterable[tuple[float, float, float, float]],
+                      path: str | Path) -> Path:
+    """One ``(q, tc_mean, tc_sd, fraction_reached)`` row per cell."""
+    return _emit_csv(path, TC_CURVE_HEADER, "%.12g,%.12g,%.12g,%.12g\n", rows)
 
 
 def metadata_text(params: SimParams, scenario: str, replicas: int,
                   version: str, max_renorm_error: Optional[float] = None,
                   notes: Iterable[str] = ()) -> str:
     """Render run metadata; the plain lines round-trip as a config file."""
-    # here, not at the top: config imports scenarios, which imports this module
-    from .config import config_lines
-
     lines = [
         "# techmarket run metadata; reusable as a config file",
         f"# version={version}",

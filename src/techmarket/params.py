@@ -1,8 +1,10 @@
-"""Simulation parameters and the policy/variant enumerations.
+"""Simulation parameters, the policy/variant enumerations and the scenario
+presets.
 
 ``SimParams`` is a frozen dataclass holding every model constant for one run.
 Defaults follow the reference configuration: sigma=0.01, s=1, b=0.01,
-n_min=10, omega_s=0.1, c=0.8 on a 10x10 lattice.
+n_min=10, omega_s=0.1, c=0.8 on a 10x10 lattice. ``SCENARIOS`` fixes, per
+preset, the horizon and the q, policy and variant of each cell.
 """
 from __future__ import annotations
 
@@ -109,3 +111,50 @@ def validate_params(p: SimParams) -> None:
         )
     if int(round(p.c * p.lx * p.ly)) < 1:
         raise ConfigError(f"c ({p.c}) gives an empty initial market on {p.lx}x{p.ly}")
+
+
+#: q grid for the catch-up time curve; dense tail near 1 where the time
+#: diverges.
+TC_Q_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
+
+
+@dataclass(frozen=True)
+class CellSpec:
+    q: float
+    policy: PolicyKind | None      # None keeps the caller's policy
+    variant: VariantKind
+
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    kind: str                      # "timeseries" or "tc_curve"
+    t_max: int
+    cells: tuple[CellSpec, ...]
+
+
+_EGAL = PolicyKind.EGALITARIAN
+_PASSIVE = VariantKind.PASSIVE_AFTER_RESCUE
+_ACTIVE = VariantKind.ACTIVE_AFTER_RESCUE
+
+
+def _policy_sweep(policy: PolicyKind) -> tuple[CellSpec, ...]:
+    return tuple(CellSpec(q, policy, _PASSIVE) for q in (0.3, 0.9, 0.99))
+
+
+SCENARIOS: dict[str, ScenarioSpec] = {
+    "fig1": ScenarioSpec("timeseries", 600,
+                         cells=(CellSpec(0.0, _EGAL, _PASSIVE),)),
+    "fig2": ScenarioSpec("timeseries", 600, cells=_policy_sweep(_EGAL)),
+    "fig3": ScenarioSpec("timeseries", 600,
+                         cells=_policy_sweep(PolicyKind.LOW_TECH)),
+    "fig4": ScenarioSpec("timeseries", 600,
+                         cells=_policy_sweep(PolicyKind.MEDIUM_TECH)),
+    "fig5": ScenarioSpec("tc_curve", 3000,
+                         cells=tuple(CellSpec(q, None, _PASSIVE)
+                                     for q in TC_Q_GRID)),
+    "fig6": ScenarioSpec("timeseries", 2000,
+                         cells=(CellSpec(0.99, _EGAL, _PASSIVE),
+                                CellSpec(0.99, _EGAL, _ACTIVE))),
+    "fig7": ScenarioSpec("timeseries", 2000,
+                         cells=(CellSpec(0.99, _EGAL, _ACTIVE),)),
+}

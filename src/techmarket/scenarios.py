@@ -1,7 +1,7 @@
-"""Scenario presets and the scenario runner.
+"""The scenario runner: one ensemble per cell of a preset or custom run.
 
-Each preset is a list of cells, one ensemble each, behind one reference
-experiment:
+The presets (``params.SCENARIOS``) fix each cell's q, variant and (except
+fig5) policy behind one reference experiment:
 
 - fig1: free market baseline (q=0), 600 sweeps.
 - fig2/fig3/fig4: egalitarian / low-tech / medium-tech rescue policies over
@@ -12,11 +12,11 @@ experiment:
 - fig7: active-variant firm count at q=0.99, 2000 sweeps.
 - custom: a single ensemble from the resolved parameters.
 
-Presets force q, variant and (except fig5) policy per cell and keep an
-explicitly set tmax; every scenario runs the caller's replica count. All
-cells run through one loop, optionally streaming each cell's event log; only
-the emitted CSVs depend on the kind: one time series per cell, or one
-catch-up curve over all cells.
+Presets keep an explicitly set tmax; every scenario runs the caller's
+replica count. ``run_scenario`` runs the cells in one loop, optionally
+streaming each cell's event log. A finished cell writes its time-series CSV,
+or adds its row to the catch-up curve that fig5 writes after its last cell,
+and adds its note to the metadata.
 
 Cells without an event log go through the process's ensemble store
 (``ensemble.stored_ensemble``), so scenarios run in one process share
@@ -32,74 +32,19 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
 
 from . import __version__, compiled
+from .config import RunControls
 from .dynamics import ROW_BYTES
-from .ensemble import (
-    EnsembleStats,
-    LazyPool,
-    aggregate,
-    run_trajectories,
-    stored_ensemble,
-    tc_curve,
-)
+from .ensemble import LazyPool, aggregate, run_trajectories, stored_ensemble
+from .errors import ConfigError
 from .output import (
     atomic_write,
     emit_run_metadata,
     emit_tc_curve_csv,
     emit_timeseries_csv,
 )
-from .errors import ConfigError
-from .params import PolicyKind, SimParams, VariantKind
-
-if TYPE_CHECKING:  # config imports this module to check scenario names
-    from .config import RunControls
-
-EGAL = PolicyKind.EGALITARIAN
-PASSIVE = VariantKind.PASSIVE_AFTER_RESCUE
-ACTIVE = VariantKind.ACTIVE_AFTER_RESCUE
-
-#: q grid for the catch-up time curve; dense tail near 1 where the time
-#: diverges.
-TC_Q_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
-
-
-@dataclass(frozen=True)
-class CellSpec:
-    q: float
-    policy: PolicyKind | None      # None keeps the caller's policy
-    variant: VariantKind
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    kind: str                      # "timeseries" or "tc_curve"
-    t_max: int
-    cells: tuple[CellSpec, ...]
-
-
-def _policy_sweep(policy: PolicyKind) -> tuple[CellSpec, ...]:
-    return tuple(CellSpec(q, policy, PASSIVE) for q in (0.3, 0.9, 0.99))
-
-
-SCENARIOS: dict[str, ScenarioSpec] = {
-    "fig1": ScenarioSpec("timeseries", 600,
-                         cells=(CellSpec(0.0, EGAL, PASSIVE),)),
-    "fig2": ScenarioSpec("timeseries", 600, cells=_policy_sweep(EGAL)),
-    "fig3": ScenarioSpec("timeseries", 600,
-                         cells=_policy_sweep(PolicyKind.LOW_TECH)),
-    "fig4": ScenarioSpec("timeseries", 600,
-                         cells=_policy_sweep(PolicyKind.MEDIUM_TECH)),
-    "fig5": ScenarioSpec("tc_curve", 3000,
-                         cells=tuple(CellSpec(q, None, PASSIVE)
-                                     for q in TC_Q_GRID)),
-    "fig6": ScenarioSpec("timeseries", 2000,
-                         cells=(CellSpec(0.99, EGAL, PASSIVE),
-                                CellSpec(0.99, EGAL, ACTIVE))),
-    "fig7": ScenarioSpec("timeseries", 2000,
-                         cells=(CellSpec(0.99, EGAL, ACTIVE),)),
-}
+from .params import SCENARIOS, SimParams
 
 
 @dataclass(slots=True)
@@ -146,12 +91,20 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
             f"replicas={replicas} and tmax={t_max} need {need / 2**30:,.1f} "
             f"GiB of trajectories, more than the {have / 2**30:,.1f} GiB of "
             f"physical memory")
-    kind = "timeseries" if name == "custom" else SCENARIOS[name].kind
+    curve = name != "custom" and SCENARIOS[name].kind == "tc_curve"
     out_dir = Path(controls.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
-    def run_cells(pool: LazyPool) -> Iterator[EnsembleStats]:
+    curve_rows: list[tuple[float, float, float, float]] = []
+    max_renorm_error = 0.0
+    if curve:
+        notes = ["cells: q grid " + ",".join(f"{p.q:g}" for _, p in cells)]
+    elif name != "custom":
+        notes = ["preset cells override q/policy/variant below:",
+                 *(f"cell {label}" for label, _ in cells)]
+    else:
+        notes = []
+    with LazyPool(controls.jobs) as pool:
         for label, cell_params in cells:
             if controls.events:
                 log_path = out_dir / f"{name}_{label}_events.jsonl"
@@ -160,34 +113,27 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
                         cell_params, replicas, pool, event_log))
             else:
                 stats = stored_ensemble(cell_params, replicas, pool)
-            if kind == "timeseries":
+            tc = "none" if stats.tc_of_mean is None else stats.tc_of_mean
+            if curve:
+                q = cell_params.q
+                curve_rows.append((q, stats.tc_mean, stats.tc_sd,
+                                   stats.fraction_reached))
+                notes.append(f"tc_of_mean[q={q:g}]={tc}")
+            else:
                 written.append(emit_timeseries_csv(
                     stats, out_dir / f"{name}_{label}.csv"))
+                notes.append(f"{label}: tc_of_mean={tc} "
+                             f"tc_mean={stats.tc_mean:g} "
+                             f"fraction_reached={stats.fraction_reached:g}")
             if controls.events:
                 written.append(log_path)
-            yield stats
-
-    # one cell's time series at a time: the curve keeps only its scalars
-    with LazyPool(controls.jobs) as pool:
-        curve = tc_curve([p.q for _, p in cells], run_cells(pool))
-    notes: list[str] = []
-    if kind == "tc_curve":
-        written.append(emit_tc_curve_csv(curve, out_dir / f"{name}_tc_curve.csv"))
-        notes.append("cells: q grid " + ",".join(f"{q:g}" for q in curve.q))
-        notes.extend(f"tc_of_mean[q={q:g}]={'none' if tc is None else tc}"
-                     for q, tc in zip(curve.q, curve.tc_of_mean))
-    else:
-        if name != "custom":
-            notes.append("preset cells override q/policy/variant below:")
-            notes.extend(f"cell {label}" for label, _ in cells)
-        notes.extend(
-            f"{label}: tc_of_mean={'none' if tc is None else tc} "
-            f"tc_mean={tc_mean:g} fraction_reached={fraction:g}"
-            for (label, _), tc, tc_mean, fraction in zip(
-                cells, curve.tc_of_mean, curve.tc_mean, curve.fraction_reached))
+            max_renorm_error = max(max_renorm_error, stats.max_renorm_error)
+    if curve:
+        written.append(emit_tc_curve_csv(
+            curve_rows, out_dir / f"{name}_tc_curve.csv"))
     notes.append(f"kernel={compiled.kernel().note}")
     written.append(emit_run_metadata(
         out_dir / f"{name}_metadata.txt",
         replace(base, t_max=t_max), name, replicas, __version__,
-        curve.max_renorm_error, notes))
-    return ScenarioResult(written, curve.max_renorm_error)
+        max_renorm_error, notes))
+    return ScenarioResult(written, max_renorm_error)

@@ -16,7 +16,7 @@ import pytest
 from techmarket import PolicyKind, SimParams, VariantKind, run_ensemble
 from techmarket.config import resolve_config
 from techmarket.dynamics import EventKind, interact, redistribute_shares_equal
-from techmarket.ensemble import run_replica, tc_curve
+from techmarket.ensemble import run_replica
 from techmarket.market import survival_probability
 from techmarket.rng import derive_seed
 from techmarket.scenarios import run_scenario
@@ -115,12 +115,12 @@ def mediumtech_q99():
 @pytest.fixture(scope="module")
 def tc_grid():
     params = SimParams(t_max=3000, seed=303)
-    qs = [0.0, 0.3, 0.9, 0.99]
-    curve = tc_curve(qs, [run_ensemble(replace(params, q=q), 60, jobs=JOBS)
-                          for q in qs])
+    grid = [run_ensemble(replace(params, q=q), 60, jobs=JOBS)
+            for q in (0.0, 0.3, 0.9, 0.99)]
+    RENORM_PEAKS["tc_grid"] = max(st.max_renorm_error for st in grid)
     full = run_ensemble(replace(params, q=1.0), 24, jobs=JOBS)
     RENORM_PEAKS["q1"] = full.max_renorm_error
-    return curve, full
+    return grid, full
 
 
 @pytest.fixture(scope="module")
@@ -290,8 +290,8 @@ def test_criterion_06_lowtech_policy(baseline_q0, lowtech_q99, mediumtech_q99):
 
 
 def test_criterion_07_tc_divergence(tc_grid):
-    curve, q1_stats = tc_grid
-    tc = list(curve.tc_mean)
+    grid, q1_stats = tc_grid
+    tc = [st.tc_mean for st in grid]
     increasing = all(a < b for a, b in zip(tc, tc[1:]))
     _verdict(7, "tc-divergence", [
         ("tc strictly increasing over q={0,0.3,0.9,0.99}: "

@@ -35,12 +35,8 @@ from techmarket.output import (
     emit_timeseries_csv,
     metadata_text,
 )
-from techmarket.scenarios import (
-    SCENARIOS,
-    TC_Q_GRID,
-    resolve_cells,
-    run_scenario,
-)
+from techmarket.params import TC_Q_GRID
+from techmarket.scenarios import SCENARIOS, resolve_cells, run_scenario
 
 
 class TestConfigResolution:
@@ -156,6 +152,24 @@ class TestTimeseriesCsv:
         a_mean = float(path.read_text().splitlines()[1].split(",")[3])
         se = math.sqrt(1.0 / 12.0 / 80.0 / 400)
         assert abs(a_mean - 0.5) < 3.0 * se
+
+    def test_bytes_pinned(self, tmp_path):
+        stats = self.make_stats(t_max=5, replicas=3, q=0.5)
+        path = emit_timeseries_csv(stats, tmp_path / "ts.csv")
+        assert path.read_text() == (
+            "t,N_mean,N_sd,A_mean,A_sd,ratio_mean,ratio_sd\n"
+            "0,80,0,0.500045457769,0.0204666045182,0.500045457769,"
+            "0.0204666045182\n"
+            "1,86,3.55902608401,0.52225611203,0.0270960035027,"
+            "0.517059576889,0.0268263937631\n"
+            "2,90.3333333333,0.471404520791,0.545205196559,0.0241609134895,"
+            "0.534409410347,0.0236824953483\n"
+            "3,91,0,0.572069561034,0.0237618301009,0.555162350384,"
+            "0.0230595618903\n"
+            "4,92.6666666667,3.09120616517,0.595573667022,0.0250937857323,"
+            "0.572220889512,0.0241098443199\n"
+            "5,92.6666666667,3.09120616517,0.625087929451,0.0176560586349,"
+            "0.594602031394,0.0167949624942\n")
 
 
 class TestMetadata:
@@ -436,6 +450,39 @@ class TestScenarios:
         lines = curve_csv.read_text().splitlines()
         assert lines[0] == "q,tc_mean,tc_sd,fraction_reached"
         assert len(lines) == 1 + 12  # the preset q grid
+
+    def test_tc_curve_csv_bytes_pinned(self, tmp_path):
+        # one replica of three crosses at q=0; no replica crosses elsewhere
+        assert main(["--scenario", "fig5", "--tmax", "30", "--replicas", "3",
+                     "--seed", "5", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "fig5_tc_curve.csv").read_text() == (
+            "q,tc_mean,tc_sd,fraction_reached\n"
+            "0,30,0,0.333333333333\n"
+            "0.1,nan,nan,0\n0.2,nan,nan,0\n0.3,nan,nan,0\n0.4,nan,nan,0\n"
+            "0.5,nan,nan,0\n0.6,nan,nan,0\n0.7,nan,nan,0\n0.8,nan,nan,0\n"
+            "0.9,nan,nan,0\n0.95,nan,nan,0\n0.99,nan,nan,0\n")
+
+    def test_tc_curve_rows_and_notes_per_cell(self, tmp_path):
+        params, controls = resolve_config(
+            None, {"seed": "13", "tmax": "120", "replicas": "3",
+                   "out": str(tmp_path)})
+        result = run_scenario("fig5", params, controls)
+        ensembles = [run_ensemble(SimParams(q=q, t_max=120, seed=13), 3)
+                     for q in TC_Q_GRID]
+        rows = (tmp_path / "fig5_tc_curve.csv").read_text().splitlines()[1:]
+        assert rows == [
+            ",".join(format(x, ".12g") for x in
+                     (q, st.tc_mean, st.tc_sd, st.fraction_reached))
+            for q, st in zip(TC_Q_GRID, ensembles)]
+        notes = [line for line in
+                 (tmp_path / "fig5_metadata.txt").read_text().splitlines()
+                 if line.startswith("# tc_of_mean")]
+        assert notes == [
+            f"# tc_of_mean[q={q:g}]="
+            f"{'none' if st.tc_of_mean is None else st.tc_of_mean}"
+            for q, st in zip(TC_Q_GRID, ensembles)]
+        assert result.max_renorm_error == max(
+            st.max_renorm_error for st in ensembles)
 
 
 def test_package_root_exports_the_entry_points():

@@ -23,7 +23,6 @@ from techmarket.ensemble import (
     replica_seeds,
     run_replica,
     stored_ensemble,
-    tc_curve,
 )
 from techmarket.rng import derive_seed
 
@@ -181,6 +180,12 @@ class TestRunEnsemble:
         assert st.tc_of_mean == 0  # constant 3.0 >= 1 from the start
         assert st.fraction_reached == 1.0
 
+    def test_free_market_always_crosses(self):
+        stats = run_ensemble(small_params(t_max=250), 4)
+        assert stats.fraction_reached == 1.0
+        assert math.isfinite(stats.tc_mean)
+        assert stats.tc_of_mean is not None
+
     def test_invalid_replica_count(self):
         with pytest.raises(ValueError):
             run_ensemble(small_params(), 0)
@@ -227,29 +232,6 @@ class TestReplicaFailure:
             ens.run_trajectories(small_params(t_max=5), 3, pool)
         assert info.value.code == 7
         assert info.value.__notes__ == [f"replica seed {bad_seed}"]
-
-
-class TestTcCurve:
-    def test_free_market_always_crosses(self):
-        curve = tc_curve([0.0], [run_ensemble(small_params(t_max=250), 4)])
-        assert curve.fraction_reached[0] == 1.0
-        assert math.isfinite(curve.tc_mean[0])
-        assert curve.tc_of_mean[0] is not None
-
-    def test_one_row_per_ensemble_in_order(self):
-        qs = [0.0, 0.3]
-        ensembles = [run_ensemble(small_params(t_max=120, q=q), 3) for q in qs]
-        curve = tc_curve(qs, ensembles)
-        assert list(curve.q) == qs
-        assert np.array_equal(curve.tc_mean,
-                              [st.tc_mean for st in ensembles], equal_nan=True)
-        assert np.array_equal(curve.tc_sd,
-                              [st.tc_sd for st in ensembles], equal_nan=True)
-        assert list(curve.fraction_reached) == [
-            st.fraction_reached for st in ensembles]
-        assert curve.tc_of_mean == [st.tc_of_mean for st in ensembles]
-        assert curve.max_renorm_error == max(
-            st.max_renorm_error for st in ensembles)
 
 
 def assert_same_stats(got: EnsembleStats, want: EnsembleStats) -> None:
