@@ -4,6 +4,11 @@ Full fidelity (400 replicas per ensemble) takes a while on a laptop; pass
 --replicas to trade accuracy for speed. Each scenario gets its own
 subdirectory under --out.
 
+The presets run in one process, longest horizon first (fig5, fig6, fig7,
+then fig1..fig4), so the ensemble store answers every cell that repeats a
+longer one by slicing it: fig1 and fig2 are prefixes of fig5's cells,
+fig6's passive cell of fig5's q=0.99 cell, and fig7 of fig6's active cell.
+
     python scripts/reproduce_figures.py --out results [--replicas N] [--jobs J]
 """
 import argparse
@@ -21,7 +26,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
 
-    for name in SCENARIOS:
+    for name in sorted(SCENARIOS, key=lambda n: -SCENARIOS[n].t_max):
         argv = ["--scenario", name, "--out", f"{args.out}/{name}",
                 "--jobs", str(args.jobs), "--seed", str(args.seed)]
         if args.replicas is not None:

@@ -139,7 +139,7 @@ ROW_BYTES = 8 * (1 + len(_COLUMN_DTYPES))
 @dataclass(slots=True)
 class Trajectory:
     """Per-sweep time series of one replica, for t = t_start .. t_max
-    (t_start is 0 unless the run resumed an end state)."""
+    (t_start is 0 for a replica run)."""
 
     t: np.ndarray             # sweep index
     n_firms: np.ndarray       # N(t) at sweep start
@@ -148,7 +148,6 @@ class Trajectory:
     rescued: np.ndarray       # rescues fired during sweep t (0 in the last row)
     bankrupted: np.ndarray    # bankruptcies during sweep t (0 in the last row)
     renorm_error: np.ndarray  # share renormalization error of sweep t (0 in the last row)
-    end_state: Optional[bytes] = None  # (MarketState, packed stream) at t_max
 
     @classmethod
     def empty(cls, t_start: int, t_max: int) -> Trajectory:

@@ -5,32 +5,27 @@ A replica is one full simulation of the market for t_max sweeps; an ensemble
 is n_replicas of them run from seeds derived as ``derive_seed(params.seed,
 k)`` for replica k. Replicas are independent, so they may run in the calling
 process or on a process pool; the aggregated statistics and event logs are
-identical either way. A replica hands back its end state, from which a later
-run carries on with exactly the draws and states of one uninterrupted run.
-A replica runs all of its sweeps in one call of a kernel entry, the
-compiled kernel's when this machine can build it (see ``compiled``) and
-the Python kernel's otherwise; both write the same trajectory bits and the
-same event rows.
+identical either way. A replica runs all of its sweeps in one call of a
+kernel entry, the compiled kernel's when this machine can build it (see
+``compiled``) and the Python kernel's otherwise; both write the same
+trajectory bits and the same event rows.
 
 Across-replica spread is reported as the population standard deviation
 (divide by n), matching descriptive +-1 SD bands.
 
 The ensemble store (``stored_ensemble``) shares ensembles between the cells
 of every scenario run in one process. Per parameter set other than t_max
-and per replica count it keeps the aggregates up to the longest horizon run
-so far, each replica's first crossing sweep and each replica's pickled end
-state. A request up to that horizon is answered by slicing the aggregates:
-a column-wise mean or SD over replicas depends only on that sweep's values,
-so the slice is bit-identical to a fresh run. A longer request resumes every
-replica from its end state and aggregates only the new sweeps. The store
-costs memory: about 3.8 kB per replica end state at the n_min floor (the
-stream packed into 2.6 kB) and 72 bytes per aggregate row, kept until the
+and per replica count it keeps the statistics of the longest horizon run so
+far. A request up to that horizon is answered by slicing them: a
+column-wise mean or SD over replicas depends only on that sweep's values,
+so the slice is bit-identical to a fresh run. A longer request simulates
+every replica from sweep 0 and replaces the entry. The store costs 72
+bytes per aggregate row plus one crossing per replica, kept until the
 process ends or ``clear_store`` is called.
 """
 from __future__ import annotations
 
 import io
-import pickle
 import random
 from array import array
 from concurrent.futures import ProcessPoolExecutor
@@ -44,7 +39,7 @@ from .dynamics import Trajectory, run_sweeps
 from .market import init_market
 from .output import emit_event_log
 from .params import SimParams
-from .rng import derive_seed, pack_stream, unpack_stream
+from .rng import derive_seed
 
 #: Threshold the mean technology must reach to end the catch-up phase; the
 #: frontier value at t=0.
@@ -79,35 +74,24 @@ _ROW_FIELDS = ("t", "n_mean", "n_sd", "a_mean", "a_sd", "ratio_mean",
 
 
 def run_replica(params: SimParams, replica_seed: int,
-                events: Optional[array] = None,
-                start: Optional[bytes] = None) -> Trajectory:
-    """Simulate one replica up to sweep t_max from the given stream seed,
-    or from ``start``, the ``end_state`` of an earlier run of the same
-    replica with the same parameters and a horizon of at most t_max.
-    Every step's event row is appended to ``events`` when a sink is given.
+                events: Optional[array] = None) -> Trajectory:
+    """Simulate one replica from sweep 0 to sweep t_max from the given
+    stream seed. Every step's event row is appended to ``events`` when a
+    sink is given.
 
     The trajectory is allocated here and written by one kernel entry,
     ``compiled.run_sweeps`` when this machine can build the kernel and
-    ``dynamics.run_sweeps`` otherwise: a row per sweep from the start
-    state on, plus one final snapshot at t = t_max.
+    ``dynamics.run_sweeps`` otherwise: a row per sweep, plus one final
+    snapshot at t = t_max.
     """
-    if start is None:
-        rng = random.Random(replica_seed)
-        market = init_market(params, rng)
-    else:
-        market, words = pickle.loads(start)
-        rng = unpack_stream(words)
-    if market.sweep > params.t_max:
-        raise ValueError(f"start state at sweep {market.sweep} is past "
-                         f"tmax={params.t_max}")
-    trajectory = Trajectory.empty(market.sweep, params.t_max)
+    rng = random.Random(replica_seed)
+    market = init_market(params, rng)
+    trajectory = Trajectory.empty(0, params.t_max)
     lib = compiled.kernel().lib
     if lib is None:
         run_sweeps(market, params, rng, trajectory, events)
     else:
         compiled.run_sweeps(lib, market, params, rng, trajectory, events)
-    trajectory.end_state = pickle.dumps((market, pack_stream(rng)),
-                                        pickle.HIGHEST_PROTOCOL)
     return trajectory
 
 
@@ -122,15 +106,15 @@ def replica_seeds(base_seed: int, n_replicas: int) -> list[int]:
     return [derive_seed(base_seed, k) for k in range(n_replicas)]
 
 
-def _replica_task(args: tuple[SimParams, int, int, bool, Optional[bytes]],
+def _replica_task(args: tuple[SimParams, int, int, bool],
                   ) -> tuple[Trajectory, Optional[str]]:
     """Replica k of an ensemble, plus its event log as JSONL text when
     ``log_events`` is set; the rows themselves are not kept."""
-    params, k, seed, log_events, start = args
+    params, k, seed, log_events = args
     if not log_events:
-        return run_replica(params, seed, None, start), None
+        return run_replica(params, seed), None
     events = array("q")
-    trajectory = run_replica(params, seed, events, start)
+    trajectory = run_replica(params, seed, events)
     text = io.StringIO()
     emit_event_log(text, k, events)
     return trajectory, text.getvalue()
@@ -168,7 +152,6 @@ class LazyPool:
 
 def run_trajectories(params: SimParams, n_replicas: int, pool: LazyPool,
                      event_log: Optional[TextIO] = None,
-                     starts: Optional[Sequence[bytes]] = None,
                      ) -> list[Trajectory]:
     """All replica trajectories of an ensemble, ordered by replica index,
     run through ``pool``.
@@ -179,16 +162,13 @@ def run_trajectories(params: SimParams, n_replicas: int, pool: LazyPool,
     in the calling process and on workers share one task function and give
     the same bytes. A replica's exception propagates unchanged, with a note
     naming its seed.
-
-    ``starts`` gives each replica an end state to resume from.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
     compiled.kernel()  # built and loaded here, before any worker forks
     seeds = replica_seeds(params.seed, n_replicas)
-    starts = [None] * n_replicas if starts is None else starts
-    tasks = [(params, k, seed, event_log is not None, start)
-             for k, (seed, start) in enumerate(zip(seeds, starts))]
+    tasks = [(params, k, seed, event_log is not None)
+             for k, seed in enumerate(seeds)]
     results = pool.map(_replica_task, tasks)
     out = []
     for seed in seeds:
@@ -205,8 +185,7 @@ def run_trajectories(params: SimParams, n_replicas: int, pool: LazyPool,
 
 def aggregate(trajectories: Sequence[Trajectory]) -> EnsembleStats:
     """Across-replica mean/SD per sweep; order of the input is fixed by
-    replica index, so results do not depend on completion order. Crossing
-    sweeps count from the trajectories' first row."""
+    replica index, so results do not depend on completion order."""
     n_mat = np.vstack([tr.n_firms for tr in trajectories]).astype(np.float64)
     a_mat = np.vstack([tr.mean_tech for tr in trajectories])
     r_mat = np.vstack([tr.ratio for tr in trajectories])
@@ -252,19 +231,6 @@ def _slice(stats: EnsembleStats, t_max: int) -> EnsembleStats:
     return _stats(rows, tc_vals)
 
 
-def _join(head: EnsembleStats, tail: EnsembleStats) -> EnsembleStats:
-    """One ensemble's statistics from its run to some sweep and the run
-    resumed from there: head's rows before tail's first sweep, then tail's
-    rows. A replica keeps its crossing in head, if any."""
-    t_start = int(tail.t[0])
-    rows = {name: np.concatenate((getattr(head, name)[:t_start],
-                                  getattr(tail, name)))
-            for name in _ROW_FIELDS}
-    tc_vals = np.where(np.isnan(head.tc_values), tail.tc_values + t_start,
-                       head.tc_values)
-    return _stats(rows, tc_vals)
-
-
 def run_ensemble(params: SimParams, n_replicas: int,
                  jobs: int = 1) -> EnsembleStats:
     """Run an ensemble from base seed ``params.seed`` on ``jobs`` worker
@@ -273,34 +239,23 @@ def run_ensemble(params: SimParams, n_replicas: int,
         return aggregate(run_trajectories(params, n_replicas, pool))
 
 
-@dataclass(slots=True)
-class _Stored:
-    stats: EnsembleStats    # up to the longest horizon run so far
-    end_states: list[bytes]  # each replica's end state at that horizon
-
-
 #: Ensembles run in this process, keyed by (params with t_max=0, replicas);
-#: params.seed is the base seed.
-_STORE: dict[tuple[SimParams, int], _Stored] = {}
+#: params.seed is the base seed. Each holds the longest horizon run so far.
+_STORE: dict[tuple[SimParams, int], EnsembleStats] = {}
 
 
 def stored_ensemble(params: SimParams, n_replicas: int,
                     pool: LazyPool) -> EnsembleStats:
     """``run_ensemble(params, n_replicas)``, bit for bit, through the store:
-    sliced from a stored run at least as long, resumed from the end states
-    of a shorter one, and simulated otherwise. Runs that simulate use
-    ``run_trajectories`` on ``pool``."""
+    sliced from a stored run at least as long, and otherwise simulated from
+    sweep 0 with ``run_trajectories`` on ``pool`` and stored in place of the
+    shorter run."""
     key = (replace(params, t_max=0), n_replicas)
-    entry = _STORE.get(key)
-    if entry is None or entry.stats.t[-1] < params.t_max:
-        trajectories = run_trajectories(
-            params, n_replicas, pool,
-            starts=None if entry is None else entry.end_states)
-        stats = aggregate(trajectories)
-        entry = _STORE[key] = _Stored(
-            stats if entry is None else _join(entry.stats, stats),
-            [tr.end_state for tr in trajectories])
-    return _slice(entry.stats, params.t_max)
+    stats = _STORE.get(key)
+    if stats is None or stats.t[-1] < params.t_max:
+        stats = _STORE[key] = aggregate(
+            run_trajectories(params, n_replicas, pool))
+    return _slice(stats, params.t_max)
 
 
 def clear_store() -> None:

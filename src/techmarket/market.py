@@ -81,14 +81,6 @@ class Lattice:
         self.occupancy: list[int] = [-1] * (width * height)  # firm id or -1
         self.vn4, self.moore8 = _neighbor_tables(width, height)
 
-    def __getstate__(self) -> tuple[int, int, list[int]]:
-        # the neighbor tables are rebuilt from the cache, not pickled
-        return self.width, self.height, self.occupancy
-
-    def __setstate__(self, state: tuple[int, int, list[int]]) -> None:
-        self.width, self.height, self.occupancy = state
-        self.vn4, self.moore8 = _neighbor_tables(self.width, self.height)
-
     @property
     def n_sites(self) -> int:
         return self.width * self.height

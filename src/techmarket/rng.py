@@ -14,7 +14,6 @@ stream.
 from __future__ import annotations
 
 import random
-from array import array
 
 # numpy.random.SeedSequence's constants: 32-bit words, a pool of 4 words
 _MASK32 = 0xFFFFFFFF
@@ -90,21 +89,6 @@ def open_unit(rng: random.Random) -> float:
     while u == 0.0:  # probability 2^-53 per draw
         u = rng.random()
     return u
-
-
-def pack_stream(rng: random.Random) -> array:
-    """The stream's MT19937 state as 625 packed 32-bit words: the 624
-    state words, then the position. It pickles to 2.6 kB, where
-    ``getstate()``'s tuple of ints takes 3.8 kB."""
-    return array("I", rng.getstate()[1])
-
-
-def unpack_stream(words: array) -> random.Random:
-    """A stream continuing exactly where the packed one stopped. Only
-    ``random()`` is drawn, so the Gaussian cache of the state is empty."""
-    rng = random.Random()
-    rng.setstate((3, tuple(words), None))
-    return rng
 
 
 def shuffle_in_place(items: list, rng: random.Random) -> None:

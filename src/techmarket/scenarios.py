@@ -21,11 +21,14 @@ and adds its note to the metadata.
 Cells without an event log go through the process's ensemble store
 (``ensemble.stored_ensemble``), so scenarios run in one process share
 trajectories. With the same seed and replicas, and fig5 at its default
-egalitarian policy, fig1 and fig2 seed the fig5 cells at the same q, fig6's
-passive cell is a prefix of fig5's q=0.99 cell, and fig7 is fig6's active
-cell. A cell with an event log always simulates. Each scenario call starts
-at most one process pool, when its first cell simulates with jobs > 1, and
-reaps its workers before it returns or raises.
+egalitarian policy, fig1 and fig2 are prefixes of the fig5 cells at the same
+q, fig6's passive cell is a prefix of fig5's q=0.99 cell, and fig7 is fig6's
+active cell. The store answers a cell by slicing a run at least as long and
+simulates it from sweep 0 otherwise, so a process that runs the longer
+presets first (as ``scripts/reproduce_figures.py`` does) simulates each of
+these trajectories once. A cell with an event log always simulates. Each
+scenario call starts at most one process pool, when its first cell
+simulates with jobs > 1, and reaps its workers before it returns or raises.
 """
 from __future__ import annotations
 

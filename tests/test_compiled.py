@@ -6,7 +6,6 @@ import os
 import pickle
 import random
 from array import array
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,27 +114,16 @@ def test_replicas_run_on_the_compiled_kernel(compiled_lib, monkeypatch):
     SimParams(q=0.9, policy=PolicyKind.MEDIUM_TECH, t_max=60),
     SimParams(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE, t_max=60),
 ], ids=["mediumtech_passive", "egalitarian_active"])
-def test_end_states_and_resumes_cross_kernels(compiled_lib, monkeypatch,
+def test_replica_columns_match_across_kernels(compiled_lib, monkeypatch,
                                               params):
     seed = derive_seed(3, 1)
-    head_params = replace(params, t_max=25)
     whole_c = run_replica(params, seed)
-    head_c = run_replica(head_params, seed)
     monkeypatch.setattr(compiled, "kernel",
                         lambda: compiled.Kernel(None, "python"))
     whole_py = run_replica(params, seed)
-    head_py = run_replica(head_params, seed)
-    tail_py = run_replica(params, seed, start=head_c.end_state)
-    monkeypatch.undo()
-    tail_c = run_replica(params, seed, start=head_py.end_state)
-    assert head_c.end_state == head_py.end_state
-    assert whole_c.end_state == whole_py.end_state == tail_py.end_state \
-        == tail_c.end_state
     for name in COLUMNS:
-        whole = getattr(whole_c, name)
-        assert np.array_equal(whole, getattr(whole_py, name)), name
-        assert np.array_equal(whole[25:], getattr(tail_py, name)), name
-        assert np.array_equal(whole[25:], getattr(tail_c, name)), name
+        assert np.array_equal(getattr(whole_c, name),
+                              getattr(whole_py, name)), name
 
 
 def test_share_drift_raises_the_python_message(compiled_lib):

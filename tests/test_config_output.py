@@ -5,7 +5,10 @@ import json
 import math
 import multiprocessing
 import re
+import runpy
+import sys
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,10 +373,10 @@ class TestScenarios:
         real = ens.run_replica
         bad_seed = ens.replica_seeds(3, 3)[1]
 
-        def drift(params, seed, events=None, start=None):
+        def drift(params, seed, events=None):
             if seed == bad_seed:
                 raise IntegrityError("normalization error 0.5 exceeds tolerance")
-            return real(params, seed, events, start)
+            return real(params, seed, events)
 
         monkeypatch.setattr(ens, "run_replica", drift)
         code = main(["--tmax", "5", "--replicas", "3", "--seed", "3",
@@ -388,9 +391,9 @@ class TestScenarios:
         real = ens.run_replica
         calls = []
 
-        def spy(params, seed, events=None, start=None):
-            calls.append((events is not None, start is not None))
-            return real(params, seed, events, start)
+        def spy(params, seed, events=None):
+            calls.append(events is not None)
+            return real(params, seed, events)
 
         monkeypatch.setattr(ens, "run_replica", spy)
         flags = {"seed": "5", "tmax": "12", "replicas": "2", "q": "0.5"}
@@ -400,8 +403,7 @@ class TestScenarios:
             run_scenario("custom", params, controls)
         # the first logged run neither read nor wrote the store, so the
         # plain run simulated; the second logged run simulated again
-        assert calls == [(True, False)] * 2 + [(False, False)] * 2 \
-            + [(True, False)] * 2
+        assert calls == [True] * 2 + [False] * 2 + [True] * 2
         csv = "custom_q0.5_egalitarian_passive.csv"
         assert (tmp_path / "a" / csv).read_bytes() \
             == (tmp_path / "b" / csv).read_bytes() \
@@ -430,7 +432,7 @@ class TestScenarios:
     def test_no_child_left_when_a_replica_fails(self, monkeypatch, tmp_path):
         import techmarket.ensemble as ens
 
-        def drift(params, seed, events=None, start=None):
+        def drift(params, seed, events=None):
             raise IntegrityError("normalization error 0.5 exceeds tolerance")
 
         monkeypatch.setattr(ens, "run_replica", drift)
@@ -483,6 +485,29 @@ class TestScenarios:
             for q, st in zip(TC_Q_GRID, ensembles)]
         assert result.max_renorm_error == max(
             st.max_renorm_error for st in ensembles)
+
+
+def test_figure_script_simulates_each_trajectory_once(monkeypatch, tmp_path):
+    import techmarket.ensemble as ens
+
+    real = ens.run_replica
+    first_rows = []
+
+    def spy(params, seed, *rest):
+        trajectory = real(params, seed, *rest)
+        first_rows.append(int(trajectory.t[0]))
+        return trajectory
+
+    monkeypatch.setattr(ens, "run_replica", spy)
+    script = Path(__file__).parents[1] / "scripts" / "reproduce_figures.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--replicas", "1",
+                                      "--jobs", "1", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert info.value.code == 0
+    # fig5's 12 cells, fig6's active cell and fig3's and fig4's 6 cells;
+    # fig1, fig2, fig6's passive cell and fig7 are slices
+    assert first_rows == [0] * 19
 
 
 def test_package_root_exports_the_entry_points():
@@ -639,7 +664,7 @@ class TestCli:
             self, monkeypatch, tmp_path, capsys):
         import techmarket.ensemble as ens
 
-        def drift(params, seed, events=None, start=None):
+        def drift(params, seed, events=None):
             raise IntegrityError("normalization error 0.5 exceeds tolerance")
 
         monkeypatch.setattr(ens, "run_replica", drift)

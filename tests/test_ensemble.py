@@ -66,33 +66,6 @@ class TestRunReplica:
         tr = run_replica(p, derive_seed(42, 0))
         assert 8 <= tr.n_firms[600] <= 20
 
-    def test_resumed_replica_continues_the_run(self):
-        p = small_params(t_max=70, q=0.9, policy=PolicyKind.MEDIUM_TECH)
-        seed = derive_seed(p.seed, 2)
-        whole = run_replica(p, seed)
-        head = run_replica(replace(p, t_max=30), seed)
-        tail = run_replica(p, seed, start=head.end_state)
-        assert list(tail.t) == list(range(30, 71))
-        assert tail.end_state == whole.end_state
-        for name in ("n_firms", "mean_tech", "ratio"):
-            joined = np.concatenate((getattr(head, name)[:30],
-                                     getattr(tail, name)))
-            assert np.array_equal(joined, getattr(whole, name)), name
-        # the short run's last row has no sweep after it; the resumed one
-        # records sweep 30's rescues, bankruptcies and renorm error
-        for name in ("rescued", "bankrupted", "renorm_error"):
-            assert getattr(head, name)[30] == 0
-            assert np.array_equal(getattr(tail, name),
-                                  getattr(whole, name)[30:]), name
-        assert whole.rescued[30:].sum() > 0
-
-    def test_start_past_the_horizon_rejected(self):
-        p = small_params(t_max=20)
-        end = run_replica(p, derive_seed(p.seed, 0)).end_state
-        with pytest.raises(ValueError, match="past"):
-            run_replica(replace(p, t_max=10), derive_seed(p.seed, 0),
-                        start=end)
-
     def test_variants_identical_without_intervention(self):
         p_passive = small_params(t_max=80, q=0.0,
                                  variant=VariantKind.PASSIVE_AFTER_RESCUE)
@@ -195,10 +168,10 @@ class TestRunEnsemble:
 
         bad_seed = replica_seeds(99, 3)[2]
 
-        def sabotaged(params, seed, events=None, start=None):
+        def sabotaged(params, seed, events=None):
             if seed == bad_seed:
                 raise ValueError("boom")
-            return real(params, seed, events, start)
+            return real(params, seed, events)
 
         real = ens.run_replica
         monkeypatch.setattr(ens, "run_replica", sabotaged)
@@ -222,10 +195,10 @@ class TestReplicaFailure:
         bad_seed = replica_seeds(99, 3)[1]
         real = ens.run_replica
 
-        def sabotaged(params, seed, events=None, start=None):
+        def sabotaged(params, seed, events=None):
             if seed == bad_seed:
                 raise TwoArgError(7, "boom")
-            return real(params, seed, events, start)
+            return real(params, seed, events)
 
         monkeypatch.setattr(ens, "run_replica", sabotaged)
         with pytest.raises(TwoArgError) as info, LazyPool(jobs) as pool:
@@ -282,14 +255,17 @@ class TestEnsembleStore:
         MEDIUM_Q09,
     ], ids=["passive", "active", "mediumtech"])
     def test_resume_equals_fresh_run(self, monkeypatch, params, jobs):
+        """A request longer than the stored one simulates every replica
+        from sweep 0 and equals a fresh run."""
         import techmarket.ensemble as ens
 
         real = ens.run_replica
-        starts = []
+        runs = []
 
-        def spy(params, seed, events=None, start=None):
-            starts.append(start is not None)
-            return real(params, seed, events, start)
+        def spy(params, seed, events=None):
+            trajectory = real(params, seed, events)
+            runs.append((int(trajectory.t[0]), int(trajectory.t[-1])))
+            return trajectory
 
         monkeypatch.setattr(ens, "run_replica", spy)
         first = replace(params, t_max=params.t_max * 2 // 3)
@@ -297,13 +273,15 @@ class TestEnsembleStore:
         with LazyPool(jobs) as pool:
             assert_same_stats(stored_ensemble(first, 4, pool),
                               run_ensemble(first, 4))
-            resumed = stored_ensemble(params, 4, pool)
-            assert_same_stats(resumed, run_ensemble(params, 4))
+            assert_same_stats(stored_ensemble(params, 4, pool),
+                              run_ensemble(params, 4))
             assert_same_stats(stored_ensemble(middle, 4, pool),
                               run_ensemble(middle, 4))
         if jobs == 1:  # pool workers do not report back
-            # 4 fresh, then 4 resumed, then the two run_ensemble calls
-            assert starts == [False] * 8 + [True] * 4 + [False] * 8
+            # the store runs 4 replicas from sweep 0, then 4 again, then none
+            # for the middle slice; each run_ensemble call runs 4
+            assert runs == [(0, first.t_max)] * 8 + [(0, params.t_max)] * 8 \
+                + [(0, middle.t_max)] * 4
 
     def test_key_separates_seed_replicas_and_params(self):
         a = stored_ensemble(small_params(t_max=20), 2, SERIAL)
