@@ -37,7 +37,7 @@ from .dynamics import (
     Trajectory,
     renorm_failure,
 )
-from .market import Firm, MarketState, Segment, _neighbor_tables
+from .market import Firm, MarketState, _neighbor_tables
 from .params import SimParams, VariantKind
 
 SOURCE = Path(__file__).with_name("_sweep.c")
@@ -83,8 +83,6 @@ EVENT_ROWS = 4096
 _ROW_BYTES = EVENT_FIELDS * ctypes.sizeof(_I64)
 #: tm_run's return codes.
 _OK, _RENORM_ABOVE_TOLERANCE, _NO_SHARE, _PAUSED = range(4)
-_SEGMENT_CODE = {None: -1, Segment.LOW: 0, Segment.MEDIUM: 1,
-                 Segment.HIGH: 2}
 
 
 class Kernel(NamedTuple):
@@ -186,7 +184,7 @@ def run_sweeps(lib: ctypes.CDLL, market: MarketState, params: SimParams,
         s=params.s, b=params.b, q=params.q, omega_s=params.omega_s,
         sigma=params.sigma, tolerance=RENORM_TOLERANCE,
         n_min=params.n_min,
-        segment=_SEGMENT_CODE[_POLICY_SEGMENT.get(params.policy)],
+        segment=_POLICY_SEGMENT.get(params.policy, -1),  # -1: SEGMENT_ANY
         passive=params.variant is VariantKind.PASSIVE_AFTER_RESCUE,
         vn4=vn4, moore8=moore8,
         occ=_array(_I32, n_sites, (slot.get(fid, -1)
@@ -200,7 +198,7 @@ def run_sweeps(lib: ctypes.CDLL, market: MarketState, params: SimParams,
         frontier=market.frontier_value, ws=market.weighted_sum,
         ts=market.tech_sum, tq=market.tech_sq_sum,
         mt=_array(ctypes.c_uint32, len(words), words),
-        n_rows=len(trajectory.t),
+        n_rows=len(trajectory.n_firms),
         n_firms=trajectory.n_firms.ctypes.data_as(_P_I64),
         rescued=trajectory.rescued.ctypes.data_as(_P_I64),
         bankrupted=trajectory.bankrupted.ctypes.data_as(_P_I64),

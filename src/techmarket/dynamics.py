@@ -129,19 +129,17 @@ class EventRecord(NamedTuple):
 EVENT_FIELDS = len(EventRecord._fields)
 
 
-#: dtypes of Trajectory's columns after t, in field order.
+#: dtypes of Trajectory's columns, in field order.
 _COLUMN_DTYPES = (np.int64, np.float64, np.float64, np.int64, np.int64,
                   np.float64)
-#: Bytes a Trajectory holds per row: t and six 8-byte columns.
-ROW_BYTES = 8 * (1 + len(_COLUMN_DTYPES))
+#: Bytes a Trajectory holds per row: six 8-byte columns.
+ROW_BYTES = 8 * len(_COLUMN_DTYPES)
 
 
 @dataclass(slots=True)
 class Trajectory:
-    """Per-sweep time series of one replica, for t = t_start .. t_max
-    (t_start is 0 for a replica run)."""
+    """Per-sweep time series of one run; row k holds its k-th sweep."""
 
-    t: np.ndarray             # sweep index
     n_firms: np.ndarray       # N(t) at sweep start
     mean_tech: np.ndarray     # weighted mean technology at sweep start
     ratio: np.ndarray         # mean_tech / frontier(t)
@@ -150,11 +148,9 @@ class Trajectory:
     renorm_error: np.ndarray  # share renormalization error of sweep t (0 in the last row)
 
     @classmethod
-    def empty(cls, t_start: int, t_max: int) -> Trajectory:
-        """Zeroed columns for sweeps t_start .. t_max, for ``run_sweeps``
-        to write."""
-        t = np.arange(t_start, t_max + 1, dtype=np.int64)
-        return cls(t, *(np.zeros(t.size, dtype) for dtype in _COLUMN_DTYPES))
+    def empty(cls, rows: int) -> Trajectory:
+        """Zeroed columns of ``rows`` rows, for ``run_sweeps`` to write."""
+        return cls(*(np.zeros(rows, dtype) for dtype in _COLUMN_DTYPES))
 
 
 def external_diffusion(tech: float, frontier: float, r2: float) -> float:
@@ -339,17 +335,16 @@ def firm_update(market: MarketState, firm_id: int, params: SimParams,
 
 def run_sweeps(market: MarketState, params: SimParams, rng: random.Random,
                trajectory: Trajectory, events: Optional[array] = None) -> None:
-    """Run the market from its sweep, ``trajectory.t[0]``, to
-    ``trajectory.t[-1]`` and write every row of ``trajectory``, a
-    ``Trajectory.empty``. Pass an event sink as ``events`` to collect every
-    step's row.
+    """Run the market from its current sweep for one sweep per row of
+    ``trajectory``, a ``Trajectory.empty``, but the last, and write every
+    row. Pass an event sink as ``events`` to collect every step's row.
 
     Each sweep resyncs the running sums, records N, the weighted mean
     technology and its ratio to the frontier, updates each firm alive at
     its start once in random order, renormalizes shares, and advances the
     clock and the cached frontier; the last row records the end state.
     """
-    last = len(trajectory.t) - 1
+    last = len(trajectory.n_firms) - 1
     for row in range(last + 1):
         market.resync_sums()
         trajectory.n_firms[row] = len(market.firms)

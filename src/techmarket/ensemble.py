@@ -4,8 +4,8 @@ the ensemble store.
 A replica is one full simulation of the market for t_max sweeps; an ensemble
 is n_replicas of them run from seeds derived as ``derive_seed(params.seed,
 k)`` for replica k. Replicas are independent, so they may run in the calling
-process or on a process pool; the aggregated statistics and event logs are
-identical either way. A replica runs all of its sweeps in one call of a
+process or on a process pool; the statistics and event logs are identical
+either way. A replica runs all of its sweeps in one call of a
 kernel entry, the compiled kernel's when this machine can build it (see
 ``compiled``) and the Python kernel's otherwise; both write the same
 trajectory bits and the same event rows.
@@ -86,7 +86,7 @@ def run_replica(params: SimParams, replica_seed: int,
     """
     rng = random.Random(replica_seed)
     market = init_market(params, rng)
-    trajectory = Trajectory.empty(0, params.t_max)
+    trajectory = Trajectory.empty(params.t_max + 1)
     lib = compiled.kernel().lib
     if lib is None:
         run_sweeps(market, params, rng, trajectory, events)
@@ -151,10 +151,11 @@ class LazyPool:
 
 
 def run_trajectories(params: SimParams, n_replicas: int, pool: LazyPool,
-                     event_log: Optional[TextIO] = None,
-                     ) -> list[Trajectory]:
-    """All replica trajectories of an ensemble, ordered by replica index,
-    run through ``pool``.
+                     event_log: Optional[TextIO] = None) -> EnsembleStats:
+    """The statistics of an ensemble whose replicas run through ``pool``.
+    In replica order, each replica's N, mean technology and ratio rows are
+    copied into (replicas x sweeps) matrices, 24 bytes per replica and
+    sweep, and its other reductions updated; then its trajectory is dropped.
 
     With ``event_log``, each replica renders its events to JSON lines in the
     process that ran it, and the text is written to the stream in replica
@@ -170,8 +171,12 @@ def run_trajectories(params: SimParams, n_replicas: int, pool: LazyPool,
     tasks = [(params, k, seed, event_log is not None)
              for k, seed in enumerate(seeds)]
     results = pool.map(_replica_task, tasks)
-    out = []
-    for seed in seeds:
+    rows = params.t_max + 1
+    n_mat, a_mat, r_mat = (np.empty((n_replicas, rows)) for _ in range(3))
+    rescued_sum = np.zeros(rows, np.int64)
+    renorm_error = np.zeros(rows)
+    tc_vals = np.full(n_replicas, np.nan)
+    for k, seed in enumerate(seeds):
         try:
             trajectory, text = next(results)
         except Exception as exc:
@@ -179,30 +184,26 @@ def run_trajectories(params: SimParams, n_replicas: int, pool: LazyPool,
             raise
         if text is not None:
             event_log.write(text)
-        out.append(trajectory)
-    return out
-
-
-def aggregate(trajectories: Sequence[Trajectory]) -> EnsembleStats:
-    """Across-replica mean/SD per sweep; order of the input is fixed by
-    replica index, so results do not depend on completion order."""
-    n_mat = np.vstack([tr.n_firms for tr in trajectories]).astype(np.float64)
-    a_mat = np.vstack([tr.mean_tech for tr in trajectories])
-    r_mat = np.vstack([tr.ratio for tr in trajectories])
-    tc_vals = np.array(
-        [float(tc) if (tc := estimate_tc(tr.mean_tech)) is not None else np.nan
-         for tr in trajectories])
+        n_mat[k] = trajectory.n_firms
+        a_mat[k] = trajectory.mean_tech
+        r_mat[k] = trajectory.ratio
+        rescued_sum += trajectory.rescued
+        np.maximum(renorm_error, trajectory.renorm_error, out=renorm_error)
+        if (tc := estimate_tc(trajectory.mean_tech)) is not None:
+            tc_vals[k] = tc
+        # not held while the next replica runs (the text is: freeing it
+        # lets malloc trim pages that the next replica's text faults in)
+        del trajectory
     return _stats({
-        "t": trajectories[0].t.copy(),
+        "t": np.arange(rows, dtype=np.int64),
         "n_mean": n_mat.mean(axis=0),
         "n_sd": n_mat.std(axis=0),
         "a_mean": a_mat.mean(axis=0),
         "a_sd": a_mat.std(axis=0),
         "ratio_mean": r_mat.mean(axis=0),
         "ratio_sd": r_mat.std(axis=0),
-        "rescued_sum": np.vstack([tr.rescued for tr in trajectories]).sum(axis=0),
-        "renorm_error": np.vstack(
-            [tr.renorm_error for tr in trajectories]).max(axis=0),
+        "rescued_sum": rescued_sum,
+        "renorm_error": renorm_error,
     }, tc_vals)
 
 
@@ -233,10 +234,10 @@ def _slice(stats: EnsembleStats, t_max: int) -> EnsembleStats:
 
 def run_ensemble(params: SimParams, n_replicas: int,
                  jobs: int = 1) -> EnsembleStats:
-    """Run an ensemble from base seed ``params.seed`` on ``jobs`` worker
-    processes of its own, and aggregate it."""
+    """The statistics of an ensemble from base seed ``params.seed``, run on
+    ``jobs`` worker processes of its own."""
     with LazyPool(jobs) as pool:
-        return aggregate(run_trajectories(params, n_replicas, pool))
+        return run_trajectories(params, n_replicas, pool)
 
 
 #: Ensembles run in this process, keyed by (params with t_max=0, replicas);
@@ -253,8 +254,7 @@ def stored_ensemble(params: SimParams, n_replicas: int,
     key = (replace(params, t_max=0), n_replicas)
     stats = _STORE.get(key)
     if stats is None or stats.t[-1] < params.t_max:
-        stats = _STORE[key] = aggregate(
-            run_trajectories(params, n_replicas, pool))
+        stats = _STORE[key] = run_trajectories(params, n_replicas, pool)
     return _slice(stats, params.t_max)
 
 

@@ -12,7 +12,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 from .errors import ConfigError
 from .params import SimParams
@@ -30,14 +30,14 @@ _MOORE_OFFSETS = (
 )
 
 
-class Segment(Enum):
+class Segment(IntEnum):
     """Technology segment relative to the market mean and its spread:
     Low below mean - sigma_g, High above mean + sigma_g, Medium between
-    (boundaries included in Medium)."""
+    (boundaries included in Medium). Valued as ``_sweep.c``'s SEGMENT_*."""
 
-    LOW = "low"
-    MEDIUM = "medium"
-    HIGH = "high"
+    LOW = 0
+    MEDIUM = 1
+    HIGH = 2
 
 
 @dataclass(slots=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO
 
@@ -23,6 +24,9 @@ if TYPE_CHECKING:  # ensemble imports this module to render event logs
 
 TIMESERIES_HEADER = "t,N_mean,N_sd,A_mean,A_sd,ratio_mean,ratio_sd"
 TC_CURVE_HEADER = "q,tc_mean,tc_sd,fraction_reached"
+#: Time-series rows turned into Python values at a time, so that a long
+#: horizon's rows are never all held at once.
+CHUNK_ROWS = 4096
 
 
 #: The ``,"kind":"<name>"`` fragment of an event line, indexed by EventKind.
@@ -61,7 +65,9 @@ def emit_timeseries_csv(stats: EnsembleStats, path: str | Path) -> Path:
     columns = (stats.t, stats.n_mean, stats.n_sd, stats.a_mean, stats.a_sd,
                stats.ratio_mean, stats.ratio_sd)
     return _emit_csv(path, TIMESERIES_HEADER, "%d" + ",%.12g" * 6 + "\n",
-                     zip(*(column.tolist() for column in columns)))
+                     chain.from_iterable(
+                         zip(*(c[i:i + CHUNK_ROWS].tolist() for c in columns))
+                         for i in range(0, len(stats.t), CHUNK_ROWS)))
 
 
 def emit_tc_curve_csv(rows: Iterable[tuple[float, float, float, float]],

@@ -39,7 +39,7 @@ from pathlib import Path
 from . import __version__, compiled
 from .config import RunControls
 from .dynamics import ROW_BYTES
-from .ensemble import LazyPool, aggregate, run_trajectories, stored_ensemble
+from .ensemble import LazyPool, run_trajectories, stored_ensemble
 from .errors import ConfigError
 from .output import (
     atomic_write,
@@ -85,7 +85,7 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
     feeding it back as a config file reruns the scenario exactly."""
     cells = resolve_cells(name, base, controls)
     replicas = controls.replicas
-    # a cell's trajectories are all held at once until they are aggregated
+    # worst case: replicas done ahead of an earlier one wait whole in the pool
     t_max = cells[0][1].t_max
     need = replicas * (t_max + 1) * ROW_BYTES
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -112,8 +112,8 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
             if controls.events:
                 log_path = out_dir / f"{name}_{label}_events.jsonl"
                 with atomic_write(log_path) as event_log:
-                    stats = aggregate(run_trajectories(
-                        cell_params, replicas, pool, event_log))
+                    stats = run_trajectories(cell_params, replicas, pool,
+                                             event_log)
             else:
                 stats = stored_ensemble(cell_params, replicas, pool)
             tc = "none" if stats.tc_of_mean is None else stats.tc_of_mean

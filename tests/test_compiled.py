@@ -66,7 +66,7 @@ def run_both(lib, market, params, rng):
     for entry in (functools.partial(compiled.run_sweeps, lib),
                   dynamics.run_sweeps):
         m, r, events = copy.deepcopy(market), copy.deepcopy(rng), array("q")
-        trajectory = Trajectory.empty(m.sweep, params.t_max)
+        trajectory = Trajectory.empty(params.t_max + 1)
         entry(m, params, r, trajectory, events)
         runs.append((trajectory, events, m, r))
     return runs
@@ -75,7 +75,7 @@ def run_both(lib, market, params, rng):
 def assert_same_runs(compiled_run, python_run):
     (tr_c, events_c, market_c, rng_c), (tr_py, events_py, market_py,
                                         rng_py) = compiled_run, python_run
-    for name in ("t", *COLUMNS):
+    for name in COLUMNS:
         assert np.array_equal(getattr(tr_c, name), getattr(tr_py, name)), name
     assert events_c == events_py
     assert pickle.dumps(market_c) == pickle.dumps(market_py)
@@ -134,10 +134,10 @@ def test_share_drift_raises_the_python_message(compiled_lib):
     events_py, events_c = array("q"), array("q")
     with pytest.raises(IntegrityError) as python_error:
         dynamics.run_sweeps(copy.deepcopy(market), params, random.Random(1),
-                            Trajectory.empty(0, params.t_max), events_py)
+                            Trajectory.empty(params.t_max + 1), events_py)
     with pytest.raises(IntegrityError) as compiled_error:
         compiled.run_sweeps(compiled_lib, market, params, random.Random(1),
-                            Trajectory.empty(0, params.t_max), events_c)
+                            Trajectory.empty(params.t_max + 1), events_c)
     assert str(compiled_error.value) == str(python_error.value)
     assert "error 5.000e-01" in str(compiled_error.value)
     # the failing sweep's rows are appended before the error is raised

@@ -20,6 +20,7 @@ from techmarket import (
     SimParams,
     VariantKind,
 )
+from techmarket import output
 from techmarket.cli import build_parser, main
 from techmarket.config import (
     CONFIG_KEYS,
@@ -173,6 +174,15 @@ class TestTimeseriesCsv:
             "0.572220889512,0.0241098443199\n"
             "5,92.6666666667,3.09120616517,0.625087929451,0.0176560586349,"
             "0.594602031394,0.0167949624942\n")
+
+    @pytest.mark.parametrize("chunk_rows", [1, 4])
+    def test_chunks_give_the_same_bytes(self, tmp_path, monkeypatch,
+                                        chunk_rows):
+        stats = self.make_stats(t_max=5, replicas=3, q=0.5)
+        whole = emit_timeseries_csv(stats, tmp_path / "whole.csv")
+        monkeypatch.setattr(output, "CHUNK_ROWS", chunk_rows)
+        chunked = emit_timeseries_csv(stats, tmp_path / "chunked.csv")
+        assert chunked.read_bytes() == whole.read_bytes()
 
 
 class TestMetadata:
@@ -491,11 +501,11 @@ def test_figure_script_simulates_each_trajectory_once(monkeypatch, tmp_path):
     import techmarket.ensemble as ens
 
     real = ens.run_replica
-    first_rows = []
+    horizons = []
 
     def spy(params, seed, *rest):
         trajectory = real(params, seed, *rest)
-        first_rows.append(int(trajectory.t[0]))
+        horizons.append(len(trajectory.n_firms) - 1)
         return trajectory
 
     monkeypatch.setattr(ens, "run_replica", spy)
@@ -507,7 +517,7 @@ def test_figure_script_simulates_each_trajectory_once(monkeypatch, tmp_path):
     assert info.value.code == 0
     # fig5's 12 cells, fig6's active cell and fig3's and fig4's 6 cells;
     # fig1, fig2, fig6's passive cell and fig7 are slices
-    assert first_rows == [0] * 19
+    assert horizons == [3000] * 12 + [2000] + [600] * 6
 
 
 def test_package_root_exports_the_entry_points():
@@ -548,7 +558,7 @@ class TestCli:
                      "--replicas", "1", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: replicas=1 and tmax=10000000000000"
-                              " need 521,540.6 GiB of trajectories")
+                              " need 447,034.8 GiB of trajectories")
         assert err.count("\n") == 1
         assert not out.exists()
 

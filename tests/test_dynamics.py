@@ -32,7 +32,7 @@ def total_share(market):
 def run(market, params, rng, sweeps, events=None):
     """The trajectory of ``sweeps`` sweeps of the market on the Python
     kernel; row k is the market's k-th sweep from now."""
-    trajectory = Trajectory.empty(market.sweep, market.sweep + sweeps)
+    trajectory = Trajectory.empty(sweeps + 1)
     run_sweeps(market, params, rng, trajectory, events)
     return trajectory
 

@@ -1,7 +1,8 @@
-"""Replica runs, deterministic seeding, aggregation, catch-up times, and
-the ensemble store."""
+"""Replica runs, deterministic seeding, ensemble statistics, catch-up
+times, and the ensemble store."""
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +16,10 @@ from techmarket import (
     VariantKind,
     run_ensemble,
 )
+from techmarket.dynamics import ROW_BYTES
 from techmarket.ensemble import (
     LazyPool,
     Trajectory,
-    aggregate,
     estimate_tc,
     replica_seeds,
     run_replica,
@@ -37,15 +38,15 @@ class TestRunReplica:
     def test_zero_horizon_single_record(self):
         p = small_params(t_max=0)
         tr = run_replica(p, derive_seed(p.seed, 0))
-        assert len(tr.t) == 1
+        assert len(tr.n_firms) == 1
         assert tr.n_firms[0] == 80
         assert tr.ratio[0] == tr.mean_tech[0]  # frontier(0) = 1
 
     def test_series_length_and_clock(self):
         p = small_params(t_max=25)
         tr = run_replica(p, derive_seed(p.seed, 0))
-        assert len(tr.t) == 26
-        assert list(tr.t) == list(range(26))
+        assert all(len(getattr(tr, field.name)) == 26
+                   for field in dataclasses.fields(Trajectory))
 
     def test_bit_identical_reruns(self):
         p = small_params(t_max=40)
@@ -58,7 +59,7 @@ class TestRunReplica:
     def test_ratio_identity(self):
         p = small_params(t_max=50, sigma=0.01)
         tr = run_replica(p, derive_seed(p.seed, 1))
-        recon = tr.ratio * np.exp(0.01 * tr.t)
+        recon = tr.ratio * np.exp(0.01 * np.arange(51))
         assert np.allclose(recon, tr.mean_tech, rtol=1e-12, atol=0.0)
 
     def test_free_market_plateau_near_floor(self):
@@ -139,15 +140,17 @@ class TestRunEnsemble:
         assert serial.tc_mean == parallel.tc_mean or (
             math.isnan(serial.tc_mean) and math.isnan(parallel.tc_mean))
 
-    def test_constant_synthetic_ensemble(self):
-        t = np.arange(5)
+    def test_constant_synthetic_ensemble(self, monkeypatch):
+        import techmarket.ensemble as ens
+
         row = np.full(5, 3.0)
-        trs = [
-            Trajectory(t.copy(), np.full(5, 7), row.copy(), row.copy(),
-                       np.zeros(5, int), np.zeros(5, int), np.zeros(5))
-            for _ in range(4)
-        ]
-        st = aggregate(trs)
+
+        def synthetic(params, seed, events=None):
+            return Trajectory(np.full(5, 7), row.copy(), row.copy(),
+                              np.zeros(5, int), np.zeros(5, int), np.zeros(5))
+
+        monkeypatch.setattr(ens, "run_replica", synthetic)
+        st = ens.run_trajectories(small_params(t_max=4), 4, LazyPool(1))
         assert np.all(st.a_mean == 3.0) and np.all(st.a_sd == 0.0)
         assert np.all(st.n_mean == 7.0) and np.all(st.n_sd == 0.0)
         assert st.tc_of_mean == 0  # constant 3.0 >= 1 from the start
@@ -158,6 +161,18 @@ class TestRunEnsemble:
         assert stats.fraction_reached == 1.0
         assert math.isfinite(stats.tc_mean)
         assert stats.tc_of_mean is not None
+
+    def test_peak_memory_below_holding_every_trajectory(self):
+        """Replicas stream into the statistics: the traced peak of a serial
+        40-replica ensemble stays below what its trajectories would hold."""
+        params = SimParams(t_max=2000, seed=3)
+        tracemalloc.start()
+        try:
+            run_ensemble(params, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * (params.t_max + 1) * ROW_BYTES
 
     def test_invalid_replica_count(self):
         with pytest.raises(ValueError):
@@ -254,7 +269,8 @@ class TestEnsembleStore:
         small_params(q=0.9, t_max=90, variant=VariantKind.ACTIVE_AFTER_RESCUE),
         MEDIUM_Q09,
     ], ids=["passive", "active", "mediumtech"])
-    def test_resume_equals_fresh_run(self, monkeypatch, params, jobs):
+    def test_longer_request_equals_fresh_run(self, monkeypatch, params,
+                                             jobs):
         """A request longer than the stored one simulates every replica
         from sweep 0 and equals a fresh run."""
         import techmarket.ensemble as ens
@@ -264,7 +280,7 @@ class TestEnsembleStore:
 
         def spy(params, seed, events=None):
             trajectory = real(params, seed, events)
-            runs.append((int(trajectory.t[0]), int(trajectory.t[-1])))
+            runs.append(len(trajectory.n_firms) - 1)
             return trajectory
 
         monkeypatch.setattr(ens, "run_replica", spy)
@@ -278,10 +294,11 @@ class TestEnsembleStore:
             assert_same_stats(stored_ensemble(middle, 4, pool),
                               run_ensemble(middle, 4))
         if jobs == 1:  # pool workers do not report back
-            # the store runs 4 replicas from sweep 0, then 4 again, then none
-            # for the middle slice; each run_ensemble call runs 4
-            assert runs == [(0, first.t_max)] * 8 + [(0, params.t_max)] * 8 \
-                + [(0, middle.t_max)] * 4
+            # the store runs 4 replicas to each horizon from sweep 0, then 4
+            # again, then none for the middle slice; each run_ensemble call
+            # runs 4
+            assert runs == [first.t_max] * 8 + [params.t_max] * 8 \
+                + [middle.t_max] * 4
 
     def test_key_separates_seed_replicas_and_params(self):
         a = stored_ensemble(small_params(t_max=20), 2, SERIAL)
