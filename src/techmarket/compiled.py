@@ -3,8 +3,10 @@ loaded with ctypes.
 
 ``run_sweeps`` is ``dynamics.run_sweeps`` on the compiled kernel, with
 bit-identical results and the same event rows. It copies a market and its
-random stream into C buffers, runs all of the replica's sweeps in one C
-call that writes the trajectory's columns in place, and copies both back.
+random stream into C buffers and runs all of the replica's sweeps in one C
+call that writes the trajectory's columns in place. The market and the
+stream it was given are left as they were: the end market and stream stay
+in the C buffers of the State it returns.
 A logged run collects its event rows in a buffer of EVENT_ROWS rows: the
 call pauses before a sweep whose rows might not fit, and is called again
 once the rows are appended to the sink.
@@ -37,7 +39,7 @@ from .dynamics import (
     Trajectory,
     renorm_failure,
 )
-from .market import Firm, MarketState, _neighbor_tables
+from .market import MarketState, _neighbor_tables
 from .params import SimParams, VariantKind
 
 SOURCE = Path(__file__).with_name("_sweep.c")
@@ -165,16 +167,18 @@ def _c_neighbor_tables(width: int,
 
 def run_sweeps(lib: ctypes.CDLL, market: MarketState, params: SimParams,
                rng: random.Random, trajectory: Trajectory,
-               events: Optional[array] = None) -> None:
+               events: Optional[array] = None) -> _State:
     """``dynamics.run_sweeps`` on the compiled kernel ``lib``: the same
-    columns, event rows, end market and stream, or the same error raised
-    after the same rows."""
+    columns and event rows, or the same error raised after the same rows.
+    ``market`` and ``rng`` are only read. The returned State holds the end
+    market in slots 0 to n_slots - 1, in the registry's order, and the end
+    stream in ``mt``: the 624 words and the position of ``getstate()``."""
     lattice = market.lattice
     n_sites = lattice.n_sites
     cap = 2 * n_sites  # see State.id in _sweep.c
     firms = list(market.firms.values())  # the registry's order
     slot = {f.id: k for k, f in enumerate(firms)}
-    version, words, gauss = rng.getstate()
+    words = rng.getstate()[1]
     max_events = max(EVENT_ROWS, n_sites)
     buffer = None if events is None else _array(_I64,
                                                 EVENT_FIELDS * max_events)
@@ -216,19 +220,4 @@ def run_sweeps(lib: ctypes.CDLL, market: MarketState, params: SimParams,
         raise ValueError("total share must be positive")
     if status == _RENORM_ABOVE_TOLERANCE:
         raise renorm_failure(trajectory.renorm_error[state.row], state.sweep)
-    n = state.n_slots
-    occupancy = [-1] * n_sites
-    registry = {}
-    for fid, tech, share, site in zip(state.id[:n], state.tech[:n],
-                                      state.share[:n], state.site[:n]):
-        registry[fid] = Firm(fid, tech, share, site)
-        occupancy[site] = fid
-    market.firms = registry
-    market.lattice.occupancy = occupancy
-    market.sweep = state.sweep
-    market.frontier_value = state.frontier
-    market.next_id = state.next_id
-    market.weighted_sum = state.ws
-    market.tech_sum = state.ts
-    market.tech_sq_sum = state.tq
-    rng.setstate((version, tuple(state.mt[:len(words)]), gauss))
+    return state

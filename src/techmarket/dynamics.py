@@ -45,17 +45,21 @@ state at the end.
 
 The cycle has two implementations with bit-identical results. The Python
 one, ``_update_cycle``, is the reference: ``run_sweeps`` runs it over each
-sweep's shuffled visit order and ``firm_update`` over a single firm. It
-reads the sweep's fixed values (parameters, lattice tables, frontier, sweep
-index) once and counts the sweep's bankruptcies and rescues. The compiled
-one, ``_sweep.c`` (see ``compiled``), runs all of a replica's sweeps in one
-call on a copy held in C buffers and writes the same trajectory. Machines
-where the C kernel cannot be built use the Python one.
+sweep's shuffled visit order. It reads the sweep's fixed values
+(parameters, lattice tables, frontier, sweep index) once and counts the
+sweep's bankruptcies and rescues. The compiled one, ``_sweep.c`` (see
+``compiled``), runs all of a replica's sweeps in one call on a copy held
+in C buffers and writes the same trajectory. Machines where the C kernel
+cannot be built use the Python one.
 
 Both kernels log events the same way: given an event sink, an
 ``array('q')``, each step appends one row of EVENT_FIELDS int64 values,
-``(kind, firm, t, partner, child, rescued)``, the fields of EventRecord
-with -1 for no partner and no child and 0/1 for the rescued flag.
+``(kind, firm, t, partner, child, rescued)``: the step's EventKind and
+firm, the sweep, the partner (the absorbed firm for MERGED, the interaction
+partner for SPIN_OFF and SPIN_OFF_BLOCKED) and the id of a newly founded
+spin-off, each -1 when there is none, and 1 when the intervention fired
+during the step (always for RESCUED; under the active variant it may
+accompany an action kind), else 0.
 """
 from __future__ import annotations
 
@@ -64,7 +68,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -107,26 +111,8 @@ class EventKind(IntEnum):
  _SPIN_OFF, _SPIN_OFF_BLOCKED) = EventKind
 
 
-class EventRecord(NamedTuple):
-    """Terminal outcome of one per-firm step, as ``firm_update`` returns
-    it; an event sink holds the same fields as one row of int64 values.
-
-    partner: absorbed firm for MERGED, interaction partner for SPIN_OFF /
-    SPIN_OFF_BLOCKED. child: id of a newly founded spin-off. rescued: the
-    intervention fired during this step (always True for kind RESCUED; may
-    accompany an action kind under the active variant).
-    """
-
-    kind: EventKind
-    firm: int
-    sweep: int
-    partner: Optional[int] = None
-    child: Optional[int] = None
-    rescued: bool = False
-
-
-#: int64 values per row of an event sink: the fields of EventRecord.
-EVENT_FIELDS = len(EventRecord._fields)
+#: int64 values per row of an event sink; see the module docstring.
+EVENT_FIELDS = 6
 
 
 #: dtypes of Trajectory's columns, in field order.
@@ -317,20 +303,6 @@ def _update_cycle(market: MarketState, params: SimParams, rng: random.Random,
                            market.next_id - 1 if kind is _SPIN_OFF else -1,
                            rescued))
     return bankrupted, rescued_total
-
-
-def firm_update(market: MarketState, firm_id: int, params: SimParams,
-                rng: random.Random) -> EventRecord:
-    """One full update step for a single live firm; see the module docstring
-    for the cycle and the draw order."""
-    if firm_id not in market.firms:
-        raise KeyError(f"firm {firm_id} is not alive")
-    events = array("q")
-    _update_cycle(market, params, rng, (firm_id,), events)
-    kind, firm, t, partner, child, rescued = events
-    return EventRecord(EventKind(kind), firm, t,
-                       partner if partner >= 0 else None,
-                       child if child >= 0 else None, bool(rescued))
 
 
 def run_sweeps(market: MarketState, params: SimParams, rng: random.Random,

@@ -95,10 +95,9 @@ def run_replica(params: SimParams, replica_seed: int,
     return trajectory
 
 
-def estimate_tc(mean_tech_series: Sequence[float],
-                threshold: float = TC_THRESHOLD) -> Optional[int]:
-    """First sweep at which the series reaches the threshold, or None."""
-    hits = np.nonzero(np.asarray(mean_tech_series) >= threshold)[0]
+def estimate_tc(mean_tech_series: Sequence[float]) -> Optional[int]:
+    """First sweep at which the series reaches TC_THRESHOLD, or None."""
+    hits = np.nonzero(np.asarray(mean_tech_series) >= TC_THRESHOLD)[0]
     return int(hits[0]) if hits.size else None
 
 

@@ -165,27 +165,6 @@ def frontier(t: int, sigma: float) -> float:
     return math.exp(sigma * t)
 
 
-def weighted_mean_tech(market: MarketState) -> float:
-    """Share-weighted mean technology, sum_j omega_j * A_j."""
-    if not market.firms:
-        raise ValueError("weighted_mean_tech on an empty market")
-    return math.fsum(f.share * f.tech for f in market.firms.values())
-
-
-def population_sd_tech(market: MarketState) -> float:
-    """Population spread sigma_g = sqrt(sum_i (A_i - <A>)^2 / N).
-
-    The mean <A> is the share-weighted one; the deviations are unweighted
-    and divided by the plain firm count N, exactly as defined.
-    """
-    if not market.firms:
-        raise ValueError("population_sd_tech on an empty market")
-    mean = weighted_mean_tech(market)
-    n = len(market.firms)
-    var = math.fsum((f.tech - mean) ** 2 for f in market.firms.values()) / n
-    return math.sqrt(var)
-
-
 def survival_probability(tech_i: float, mean_tech: float, frontier: float,
                          s: float) -> float:
     """Probability that a firm survives this step.

@@ -1,9 +1,11 @@
 import math
 import random
+from array import array
 
 import pytest
 
 from techmarket import compiled
+from techmarket.dynamics import _update_cycle
 from techmarket.ensemble import clear_store
 from techmarket.market import Lattice, MarketState
 
@@ -49,6 +51,14 @@ def build_market(lx=6, ly=6, firms=(), sweep=0, sigma=0.01):
     state.frontier_value = math.exp(sigma * sweep)
     state.resync_sums()
     return state
+
+
+def step(market, firm_id, params, rng):
+    """One update cycle of the live firm ``firm_id`` on the Python kernel;
+    returns its event row (kind, firm, t, partner, child, rescued)."""
+    events = array("q")
+    _update_cycle(market, params, rng, (firm_id,), events)
+    return tuple(events)
 
 
 def random_market(rng: random.Random, lx=6, ly=6, n_min=2, n_max=20):

@@ -1,7 +1,6 @@
 """The compiled sweep kernel against the Python kernel, its reference, and
 its build: fallback, cache and the runs that must load it."""
 import copy
-import functools
 import os
 import pickle
 import random
@@ -58,28 +57,48 @@ COLUMNS = ("n_firms", "mean_tech", "ratio", "rescued", "bankrupted",
            "renorm_error")
 
 
+#: State's scalars of the end market, with MarketState's names.
+SCALARS = {"sweep": "sweep", "next_id": "next_id",
+           "frontier": "frontier_value", "ws": "weighted_sum",
+           "ts": "tech_sum", "tq": "tech_sq_sum"}
+
+
 def run_both(lib, market, params, rng):
-    """Each kernel's run_sweeps to params.t_max, from copies of ``market``
-    and ``rng``, with an event sink: (trajectory, events, market, rng) per
-    kernel, the compiled one first."""
-    runs = []
-    for entry in (functools.partial(compiled.run_sweeps, lib),
-                  dynamics.run_sweeps):
-        m, r, events = copy.deepcopy(market), copy.deepcopy(rng), array("q")
-        trajectory = Trajectory.empty(params.t_max + 1)
-        entry(m, params, r, trajectory, events)
-        runs.append((trajectory, events, m, r))
-    return runs
+    """Each kernel's run_sweeps to params.t_max with an event sink: the
+    compiled run's (trajectory, events, State), then the Python run's
+    (trajectory, events, market, rng) on copies of ``market`` and ``rng``.
+    The compiled run must leave ``market`` and ``rng`` as they were."""
+    before = pickle.dumps((market, rng))
+    trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
+    state = compiled.run_sweeps(lib, market, params, rng, trajectory, events)
+    assert pickle.dumps((market, rng)) == before
+    compiled_run = trajectory, events, state
+    market, rng = copy.deepcopy(market), copy.deepcopy(rng)
+    trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
+    dynamics.run_sweeps(market, params, rng, trajectory, events)
+    return compiled_run, (trajectory, events, market, rng)
 
 
 def assert_same_runs(compiled_run, python_run):
-    (tr_c, events_c, market_c, rng_c), (tr_py, events_py, market_py,
-                                        rng_py) = compiled_run, python_run
+    (tr_c, events_c, state), (tr_py, events_py, market, rng) = (compiled_run,
+                                                               python_run)
     for name in COLUMNS:
         assert np.array_equal(getattr(tr_c, name), getattr(tr_py, name)), name
     assert events_c == events_py
-    assert pickle.dumps(market_c) == pickle.dumps(market_py)
-    assert rng_c.getstate() == rng_py.getstate()
+    # the end market: firms in slot order against the registry's order
+    firms = list(market.firms.values())
+    assert state.n_slots == len(firms)
+    for name in ("id", "tech", "share", "site"):
+        assert getattr(state, name)[:len(firms)] == [
+            getattr(f, name) for f in firms], name
+    occupancy = market.lattice.occupancy
+    assert [-1 if k < 0 else state.id[k] for k in state.occ[:len(occupancy)]
+            ] == occupancy
+    for name, attr in SCALARS.items():
+        assert getattr(state, name) == getattr(market, attr), name
+    # the end stream: 624 words and the position
+    words = rng.getstate()[1]
+    assert tuple(state.mt[:len(words)]) == words
 
 
 @settings(max_examples=150, deadline=None,

@@ -28,7 +28,7 @@ from techmarket.config import (
     parse_config_file,
     resolve_config,
 )
-from techmarket.dynamics import EventKind, EventRecord
+from techmarket.dynamics import EventKind
 from techmarket.ensemble import clear_store, run_ensemble
 from techmarket.output import (
     TC_CURVE_HEADER,
@@ -239,31 +239,32 @@ class TestMetadata:
 
 
 class TestEventLog:
-    RECORDS = [
-        EventRecord(EventKind.MOVED_NO_DIFFUSION, 4, 0),
-        EventRecord(EventKind.BANKRUPTED, 17, 3),
-        EventRecord(EventKind.RESCUED, 5, 3, rescued=True),
-        EventRecord(EventKind.MERGED, 8, 12, partner=9),
-        EventRecord(EventKind.SPIN_OFF, 31, 12, partner=17, child=92),
-        EventRecord(EventKind.SPIN_OFF_BLOCKED, 2, 40, partner=0, rescued=True),
-        EventRecord(EventKind.MOVED_COPIED_FRONTIER, 0, 41, rescued=True),
+    #: (kind, firm, t, partner, child, rescued), -1 for no partner and no
+    #: child
+    ROWS = [
+        (EventKind.MOVED_NO_DIFFUSION, 4, 0, -1, -1, 0),
+        (EventKind.BANKRUPTED, 17, 3, -1, -1, 0),
+        (EventKind.RESCUED, 5, 3, -1, -1, 1),
+        (EventKind.MERGED, 8, 12, 9, -1, 0),
+        (EventKind.SPIN_OFF, 31, 12, 17, 92, 0),
+        (EventKind.SPIN_OFF_BLOCKED, 2, 40, 0, -1, 1),
+        (EventKind.MOVED_COPIED_FRONTIER, 0, 41, -1, -1, 1),
     ]
-    #: the same records as one event sink: -1 for None, 0/1 for the flag
-    SINK = array("q", [-1 if value is None else value
-                       for ev in RECORDS for value in ev])
+    #: the same rows as one event sink
+    SINK = array("q", [value for row in ROWS for value in row])
 
     def test_lines_match_compact_json(self):
         out = io.StringIO()
         emit_event_log(out, 7, self.SINK)
         expected = []
-        for ev in self.RECORDS:
-            record = {"replica": 7, "t": ev.sweep, "firm": ev.firm,
-                      "kind": ev.kind.name.lower()}
-            if ev.partner is not None:
-                record["partner"] = ev.partner
-            if ev.child is not None:
-                record["child"] = ev.child
-            if ev.rescued:
+        for kind, firm, t, partner, child, rescued in self.ROWS:
+            record = {"replica": 7, "t": t, "firm": firm,
+                      "kind": kind.name.lower()}
+            if partner >= 0:
+                record["partner"] = partner
+            if child >= 0:
+                record["child"] = child
+            if rescued:
                 record["rescued"] = True
             expected.append(json.dumps(record, separators=(",", ":")) + "\n")
         assert out.getvalue() == "".join(expected)

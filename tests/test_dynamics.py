@@ -14,7 +14,6 @@ from techmarket.dynamics import (
     EventKind,
     Trajectory,
     external_diffusion,
-    firm_update,
     interact,
     redistribute_shares_equal,
     renormalize_shares,
@@ -22,7 +21,7 @@ from techmarket.dynamics import (
 )
 from techmarket.market import survival_probability
 
-from conftest import build_market, random_market, site_index
+from conftest import build_market, random_market, site_index, step
 
 
 def total_share(market):
@@ -153,8 +152,8 @@ class TestInteract:
 
 
 class TestAttemptBankruptcy:
-    """The survival roll and the rescue, each checked on one firm_update
-    step; n_min=1 keeps the roll on for these small markets."""
+    """The survival roll and the rescue, each checked on one firm's update
+    cycle; n_min=1 keeps the roll on for these small markets."""
 
     def safe_market(self):
         # single dominant firm at the mean: everyone at/above mean*frontier
@@ -164,16 +163,15 @@ class TestAttemptBankruptcy:
         p = SimParams(q=0.0, n_min=1)
         rng = random.Random(9)
         for _ in range(200):
-            ev = firm_update(self.safe_market(), 0, p, rng)
-            assert ev.kind is not EventKind.BANKRUPTED and not ev.rescued
+            kind, *_, rescued = step(self.safe_market(), 0, p, rng)
+            assert kind != EventKind.BANKRUPTED and not rescued
 
     def test_certain_rescue_never_bankrupts(self):
         p = SimParams(q=1.0, n_min=1)
         rng = random.Random(10)
         for _ in range(200):
             m = build_market(firms=[((0, 0), 0.0, 0.1), ((1, 0), 0.9, 0.9)])
-            ev = firm_update(m, 0, p, rng)
-            assert ev.kind is not EventKind.BANKRUPTED
+            assert step(m, 0, p, rng)[0] != EventKind.BANKRUPTED
 
     def test_rescue_frequency_matches_product(self):
         # P(rescued) = (1 - p_survive) * q, checked by brute-force frequency
@@ -190,7 +188,7 @@ class TestAttemptBankruptcy:
         rescued = 0
         for _ in range(trials):
             m = build_market(firms=firms)
-            if firm_update(m, 0, params, rng).kind is EventKind.RESCUED:
+            if step(m, 0, params, rng)[0] == EventKind.RESCUED:
                 rescued += 1
         freq = rescued / trials
         se = math.sqrt(expected * (1.0 - expected) / trials)
@@ -202,8 +200,7 @@ class TestAttemptBankruptcy:
         while True:
             m = build_market(firms=[((0, 0), 0.0, 0.2), ((1, 0), 0.9, 0.4),
                                     ((2, 0), 0.8, 0.4)])
-            ev = firm_update(m, 0, params, rng)
-            if ev.kind is EventKind.BANKRUPTED:
+            if step(m, 0, params, rng)[0] == EventKind.BANKRUPTED:
                 break
         assert 0 not in m.firms
         assert m.lattice.occupancy[0] == -1
@@ -218,14 +215,14 @@ class TestAttemptBankruptcy:
         rescued_low = bankrupted_high = 0
         for _ in range(300):
             m = build_market(firms=firms)
-            ev = firm_update(m, 0, low, rng)
-            assert ev.kind is not EventKind.BANKRUPTED  # covered, q=1
-            if ev.kind is EventKind.RESCUED:
+            kind = step(m, 0, low, rng)[0]
+            assert kind != EventKind.BANKRUPTED  # covered, q=1
+            if kind == EventKind.RESCUED:
                 rescued_low += 1
             m = build_market(firms=firms)
-            ev = firm_update(m, 0, high, rng)
-            assert not ev.rescued  # low firm not covered
-            if ev.kind is EventKind.BANKRUPTED:
+            kind, *_, rescued = step(m, 0, high, rng)
+            assert not rescued  # low firm not covered
+            if kind == EventKind.BANKRUPTED:
                 bankrupted_high += 1
         assert rescued_low > 0
         assert bankrupted_high > 0
@@ -240,9 +237,9 @@ class TestFirmUpdate:
         for _ in range(100):
             m = build_market(firms=firms)
             actor = m.lattice.occupancy[site_index(m.lattice, (2, 2))]
-            ev = firm_update(m, actor, params, rng)
-            assert ev.kind in (EventKind.MERGED, EventKind.SPIN_OFF,
-                               EventKind.SPIN_OFF_BLOCKED)
+            kind = step(m, actor, params, rng)[0]
+            assert kind in (EventKind.MERGED, EventKind.SPIN_OFF,
+                            EventKind.SPIN_OFF_BLOCKED)
             if actor in m.firms:
                 assert m.firms[actor].site == site_index(m.lattice, (2, 2))
 
@@ -252,8 +249,8 @@ class TestFirmUpdate:
         for _ in range(50):
             m = build_market(
                 firms=[((4, 4), 0.5, 0.5), ((0, 0), 0.5, 0.5)], sweep=10)
-            ev = firm_update(m, 0, params, rng)
-            assert ev.kind is EventKind.MOVED_COPIED_FRONTIER
+            kind = step(m, 0, params, rng)[0]
+            assert kind == EventKind.MOVED_COPIED_FRONTIER
             assert m.firms[0].tech > 0.5
             assert m.firms[0].tech < m.frontier_value
 
@@ -267,21 +264,16 @@ class TestFirmUpdate:
             m = build_market(
                 lx=9, ly=9,
                 firms=[((4, 4), 0.5, 0.4), ((4, 6), 0.8, 0.6)], sweep=5)
-            ev = firm_update(m, 0, params, rng)
-            if ev.kind is EventKind.MOVED_NO_DIFFUSION:
+            kind, _, _, partner, _, _ = step(m, 0, params, rng)
+            if kind == EventKind.MOVED_NO_DIFFUSION:
                 missed += 1
                 assert m.firms[0].tech == 0.5  # nothing else changed
                 assert len(m.firms) == 2
-            elif ev.kind in (EventKind.SPIN_OFF, EventKind.SPIN_OFF_BLOCKED):
-                assert ev.partner == 1
+            elif kind in (EventKind.SPIN_OFF, EventKind.SPIN_OFF_BLOCKED):
+                assert partner == 1
                 met += 1
         assert met > 0 and missed > 0
         assert missed > met  # a single neighbor is found 1/8 of the time
-
-    def test_dead_firm_rejected(self):
-        m = build_market(firms=[((0, 0), 0.5, 1.0)])
-        with pytest.raises(KeyError):
-            firm_update(m, 99, SimParams(), random.Random(0))
 
     def test_no_rescues_without_intervention(self):
         params = SimParams(q=0.0, lx=6, ly=6, n_min=2)
@@ -382,7 +374,7 @@ class TestSweep:
             for fid in order:
                 if fid not in m.firms:
                     continue
-                firm_update(m, fid, params, rng)
+                step(m, fid, params, rng)
                 exact = sum(f.share * f.tech for f in m.firms.values())
                 assert abs(exact - m.weighted_sum) <= 1e-12
                 assert abs(sum(f.tech for f in m.firms.values())

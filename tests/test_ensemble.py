@@ -80,21 +80,14 @@ class TestRunReplica:
 
 class TestEstimateTc:
     def test_simple_crossing(self):
-        assert estimate_tc([0.8, 0.9, 1.0, 1.1], 1.0) == 2
+        assert estimate_tc([0.8, 0.9, 1.0, 1.1]) == 2
 
     def test_never_reached(self):
-        assert estimate_tc([0.8, 0.9, 0.95], 1.0) is None
+        assert estimate_tc([0.8, 0.9, 0.95]) is None
 
     def test_immediate_crossing(self):
-        assert estimate_tc([1.0, 0.9, 0.8], 1.0) == 0
+        assert estimate_tc([1.0, 0.9, 0.8]) == 0
 
-    def test_monotone_in_threshold(self):
-        series = [0.2, 0.5, 0.4, 0.9, 1.1, 1.0, 1.4]
-        last = -1
-        for threshold in (0.1, 0.4, 0.9, 1.05, 1.3):
-            tc = estimate_tc(series, threshold)
-            assert tc is not None and tc >= last
-            last = tc
 
 
 class TestSeeding:

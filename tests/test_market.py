@@ -12,9 +12,8 @@ from techmarket.market import (
     classify_segment,
     frontier,
     init_market,
-    population_sd_tech,
+    sigma_g_from_sums,
     survival_probability,
-    weighted_mean_tech,
 )
 
 from conftest import build_market, random_market, site_index
@@ -39,42 +38,42 @@ class TestFrontier:
 
 
 class TestWeightedMeanTech:
+    """MarketState.weighted_sum, as resync_sums leaves it."""
+
     def test_symmetric_average(self):
         m = build_market(firms=[((0, 0), 0.2, 0.5), ((1, 0), 0.4, 0.5)])
-        assert weighted_mean_tech(m) == pytest.approx(0.3, abs=1e-15)
+        assert m.weighted_sum == pytest.approx(0.3, abs=1e-15)
 
     def test_single_firm_identity(self):
         m = build_market(firms=[((0, 0), 0.7, 1.0)])
-        assert weighted_mean_tech(m) == pytest.approx(0.7, abs=1e-15)
+        assert m.weighted_sum == pytest.approx(0.7, abs=1e-15)
 
     def test_skewed_shares(self):
         m = build_market(firms=[((0, 0), 0.0, 0.9), ((1, 0), 1.0, 0.1)])
-        assert weighted_mean_tech(m) == pytest.approx(0.1, abs=1e-15)
-
-    def test_empty_market_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_mean_tech(build_market(firms=[]))
+        assert m.weighted_sum == pytest.approx(0.1, abs=1e-15)
 
     def test_within_tech_range(self, rng):
         for _ in range(50):
             m = random_market(rng)
             techs = [f.tech for f in m.firms.values()]
-            mean = weighted_mean_tech(m)
+            mean = m.weighted_sum
             assert min(techs) - 1e-12 <= mean <= max(techs) + 1e-12
 
 
 class TestPopulationSdTech:
+    """sigma_g_from_sums on a market whose sums were just resynced."""
+
     def test_single_firm_no_dispersion(self):
         m = build_market(firms=[((0, 0), 0.7, 1.0)])
-        assert population_sd_tech(m) == 0.0
+        assert sigma_g_from_sums(m) == 0.0
 
     def test_identical_techs(self):
         m = build_market(firms=[((x, 0), 0.4, 0.25) for x in range(4)])
-        assert population_sd_tech(m) == pytest.approx(0.0, abs=1e-12)
+        assert sigma_g_from_sums(m) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_spread(self):
         m = build_market(firms=[((0, 0), 0.0, 0.5), ((1, 0), 1.0, 0.5)])
-        assert population_sd_tech(m) == pytest.approx(0.5, abs=1e-15)
+        assert sigma_g_from_sums(m) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestSurvivalProbability:
@@ -164,7 +163,7 @@ class TestInitMarket:
     def test_mean_initial_tech_near_half(self):
         # per-replica mean of 80 uniforms, averaged over many inits
         n_inits = 200
-        means = [weighted_mean_tech(init_market(SimParams(), random.Random(k)))
+        means = [init_market(SimParams(), random.Random(k)).weighted_sum
                  for k in range(n_inits)]
         grand = sum(means) / n_inits
         se = math.sqrt(1.0 / 12.0 / 80.0 / n_inits)
