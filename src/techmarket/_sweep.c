@@ -39,14 +39,15 @@ enum {
 
 enum { SEGMENT_ANY = -1, SEGMENT_LOW, SEGMENT_MEDIUM, SEGMENT_HIGH };
 
-enum { OK, RENORM_ABOVE_TOLERANCE, NO_SHARE, PAUSED };
+enum { OK, RENORM_ABOVE_TOLERANCE, PAUSED };
 
 typedef struct {
     /* parameters */
     double s, b, q, omega_s, sigma, tolerance;
     int64_t n_min, segment, passive;
-    /* lattice: neighbour tables by flat site, occupancy as slot or -1 */
-    const int32_t *vn4, *moore8;
+    /* lattice: market._neighbor_tables, site i's k-th neighbour at
+     * 4 * i + k and 8 * i + k, and the occupancy as slot or -1 */
+    const int *vn4, *moore8;
     int32_t *occ;
     /* firms by slot; a dead firm has id -1 until the sweep ends. Slots
      * hold the firms alive at the sweep's start plus at most one spin-off per
@@ -55,7 +56,7 @@ typedef struct {
     double *tech, *share;
     int32_t *site, *order;
     int64_t n_slots, n_live;
-    /* clock, frontier and the running sums of MarketState */
+    /* clock, frontier and the running sums, which tm_run sets first */
     int64_t sweep, next_id;
     double frontier, ws, ts, tq;
     /* MT19937: 624 words, then the position */
@@ -230,7 +231,7 @@ static void update_cycle(State *st, int64_t n_order)
                 occ[site] = -1;
                 occ[target] = (int32_t)f;
                 st->site[f] = target;
-                const int32_t *hood = st->moore8 + 8 * target;
+                const int *hood = st->moore8 + 8 * target;
                 int nb;
                 for (nb = 0; nb < 8; nb++)
                     if (occ[hood[nb]] >= 0)
@@ -289,9 +290,10 @@ static void compact(State *st)
 }
 
 /* dynamics.run_sweeps from row st->row on: returns OK once the last row is
- * written, PAUSED before a sweep whose event rows might not fit, or the
- * failure renormalize_shares raises, with the error in the sweep's row and
- * the sweep not advanced. Columns rescued and bankrupted must start at 0. */
+ * written, PAUSED before a sweep whose event rows might not fit, or
+ * RENORM_ABOVE_TOLERANCE where renormalize_shares raises (a share total at
+ * or below 0 among them), with the error in the sweep's row and the sweep
+ * not advanced. Columns rescued and bankrupted must start at 0. */
 int tm_run(State *st)
 {
     st->n_events = 0;
@@ -330,8 +332,6 @@ int tm_run(State *st)
         double total = 0.0;
         for (int64_t f = 0; f < st->n_slots; f++)
             total += st->share[f];
-        if (total <= 0.0)
-            return NO_SHARE;
         double err = fabs(total - 1.0);
         st->renorm_error[row] = err;
         if (err > st->tolerance)

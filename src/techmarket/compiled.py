@@ -3,10 +3,11 @@ loaded with ctypes.
 
 ``run_sweeps`` is ``dynamics.run_sweeps`` on the compiled kernel, with
 bit-identical results and the same event rows. It copies a market and its
-random stream into C buffers and runs all of the replica's sweeps in one C
-call that writes the trajectory's columns in place. The market and the
-stream it was given are left as they were: the end market and stream stay
-in the C buffers of the State it returns.
+random stream into C buffers, shares the lattice's neighbor tables with C
+without a copy, and runs all of the replica's sweeps in one C call that
+writes the trajectory's columns in place. The market and the stream it
+was given are left as they were: the end market and stream stay in the C
+buffers of the State it returns.
 A logged run collects its event rows in a buffer of EVENT_ROWS rows: the
 call pauses before a sweep whose rows might not fit, and is called again
 once the rows are appended to the sink.
@@ -28,7 +29,6 @@ import os
 import random
 import zlib
 from array import array
-from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -39,7 +39,7 @@ from .dynamics import (
     Trajectory,
     renorm_failure,
 )
-from .market import MarketState, _neighbor_tables
+from .market import MarketState
 from .params import SimParams, VariantKind
 
 SOURCE = Path(__file__).with_name("_sweep.c")
@@ -52,6 +52,7 @@ COMPILER = "gcc"
 FLAGS = ("-O1", "-ffp-contract=off", "-shared", "-fPIC")
 
 _I64, _F64, _I32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int32
+_INT = ctypes.c_int  # the item of an array('i')
 _P_I64, _P_F64 = ctypes.POINTER(_I64), ctypes.POINTER(_F64)
 
 
@@ -62,7 +63,7 @@ class _State(ctypes.Structure):
         ("s", _F64), ("b", _F64), ("q", _F64), ("omega_s", _F64),
         ("sigma", _F64), ("tolerance", _F64),
         ("n_min", _I64), ("segment", _I64), ("passive", _I64),
-        ("vn4", ctypes.POINTER(_I32)), ("moore8", ctypes.POINTER(_I32)),
+        ("vn4", ctypes.POINTER(_INT)), ("moore8", ctypes.POINTER(_INT)),
         ("occ", ctypes.POINTER(_I32)),
         ("id", _P_I64), ("tech", _P_F64),
         ("share", _P_F64), ("site", ctypes.POINTER(_I32)),
@@ -84,7 +85,7 @@ EVENT_ROWS = 4096
 #: Bytes of one event row.
 _ROW_BYTES = EVENT_FIELDS * ctypes.sizeof(_I64)
 #: tm_run's return codes.
-_OK, _RENORM_ABOVE_TOLERANCE, _NO_SHARE, _PAUSED = range(4)
+_OK, _RENORM_ABOVE_TOLERANCE, _PAUSED = range(3)
 
 
 class Kernel(NamedTuple):
@@ -154,17 +155,6 @@ def _array(ctype, size: int, values=()) -> ctypes.Array:
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _c_neighbor_tables(width: int,
-                       height: int) -> tuple[ctypes.Array, ctypes.Array]:
-    """The vn4 and moore8 tables of a width x height torus as C arrays.
-    The kernel only reads them, so every replica of one lattice shape
-    shares them."""
-    vn4, moore8 = _neighbor_tables(width, height)
-    return (_array(_I32, 4 * width * height, chain.from_iterable(vn4)),
-            _array(_I32, 8 * width * height, chain.from_iterable(moore8)))
-
-
 def run_sweeps(lib: ctypes.CDLL, market: MarketState, params: SimParams,
                rng: random.Random, trajectory: Trajectory,
                events: Optional[array] = None) -> _State:
@@ -182,15 +172,16 @@ def run_sweeps(lib: ctypes.CDLL, market: MarketState, params: SimParams,
     max_events = max(EVENT_ROWS, n_sites)
     buffer = None if events is None else _array(_I64,
                                                 EVENT_FIELDS * max_events)
-    vn4, moore8 = _c_neighbor_tables(lattice.width, lattice.height)
-    # the struct keeps the ctypes arrays it points into alive
+    # the struct keeps the ctypes arrays it points into alive, and the
+    # from_buffer views keep the tables they share
     state = _State(
         s=params.s, b=params.b, q=params.q, omega_s=params.omega_s,
         sigma=params.sigma, tolerance=RENORM_TOLERANCE,
         n_min=params.n_min,
         segment=_POLICY_SEGMENT.get(params.policy, -1),  # -1: SEGMENT_ANY
         passive=params.variant is VariantKind.PASSIVE_AFTER_RESCUE,
-        vn4=vn4, moore8=moore8,
+        vn4=(_INT * (4 * n_sites)).from_buffer(lattice.vn4),
+        moore8=(_INT * (8 * n_sites)).from_buffer(lattice.moore8),
         occ=_array(_I32, n_sites, (slot.get(fid, -1)
                                    for fid in lattice.occupancy)),
         id=_array(_I64, cap, (f.id for f in firms)),
@@ -199,8 +190,7 @@ def run_sweeps(lib: ctypes.CDLL, market: MarketState, params: SimParams,
         site=_array(_I32, cap, (f.site for f in firms)),
         order=_array(_I32, cap), n_slots=len(firms), n_live=len(firms),
         sweep=market.sweep, next_id=market.next_id,
-        frontier=market.frontier_value, ws=market.weighted_sum,
-        ts=market.tech_sum, tq=market.tech_sq_sum,
+        frontier=market.frontier_value,  # tm_run computes ws, ts and tq
         mt=_array(ctypes.c_uint32, len(words), words),
         n_rows=len(trajectory.n_firms),
         n_firms=trajectory.n_firms.ctypes.data_as(_P_I64),
@@ -216,8 +206,6 @@ def run_sweeps(lib: ctypes.CDLL, market: MarketState, params: SimParams,
         if events is not None:
             events.frombytes(memoryview(buffer).cast("B")
                              [:state.n_events * _ROW_BYTES])
-    if status == _NO_SHARE:
-        raise ValueError("total share must be positive")
     if status == _RENORM_ABOVE_TOLERANCE:
         raise renorm_failure(trajectory.renorm_error[state.row], state.sweep)
     return state

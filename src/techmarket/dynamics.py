@@ -171,10 +171,9 @@ def renorm_failure(err: float, t: int) -> IntegrityError:
 def renormalize_shares(market: MarketState) -> float:
     """Rescale all shares so they sum to exactly 1; returns the
     pre-correction error |sum - 1|. Error above RENORM_TOLERANCE means the
-    dynamics corrupted the shares and raises IntegrityError."""
+    dynamics corrupted the shares and raises IntegrityError; a total at or
+    below 0 is at least 1 away from 1, so this one check rejects it too."""
     total = market.total_share()
-    if total <= 0.0:
-        raise ValueError("total share must be positive")
     err = abs(total - 1.0)
     if err > RENORM_TOLERANCE:
         raise renorm_failure(err, market.sweep)
@@ -212,7 +211,7 @@ def interact(market: MarketState, firm_i: int, firm_j: int, params: SimParams,
         market.weighted_sum += share_j * i.tech
         return _MERGED
     k = int(rng.random() * 8)
-    k = market.lattice.moore8[i.site][k if k < 8 else 7]  # u -> 1 edge
+    k = market.lattice.moore8[8 * i.site + (k if k < 8 else 7)]  # u -> 1 edge
     if market.lattice.occupancy[k] >= 0:
         return _SPIN_OFF_BLOCKED
     d_i = i.share * params.omega_s
@@ -277,17 +276,17 @@ def _update_cycle(market: MarketState, params: SimParams, rng: random.Random,
         if kind is None:
             site = firm.site
             k = int(random() * 4)
-            target = vn4[site][k if k < 4 else 3]  # u -> 1 edge
+            target = vn4[4 * site + (k if k < 4 else 3)]  # u -> 1 edge
             partner = occ[target]
             if partner < 0:
                 occ[site] = -1
                 occ[target] = fid
                 firm.site = target
-                hood = moore8[target]
-                for nb in hood:
-                    if occ[nb] >= 0:
-                        k = int(random() * 8)
-                        partner = occ[hood[k if k < 8 else 7]]  # u -> 1 edge
+                hood = 8 * target
+                for nb in range(hood, hood + 8):
+                    if occ[moore8[nb]] >= 0:
+                        k = int(random() * 8)  # clamped for the u -> 1 edge
+                        partner = occ[moore8[hood + (k if k < 8 else 7)]]
                         break
                 else:
                     market.set_tech(firm, external_diffusion(

@@ -11,14 +11,12 @@ from __future__ import annotations
 import functools
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import ConfigError
 from .params import SimParams
 from .rng import sample_distinct
-
-NeighborTable = tuple[tuple[int, ...], ...]  # per flat site index
 
 # von Neumann then Moore offsets; table order fixes the meaning of each
 # direction draw in the update step.
@@ -49,24 +47,16 @@ class Firm:
 
 
 @functools.lru_cache(maxsize=64)
-def _neighbor_tables(width: int,
-                     height: int) -> tuple[NeighborTable, NeighborTable]:
+def _neighbor_tables(width: int, height: int) -> tuple[array, array]:
     """Von Neumann and Moore neighbor tables of a width x height torus,
-    indexed by flat site index. Immutable, so lattices of one shape share
-    them."""
-    vn4 = []
-    moore8 = []
-    for y in range(height):
-        for x in range(width):
-            vn4.append(tuple(
-                ((x + dx) % width) + ((y + dy) % height) * width
-                for dx, dy in _VN_OFFSETS
-            ))
-            moore8.append(tuple(
-                ((x + dx) % width) + ((y + dy) % height) * width
-                for dx, dy in _MOORE_OFFSETS
-            ))
-    return tuple(vn4), tuple(moore8)
+    flat in the layout ``_sweep.c`` reads: the k-th neighbor of flat site i
+    is ``vn4[4 * i + k]`` and ``moore8[8 * i + k]``. Only read, so the
+    lattices of one shape and both kernels share them."""
+    vn4, moore8 = (array("i", (((x + dx) % width) + ((y + dy) % height) * width
+                               for y in range(height) for x in range(width)
+                               for dx, dy in offsets))
+                   for offsets in (_VN_OFFSETS, _MOORE_OFFSETS))
+    return vn4, moore8
 
 
 class Lattice:
@@ -208,13 +198,10 @@ def init_market(params: SimParams, rng: random.Random) -> MarketState:
     the site sample first (one draw per firm), then one technology draw per
     firm in placement order.
     """
-    n0 = params.n_initial_firms
-    if n0 < 1:
-        raise ConfigError(f"c ({params.c}) gives an empty initial market")
+    n0 = params.n_initial_firms  # >= n_min >= 1, by validate_params
     lattice = Lattice(params.lx, params.ly)
     state = MarketState(lattice)
     share0 = 1.0 / n0
     for site_index in sample_distinct(lattice.n_sites, n0, rng):
         state.add_firm(rng.random(), share0, site_index)
-    state.resync_sums()
     return state

@@ -109,8 +109,6 @@ def validate_params(p: SimParams) -> None:
             f"c ({p.c}) gives c*lx*ly = {p.c * p.lx * p.ly:g} initial firms, "
             f"below nmin ({p.n_min})"
         )
-    if int(round(p.c * p.lx * p.ly)) < 1:
-        raise ConfigError(f"c ({p.c}) gives an empty initial market on {p.lx}x{p.ly}")
 
 
 #: q grid for the catch-up time curve; dense tail near 1 where the time

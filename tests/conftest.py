@@ -42,6 +42,16 @@ def site_index(lattice, site):
     return y * lattice.width + x
 
 
+def vn4_of(lattice, index):
+    """The 4 von Neumann neighbors of flat site ``index``."""
+    return lattice.vn4[4 * index:4 * index + 4]
+
+
+def moore8_of(lattice, index):
+    """The 8 Moore neighbors of flat site ``index``."""
+    return lattice.moore8[8 * index:8 * index + 8]
+
+
 def build_market(lx=6, ly=6, firms=(), sweep=0, sigma=0.01):
     """Hand-placed market: firms is a list of ((x, y), tech, share)."""
     state = MarketState(Lattice(lx, ly))

@@ -21,7 +21,7 @@ from techmarket.market import survival_probability
 from techmarket.rng import derive_seed
 from techmarket.scenarios import run_scenario
 
-from conftest import random_market
+from conftest import moore8_of, random_market
 
 JOBS = 2
 RENORM_PEAKS: dict[str, float] = {}
@@ -178,7 +178,7 @@ def test_criterion_01_conservation_suite():
                 if i not in m.firms:
                     continue
                 occ = m.lattice.occupancy
-                partners = [o for s in m.lattice.moore8[m.firms[i].site]
+                partners = [o for s in moore8_of(m.lattice, m.firms[i].site)
                             if (o := occ[s]) >= 0]
                 if not partners:
                     continue

@@ -146,22 +146,32 @@ def test_replica_columns_match_across_kernels(compiled_lib, monkeypatch,
 
 
 def test_share_drift_raises_the_python_message(compiled_lib):
-    # three firms at n_min: nothing fails, and every move keeps the total
-    market = build_market(firms=[((0, 0), 0.2, 0.5), ((2, 2), 0.4, 0.5),
-                                 ((4, 4), 0.3, 0.5)])
     params = SimParams(lx=6, ly=6, n_min=3, t_max=5)
-    events_py, events_c = array("q"), array("q")
-    with pytest.raises(IntegrityError) as python_error:
-        dynamics.run_sweeps(copy.deepcopy(market), params, random.Random(1),
-                            Trajectory.empty(params.t_max + 1), events_py)
-    with pytest.raises(IntegrityError) as compiled_error:
-        compiled.run_sweeps(compiled_lib, market, params, random.Random(1),
-                            Trajectory.empty(params.t_max + 1), events_c)
-    assert str(compiled_error.value) == str(python_error.value)
-    assert "error 5.000e-01" in str(compiled_error.value)
-    # the failing sweep's rows are appended before the error is raised
-    assert len(events_py) == 3 * EVENT_FIELDS
-    assert events_c == events_py
+    # share totals 1.5, 0 and -0.2: a total at or below 0 fails the same
+    # tolerance check as any other drift
+    for shares, error in (((0.5, 0.5, 0.5), "5.000e-01"),
+                          ((0.0, 0.0, 0.0), "1.000e+00"),
+                          ((-0.1, -0.05, -0.05), "1.200e+00")):
+        # three firms at n_min: nothing fails, and every move keeps the total
+        market = build_market(firms=[((0, 0), 0.2, shares[0]),
+                                     ((2, 2), 0.4, shares[1]),
+                                     ((4, 4), 0.3, shares[2])])
+        events_py, events_c = array("q"), array("q")
+        with pytest.raises(IntegrityError) as python_error:
+            dynamics.run_sweeps(copy.deepcopy(market), params,
+                                random.Random(1),
+                                Trajectory.empty(params.t_max + 1), events_py)
+        with pytest.raises(IntegrityError) as compiled_error:
+            compiled.run_sweeps(compiled_lib, market, params,
+                                random.Random(1),
+                                Trajectory.empty(params.t_max + 1), events_c)
+        assert str(compiled_error.value) == str(python_error.value)
+        assert str(compiled_error.value) == (
+            f"share normalization error {error} exceeds tolerance 0.01 "
+            f"at sweep 0")
+        # the failing sweep's rows are appended before the error is raised
+        assert len(events_py) == 3 * EVENT_FIELDS
+        assert events_c == events_py
 
 
 @pytest.fixture

@@ -110,6 +110,29 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="sigma"):
             resolve_config(None, {"sigma": "fast"})
 
+    @pytest.mark.parametrize("key, raw", [
+        ("s", "-1"), ("b", "1.5"), ("nmin", "0"), ("omega_s", "1"),
+        ("c", "0"), ("lx", "2"), ("ly", "2"), ("tmax", "-1"),
+        ("seed", "-1"), ("seed", str(2**64)),
+        ("lx", 2),            # an int is taken as it is
+        ("lx", 3.5),          # neither a string nor an int
+        ("events", "maybe"), ("replicas", "0"), ("jobs", "0")])
+    def test_rejected_value_names_key(self, key, raw):
+        with pytest.raises(ConfigError) as error:
+            resolve_config(None, {key: raw})
+        assert str(error.value).startswith(f"{key} must be")
+
+    def test_unknown_flag_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown config key 'quux'"):
+            resolve_config(None, {"quux": "1"})
+
+    @pytest.mark.parametrize("field, raw", [("policy", "lowtech"),
+                                            ("variant", "active")])
+    def test_unconverted_enum_rejected(self, field, raw):
+        # resolve_config converts both; SimParams still checks their types
+        with pytest.raises(ConfigError, match=f"^{field} must be a "):
+            SimParams(**{field: raw})
+
     def test_malformed_line_reports_location(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("q 0.5\n")
@@ -551,6 +574,16 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--nmin", "0"], ["--lx", "2"],
+                                      ["--seed", "-1"], ["--replicas", "0"],
+                                      ["--tmax", "1.5"]])
+    def test_rejected_value_exit_one(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {argv[0][2:]} must be")
+        assert err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
     def test_trajectories_beyond_memory_exit_one(self, tmp_path, capsys):

@@ -16,7 +16,13 @@ from techmarket.market import (
     survival_probability,
 )
 
-from conftest import build_market, random_market, site_index
+from conftest import (
+    build_market,
+    moore8_of,
+    random_market,
+    site_index,
+    vn4_of,
+)
 
 
 class TestFrontier:
@@ -173,27 +179,40 @@ class TestInitMarket:
         with pytest.raises(ConfigError):
             SimParams(c=0.005, n_min=1, lx=10, ly=10)
 
+    @given(st.integers(3, 30), st.integers(3, 30), st.data())
+    def test_validated_params_start_at_or_above_n_min(self, lx, ly, data):
+        # init_market relies on it: no market starts empty or below n_min
+        n_min = data.draw(st.integers(1, lx * ly))
+        edge = n_min / (lx * ly)  # about the smallest c that validates
+        c = data.draw(st.floats(0.0, 1.0)
+                      | st.floats(max(0.0, edge - 1e-9), min(1.0, edge + 1e-9)))
+        try:
+            params = SimParams(c=c, n_min=n_min, lx=lx, ly=ly)
+        except ConfigError:
+            return
+        assert params.n_initial_firms >= params.n_min
+
 
 class TestNeighbors:
     def test_periodic_wrap_von_neumann(self):
         lat = Lattice(10, 10)
         want = {site_index(lat, s) for s in ((9, 0), (1, 0), (0, 9), (0, 1))}
-        assert set(lat.vn4[site_index(lat, (0, 0))]) == want
+        assert set(vn4_of(lat, site_index(lat, (0, 0)))) == want
 
     def test_moore_interior(self):
         lat = Lattice(10, 10)
         center = site_index(lat, (5, 5))
         want = {site_index(lat, (x, y)) for x in (4, 5, 6) for y in (4, 5, 6)}
-        assert set(lat.moore8[center]) == want - {center}
+        assert set(moore8_of(lat, center)) == want - {center}
 
     def test_von_neumann_subset_of_moore(self):
         lat = Lattice(7, 5)
         for site in [(0, 0), (3, 2), (6, 4), (0, 4)]:
             idx = site_index(lat, site)
-            assert set(lat.vn4[idx]) < set(lat.moore8[idx])
+            assert set(vn4_of(lat, idx)) < set(moore8_of(lat, idx))
 
     def test_counts_distinct(self):
         lat = Lattice(5, 5)
         for idx in range(25):
-            assert len(set(lat.vn4[idx])) == 4
-            assert len(set(lat.moore8[idx])) == 8
+            assert len(set(vn4_of(lat, idx))) == 4
+            assert len(set(moore8_of(lat, idx))) == 8
