@@ -33,18 +33,12 @@ def _cast_float(key: str, raw: Any) -> float:
 
 def _cast_int(key: str, raw: Any) -> int:
     try:
-        if isinstance(raw, str):
-            return int(raw, 0)
-        if isinstance(raw, int):
-            return raw
-    except ValueError:
-        pass
-    raise ConfigError(f"{key} must be an integer, got {raw!r}")
+        return int(raw, 0)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
 
 
 def _cast_policy(key: str, raw: Any) -> PolicyKind:
-    if isinstance(raw, PolicyKind):
-        return raw
     token = str(raw).strip().lower().replace("-", "").replace("_", "")
     if token in _POLICY_ALIASES:
         return _POLICY_ALIASES[token]
@@ -53,8 +47,6 @@ def _cast_policy(key: str, raw: Any) -> PolicyKind:
 
 
 def _cast_variant(key: str, raw: Any) -> VariantKind:
-    if isinstance(raw, VariantKind):
-        return raw
     token = str(raw).strip().lower().replace("-", "_")
     if token in _VARIANT_ALIASES:
         return _VARIANT_ALIASES[token]
@@ -123,7 +115,8 @@ CONFIG_KEYS = {
     "lx": Key(_cast_int, "lx", "lattice width"),
     "ly": Key(_cast_int, "ly", "lattice height"),
     "tmax": Key(_cast_int, "t_max", "horizon in sweeps"),
-    "jobs": Key(_cast_count, None, "worker processes for replicas (default 1)"),
+    "jobs": Key(_cast_count, None, "replicas run at once: threads on the "
+                "compiled kernel, processes on the Python one (default 1)"),
     "out": Key(_cast_path, None, "output directory (default: out)"),
     "events": Key(_cast_bool, None, "also write one JSONL event log per cell"),
 }

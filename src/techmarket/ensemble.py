@@ -4,8 +4,9 @@ the ensemble store.
 A replica is one full simulation of the market for t_max sweeps; an ensemble
 is n_replicas of them run from seeds derived as ``derive_seed(params.seed,
 k)`` for replica k. Replicas are independent, so they may run in the calling
-process or on a process pool; the statistics and event logs are identical
-either way. A replica runs all of its sweeps in one call of a
+thread or on workers of the ensemble's own (see ``run_trajectories``); the
+statistics and event logs are identical either way. A replica runs all of
+its sweeps in one call of a
 kernel entry, the compiled kernel's when this machine can build it (see
 ``compiled``) and the Python kernel's otherwise; both write the same
 trajectory bits and the same event rows.
@@ -28,9 +29,9 @@ from __future__ import annotations
 import io
 import random
 from array import array
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -119,80 +120,67 @@ def _replica_task(args: tuple[SimParams, int, int, bool],
     return trajectory, text.getvalue()
 
 
-class LazyPool:
-    """Up to ``jobs`` worker processes that run the replicas of ensembles.
-
-    ``map`` runs in the calling process when jobs <= 1 or when it is given
-    a single task, and never starts a worker then. Otherwise the workers
-    start at the first ``map`` call, at most one per task of that call;
-    leaving the ``with`` block shuts them down and reaps them, cancelling
-    queued tasks when the block raised."""
-
-    def __init__(self, jobs: int) -> None:
-        self.jobs = jobs
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    def map(self, fn: Callable, tasks: Sequence) -> Iterator:
-        if self.jobs <= 1 or len(tasks) == 1:
-            return map(fn, tasks)
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(tasks)))
-        return self._executor.map(fn, tasks)
-
-    def __enter__(self) -> LazyPool:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(cancel_futures=exc_type is not None)
-            self._executor = None
-
-
-def run_trajectories(params: SimParams, n_replicas: int, pool: LazyPool,
+def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
                      event_log: Optional[TextIO] = None) -> EnsembleStats:
-    """The statistics of an ensemble whose replicas run through ``pool``.
+    """The statistics of an ensemble whose replicas run ``jobs`` at a time.
     In replica order, each replica's N, mean technology and ratio rows are
     copied into (replicas x sweeps) matrices, 24 bytes per replica and
     sweep, and its other reductions updated; then its trajectory is dropped.
 
+    With min(jobs, n_replicas) > 1, the replicas run on an executor of the
+    call's own: threads when the compiled kernel is loaded, as its C call
+    releases the GIL, and processes on the Python kernel, which holds it.
+    It is shut down before this returns or raises, and a failure cancels
+    the replicas still queued.
+
     With ``event_log``, each replica renders its events to JSON lines in the
-    process that ran it, and the text is written to the stream in replica
-    order as soon as that replica and every earlier one have finished. Runs
-    in the calling process and on workers share one task function and give
-    the same bytes. A replica's exception propagates unchanged, with a note
-    naming its seed.
+    worker that ran it, and the text is written to the stream in replica
+    order as soon as that replica and every earlier one have finished. Serial
+    and parallel runs share one task function and give the same bytes. A
+    replica's exception propagates unchanged, with a note naming its seed.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
-    compiled.kernel()  # built and loaded here, before any worker forks
+    # built and loaded here, before any worker starts: threads share the
+    # pid that names the build's temporary file
+    lib = compiled.kernel().lib
     seeds = replica_seeds(params.seed, n_replicas)
     tasks = [(params, k, seed, event_log is not None)
              for k, seed in enumerate(seeds)]
-    results = pool.map(_replica_task, tasks)
     rows = params.t_max + 1
     n_mat, a_mat, r_mat = (np.empty((n_replicas, rows)) for _ in range(3))
     rescued_sum = np.zeros(rows, np.int64)
     renorm_error = np.zeros(rows)
     tc_vals = np.full(n_replicas, np.nan)
-    for k, seed in enumerate(seeds):
-        try:
-            trajectory, text = next(results)
-        except Exception as exc:
-            exc.add_note(f"replica seed {seed}")
-            raise
-        if text is not None:
-            event_log.write(text)
-        n_mat[k] = trajectory.n_firms
-        a_mat[k] = trajectory.mean_tech
-        r_mat[k] = trajectory.ratio
-        rescued_sum += trajectory.rescued
-        np.maximum(renorm_error, trajectory.renorm_error, out=renorm_error)
-        if (tc := estimate_tc(trajectory.mean_tech)) is not None:
-            tc_vals[k] = tc
-        # not held while the next replica runs (the text is: freeing it
-        # lets malloc trim pages that the next replica's text faults in)
-        del trajectory
+    workers = min(jobs, n_replicas)
+    executor = None
+    if workers > 1:
+        executor = (ProcessPoolExecutor if lib is None
+                    else ThreadPoolExecutor)(workers)
+    try:
+        results = (executor.map if executor else map)(_replica_task, tasks)
+        for k, seed in enumerate(seeds):
+            try:
+                trajectory, text = next(results)
+            except Exception as exc:
+                exc.add_note(f"replica seed {seed}")
+                raise
+            if text is not None:
+                event_log.write(text)
+            n_mat[k] = trajectory.n_firms
+            a_mat[k] = trajectory.mean_tech
+            r_mat[k] = trajectory.ratio
+            rescued_sum += trajectory.rescued
+            np.maximum(renorm_error, trajectory.renorm_error,
+                       out=renorm_error)
+            if (tc := estimate_tc(trajectory.mean_tech)) is not None:
+                tc_vals[k] = tc
+            # not held while the next replica runs (the text is: freeing it
+            # lets malloc trim pages that the next replica's text faults in)
+            del trajectory
+    finally:
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
     return _stats({
         "t": np.arange(rows, dtype=np.int64),
         "n_mean": n_mat.mean(axis=0),
@@ -233,10 +221,9 @@ def _slice(stats: EnsembleStats, t_max: int) -> EnsembleStats:
 
 def run_ensemble(params: SimParams, n_replicas: int,
                  jobs: int = 1) -> EnsembleStats:
-    """The statistics of an ensemble from base seed ``params.seed``, run on
-    ``jobs`` worker processes of its own."""
-    with LazyPool(jobs) as pool:
-        return run_trajectories(params, n_replicas, pool)
+    """The statistics of an ensemble from base seed ``params.seed``, with
+    ``jobs`` replicas run at once (see ``run_trajectories``)."""
+    return run_trajectories(params, n_replicas, jobs)
 
 
 #: Ensembles run in this process, keyed by (params with t_max=0, replicas);
@@ -245,15 +232,15 @@ _STORE: dict[tuple[SimParams, int], EnsembleStats] = {}
 
 
 def stored_ensemble(params: SimParams, n_replicas: int,
-                    pool: LazyPool) -> EnsembleStats:
+                    jobs: int) -> EnsembleStats:
     """``run_ensemble(params, n_replicas)``, bit for bit, through the store:
     sliced from a stored run at least as long, and otherwise simulated from
-    sweep 0 with ``run_trajectories`` on ``pool`` and stored in place of the
+    sweep 0 with ``run_trajectories`` at ``jobs`` and stored in place of the
     shorter run."""
     key = (replace(params, t_max=0), n_replicas)
     stats = _STORE.get(key)
     if stats is None or stats.t[-1] < params.t_max:
-        stats = _STORE[key] = run_trajectories(params, n_replicas, pool)
+        stats = _STORE[key] = run_trajectories(params, n_replicas, jobs)
     return _slice(stats, params.t_max)
 
 

@@ -26,9 +26,9 @@ q, fig6's passive cell is a prefix of fig5's q=0.99 cell, and fig7 is fig6's
 active cell. The store answers a cell by slicing a run at least as long and
 simulates it from sweep 0 otherwise, so a process that runs the longer
 presets first (as ``scripts/reproduce_figures.py`` does) simulates each of
-these trajectories once. A cell with an event log always simulates. Each
-scenario call starts at most one process pool, when its first cell
-simulates with jobs > 1, and reaps its workers before it returns or raises.
+these trajectories once. A cell with an event log always simulates. A cell
+that simulates runs ``controls.jobs`` replicas at once, on workers of its
+own that are gone before the cell returns or raises.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from pathlib import Path
 from . import __version__, compiled
 from .config import RunControls
 from .dynamics import ROW_BYTES
-from .ensemble import LazyPool, run_trajectories, stored_ensemble
+from .ensemble import run_trajectories, stored_ensemble
 from .errors import ConfigError
 from .output import (
     atomic_write,
@@ -107,30 +107,29 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
                  *(f"cell {label}" for label, _ in cells)]
     else:
         notes = []
-    with LazyPool(controls.jobs) as pool:
-        for label, cell_params in cells:
-            if controls.events:
-                log_path = out_dir / f"{name}_{label}_events.jsonl"
-                with atomic_write(log_path) as event_log:
-                    stats = run_trajectories(cell_params, replicas, pool,
-                                             event_log)
-            else:
-                stats = stored_ensemble(cell_params, replicas, pool)
-            tc = "none" if stats.tc_of_mean is None else stats.tc_of_mean
-            if curve:
-                q = cell_params.q
-                curve_rows.append((q, stats.tc_mean, stats.tc_sd,
-                                   stats.fraction_reached))
-                notes.append(f"tc_of_mean[q={q:g}]={tc}")
-            else:
-                written.append(emit_timeseries_csv(
-                    stats, out_dir / f"{name}_{label}.csv"))
-                notes.append(f"{label}: tc_of_mean={tc} "
-                             f"tc_mean={stats.tc_mean:g} "
-                             f"fraction_reached={stats.fraction_reached:g}")
-            if controls.events:
-                written.append(log_path)
-            max_renorm_error = max(max_renorm_error, stats.max_renorm_error)
+    for label, cell_params in cells:
+        if controls.events:
+            log_path = out_dir / f"{name}_{label}_events.jsonl"
+            with atomic_write(log_path) as event_log:
+                stats = run_trajectories(cell_params, replicas,
+                                         controls.jobs, event_log)
+        else:
+            stats = stored_ensemble(cell_params, replicas, controls.jobs)
+        tc = "none" if stats.tc_of_mean is None else stats.tc_of_mean
+        if curve:
+            q = cell_params.q
+            curve_rows.append((q, stats.tc_mean, stats.tc_sd,
+                               stats.fraction_reached))
+            notes.append(f"tc_of_mean[q={q:g}]={tc}")
+        else:
+            written.append(emit_timeseries_csv(
+                stats, out_dir / f"{name}_{label}.csv"))
+            notes.append(f"{label}: tc_of_mean={tc} "
+                         f"tc_mean={stats.tc_mean:g} "
+                         f"fraction_reached={stats.fraction_reached:g}")
+        if controls.events:
+            written.append(log_path)
+        max_renorm_error = max(max_renorm_error, stats.max_renorm_error)
     if curve:
         written.append(emit_tc_curve_csv(
             curve_rows, out_dir / f"{name}_tc_curve.csv"))

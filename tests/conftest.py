@@ -1,10 +1,12 @@
 import math
+import multiprocessing
 import random
+import threading
 from array import array
 
 import pytest
 
-from techmarket import compiled
+from techmarket import compiled, ensemble
 from techmarket.dynamics import _update_cycle
 from techmarket.ensemble import clear_store
 from techmarket.market import Lattice, MarketState
@@ -19,12 +21,53 @@ def empty_ensemble_store():
     clear_store()
 
 
-@pytest.fixture
-def python_kernel(monkeypatch):
+def use_python_kernel(monkeypatch):
     """Replicas run on the Python kernel, as on a machine where the compiled
     one cannot be built."""
     monkeypatch.setattr(compiled, "kernel", lambda: compiled.Kernel(
         None, "python (compiled kernel switched off by a test)"))
+
+
+@pytest.fixture
+def python_kernel(monkeypatch):
+    use_python_kernel(monkeypatch)
+
+
+#: The executors ``ensemble`` may run the replicas of an ensemble on.
+EXECUTORS = ("ThreadPoolExecutor", "ProcessPoolExecutor")
+
+
+def _recording(base, workers):
+    """Executor class ``base``, recording each instance's max_workers."""
+    class Recording(base):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+    return Recording
+
+
+def each_kernel(monkeypatch):
+    """The loaded kernel, then the Python one. For each, the store is
+    emptied, and this yields the executor the replicas must run on when
+    several run at once (threads on the compiled kernel, processes on the
+    Python one), with the max_workers of every executor ``ensemble``
+    constructs from then on, by executor."""
+    bases = {name: getattr(ensemble, name) for name in EXECUTORS}
+    for python in (False, True):
+        if python:
+            use_python_kernel(monkeypatch)
+        made = {name: [] for name in EXECUTORS}
+        for name, base in bases.items():
+            monkeypatch.setattr(ensemble, name, _recording(base, made[name]))
+        clear_store()
+        yield ("ProcessPoolExecutor" if compiled.kernel().lib is None
+               else "ThreadPoolExecutor"), made
+
+
+def assert_no_worker_left(threads):
+    """Only the given threads are alive, and no child process."""
+    assert threading.enumerate() == threads
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

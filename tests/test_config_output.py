@@ -3,10 +3,10 @@ the ensemble store, and the CLI."""
 import io
 import json
 import math
-import multiprocessing
 import re
 import runpy
 import sys
+import threading
 from array import array
 from pathlib import Path
 
@@ -41,6 +41,8 @@ from techmarket.output import (
 )
 from techmarket.params import TC_Q_GRID
 from techmarket.scenarios import SCENARIOS, resolve_cells, run_scenario
+
+from conftest import EXECUTORS, assert_no_worker_left, each_kernel
 
 
 class TestConfigResolution:
@@ -114,8 +116,8 @@ class TestConfigResolution:
         ("s", "-1"), ("b", "1.5"), ("nmin", "0"), ("omega_s", "1"),
         ("c", "0"), ("lx", "2"), ("ly", "2"), ("tmax", "-1"),
         ("seed", "-1"), ("seed", str(2**64)),
-        ("lx", 2),            # an int is taken as it is
-        ("lx", 3.5),          # neither a string nor an int
+        ("lx", 2),            # not strings, which every caller passes:
+        ("lx", 3.5),          # _cast_int rejects them
         ("events", "maybe"), ("replicas", "0"), ("jobs", "0")])
     def test_rejected_value_names_key(self, key, raw):
         with pytest.raises(ConfigError) as error:
@@ -444,24 +446,20 @@ class TestScenarios:
             == (tmp_path / "c" / csv).read_bytes()
 
     def test_one_pool_per_call_and_no_child_left(self, monkeypatch, tmp_path):
-        import techmarket.ensemble as ens
-
-        started = []
-
-        class CountedPool(ens.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(ens, "ProcessPoolExecutor", CountedPool)
+        """One executor per cell that simulates and none for a call that the
+        store serves; no worker outlives the call."""
+        threads = threading.enumerate()
         params, controls = resolve_config(
             None, {"seed": "5", "tmax": "10", "replicas": "2", "jobs": "2",
                    "out": str(tmp_path)})
-        run_scenario("fig2", params, controls)
-        assert started == [1]  # three cells, one pool
-        assert multiprocessing.active_children() == []
-        run_scenario("fig2", params, controls)  # served from the store
-        assert started == [1]
+        for kind, made in each_kernel(monkeypatch):
+            run_scenario("fig2", params, controls)
+            # one executor of min(jobs, replicas) workers per cell
+            assert made == {name: [2, 2, 2] if name == kind else []
+                            for name in EXECUTORS}
+            assert_no_worker_left(threads)
+            run_scenario("fig2", params, controls)  # served from the store
+            assert made[kind] == [2, 2, 2]
 
     def test_no_child_left_when_a_replica_fails(self, monkeypatch, tmp_path):
         import techmarket.ensemble as ens
@@ -470,12 +468,16 @@ class TestScenarios:
             raise IntegrityError("normalization error 0.5 exceeds tolerance")
 
         monkeypatch.setattr(ens, "run_replica", drift)
+        threads = threading.enumerate()
         params, controls = resolve_config(
             None, {"seed": "5", "tmax": "10", "replicas": "4", "jobs": "2",
                    "out": str(tmp_path)})
-        with pytest.raises(IntegrityError):
-            run_scenario("fig2", params, controls)
-        assert multiprocessing.active_children() == []
+        for kind, made in each_kernel(monkeypatch):
+            with pytest.raises(IntegrityError):
+                run_scenario("fig2", params, controls)
+            assert made == {name: [2] if name == kind else []
+                            for name in EXECUTORS}
+            assert_no_worker_left(threads)
 
     def test_tc_curve_csv_schema(self, tmp_path):
         params, controls = resolve_config(
@@ -632,20 +634,13 @@ class TestCli:
 
     def test_pool_starts_at_most_one_worker_per_replica(self, monkeypatch,
                                                          tmp_path):
-        import techmarket.ensemble as ens
-
-        workers = []
-
-        class RecordedPool(ens.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                workers.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(ens, "ProcessPoolExecutor", RecordedPool)
-        assert main(["--tmax", "5", "--replicas", "2", "--jobs", "4",
-                     "--out", str(tmp_path)]) == 0
-        assert workers == [2]
-        assert multiprocessing.active_children() == []
+        threads = threading.enumerate()
+        for kind, made in each_kernel(monkeypatch):
+            assert main(["--tmax", "5", "--replicas", "2", "--jobs", "4",
+                         "--out", str(tmp_path / kind)]) == 0
+            assert made == {name: [2] if name == kind else []
+                            for name in EXECUTORS}
+            assert_no_worker_left(threads)
 
     def test_integrity_failure_exit_two(self, monkeypatch, tmp_path, capsys):
         import techmarket.cli as cli_mod

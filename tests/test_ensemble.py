@@ -1,7 +1,12 @@
 """Replica runs, deterministic seeding, ensemble statistics, catch-up
 times, and the ensemble store."""
 import dataclasses
+import io
 import math
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -18,7 +23,6 @@ from techmarket import (
 )
 from techmarket.dynamics import ROW_BYTES
 from techmarket.ensemble import (
-    LazyPool,
     Trajectory,
     estimate_tc,
     replica_seeds,
@@ -26,6 +30,8 @@ from techmarket.ensemble import (
     stored_ensemble,
 )
 from techmarket.rng import derive_seed
+
+from conftest import assert_no_worker_left, each_kernel, use_python_kernel
 
 
 def small_params(**kw):
@@ -133,6 +139,24 @@ class TestRunEnsemble:
         assert serial.tc_mean == parallel.tc_mean or (
             math.isnan(serial.tc_mean) and math.isnan(parallel.tc_mean))
 
+    def test_more_threads_than_cores_match_serial(self):
+        """8 workers (threads on the compiled kernel), switching threads as
+        often as the interpreter allows: the statistics and the event log
+        equal a serial run's."""
+        import techmarket.ensemble as ens
+
+        p = small_params(t_max=40, q=0.9, policy=PolicyKind.MEDIUM_TECH)
+        serial_log, parallel_log = io.StringIO(), io.StringIO()
+        serial = ens.run_trajectories(p, 8, 1, serial_log)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = ens.run_trajectories(p, 8, 8, parallel_log)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_stats(parallel, serial)
+        assert parallel_log.getvalue() == serial_log.getvalue()
+
     def test_constant_synthetic_ensemble(self, monkeypatch):
         import techmarket.ensemble as ens
 
@@ -143,7 +167,7 @@ class TestRunEnsemble:
                               np.zeros(5, int), np.zeros(5, int), np.zeros(5))
 
         monkeypatch.setattr(ens, "run_replica", synthetic)
-        st = ens.run_trajectories(small_params(t_max=4), 4, LazyPool(1))
+        st = ens.run_trajectories(small_params(t_max=4), 4)
         assert np.all(st.a_mean == 3.0) and np.all(st.a_sd == 0.0)
         assert np.all(st.n_mean == 7.0) and np.all(st.n_sd == 0.0)
         assert st.tc_of_mean == 0  # constant 3.0 >= 1 from the start
@@ -184,7 +208,7 @@ class TestRunEnsemble:
         real = ens.run_replica
         monkeypatch.setattr(ens, "run_replica", sabotaged)
         with pytest.raises(ValueError, match=str(bad_seed)):
-            ens.run_trajectories(small_params(t_max=5), 3, LazyPool(1))
+            ens.run_trajectories(small_params(t_max=5), 3)
 
 
 class TwoArgError(Exception):
@@ -196,10 +220,16 @@ class TwoArgError(Exception):
 
 
 class TestReplicaFailure:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_exception_type_and_fields_kept(self, monkeypatch, jobs):
+    # on the Python kernel at jobs=2, the exception is pickled back from a
+    # worker process
+    @pytest.mark.parametrize("jobs, python", [(1, False), (2, False),
+                                              (2, True)],
+                             ids=["1", "2", "2-python"])
+    def test_exception_type_and_fields_kept(self, monkeypatch, jobs, python):
         import techmarket.ensemble as ens
 
+        if python:
+            use_python_kernel(monkeypatch)
         bad_seed = replica_seeds(99, 3)[1]
         real = ens.run_replica
 
@@ -209,10 +239,43 @@ class TestReplicaFailure:
             return real(params, seed, events)
 
         monkeypatch.setattr(ens, "run_replica", sabotaged)
-        with pytest.raises(TwoArgError) as info, LazyPool(jobs) as pool:
-            ens.run_trajectories(small_params(t_max=5), 3, pool)
+        with pytest.raises(TwoArgError) as info:
+            ens.run_trajectories(small_params(t_max=5), 3, jobs)
         assert info.value.code == 7
         assert info.value.__notes__ == [f"replica seed {bad_seed}"]
+
+    def test_failure_cancels_the_queued_replicas(self, monkeypatch):
+        """Replica 0 of 64 raises, or the write of its event log does: on 2
+        workers, fewer than 64 replicas start, and no worker is left."""
+        import techmarket.ensemble as ens
+
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        threads = threading.enumerate()
+        bad_seed = replica_seeds(99, 64)[0]
+        started = multiprocessing.Value("i", 0)  # shared with forked workers
+
+        def sabotaged(params, seed, events=None):
+            with started.get_lock():
+                started.value += 1
+            if seed == bad_seed and events is None:
+                raise TwoArgError(7, "boom")
+            time.sleep(0.05)
+            return Trajectory.empty(params.t_max + 1)
+
+        monkeypatch.setattr(ens, "run_replica", sabotaged)
+        for kind, made in each_kernel(monkeypatch):
+            for error, event_log in ((TwoArgError, None),
+                                     (OSError, FullDisk())):
+                started.value = 0
+                with pytest.raises(error):
+                    ens.run_trajectories(small_params(t_max=5), 64, 2,
+                                         event_log)
+                assert started.value < 64
+                assert_no_worker_left(threads)
+            assert made[kind] == [2, 2]
 
 
 def assert_same_stats(got: EnsembleStats, want: EnsembleStats) -> None:
@@ -230,8 +293,8 @@ def assert_same_stats(got: EnsembleStats, want: EnsembleStats) -> None:
 
 # crossings at sweeps 78..133 for seed 99 and 4 replicas
 MEDIUM_Q09 = small_params(q=0.9, policy=PolicyKind.MEDIUM_TECH, t_max=150)
-# runs every replica in the calling process and never starts a worker
-SERIAL = LazyPool(1)
+# jobs that run every replica in the calling thread, starting no worker
+SERIAL = 1
 
 
 class TestEnsembleStore:
@@ -279,19 +342,17 @@ class TestEnsembleStore:
         monkeypatch.setattr(ens, "run_replica", spy)
         first = replace(params, t_max=params.t_max * 2 // 3)
         middle = replace(params, t_max=params.t_max * 5 // 6)
-        with LazyPool(jobs) as pool:
-            assert_same_stats(stored_ensemble(first, 4, pool),
-                              run_ensemble(first, 4))
-            assert_same_stats(stored_ensemble(params, 4, pool),
-                              run_ensemble(params, 4))
-            assert_same_stats(stored_ensemble(middle, 4, pool),
-                              run_ensemble(middle, 4))
-        if jobs == 1:  # pool workers do not report back
-            # the store runs 4 replicas to each horizon from sweep 0, then 4
-            # again, then none for the middle slice; each run_ensemble call
-            # runs 4
-            assert runs == [first.t_max] * 8 + [params.t_max] * 8 \
-                + [middle.t_max] * 4
+        assert_same_stats(stored_ensemble(first, 4, jobs),
+                          run_ensemble(first, 4))
+        assert_same_stats(stored_ensemble(params, 4, jobs),
+                          run_ensemble(params, 4))
+        assert_same_stats(stored_ensemble(middle, 4, jobs),
+                          run_ensemble(middle, 4))
+        # the store runs 4 replicas to each horizon from sweep 0, then 4
+        # again, then none for the middle slice; each run_ensemble call
+        # runs 4
+        assert runs == [first.t_max] * 8 + [params.t_max] * 8 \
+            + [middle.t_max] * 4
 
     def test_key_separates_seed_replicas_and_params(self):
         a = stored_ensemble(small_params(t_max=20), 2, SERIAL)
