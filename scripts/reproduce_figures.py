@@ -4,10 +4,12 @@ Full fidelity (400 replicas per ensemble) takes a while on a laptop; pass
 --replicas to trade accuracy for speed. Each scenario gets its own
 subdirectory under --out.
 
-The presets run in one process, longest horizon first (fig5, fig6, fig7,
-then fig1..fig4), so the ensemble store answers every cell that repeats a
-longer one by slicing it: fig1 and fig2 are prefixes of fig5's cells,
-fig6's passive cell of fig5's q=0.99 cell, and fig7 of fig6's active cell.
+The presets run in one process, in the order fig1..fig7, so the ensemble
+store answers every cell that repeats one already run for at least as long
+by slicing it. fig5 simulates each cell only until its catch-up curve is
+final (at most a few hundred sweeps at the default parameters), so its
+cells at q = 0, 0.3, 0.9 and 0.99 are prefixes of fig1's and fig2's
+600-sweep cells; fig7 is fig6's active cell.
 
     python scripts/reproduce_figures.py --out results [--replicas N] [--jobs J]
 """
@@ -26,7 +28,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
 
-    for name in sorted(SCENARIOS, key=lambda n: -SCENARIOS[n].t_max):
+    for name in SCENARIOS:
         argv = ["--scenario", name, "--out", f"{args.out}/{name}",
                 "--jobs", str(args.jobs), "--seed", str(args.seed)]
         if args.replicas is not None:

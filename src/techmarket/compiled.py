@@ -102,8 +102,9 @@ def cache_dir() -> Path:
 
 def _build(path: Path) -> None:
     """Compile SOURCE to ``path`` through a temporary file, so that no
-    process ever loads a half-written library."""
-    import subprocess
+    process ever loads a half-written library. A failed compile raises an
+    OSError naming the compiler's first error line."""
+    import subprocess  # here: loading a cached kernel imports no subprocess
 
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -111,6 +112,10 @@ def _build(path: Path) -> None:
         subprocess.run([COMPILER, *FLAGS, "-o", str(tmp), str(SOURCE), "-lm"],
                        check=True, capture_output=True, text=True)
         os.replace(tmp, path)
+    except subprocess.CalledProcessError as exc:
+        lines = exc.stderr.splitlines()
+        raise OSError(next((line for line in lines if "error" in line),
+                           f"{COMPILER} exited with code {exc.returncode}"))
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -120,8 +125,6 @@ def kernel() -> Kernel:
     """The compiled kernel of this process, built first if the cache lacks
     it; its library is None, with the reason in the note, when it cannot be
     built or loaded."""
-    import subprocess  # here, so that importing the package stays as cheap
-
     # crc32 and not hashlib, whose OpenSSL adds 3.4 MB to the resident set
     key = SOURCE.read_bytes() + " ".join((COMPILER, *FLAGS)).encode()
     path = cache_dir() / f"sweep-{zlib.crc32(key):08x}.so"
@@ -132,12 +135,7 @@ def kernel() -> Kernel:
                 for stale in set(path.parent.glob("sweep-*.so")) - {path}:
                     stale.unlink()
         lib = ctypes.CDLL(str(path))
-    except subprocess.CalledProcessError as exc:
-        lines = exc.stderr.splitlines()
-        error = next((line for line in lines if "error" in line),
-                     f"{COMPILER} exited with code {exc.returncode}")
-        return Kernel(None, f"python (build failed: {error})")
-    except OSError as exc:  # no compiler, an unwritable cache, a bad library
+    except OSError as exc:  # failed build, unwritable cache, bad library
         return Kernel(None, f"python (build failed: {exc})")
     lib.tm_state_size.argtypes = []
     lib.tm_state_size.restype = ctypes.c_size_t

@@ -29,7 +29,7 @@ from __future__ import annotations
 import io
 import random
 from array import array
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, TextIO
 
@@ -118,6 +118,14 @@ def _replica_task(args: tuple[SimParams, int, int, bool],
     text = io.StringIO()
     emit_event_log(text, k, events)
     return trajectory, text.getvalue()
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A ``concurrent.futures.ProcessPoolExecutor``, imported on first use:
+    only the Python kernel runs replicas on processes, and the import loads
+    ``multiprocessing``, which no command on the compiled kernel needs."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers)
 
 
 def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,

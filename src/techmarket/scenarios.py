@@ -20,15 +20,26 @@ and adds its note to the metadata.
 
 Cells without an event log go through the process's ensemble store
 (``ensemble.stored_ensemble``), so scenarios run in one process share
-trajectories. With the same seed and replicas, and fig5 at its default
-egalitarian policy, fig1 and fig2 are prefixes of the fig5 cells at the same
-q, fig6's passive cell is a prefix of fig5's q=0.99 cell, and fig7 is fig6's
-active cell. The store answers a cell by slicing a run at least as long and
-simulates it from sweep 0 otherwise, so a process that runs the longer
-presets first (as ``scripts/reproduce_figures.py`` does) simulates each of
-these trajectories once. A cell with an event log always simulates. A cell
-that simulates runs ``controls.jobs`` replicas at once, on workers of its
-own that are gone before the cell returns or raises.
+trajectories. The store answers a cell by slicing a run at least as long
+and simulates it from sweep 0 otherwise. A fig5 cell asks it for
+FIRST_HORIZON sweeps, then twice as many each time, capped at tmax, and
+stops once every replica and the ensemble mean have crossed: a longer run
+has the same crossings, so the curve row and note are those of the full
+tmax run. The metadata names each cell's stopping horizon, the first one
+at which its row was final, and ``max_renorm_error`` covers the sweeps up
+to it. A cell where a replica or the mean never crosses runs to tmax.
+
+With the same seed and replicas, and fig5 at its default egalitarian
+policy, fig5's cells at q = 0, 0.3, 0.9 and 0.99 are prefixes of fig1's and
+fig2's cells wherever they stop within 600 sweeps, fig2's q=0.99 cell is a
+prefix of fig6's passive cell, and fig7 is fig6's active cell. A process
+that runs the presets in the order fig1..fig7 (as
+``scripts/reproduce_figures.py`` does) therefore serves those fig5 cells
+and fig7 from the store. A cell with an event log always simulates its
+full tmax, so its ``max_renorm_error`` covers every sweep, and it writes
+the same curve row and notes. A cell that simulates runs ``controls.jobs``
+replicas at once, on workers of its own that are gone before the cell
+returns or raises.
 """
 from __future__ import annotations
 
@@ -39,7 +50,7 @@ from pathlib import Path
 from . import __version__, compiled
 from .config import RunControls
 from .dynamics import ROW_BYTES
-from .ensemble import run_trajectories, stored_ensemble
+from .ensemble import EnsembleStats, run_trajectories, stored_ensemble
 from .errors import ConfigError
 from .output import (
     atomic_write,
@@ -73,6 +84,27 @@ def resolve_cells(name: str, base: SimParams,
         for cell in spec.cells
     ]
     return [(_cell_label(p), p) for p in cells]
+
+
+#: The first horizon a catch-up curve cell simulates; it doubles, capped at
+#: the cell's tmax, until the cell's curve values are final.
+FIRST_HORIZON = 128
+
+
+def _horizons(t_max: int):
+    """FIRST_HORIZON, doubled each time while below t_max, then t_max."""
+    horizon = min(FIRST_HORIZON, t_max)
+    while horizon < t_max:
+        yield horizon
+        horizon *= 2
+    yield t_max
+
+
+def _curve_final(stats: EnsembleStats, horizon: int) -> bool:
+    """Whether every replica and the ensemble mean crossed by ``horizon``:
+    a longer run then gives the same crossings, so the same curve row."""
+    return (stats.tc_of_mean is not None and stats.tc_of_mean <= horizon
+            and bool((stats.tc_values <= horizon).all()))
 
 
 def run_scenario(name: str, base: SimParams, controls: RunControls,
@@ -113,6 +145,12 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
             with atomic_write(log_path) as event_log:
                 stats = run_trajectories(cell_params, replicas,
                                          controls.jobs, event_log)
+        elif curve:
+            for horizon in _horizons(t_max):
+                stats = stored_ensemble(replace(cell_params, t_max=horizon),
+                                        replicas, controls.jobs)
+                if _curve_final(stats, horizon):
+                    break
         else:
             stats = stored_ensemble(cell_params, replicas, controls.jobs)
         tc = "none" if stats.tc_of_mean is None else stats.tc_of_mean
@@ -121,6 +159,9 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
             curve_rows.append((q, stats.tc_mean, stats.tc_sd,
                                stats.fraction_reached))
             notes.append(f"tc_of_mean[q={q:g}]={tc}")
+            horizon = next(h for h in _horizons(t_max)
+                           if h == t_max or _curve_final(stats, h))
+            notes.append(f"horizon[q={q:g}]={horizon}")
         else:
             written.append(emit_timeseries_csv(
                 stats, out_dir / f"{name}_{label}.csv"))

@@ -38,12 +38,11 @@ EXECUTORS = ("ThreadPoolExecutor", "ProcessPoolExecutor")
 
 
 def _recording(base, workers):
-    """Executor class ``base``, recording each instance's max_workers."""
-    class Recording(base):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            workers.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-    return Recording
+    """Executor factory ``base``, recording each executor's max_workers."""
+    def recording(max_workers=None, *args, **kwargs):
+        workers.append(max_workers)
+        return base(max_workers, *args, **kwargs)
+    return recording
 
 
 def each_kernel(monkeypatch):

@@ -3,11 +3,14 @@ the ensemble store, and the CLI."""
 import io
 import json
 import math
+import os
 import re
 import runpy
+import subprocess
 import sys
 import threading
 from array import array
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,7 @@ from techmarket import (
     SimParams,
     VariantKind,
 )
-from techmarket import output
+from techmarket import compiled, output
 from techmarket.cli import build_parser, main
 from techmarket.config import (
     CONFIG_KEYS,
@@ -501,26 +504,155 @@ class TestScenarios:
             "0.9,nan,nan,0\n0.95,nan,nan,0\n0.99,nan,nan,0\n")
 
     def test_tc_curve_rows_and_notes_per_cell(self, tmp_path):
+        # at tmax=200 a cell stops at 128 sweeps or runs to tmax. At the
+        # preset's 3000 every cell stops early, and the rows and notes are
+        # still those of the full run; at seed 15, q=0.95 the mean crosses
+        # at 122 and a replica at 181
+        for seed, replicas, flags in ((13, 3, {"tmax": "200"}),
+                                      (15, 2, {})):
+            out = tmp_path / str(seed)
+            params, controls = resolve_config(
+                None, dict(flags, seed=str(seed), replicas=str(replicas),
+                           out=str(out)))
+            clear_store()
+            result = run_scenario("fig5", params, controls)
+            t_max = params.t_max
+            ensembles = [
+                run_ensemble(SimParams(q=q, t_max=t_max, seed=seed), replicas)
+                for q in TC_Q_GRID]
+            rows = (out / "fig5_tc_curve.csv").read_text().splitlines()[1:]
+            assert rows == [
+                ",".join(format(x, ".12g") for x in
+                         (q, st.tc_mean, st.tc_sd, st.fraction_reached))
+                for q, st in zip(TC_Q_GRID, ensembles)]
+            meta = (out / "fig5_metadata.txt").read_text().splitlines()
+            assert [line for line in meta if line.startswith("# tc_of_mean")] \
+                == [f"# tc_of_mean[q={q:g}]="
+                    f"{'none' if st.tc_of_mean is None else st.tc_of_mean}"
+                    for q, st in zip(TC_Q_GRID, ensembles)]
+            # the first of 128, 256, ... below tmax by which every replica
+            # and the ensemble mean crossed, and tmax if there is none
+            horizons = []
+            for st in ensembles:
+                last = (max(st.tc_values.max(), st.tc_of_mean)
+                        if st.fraction_reached == 1 and st.tc_of_mean is not None
+                        else math.inf)
+                horizons.append(next(
+                    (h for h in (128, 256, 512, 1024, 2048)
+                     if last <= h < t_max), t_max))
+            assert [line for line in meta if line.startswith("# horizon")] \
+                == [f"# horizon[q={q:g}]={h}"
+                    for q, h in zip(TC_Q_GRID, horizons)]
+            assert max(horizons) < 3000
+            assert result.max_renorm_error == max(
+                run_ensemble(SimParams(q=q, t_max=h, seed=seed), replicas)
+                .max_renorm_error for q, h in zip(TC_Q_GRID, horizons))
+
+    def test_curve_cell_runs_to_tmax_unless_replicas_and_mean_cross(
+            self, monkeypatch, tmp_path):
+        import techmarket.ensemble as ens
+        import techmarket.scenarios as sc
+
+        full = [h for _ in TC_Q_GRID
+                for h in (128, 256, 512, 1024, 2048, 3000)]
+        real = ens.run_replica
+        horizons = []
+
+        def spy(params, seed, events=None):
+            horizons.append(params.t_max)
+            return real(params, seed, events)
+
+        monkeypatch.setattr(ens, "run_replica", spy)
+        # sigma=0 keeps the frontier at 1, which no replica's mean reaches
         params, controls = resolve_config(
-            None, {"seed": "13", "tmax": "120", "replicas": "3",
-                   "out": str(tmp_path)})
-        result = run_scenario("fig5", params, controls)
-        ensembles = [run_ensemble(SimParams(q=q, t_max=120, seed=13), 3)
-                     for q in TC_Q_GRID]
-        rows = (tmp_path / "fig5_tc_curve.csv").read_text().splitlines()[1:]
-        assert rows == [
-            ",".join(format(x, ".12g") for x in
-                     (q, st.tc_mean, st.tc_sd, st.fraction_reached))
-            for q, st in zip(TC_Q_GRID, ensembles)]
-        notes = [line for line in
-                 (tmp_path / "fig5_metadata.txt").read_text().splitlines()
-                 if line.startswith("# tc_of_mean")]
-        assert notes == [
-            f"# tc_of_mean[q={q:g}]="
-            f"{'none' if st.tc_of_mean is None else st.tc_of_mean}"
-            for q, st in zip(TC_Q_GRID, ensembles)]
-        assert result.max_renorm_error == max(
-            st.max_renorm_error for st in ensembles)
+            None, {"seed": "5", "sigma": "0", "replicas": "2",
+                   "out": str(tmp_path / "flat")})
+        run_scenario("fig5", params, controls)
+        assert horizons == [h for h in full for _ in range(2)]
+        meta = (tmp_path / "flat" / "fig5_metadata.txt").read_text()
+        assert re.findall(r"^# horizon\[q=[^\]]+\]=(\d+)$", meta, re.M) \
+            == ["3000"] * len(TC_Q_GRID)
+        assert "tmax=3000\n" in meta
+        rows = (tmp_path / "flat" / "fig5_tc_curve.csv").read_text()
+        assert rows.splitlines()[1:] == [f"{q:g},nan,nan,0" for q in TC_Q_GRID]
+
+        # every replica crosses at q=0, but a mean that never does still
+        # keeps the cell running
+        real_stored = sc.stored_ensemble
+        asked = []
+
+        def mean_never_crosses(params, n_replicas, jobs):
+            asked.append(params.t_max)
+            return replace(real_stored(params, n_replicas, jobs),
+                           tc_of_mean=None)
+
+        monkeypatch.setattr(sc, "stored_ensemble", mean_never_crosses)
+        params, controls = resolve_config(
+            None, {"seed": "5", "replicas": "2",
+                   "out": str(tmp_path / "mean")})
+        run_scenario("fig5", params, controls)
+        assert asked == full
+        rows = (tmp_path / "mean" / "fig5_tc_curve.csv").read_text()
+        assert rows.splitlines()[1].endswith(",1")
+
+    def test_logged_curve_cells_run_to_tmax_with_the_same_notes(
+            self, monkeypatch, tmp_path):
+        import techmarket.ensemble as ens
+
+        real = ens.run_replica
+        horizons = []
+
+        def spy(params, seed, events=None):
+            horizons.append(params.t_max)
+            return real(params, seed, events)
+
+        monkeypatch.setattr(ens, "run_replica", spy)
+        flags = ["--scenario", "fig5", "--tmax", "300", "--replicas", "2",
+                 "--seed", "8"]
+        assert main(flags + ["--out", str(tmp_path / "plain")]) == 0
+        assert min(horizons) == 128
+        horizons.clear()
+        assert main(flags + ["--events", "--out", str(tmp_path / "log")]) == 0
+        assert horizons == [300] * 2 * len(TC_Q_GRID)
+        assert (tmp_path / "plain" / "fig5_tc_curve.csv").read_bytes() \
+            == (tmp_path / "log" / "fig5_tc_curve.csv").read_bytes()
+        notes = [[line for line in (tmp_path / run / "fig5_metadata.txt")
+                  .read_text().splitlines()
+                  if line.startswith(("# tc_of_mean", "# horizon"))]
+                 for run in ("plain", "log")]
+        assert notes[0] == notes[1]
+        assert "# horizon[q=0]=128" in notes[0]
+
+    def test_curve_same_bytes_alone_and_after_its_prefix_presets(
+            self, monkeypatch, tmp_path):
+        import techmarket.ensemble as ens
+
+        real = ens.run_replica
+        simulated = []
+
+        def spy(params, seed, events=None):
+            simulated.append(params.q)
+            return real(params, seed, events)
+
+        monkeypatch.setattr(ens, "run_replica", spy)
+
+        def run(name, out):
+            params, controls = resolve_config(
+                None, {"scenario": name, "seed": "42", "replicas": "2",
+                       "out": str(tmp_path / out)})
+            run_scenario(name, params, controls)
+
+        run("fig5", "alone")
+        clear_store()
+        run("fig1", "fig1")
+        run("fig2", "fig2")
+        simulated.clear()
+        run("fig5", "after")
+        # the cells at the q of fig1 and fig2 were sliced from their runs
+        assert not {0.0, 0.3, 0.9, 0.99} & set(simulated)
+        for name in ("fig5_tc_curve.csv", "fig5_metadata.txt"):
+            assert (tmp_path / "alone" / name).read_bytes() \
+                == (tmp_path / "after" / name).read_bytes()
 
 
 def test_figure_script_simulates_each_trajectory_once(monkeypatch, tmp_path):
@@ -541,9 +673,35 @@ def test_figure_script_simulates_each_trajectory_once(monkeypatch, tmp_path):
     with pytest.raises(SystemExit) as info:
         runpy.run_path(str(script), run_name="__main__")
     assert info.value.code == 0
-    # fig5's 12 cells, fig6's active cell and fig3's and fig4's 6 cells;
-    # fig1, fig2, fig6's passive cell and fig7 are slices
-    assert horizons == [3000] * 12 + [2000] + [600] * 6
+    # fig1..fig4's 10 cells; fig5's cells from 128 sweeps, doubled until
+    # each curve row is final, where its cells at q = 0, 0.3, 0.9 and 0.99
+    # are slices of fig1's and fig2's; fig6's two cells; fig7 is a slice
+    assert horizons == ([600] * 10
+                        + [128] * 7             # q = 0.1-0.8 but 0.3
+                        + [128, 256]            # q = 0.95
+                        + [2000] * 2)
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only the Python kernel runs replicas on processes, and only a build
+    runs the compiler, so a command imports neither ``multiprocessing`` nor
+    the process pool up front, nor ``subprocess`` to load a cached kernel."""
+    lib = compiled.kernel().lib  # built into the cache the child reads
+    src = Path(__file__).parents[1] / "src"
+    code = ("import sys, techmarket.cli\n"
+            "from techmarket import compiled\n"
+            "mods = ('multiprocessing', 'concurrent.futures.process', "
+            "'subprocess')\n"
+            "print([m for m in mods if m in sys.modules])\n"
+            "compiled.kernel()\n"
+            "print([m for m in mods if m in sys.modules])\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    loaded = run.stdout.splitlines()
+    assert loaded[0] == "[]"
+    if lib is not None:
+        assert loaded[1] == "[]"
 
 
 def test_package_root_exports_the_entry_points():
