@@ -27,14 +27,18 @@
  * child. A sweep writes at most one row per firm alive at its start, so
  * tm_run returns PAUSED before a sweep whose rows might not fit; the caller
  * takes the rows and calls again.
+ *
+ * tm_render_events renders event rows as the JSON lines of
+ * output.emit_event_log, byte for byte.
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 enum {
     BANKRUPTED, RESCUED, MOVED_COPIED_FRONTIER, MOVED_NO_DIFFUSION, MERGED,
-    SPIN_OFF, SPIN_OFF_BLOCKED
+    SPIN_OFF, SPIN_OFF_BLOCKED, N_KINDS
 };
 
 enum { SEGMENT_ANY = -1, SEGMENT_LOW, SEGMENT_MEDIUM, SEGMENT_HIGH };
@@ -343,4 +347,76 @@ int tm_run(State *st)
         st->frontier = exp(st->sigma * (double)st->sweep);
         st->row++;
     }
+}
+
+/* EventKind names, lower case, by kind */
+static const char *const KIND_NAMES[N_KINDS] = {
+    "bankrupted", "rescued", "moved_copied_frontier", "moved_no_diffusion",
+    "merged", "spin_off", "spin_off_blocked"
+};
+
+/* The longest line: the longest kind name, a partner, a child, a rescue and
+ * five integers of 20 characters (INT64_MIN). */
+#define EVENT_LINE_MAX (sizeof "{\"replica\":,\"t\":,\"firm\":,\"kind\":\"" \
+    "moved_copied_frontier\",\"partner\":,\"child\":,\"rescued\":true}\n" \
+    - 1 + 5 * 20)
+
+size_t tm_event_line_max(void) { return EVENT_LINE_MAX; }
+
+#define PUT(p, literal) \
+    (memcpy(p, literal, sizeof literal - 1), (p) + sizeof literal - 1)
+
+static char *put_int(char *p, int64_t v)
+{
+    char digits[20];
+    int n = 0;
+    uint64_t u = v < 0 ? 0U - (uint64_t)v : (uint64_t)v;
+    if (v < 0)
+        *p++ = '-';
+    do {
+        digits[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    while (n)
+        *p++ = digits[--n];
+    return p;
+}
+
+/* Render n_rows event rows of replica to out, which holds n_rows *
+ * tm_event_line_max() bytes: one line each, keys replica, t, firm and kind,
+ * then partner when set, child when set after a partner, and
+ * "rescued":true when the flag is 1. Returns the bytes written, or -1 - i
+ * when row i has a kind outside EventKind or a flag other than 0 and 1. */
+int64_t tm_render_events(const int64_t *rows, int64_t n_rows, int64_t replica,
+                         char *out)
+{
+    char *p = out;
+    for (int64_t i = 0; i < n_rows; i++) {
+        const int64_t *row = rows + 6 * i;
+        int64_t kind = row[0], partner = row[3], child = row[4];
+        int64_t rescued = row[5];
+        if (kind < 0 || kind >= N_KINDS || rescued < 0 || rescued > 1)
+            return -1 - i;
+        p = PUT(p, "{\"replica\":");
+        p = put_int(p, replica);
+        p = PUT(p, ",\"t\":");
+        p = put_int(p, row[2]);
+        p = PUT(p, ",\"firm\":");
+        p = put_int(p, row[1]);
+        p = PUT(p, ",\"kind\":\"");
+        size_t len = strlen(KIND_NAMES[kind]);
+        memcpy(p, KIND_NAMES[kind], len);
+        p += len;
+        *p++ = '"';
+        if (partner >= 0) {
+            p = PUT(p, ",\"partner\":");
+            p = put_int(p, partner);
+            if (child >= 0) {
+                p = PUT(p, ",\"child\":");
+                p = put_int(p, child);
+            }
+        }
+        p = rescued ? PUT(p, ",\"rescued\":true}\n") : PUT(p, "}\n");
+    }
+    return p - out;
 }

@@ -1,5 +1,5 @@
-"""The compiled sweep kernel: ``_sweep.c``, built once per machine and
-loaded with ctypes.
+"""The compiled sweep kernel and event-log renderer: ``_sweep.c``, built
+once per machine and loaded with ctypes.
 
 ``run_sweeps`` is ``dynamics.run_sweeps`` on the compiled kernel, with
 bit-identical results and the same event rows. It copies a market and its
@@ -11,6 +11,12 @@ buffers of the State it returns.
 A logged run collects its event rows in a buffer of EVENT_ROWS rows: the
 call pauses before a sweep whose rows might not fit, and is called again
 once the rows are appended to the sink.
+
+``render_events`` is ``output.emit_event_log``'s renderer on the compiled
+kernel, with the same bytes: it renders a sink's rows as JSON lines
+EVENT_ROWS rows per C call, reading them in place, and writes each chunk
+to the stream as it is rendered. The C calls release the GIL, so replicas
+on threads render their logs in parallel.
 
 ``kernel()`` builds the library on first use with gcc into
 ``$XDG_CACHE_HOME/techmarket`` (``~/.cache/techmarket`` by default), named
@@ -30,7 +36,7 @@ import random
 import zlib
 from array import array
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, TextIO
 
 from .dynamics import (
     _POLICY_SEGMENT,
@@ -143,6 +149,10 @@ def kernel() -> Kernel:
         return Kernel(None, "python (build failed: State layout mismatch)")
     lib.tm_run.argtypes = [ctypes.POINTER(_State)]
     lib.tm_run.restype = ctypes.c_int
+    lib.tm_event_line_max.argtypes = []
+    lib.tm_event_line_max.restype = ctypes.c_size_t
+    lib.tm_render_events.argtypes = [_P_I64, _I64, _I64, ctypes.c_char_p]
+    lib.tm_render_events.restype = _I64
     return Kernel(lib, "compiled")
 
 
@@ -207,3 +217,26 @@ def run_sweeps(lib: ctypes.CDLL, market: MarketState, params: SimParams,
     if status == _RENORM_ABOVE_TOLERANCE:
         raise renorm_failure(trajectory.renorm_error[state.row], state.sweep)
     return state
+
+
+def render_events(lib: ctypes.CDLL, out: TextIO, replica: int,
+                  events: array) -> None:
+    """``output.emit_event_log`` on the compiled kernel ``lib``: the same
+    text, rendered and written EVENT_ROWS rows at a time from a view of
+    ``events``, an ``array('q')``. A row with a kind outside EventKind or a
+    rescued flag other than 0 and 1 raises ValueError, after the chunks
+    before its own are written."""
+    n_rows = len(events) // EVENT_FIELDS
+    text = ctypes.create_string_buffer(min(n_rows, EVENT_ROWS)
+                                       * lib.tm_event_line_max())
+    for start in range(0, n_rows, EVENT_ROWS):
+        n = min(EVENT_ROWS, n_rows - start)
+        # the view pins the array, so no thread resizes it during the call
+        rows = (_I64 * (EVENT_FIELDS * n)).from_buffer(events,
+                                                       start * _ROW_BYTES)
+        size = lib.tm_render_events(rows, n, replica, text)
+        if size < 0:
+            bad = EVENT_FIELDS * (start - 1 - size)
+            row = tuple(events[bad:bad + EVENT_FIELDS])
+            raise ValueError(f"event row {row} is not an event")
+        out.write(str(memoryview(text)[:size], "ascii"))

@@ -5,16 +5,20 @@ with one row per sweep. Catch-up curve CSV: ``q,tc_mean,tc_sd,fraction_reached``
 Floats carry 12 significant digits. The metadata file doubles as a config
 file: plain lines are config keys, informational records are comments.
 Every file is written through ``atomic_write``, so it appears complete or
-not at all.
+not at all. Event logs are written to a stream given by the caller: in
+chunks by the compiled kernel's renderer when it is loaded, else in one
+write by the Python renderer here, its reference.
 """
 from __future__ import annotations
 
 import os
+from array import array
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO
 
+from . import compiled
 from .config import config_lines
 from .dynamics import EVENT_FIELDS, EventKind
 from .params import SimParams
@@ -29,8 +33,9 @@ TC_CURVE_HEADER = "q,tc_mean,tc_sd,fraction_reached"
 CHUNK_ROWS = 4096
 
 
-#: The ``,"kind":"<name>"`` fragment of an event line, indexed by EventKind.
-_KIND_FIELDS = tuple(f',"kind":"{kind.name.lower()}"' for kind in EventKind)
+#: The ``,"kind":"<name>"`` fragment of an event line, by EventKind value: a
+#: dict, so that a negative kind raises as an unknown one does.
+_KIND_FIELDS = {kind: f',"kind":"{kind.name.lower()}"' for kind in EventKind}
 
 
 @contextmanager
@@ -103,31 +108,41 @@ def emit_run_metadata(path: str | Path, params: SimParams, scenario: str,
     return path
 
 
-def emit_event_log(out: TextIO, replica: int, events: Iterable[int]) -> None:
-    """Write one replica's event rows (see ``dynamics``) to ``out`` as JSON
-    lines, in one write.
+def emit_event_log(out: TextIO, replica: int, events: array) -> None:
+    """Write one replica's event rows (see ``dynamics``), an ``array('q')``,
+    to ``out`` as JSON lines: through ``compiled.render_events`` in chunks
+    when the compiled kernel is loaded, else in one write.
 
     Each line is what ``json.dumps(..., separators=(",", ":"))`` gives for
     the keys replica, t, firm and kind, then partner when set, child when
     set (only spin-offs have one, and they always have a partner), and
-    ``"rescued":true`` only when a rescue fired.
+    ``"rescued":true`` only when a rescue fired. A row with a kind outside
+    EventKind or a rescued flag other than 0 and 1 raises ValueError.
     """
+    lib = compiled.kernel().lib
+    if lib is not None:
+        compiled.render_events(lib, out, replica, events)
+        return
     kinds = _KIND_FIELDS
-    ends = ('}\n', ',"rescued":true}\n')  # indexed by the rescued flag
+    ends = {0: '}\n', 1: ',"rescued":true}\n'}  # by the rescued flag
     lines = []
     append = lines.append
     head_t = None
     rows = zip(*[iter(events)] * EVENT_FIELDS)
-    for kind, firm, t, partner, child, rescued in rows:
-        if t != head_t:  # rows come sweep by sweep: one head per sweep
-            head_t = t
-            head = f'{{"replica":{replica},"t":{t},"firm":'
-        if partner < 0:
-            append(f'{head}{firm}{kinds[kind]}{ends[rescued]}')
-        elif child < 0:
-            append(f'{head}{firm}{kinds[kind]},"partner":{partner}'
-                   f'{ends[rescued]}')
-        else:
-            append(f'{head}{firm}{kinds[kind]},"partner":{partner}'
-                   f',"child":{child}{ends[rescued]}')
+    try:
+        for kind, firm, t, partner, child, rescued in rows:
+            if t != head_t:  # rows come sweep by sweep: one head per sweep
+                head_t = t
+                head = f'{{"replica":{replica},"t":{t},"firm":'
+            if partner < 0:
+                append(f'{head}{firm}{kinds[kind]}{ends[rescued]}')
+            elif child < 0:
+                append(f'{head}{firm}{kinds[kind]},"partner":{partner}'
+                       f'{ends[rescued]}')
+            else:
+                append(f'{head}{firm}{kinds[kind]},"partner":{partner}'
+                       f',"child":{child}{ends[rescued]}')
+    except KeyError:
+        row = (kind, firm, t, partner, child, rescued)
+        raise ValueError(f"event row {row} is not an event") from None
     out.write("".join(lines))

@@ -1,6 +1,7 @@
 """The compiled sweep kernel against the Python kernel, its reference, and
 its build: fallback, cache and the runs that must load it."""
 import copy
+import io
 import os
 import pickle
 import random
@@ -20,12 +21,13 @@ from techmarket import (
     dynamics,
 )
 from techmarket.cli import main
-from techmarket.dynamics import EVENT_FIELDS, Trajectory
+from techmarket.dynamics import EVENT_FIELDS, EventKind, Trajectory
 from techmarket.ensemble import clear_store, run_ensemble, run_replica
 from techmarket.market import init_market
+from techmarket.output import emit_event_log
 from techmarket.rng import derive_seed
 
-from conftest import build_market
+from conftest import build_market, use_python_kernel
 
 
 @st.composite
@@ -119,6 +121,50 @@ def test_logged_run_crosses_the_event_buffer(compiled_lib):
     compiled_run, python_run = run_both(compiled_lib, market, params, rng)
     assert len(compiled_run[1]) > 2 * EVENT_FIELDS * compiled.EVENT_ROWS
     assert_same_runs(compiled_run, python_run)
+
+
+def _rendered(replica, sink, python):
+    """emit_event_log's text for ``sink`` on the loaded kernel, in C calls of
+    at most 3 rows, or on the Python one; or the message of the ValueError
+    it raised."""
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiled, "EVENT_ROWS", 3)
+        if python:
+            use_python_kernel(mp)
+        try:
+            emit_event_log(out, replica, sink)
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+    return out.getvalue()
+
+
+_INT64 = st.integers(-2**63, 2**63 - 1)
+_UNSET_OR_ID = st.one_of(st.just(-1), st.integers(0, 2**63 - 1))
+_EVENT_ROW = st.tuples(st.sampled_from(EventKind), _INT64, _INT64,
+                       _UNSET_OR_ID, _UNSET_OR_ID, st.integers(0, 1))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(replica=st.integers(0, 2**63 - 1),
+       rows=st.lists(_EVENT_ROW, max_size=8),
+       bad=st.sampled_from([(0, 7), (0, -1), (5, 2), (5, -1)]))
+def test_compiled_event_log_matches_python(compiled_lib, replica, rows, bad):
+    # 0 rows, 1 row and rows across several C calls; test_golden's event
+    # logs cross the full-size calls
+    sink = array("q", [value for row in rows for value in row])
+    text = _rendered(replica, sink, python=False)
+    assert text == _rendered(replica, sink, python=True)
+    assert text.count("\n") == len(rows)
+    # the last row gets a kind outside EventKind or a rescued flag other
+    # than 0 and 1
+    column, value = bad
+    sink[-EVENT_FIELDS:] = array("q", [0, 1, 2, -1, -1, 0])
+    sink[column - EVENT_FIELDS] = value
+    error = _rendered(replica, sink, python=False)
+    assert error.startswith("ValueError: event row (")
+    assert error == _rendered(replica, sink, python=True)
 
 
 def test_replicas_run_on_the_compiled_kernel(compiled_lib, monkeypatch):

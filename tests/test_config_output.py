@@ -45,7 +45,12 @@ from techmarket.output import (
 from techmarket.params import TC_Q_GRID
 from techmarket.scenarios import SCENARIOS, resolve_cells, run_scenario
 
-from conftest import EXECUTORS, assert_no_worker_left, each_kernel
+from conftest import (
+    EXECUTORS,
+    assert_no_worker_left,
+    each_kernel,
+    use_python_kernel,
+)
 
 
 class TestConfigResolution:
@@ -281,7 +286,10 @@ class TestEventLog:
     #: the same rows as one event sink
     SINK = array("q", [value for row in ROWS for value in row])
 
-    def test_lines_match_compact_json(self):
+    @pytest.mark.parametrize("kernel", ["loaded", "python"])
+    def test_lines_match_compact_json(self, kernel, monkeypatch):
+        if kernel == "python":
+            use_python_kernel(monkeypatch)
         out = io.StringIO()
         emit_event_log(out, 7, self.SINK)
         expected = []
