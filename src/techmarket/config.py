@@ -115,8 +115,8 @@ CONFIG_KEYS = {
     "lx": Key(_cast_int, "lx", "lattice width"),
     "ly": Key(_cast_int, "ly", "lattice height"),
     "tmax": Key(_cast_int, "t_max", "horizon in sweeps"),
-    "jobs": Key(_cast_count, None, "replicas run at once: threads on the "
-                "compiled kernel, processes on the Python one (default 1)"),
+    "jobs": Key(_cast_count, None, "replicas run at once on threads, on the "
+                "compiled kernel only (default 1)"),
     "out": Key(_cast_path, None, "output directory (default: out)"),
     "events": Key(_cast_bool, None, "also write one JSONL event log per cell"),
 }

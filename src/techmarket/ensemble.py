@@ -3,13 +3,14 @@ the ensemble store.
 
 A replica is one full simulation of the market for t_max sweeps; an ensemble
 is n_replicas of them run from seeds derived as ``derive_seed(params.seed,
-k)`` for replica k. Replicas are independent, so they may run in the calling
-thread or on workers of the ensemble's own (see ``run_trajectories``); the
-statistics and event logs are identical either way. A replica runs all of
-its sweeps in one call of a
+k)`` for replica k. A replica runs all of its sweeps in one call of a
 kernel entry, the compiled kernel's when this machine can build it (see
 ``compiled``) and the Python kernel's otherwise; both write the same
-trajectory bits and the same event rows.
+trajectory bits and the same event rows. Replicas are independent, so on
+the compiled kernel, whose C call releases the GIL, they may run on threads
+of the ensemble's own (see ``run_trajectories``); on the Python kernel they
+run one after another in the calling thread. No replica leaves the process,
+and the statistics and event logs are identical either way.
 
 Across-replica spread is reported as the population standard deviation
 (divide by n), matching descriptive +-1 SD bands.
@@ -106,46 +107,26 @@ def replica_seeds(base_seed: int, n_replicas: int) -> list[int]:
     return [derive_seed(base_seed, k) for k in range(n_replicas)]
 
 
-def _replica_task(args: tuple[SimParams, int, int, bool],
-                  ) -> tuple[Trajectory, Optional[str]]:
-    """Replica k of an ensemble, plus its event log as JSONL text when
-    ``log_events`` is set; the rows themselves are not kept."""
-    params, k, seed, log_events = args
-    if not log_events:
-        return run_replica(params, seed), None
-    events = array("q")
-    trajectory = run_replica(params, seed, events)
-    text = io.StringIO()
-    emit_event_log(text, k, events)
-    return trajectory, text.getvalue()
-
-
-def ProcessPoolExecutor(max_workers: int):
-    """A ``concurrent.futures.ProcessPoolExecutor``, imported on first use:
-    only the Python kernel runs replicas on processes, and the import loads
-    ``multiprocessing``, which no command on the compiled kernel needs."""
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers)
-
-
 def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
                      event_log: Optional[TextIO] = None) -> EnsembleStats:
-    """The statistics of an ensemble whose replicas run ``jobs`` at a time.
-    In replica order, each replica's N, mean technology and ratio rows are
-    copied into (replicas x sweeps) matrices, 24 bytes per replica and
-    sweep, and its other reductions updated; then its trajectory is dropped.
+    """The statistics of an ensemble from base seed ``params.seed``, whose
+    replicas run ``jobs`` at a time on the compiled kernel. In replica
+    order, each replica's N, mean technology and ratio rows are copied into
+    (replicas x sweeps) matrices, 24 bytes per replica and sweep, and its
+    other reductions updated; then its trajectory is dropped.
 
-    With min(jobs, n_replicas) > 1, the replicas run on an executor of the
-    call's own: threads when the compiled kernel is loaded, as its C call
-    releases the GIL, and processes on the Python kernel, which holds it.
-    It is shut down before this returns or raises, and a failure cancels
-    the replicas still queued.
+    When the compiled kernel is loaded and min(jobs, n_replicas) > 1, the
+    replicas run on a thread executor of the call's own, as the kernel's C
+    call releases the GIL. It is shut down before this returns or raises,
+    and a failure cancels the replicas still queued. Otherwise they run one
+    after another in the calling thread: the Python kernel holds the GIL,
+    so threads would only take turns.
 
     With ``event_log``, each replica renders its events to JSON lines in the
-    worker that ran it, and the text is written to the stream in replica
-    order as soon as that replica and every earlier one have finished. Serial
-    and parallel runs share one task function and give the same bytes. A
-    replica's exception propagates unchanged, with a note naming its seed.
+    thread that ran it, and the text is written to the stream in replica
+    order as soon as that replica and every earlier one have finished.
+    Serial and threaded runs give the same bytes. A replica's exception
+    propagates unchanged, with a note naming its seed.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
@@ -153,20 +134,28 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
     # pid that names the build's temporary file
     lib = compiled.kernel().lib
     seeds = replica_seeds(params.seed, n_replicas)
-    tasks = [(params, k, seed, event_log is not None)
-             for k, seed in enumerate(seeds)]
+
+    def replica(k: int, seed: int) -> tuple[Trajectory, Optional[str]]:
+        """Replica k, plus its event log as JSONL text when one is kept;
+        the rows themselves are not kept."""
+        if event_log is None:
+            return run_replica(params, seed), None
+        events = array("q")
+        trajectory = run_replica(params, seed, events)
+        text = io.StringIO()
+        emit_event_log(text, k, events)
+        return trajectory, text.getvalue()
+
     rows = params.t_max + 1
     n_mat, a_mat, r_mat = (np.empty((n_replicas, rows)) for _ in range(3))
     rescued_sum = np.zeros(rows, np.int64)
     renorm_error = np.zeros(rows)
     tc_vals = np.full(n_replicas, np.nan)
-    workers = min(jobs, n_replicas)
-    executor = None
-    if workers > 1:
-        executor = (ProcessPoolExecutor if lib is None
-                    else ThreadPoolExecutor)(workers)
+    workers = min(jobs, n_replicas) if lib is not None else 1
+    executor = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
-        results = (executor.map if executor else map)(_replica_task, tasks)
+        results = (executor.map if executor else map)(
+            replica, range(n_replicas), seeds)
         for k, seed in enumerate(seeds):
             try:
                 trajectory, text = next(results)
@@ -227,11 +216,8 @@ def _slice(stats: EnsembleStats, t_max: int) -> EnsembleStats:
     return _stats(rows, tc_vals)
 
 
-def run_ensemble(params: SimParams, n_replicas: int,
-                 jobs: int = 1) -> EnsembleStats:
-    """The statistics of an ensemble from base seed ``params.seed``, with
-    ``jobs`` replicas run at once (see ``run_trajectories``)."""
-    return run_trajectories(params, n_replicas, jobs)
+#: The package root's name for ``run_trajectories``.
+run_ensemble = run_trajectories
 
 
 #: Ensembles run in this process, keyed by (params with t_max=0, replicas);
@@ -241,10 +227,10 @@ _STORE: dict[tuple[SimParams, int], EnsembleStats] = {}
 
 def stored_ensemble(params: SimParams, n_replicas: int,
                     jobs: int) -> EnsembleStats:
-    """``run_ensemble(params, n_replicas)``, bit for bit, through the store:
-    sliced from a stored run at least as long, and otherwise simulated from
-    sweep 0 with ``run_trajectories`` at ``jobs`` and stored in place of the
-    shorter run."""
+    """``run_trajectories(params, n_replicas)``, bit for bit, through the
+    store: sliced from a stored run at least as long, and otherwise
+    simulated from sweep 0 at ``jobs`` and stored in place of the shorter
+    run."""
     key = (replace(params, t_max=0), n_replicas)
     stats = _STORE.get(key)
     if stats is None or stats.t[-1] < params.t_max:

@@ -33,34 +33,31 @@ def python_kernel(monkeypatch):
     use_python_kernel(monkeypatch)
 
 
-#: The executors ``ensemble`` may run the replicas of an ensemble on.
-EXECUTORS = ("ThreadPoolExecutor", "ProcessPoolExecutor")
-
-
-def _recording(base, workers):
-    """Executor factory ``base``, recording each executor's max_workers."""
-    def recording(max_workers=None, *args, **kwargs):
-        workers.append(max_workers)
-        return base(max_workers, *args, **kwargs)
-    return recording
-
-
 def each_kernel(monkeypatch):
     """The loaded kernel, then the Python one. For each, the store is
-    emptied, and this yields the executor the replicas must run on when
-    several run at once (threads on the compiled kernel, processes on the
-    Python one), with the max_workers of every executor ``ensemble``
-    constructs from then on, by executor."""
-    bases = {name: getattr(ensemble, name) for name in EXECUTORS}
+    emptied, and this yields the kernel's name, ``compiled`` or ``python``,
+    with the max_workers of every thread executor ``ensemble`` constructs
+    from then on, and every thread started from then on. Replicas run on
+    threads only on the compiled kernel."""
+    base, start = ensemble.ThreadPoolExecutor, threading.Thread.start
     for python in (False, True):
         if python:
             use_python_kernel(monkeypatch)
-        made = {name: [] for name in EXECUTORS}
-        for name, base in bases.items():
-            monkeypatch.setattr(ensemble, name, _recording(base, made[name]))
+        made, started = [], []
+
+        def recording(max_workers=None, *args, **kwargs):
+            made.append(max_workers)
+            return base(max_workers, *args, **kwargs)
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
         clear_store()
-        yield ("ProcessPoolExecutor" if compiled.kernel().lib is None
-               else "ThreadPoolExecutor"), made
+        yield ("python" if compiled.kernel().lib is None
+               else "compiled"), made, started
 
 
 def assert_no_worker_left(threads):

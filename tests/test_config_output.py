@@ -46,7 +46,6 @@ from techmarket.params import TC_Q_GRID
 from techmarket.scenarios import SCENARIOS, resolve_cells, run_scenario
 
 from conftest import (
-    EXECUTORS,
     assert_no_worker_left,
     each_kernel,
     use_python_kernel,
@@ -463,14 +462,17 @@ class TestScenarios:
         params, controls = resolve_config(
             None, {"seed": "5", "tmax": "10", "replicas": "2", "jobs": "2",
                    "out": str(tmp_path)})
-        for kind, made in each_kernel(monkeypatch):
+        for kernel, made, started in each_kernel(monkeypatch):
             run_scenario("fig2", params, controls)
-            # one executor of min(jobs, replicas) workers per cell
-            assert made == {name: [2, 2, 2] if name == kind else []
-                            for name in EXECUTORS}
+            # one executor of min(jobs, replicas) threads per cell on the
+            # compiled kernel; on the Python one, the replicas run in the
+            # calling thread, which starts no thread and no process
+            pooled = [2, 2, 2] if kernel == "compiled" else []
+            assert made == pooled
+            assert kernel == "compiled" or started == []
             assert_no_worker_left(threads)
             run_scenario("fig2", params, controls)  # served from the store
-            assert made[kind] == [2, 2, 2]
+            assert made == pooled
 
     def test_no_child_left_when_a_replica_fails(self, monkeypatch, tmp_path):
         import techmarket.ensemble as ens
@@ -483,11 +485,11 @@ class TestScenarios:
         params, controls = resolve_config(
             None, {"seed": "5", "tmax": "10", "replicas": "4", "jobs": "2",
                    "out": str(tmp_path)})
-        for kind, made in each_kernel(monkeypatch):
+        for kernel, made, started in each_kernel(monkeypatch):
             with pytest.raises(IntegrityError):
                 run_scenario("fig2", params, controls)
-            assert made == {name: [2] if name == kind else []
-                            for name in EXECUTORS}
+            assert made == ([2] if kernel == "compiled" else [])
+            assert kernel == "compiled" or started == []
             assert_no_worker_left(threads)
 
     def test_tc_curve_csv_schema(self, tmp_path):
@@ -690,10 +692,12 @@ def test_figure_script_simulates_each_trajectory_once(monkeypatch, tmp_path):
                         + [2000] * 2)
 
 
-def test_cli_import_loads_no_process_pool():
-    """Only the Python kernel runs replicas on processes, and only a build
-    runs the compiler, so a command imports neither ``multiprocessing`` nor
-    the process pool up front, nor ``subprocess`` to load a cached kernel."""
+def test_cli_import_loads_no_process_pool(tmp_path):
+    """No replica runs on a process, and only a build runs the compiler, so
+    a command imports neither ``multiprocessing`` nor the process pool, nor
+    ``subprocess`` to load a cached kernel. A 2-replica ensemble at jobs=2
+    on the Python kernel, forced by a kernel cache below a regular file,
+    imports neither of the first two."""
     lib = compiled.kernel().lib  # built into the cache the child reads
     src = Path(__file__).parents[1] / "src"
     code = ("import sys, techmarket.cli\n"
@@ -710,6 +714,21 @@ def test_cli_import_loads_no_process_pool():
     assert loaded[0] == "[]"
     if lib is not None:
         assert loaded[1] == "[]"
+    (tmp_path / "not-a-directory").touch()
+    code = ("import sys\n"
+            "from techmarket import SimParams, compiled, run_ensemble\n"
+            "mods = ('multiprocessing', 'concurrent.futures.process')\n"
+            "run_ensemble(SimParams(t_max=20), 2, jobs=2)\n"
+            "print(compiled.kernel().note)\n"
+            "print([m for m in mods if m in sys.modules])\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src),
+                                  XDG_CACHE_HOME=str(tmp_path
+                                                     / "not-a-directory")))
+    note, loaded = run.stdout.splitlines()
+    assert note.startswith("python (build failed: ")
+    assert loaded == "[]"
 
 
 def test_package_root_exports_the_entry_points():
@@ -801,11 +820,13 @@ class TestCli:
     def test_pool_starts_at_most_one_worker_per_replica(self, monkeypatch,
                                                          tmp_path):
         threads = threading.enumerate()
-        for kind, made in each_kernel(monkeypatch):
+        for kernel, made, started in each_kernel(monkeypatch):
             assert main(["--tmax", "5", "--replicas", "2", "--jobs", "4",
-                         "--out", str(tmp_path / kind)]) == 0
-            assert made == {name: [2] if name == kind else []
-                            for name in EXECUTORS}
+                         "--out", str(tmp_path / kernel)]) == 0
+            # the Python kernel runs its replicas in the calling thread,
+            # which starts no thread and no process
+            assert made == ([2] if kernel == "compiled" else [])
+            assert kernel == "compiled" or started == []
             assert_no_worker_left(threads)
 
     def test_integrity_failure_exit_two(self, monkeypatch, tmp_path, capsys):

@@ -3,7 +3,6 @@ times, and the ensemble store."""
 import dataclasses
 import io
 import math
-import multiprocessing
 import sys
 import threading
 import time
@@ -220,8 +219,7 @@ class TwoArgError(Exception):
 
 
 class TestReplicaFailure:
-    # on the Python kernel at jobs=2, the exception is pickled back from a
-    # worker process
+    # on the Python kernel at jobs=2, the replicas run in the calling thread
     @pytest.mark.parametrize("jobs, python", [(1, False), (2, False),
                                               (2, True)],
                              ids=["1", "2", "2-python"])
@@ -245,8 +243,8 @@ class TestReplicaFailure:
         assert info.value.__notes__ == [f"replica seed {bad_seed}"]
 
     def test_failure_cancels_the_queued_replicas(self, monkeypatch):
-        """Replica 0 of 64 raises, or the write of its event log does: on 2
-        workers, fewer than 64 replicas start, and no worker is left."""
+        """Replica 0 of 64 raises, or the write of its event log does: at
+        jobs 2, fewer than 64 replicas start, and no worker is left."""
         import techmarket.ensemble as ens
 
         class FullDisk(io.StringIO):
@@ -255,27 +253,30 @@ class TestReplicaFailure:
 
         threads = threading.enumerate()
         bad_seed = replica_seeds(99, 64)[0]
-        started = multiprocessing.Value("i", 0)  # shared with forked workers
+        started = [0]
+        lock = threading.Lock()
 
         def sabotaged(params, seed, events=None):
-            with started.get_lock():
-                started.value += 1
+            with lock:
+                started[0] += 1
             if seed == bad_seed and events is None:
                 raise TwoArgError(7, "boom")
             time.sleep(0.05)
             return Trajectory.empty(params.t_max + 1)
 
         monkeypatch.setattr(ens, "run_replica", sabotaged)
-        for kind, made in each_kernel(monkeypatch):
+        for kernel, made, threads_started in each_kernel(monkeypatch):
             for error, event_log in ((TwoArgError, None),
                                      (OSError, FullDisk())):
-                started.value = 0
+                started[0] = 0
                 with pytest.raises(error):
                     ens.run_trajectories(small_params(t_max=5), 64, 2,
                                          event_log)
-                assert started.value < 64
+                assert started[0] < 64
                 assert_no_worker_left(threads)
-            assert made[kind] == [2, 2]
+            # the Python kernel runs its replicas in the calling thread
+            assert made == ([2, 2] if kernel == "compiled" else [])
+            assert kernel == "compiled" or threads_started == []
 
 
 def assert_same_stats(got: EnsembleStats, want: EnsembleStats) -> None:
