@@ -1,15 +1,15 @@
-/* The techmarket update cycle, compiled: one call runs a replica's sweeps.
+/* The techmarket model, compiled: one call starts a replica from its seed,
+ * one call runs its sweeps.
  *
- * This is the second implementation of the cycle that dynamics._update_cycle
- * runs in Python; dynamics.py documents the model and the draw order, and
- * the Python code is the reference this file is tested against. Both must
- * give bit-identical results, which fixes the following:
+ * dynamics.py documents the model and the draw order. tests/oracle.py holds
+ * the same model in Python, the reference this file is tested against; the
+ * two must give bit-identical results, which fixes the following:
  *
- * - Live firms sit in slots in ascending id order, the order of the Python
+ * - Live firms sit in slots in ascending id order, the order of the oracle's
  *   registry (ids are never reused and new firms get the largest id). The
  *   sums, the visit order before its shuffle, the equal split and the
  *   renormalisation all run in that order.
- * - Every running-sum update is the Python expression with its operands in
+ * - Every running-sum update is the oracle's expression with its operands in
  *   the same order. The library is built with -ffp-contract=off, so that
  *   no multiply-add is fused, and without -ffast-math.
  * - exp and sqrt come from the C library's libm, as in CPython's math.
@@ -20,16 +20,25 @@
  * compiled.py mirrors the State struct with ctypes and checks its size
  * against tm_state_size() before use.
  *
+ * tm_init seeds the stream from a replica's 64-bit seed as random.Random(seed)
+ * does: init_genrand(19650218), then init_by_array over the seed's 32-bit
+ * words, least significant first, one word below 2^32 (Matsumoto and
+ * Nishimura's 2002 seeding, as CPython runs it). It then draws the initial
+ * market, in this order: n0 distinct sites by a partial Fisher-Yates pass
+ * over the sites (step i swaps site i with site i + int(u * (n - i)),
+ * clamped to n - 1), then one technology u per firm in placement order. Firm
+ * f gets id f, slot f, share 1.0 / n0 and the f-th site drawn.
+ *
  * tm_run writes the rows of a dynamics.Trajectory into the columns State
- * points to, as dynamics.run_sweeps does. When State.events is set, each
- * visit also writes the row that _update_cycle appends to an event sink:
- * (kind, firm, t, partner, child, rescued), with -1 for no partner and no
- * child. A sweep writes at most one row per firm alive at its start, so
- * tm_run returns PAUSED before a sweep whose rows might not fit; the caller
- * takes the rows and calls again.
+ * points to: a row per sweep, plus the end state's. When State.events is
+ * set, each visit also writes the step's event row: (kind, firm, t,
+ * partner, child, rescued), with -1 for no partner and no child. A sweep
+ * writes at most one row per firm alive at its start, so tm_run returns
+ * PAUSED before a sweep whose rows might not fit; the caller takes the rows
+ * and calls again.
  *
  * tm_render_events renders event rows as the JSON lines of
- * output.emit_event_log, byte for byte.
+ * output.emit_event_log.
  */
 #include <math.h>
 #include <stddef.h>
@@ -49,7 +58,7 @@ typedef struct {
     /* parameters */
     double s, b, q, omega_s, sigma, tolerance;
     int64_t n_min, segment, passive;
-    /* lattice: market._neighbor_tables, site i's k-th neighbour at
+    /* lattice: market.neighbor_tables, site i's k-th neighbour at
      * 4 * i + k and 8 * i + k, and the occupancy as slot or -1 */
     const int *vn4, *moore8;
     int32_t *occ;
@@ -122,6 +131,71 @@ static int64_t pick(uint32_t *mt, int64_t n)
     return k < n ? k : n - 1;
 }
 
+/* random.Random(seed)'s state: init_by_array over the seed's 32-bit words */
+static void seed_stream(uint32_t *mt, uint64_t seed)
+{
+    uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+    uint32_t key_length = key[1] ? 2 : 1, i, j = 0, k;
+    mt[0] = 19650218U;
+    for (i = 1; i < MT_N; i++)
+        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + i;
+    i = 1;
+    for (k = MT_N; k; k--) {  /* max(MT_N, key_length) */
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
+                + key[j] + j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+        if (j >= key_length)
+            j = 0;
+    }
+    for (k = MT_N - 1; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U))
+                - i;
+        i++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U;
+    mt[MT_N] = MT_N;
+}
+
+/* Seed the stream and draw the market at sweep 0 of n0 firms on n_sites
+ * sites, into zeroed buffers (see the header). order is the scratch of the
+ * site draw: tm_run rewrites it before every sweep. */
+void tm_init(State *st, uint64_t seed, int64_t n_sites, int64_t n0)
+{
+    uint32_t *mt = st->mt;
+    int32_t *pool = st->order;
+    seed_stream(mt, seed);
+    for (int64_t i = 0; i < n_sites; i++) {
+        pool[i] = (int32_t)i;
+        st->occ[i] = -1;
+    }
+    for (int64_t i = 0; i < n0; i++) {
+        int64_t j = i + pick(mt, n_sites - i);
+        int32_t tmp = pool[i];
+        pool[i] = pool[j];
+        pool[j] = tmp;
+    }
+    double share = 1.0 / (double)n0;
+    for (int64_t f = 0; f < n0; f++) {
+        st->id[f] = f;
+        st->tech[f] = uniform(mt);
+        st->share[f] = share;
+        st->site[f] = pool[f];
+        st->occ[pool[f]] = (int32_t)f;
+    }
+    st->n_slots = st->n_live = st->next_id = n0;
+    st->sweep = st->row = 0;
+    st->frontier = 1.0;
+}
+
 static void remove_firm(State *st, int64_t f)
 {
     double tech = st->tech[f];
@@ -166,7 +240,7 @@ static int interact(State *st, int64_t i, int64_t j)
         st->ws += share_j * st->tech[i];
         return MERGED;
     }
-    int32_t k = st->moore8[8 * st->site[i] + pick(mt, 8)];
+    int32_t k = st->moore8[8 * (int64_t)st->site[i] + pick(mt, 8)];
     if (st->occ[k] >= 0)
         return SPIN_OFF_BLOCKED;
     double d_i = st->share[i] * st->omega_s;
@@ -229,13 +303,13 @@ static void update_cycle(State *st, int64_t n_order)
         }
         if (kind < 0) {
             int32_t site = st->site[f];
-            int32_t target = st->vn4[4 * site + pick(mt, 4)];
+            int32_t target = st->vn4[4 * (int64_t)site + pick(mt, 4)];
             int64_t partner = occ[target];
             if (partner < 0) {
                 occ[site] = -1;
                 occ[target] = (int32_t)f;
                 st->site[f] = target;
-                const int *hood = st->moore8 + 8 * target;
+                const int *hood = st->moore8 + 8 * (int64_t)target;
                 int nb;
                 for (nb = 0; nb < 8; nb++)
                     if (occ[hood[nb]] >= 0)
@@ -249,7 +323,7 @@ static void update_cycle(State *st, int64_t n_order)
                     while (r2 == 0.0);
                     double tech = st->tech[f];
                     double out = tech + r2 * (frontier - tech);
-                    if (out >= frontier)  /* external_diffusion's clamp */
+                    if (out >= frontier)  /* stay below the frontier */
                         out = nextafter(frontier, tech);
                     set_tech(st, f, out);
                     kind = MOVED_COPIED_FRONTIER;
@@ -293,9 +367,9 @@ static void compact(State *st)
     st->n_slots = n;
 }
 
-/* dynamics.run_sweeps from row st->row on: returns OK once the last row is
+/* Run the sweeps from row st->row on: returns OK once the last row is
  * written, PAUSED before a sweep whose event rows might not fit, or
- * RENORM_ABOVE_TOLERANCE where renormalize_shares raises (a share total at
+ * RENORM_ABOVE_TOLERANCE where the renormalisation fails (a share total at
  * or below 0 among them), with the error in the sweep's row and the sweep
  * not advanced. Columns rescued and bankrupted must start at 0. */
 int tm_run(State *st)

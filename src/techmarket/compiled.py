@@ -1,30 +1,26 @@
-"""The compiled sweep kernel and event-log renderer: ``_sweep.c``, built
-once per machine and loaded with ctypes.
+"""The model's kernel, ``_sweep.c``, built once per machine and loaded with
+ctypes: every replica starts from its seed, runs its sweeps and renders its
+event log in C.
 
-``run_sweeps`` is ``dynamics.run_sweeps`` on the compiled kernel, with
-bit-identical results and the same event rows. It copies a market and its
-random stream into C buffers, shares the lattice's neighbor tables with C
-without a copy, and runs all of the replica's sweeps in one C call that
-writes the trajectory's columns in place. The market and the stream it
-was given are left as they were: the end market and stream stay in the C
-buffers of the State it returns.
+A replica runs in a ``State`` that ``new_state`` allocates with zeroed
+buffers for the parameters' lattice, pointing at the trajectory's columns.
+``start`` seeds its stream and draws its initial market, and
+``run_sweeps`` runs all of its sweeps in one C call that writes the
+columns in place; the end market and stream stay in the State's buffers.
+The lattice's neighbor tables are shared with C without a copy.
 A logged run collects its event rows in a buffer of EVENT_ROWS rows: the
 call pauses before a sweep whose rows might not fit, and is called again
-once the rows are appended to the sink.
-
-``render_events`` is ``output.emit_event_log``'s renderer on the compiled
-kernel, with the same bytes: it renders a sink's rows as JSON lines
-EVENT_ROWS rows per C call, reading them in place, and writes each chunk
-to the stream as it is rendered. The C calls release the GIL, so replicas
-on threads render their logs in parallel.
+once the rows are appended to the sink. ``output.emit_event_log`` renders
+the rows through the library's third entry, tm_render_events. The C calls
+release the GIL, so replicas on threads run and render their logs in
+parallel.
 
 ``kernel()`` builds the library on first use with gcc into
 ``$XDG_CACHE_HOME/techmarket`` (``~/.cache/techmarket`` by default), named
 by a CRC-32 of the source, the compiler and the flags, and loads it. A
 build deletes the libraries left there by other sources or flags.
 Nothing is built at import. When the build or the load fails, ``kernel()``
-says why and the callers run the Python kernel, which is also the
-reference the compiled one is tested against.
+raises ConfigError saying why: the package has no other kernel.
 """
 from __future__ import annotations
 
@@ -32,11 +28,10 @@ import contextlib
 import ctypes
 import functools
 import os
-import random
 import zlib
 from array import array
 from pathlib import Path
-from typing import NamedTuple, Optional, TextIO
+from typing import Optional
 
 from .dynamics import (
     _POLICY_SEGMENT,
@@ -45,7 +40,8 @@ from .dynamics import (
     Trajectory,
     renorm_failure,
 )
-from .market import MarketState
+from .errors import ConfigError
+from .market import neighbor_tables
 from .params import SimParams, VariantKind
 
 SOURCE = Path(__file__).with_name("_sweep.c")
@@ -60,6 +56,8 @@ FLAGS = ("-O1", "-ffp-contract=off", "-shared", "-fPIC")
 _I64, _F64, _I32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int32
 _INT = ctypes.c_int  # the item of an array('i')
 _P_I64, _P_F64 = ctypes.POINTER(_I64), ctypes.POINTER(_F64)
+#: MT19937's 624 words and the position
+_MT_WORDS = 625
 
 
 class _State(ctypes.Structure):
@@ -89,16 +87,9 @@ class _State(ctypes.Structure):
 #: the most one sweep writes): 192 KiB.
 EVENT_ROWS = 4096
 #: Bytes of one event row.
-_ROW_BYTES = EVENT_FIELDS * ctypes.sizeof(_I64)
+EVENT_ROW_BYTES = EVENT_FIELDS * ctypes.sizeof(_I64)
 #: tm_run's return codes.
 _OK, _RENORM_ABOVE_TOLERANCE, _PAUSED = range(3)
-
-
-class Kernel(NamedTuple):
-    """The kernel replicas of this process run on."""
-
-    lib: Optional[ctypes.CDLL]  # None: run the Python kernel
-    note: str                   # which kernel runs, and why for Python
 
 
 def cache_dir() -> Path:
@@ -127,10 +118,9 @@ def _build(path: Path) -> None:
 
 
 @functools.cache
-def kernel() -> Kernel:
-    """The compiled kernel of this process, built first if the cache lacks
-    it; its library is None, with the reason in the note, when it cannot be
-    built or loaded."""
+def kernel() -> ctypes.CDLL:
+    """The kernel's library, built first if the cache lacks it. Raises
+    ConfigError, naming the reason, when it cannot be built or loaded."""
     # crc32 and not hashlib, whose OpenSSL adds 3.4 MB to the resident set
     key = SOURCE.read_bytes() + " ".join((COMPILER, *FLAGS)).encode()
     path = cache_dir() / f"sweep-{zlib.crc32(key):08x}.so"
@@ -142,64 +132,46 @@ def kernel() -> Kernel:
                     stale.unlink()
         lib = ctypes.CDLL(str(path))
     except OSError as exc:  # failed build, unwritable cache, bad library
-        return Kernel(None, f"python (build failed: {exc})")
+        raise ConfigError(f"cannot build or load the sweep kernel with "
+                          f"{COMPILER}: {exc}") from None
     lib.tm_state_size.argtypes = []
     lib.tm_state_size.restype = ctypes.c_size_t
     if lib.tm_state_size() != ctypes.sizeof(_State):
-        return Kernel(None, "python (build failed: State layout mismatch)")
+        raise ConfigError(f"the sweep kernel in {path} does not match "
+                          f"compiled.py: State layout mismatch")
+    lib.tm_init.argtypes = [ctypes.POINTER(_State), ctypes.c_uint64, _I64,
+                            _I64]
+    lib.tm_init.restype = None
     lib.tm_run.argtypes = [ctypes.POINTER(_State)]
     lib.tm_run.restype = ctypes.c_int
     lib.tm_event_line_max.argtypes = []
     lib.tm_event_line_max.restype = ctypes.c_size_t
     lib.tm_render_events.argtypes = [_P_I64, _I64, _I64, ctypes.c_char_p]
     lib.tm_render_events.restype = _I64
-    return Kernel(lib, "compiled")
+    return lib
 
 
-def _array(ctype, size: int, values=()) -> ctypes.Array:
-    out = (ctype * size)()
-    values = list(values)
-    out[:len(values)] = values
-    return out
-
-
-def run_sweeps(lib: ctypes.CDLL, market: MarketState, params: SimParams,
-               rng: random.Random, trajectory: Trajectory,
-               events: Optional[array] = None) -> _State:
-    """``dynamics.run_sweeps`` on the compiled kernel ``lib``: the same
-    columns and event rows, or the same error raised after the same rows.
-    ``market`` and ``rng`` are only read. The returned State holds the end
-    market in slots 0 to n_slots - 1, in the registry's order, and the end
-    stream in ``mt``: the 624 words and the position of ``getstate()``."""
-    lattice = market.lattice
-    n_sites = lattice.n_sites
+def new_state(params: SimParams, trajectory: Trajectory,
+              logged: bool) -> _State:
+    """A State of ``params`` with zeroed buffers for its lattice, writing
+    one row of ``trajectory``, a ``Trajectory.empty``, per sweep; with
+    ``logged``, also an event buffer. The struct keeps the ctypes arrays it
+    points into alive, and the from_buffer views keep the tables."""
+    n_sites = params.lx * params.ly
     cap = 2 * n_sites  # see State.id in _sweep.c
-    firms = list(market.firms.values())  # the registry's order
-    slot = {f.id: k for k, f in enumerate(firms)}
-    words = rng.getstate()[1]
+    vn4, moore8 = neighbor_tables(params.lx, params.ly)
     max_events = max(EVENT_ROWS, n_sites)
-    buffer = None if events is None else _array(_I64,
-                                                EVENT_FIELDS * max_events)
-    # the struct keeps the ctypes arrays it points into alive, and the
-    # from_buffer views keep the tables they share
-    state = _State(
+    return _State(
         s=params.s, b=params.b, q=params.q, omega_s=params.omega_s,
         sigma=params.sigma, tolerance=RENORM_TOLERANCE,
         n_min=params.n_min,
         segment=_POLICY_SEGMENT.get(params.policy, -1),  # -1: SEGMENT_ANY
         passive=params.variant is VariantKind.PASSIVE_AFTER_RESCUE,
-        vn4=(_INT * (4 * n_sites)).from_buffer(lattice.vn4),
-        moore8=(_INT * (8 * n_sites)).from_buffer(lattice.moore8),
-        occ=_array(_I32, n_sites, (slot.get(fid, -1)
-                                   for fid in lattice.occupancy)),
-        id=_array(_I64, cap, (f.id for f in firms)),
-        tech=_array(_F64, cap, (f.tech for f in firms)),
-        share=_array(_F64, cap, (f.share for f in firms)),
-        site=_array(_I32, cap, (f.site for f in firms)),
-        order=_array(_I32, cap), n_slots=len(firms), n_live=len(firms),
-        sweep=market.sweep, next_id=market.next_id,
-        frontier=market.frontier_value,  # tm_run computes ws, ts and tq
-        mt=_array(ctypes.c_uint32, len(words), words),
+        vn4=(_INT * (4 * n_sites)).from_buffer(vn4),
+        moore8=(_INT * (8 * n_sites)).from_buffer(moore8),
+        occ=(_I32 * n_sites)(), id=(_I64 * cap)(), tech=(_F64 * cap)(),
+        share=(_F64 * cap)(), site=(_I32 * cap)(), order=(_I32 * cap)(),
+        mt=(ctypes.c_uint32 * _MT_WORDS)(),
         n_rows=len(trajectory.n_firms),
         n_firms=trajectory.n_firms.ctypes.data_as(_P_I64),
         rescued=trajectory.rescued.ctypes.data_as(_P_I64),
@@ -207,36 +179,39 @@ def run_sweeps(lib: ctypes.CDLL, market: MarketState, params: SimParams,
         mean_tech=trajectory.mean_tech.ctypes.data_as(_P_F64),
         ratio=trajectory.ratio.ctypes.data_as(_P_F64),
         renorm_error=trajectory.renorm_error.ctypes.data_as(_P_F64),
-        events=buffer, max_events=max_events)
+        events=(_I64 * (EVENT_FIELDS * max_events))() if logged else None,
+        max_events=max_events)
+
+
+def state_bytes(n_sites: int, logged: bool) -> int:
+    """Bytes of the buffers ``new_state`` allocates on a lattice of
+    ``n_sites`` sites: occ, then id, tech, share, site and order for twice
+    the sites (see State.id in _sweep.c), the stream, and a logged
+    replica's event buffer."""
+    return ((4 + 2 * (8 + 8 + 8 + 4 + 4)) * n_sites + 4 * _MT_WORDS
+            + (EVENT_ROW_BYTES * max(EVENT_ROWS, n_sites) if logged else 0))
+
+
+def start(state: _State, params: SimParams, seed: int) -> None:
+    """Seed a ``new_state``'s stream as ``random.Random(seed)`` would and
+    draw its market at sweep 0, as ``_sweep.c``'s tm_init describes."""
+    kernel().tm_init(ctypes.byref(state), seed, params.lx * params.ly,
+                     params.n_initial_firms)
+
+
+def run_sweeps(state: _State, events: Optional[array] = None) -> None:
+    """Run ``state`` from its sweep for one sweep per trajectory row but
+    the last, and write every row; with an event sink, an ``array('q')``,
+    append every step's event row to it (the State must be logged). A share
+    total that drifts beyond RENORM_TOLERANCE raises IntegrityError after
+    the failing sweep's rows are appended."""
+    lib = kernel()
     status = _PAUSED
     while status == _PAUSED:
         status = lib.tm_run(ctypes.byref(state))
         if events is not None:
-            events.frombytes(memoryview(buffer).cast("B")
-                             [:state.n_events * _ROW_BYTES])
+            events.frombytes(ctypes.string_at(
+                state.events, state.n_events * EVENT_ROW_BYTES))
     if status == _RENORM_ABOVE_TOLERANCE:
-        raise renorm_failure(trajectory.renorm_error[state.row], state.sweep)
-    return state
+        raise renorm_failure(state.renorm_error[state.row], state.sweep)
 
-
-def render_events(lib: ctypes.CDLL, out: TextIO, replica: int,
-                  events: array) -> None:
-    """``output.emit_event_log`` on the compiled kernel ``lib``: the same
-    text, rendered and written EVENT_ROWS rows at a time from a view of
-    ``events``, an ``array('q')``. A row with a kind outside EventKind or a
-    rescued flag other than 0 and 1 raises ValueError, after the chunks
-    before its own are written."""
-    n_rows = len(events) // EVENT_FIELDS
-    text = ctypes.create_string_buffer(min(n_rows, EVENT_ROWS)
-                                       * lib.tm_event_line_max())
-    for start in range(0, n_rows, EVENT_ROWS):
-        n = min(EVENT_ROWS, n_rows - start)
-        # the view pins the array, so no thread resizes it during the call
-        rows = (_I64 * (EVENT_FIELDS * n)).from_buffer(events,
-                                                       start * _ROW_BYTES)
-        size = lib.tm_render_events(rows, n, replica, text)
-        if size < 0:
-            bad = EVENT_FIELDS * (start - 1 - size)
-            row = tuple(events[bad:bad + EVENT_FIELDS])
-            raise ValueError(f"event row {row} is not an event")
-        out.write(str(memoryview(text)[:size], "ascii"))

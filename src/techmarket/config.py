@@ -71,6 +71,19 @@ def _cast_count(key: str, raw: Any) -> int:
     return value
 
 
+#: The most replicas run at once. Outputs are the same at any --jobs, so the
+#: cap, well above any core count, only stops a run asking for a thread per
+#: replica.
+MAX_JOBS = 1024
+
+
+def _cast_jobs(key: str, raw: Any) -> int:
+    value = _cast_count(key, raw)
+    if value > MAX_JOBS:
+        raise ConfigError(f"{key} must be at most {MAX_JOBS}, got {value}")
+    return value
+
+
 def _cast_scenario(key: str, raw: Any) -> str:
     token = str(raw).strip().lower()
     if token in _SCENARIO_CHOICES:
@@ -115,8 +128,8 @@ CONFIG_KEYS = {
     "lx": Key(_cast_int, "lx", "lattice width"),
     "ly": Key(_cast_int, "ly", "lattice height"),
     "tmax": Key(_cast_int, "t_max", "horizon in sweeps"),
-    "jobs": Key(_cast_count, None, "replicas run at once on threads, on the "
-                "compiled kernel only (default 1)"),
+    "jobs": Key(_cast_jobs, None, "replicas run at once on threads, at most "
+                f"{MAX_JOBS} (default 1)"),
     "out": Key(_cast_path, None, "output directory (default: out)"),
     "events": Key(_cast_bool, None, "also write one JSONL event log per cell"),
 }

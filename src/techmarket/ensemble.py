@@ -3,14 +3,11 @@ the ensemble store.
 
 A replica is one full simulation of the market for t_max sweeps; an ensemble
 is n_replicas of them run from seeds derived as ``derive_seed(params.seed,
-k)`` for replica k. A replica runs all of its sweeps in one call of a
-kernel entry, the compiled kernel's when this machine can build it (see
-``compiled``) and the Python kernel's otherwise; both write the same
-trajectory bits and the same event rows. Replicas are independent, so on
-the compiled kernel, whose C call releases the GIL, they may run on threads
-of the ensemble's own (see ``run_trajectories``); on the Python kernel they
-run one after another in the calling thread. No replica leaves the process,
-and the statistics and event logs are identical either way.
+k)`` for replica k. A replica starts from its seed and runs all of its
+sweeps in the compiled kernel (see ``compiled``). Replicas are independent
+and the kernel's C calls release the GIL, so they may run on threads of the
+ensemble's own (see ``run_trajectories``). No replica leaves the process,
+and the statistics and event logs are identical at any thread count.
 
 Across-replica spread is reported as the population standard deviation
 (divide by n), matching descriptive +-1 SD bands.
@@ -23,12 +20,11 @@ column-wise mean or SD over replicas depends only on that sweep's values,
 so the slice is bit-identical to a fresh run. A longer request simulates
 every replica from sweep 0 and replaces the entry. The store costs 72
 bytes per aggregate row plus one crossing per replica, kept until the
-process ends or ``clear_store`` is called.
+process ends.
 """
 from __future__ import annotations
 
 import io
-import random
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -37,8 +33,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from . import compiled
-from .dynamics import Trajectory, run_sweeps
-from .market import init_market
+from .dynamics import Trajectory
 from .output import emit_event_log
 from .params import SimParams
 from .rng import derive_seed
@@ -81,19 +76,15 @@ def run_replica(params: SimParams, replica_seed: int,
     stream seed. Every step's event row is appended to ``events`` when a
     sink is given.
 
-    The trajectory is allocated here and written by one kernel entry,
-    ``compiled.run_sweeps`` when this machine can build the kernel and
-    ``dynamics.run_sweeps`` otherwise: a row per sweep, plus one final
-    snapshot at t = t_max.
+    The trajectory is allocated here and written by the compiled kernel,
+    which seeds the stream, draws the initial market and runs the sweeps in
+    a State of its own: a row per sweep, plus one final snapshot at
+    t = t_max.
     """
-    rng = random.Random(replica_seed)
-    market = init_market(params, rng)
     trajectory = Trajectory.empty(params.t_max + 1)
-    lib = compiled.kernel().lib
-    if lib is None:
-        run_sweeps(market, params, rng, trajectory, events)
-    else:
-        compiled.run_sweeps(lib, market, params, rng, trajectory, events)
+    state = compiled.new_state(params, trajectory, events is not None)
+    compiled.start(state, params, replica_seed)
+    compiled.run_sweeps(state, events)
     return trajectory
 
 
@@ -110,17 +101,16 @@ def replica_seeds(base_seed: int, n_replicas: int) -> list[int]:
 def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
                      event_log: Optional[TextIO] = None) -> EnsembleStats:
     """The statistics of an ensemble from base seed ``params.seed``, whose
-    replicas run ``jobs`` at a time on the compiled kernel. In replica
-    order, each replica's N, mean technology and ratio rows are copied into
-    (replicas x sweeps) matrices, 24 bytes per replica and sweep, and its
-    other reductions updated; then its trajectory is dropped.
+    replicas run ``jobs`` at a time. In replica order, each replica's N,
+    mean technology and ratio rows are copied into (replicas x sweeps)
+    matrices, 24 bytes per replica and sweep, and its other reductions
+    updated; then its trajectory is dropped.
 
-    When the compiled kernel is loaded and min(jobs, n_replicas) > 1, the
-    replicas run on a thread executor of the call's own, as the kernel's C
-    call releases the GIL. It is shut down before this returns or raises,
-    and a failure cancels the replicas still queued. Otherwise they run one
-    after another in the calling thread: the Python kernel holds the GIL,
-    so threads would only take turns.
+    When min(jobs, n_replicas) > 1, the replicas run on a thread executor
+    of the call's own, as the kernel's C calls release the GIL. It is shut
+    down before this returns or raises, and a failure cancels the replicas
+    still queued. Otherwise they run one after another in the calling
+    thread.
 
     With ``event_log``, each replica renders its events to JSON lines in the
     thread that ran it, and the text is written to the stream in replica
@@ -132,7 +122,7 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
         raise ValueError("n_replicas must be >= 1")
     # built and loaded here, before any worker starts: threads share the
     # pid that names the build's temporary file
-    lib = compiled.kernel().lib
+    compiled.kernel()
     seeds = replica_seeds(params.seed, n_replicas)
 
     def replica(k: int, seed: int) -> tuple[Trajectory, Optional[str]]:
@@ -151,7 +141,7 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
     rescued_sum = np.zeros(rows, np.int64)
     renorm_error = np.zeros(rows)
     tc_vals = np.full(n_replicas, np.nan)
-    workers = min(jobs, n_replicas) if lib is not None else 1
+    workers = min(jobs, n_replicas)
     executor = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
         results = (executor.map if executor else map)(
@@ -236,9 +226,3 @@ def stored_ensemble(params: SimParams, n_replicas: int,
     if stats is None or stats.t[-1] < params.t_max:
         stats = _STORE[key] = run_trajectories(params, n_replicas, jobs)
     return _slice(stats, params.t_max)
-
-
-def clear_store() -> None:
-    """Forget every stored ensemble."""
-    _STORE.clear()
-

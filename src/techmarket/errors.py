@@ -2,10 +2,11 @@
 
 
 class ConfigError(ValueError):
-    """Invalid configuration: unknown key, bad value, or inconsistent fields.
+    """Invalid configuration: unknown key, bad value, or inconsistent fields;
+    also a machine that cannot build the sweep kernel.
 
-    The message always names the offending key. Mapped to exit code 1 by
-    the command-line front end.
+    A message about a value names the offending key. Mapped to exit code 1
+    by the command-line front end.
     """
 
 

@@ -5,12 +5,12 @@ with one row per sweep. Catch-up curve CSV: ``q,tc_mean,tc_sd,fraction_reached``
 Floats carry 12 significant digits. The metadata file doubles as a config
 file: plain lines are config keys, informational records are comments.
 Every file is written through ``atomic_write``, so it appears complete or
-not at all. Event logs are written to a stream given by the caller: in
-chunks by the compiled kernel's renderer when it is loaded, else in one
-write by the Python renderer here, its reference.
+not at all. Event logs are written to a stream given by the caller, in
+chunks rendered by the compiled kernel.
 """
 from __future__ import annotations
 
+import ctypes
 import os
 from array import array
 from contextlib import contextmanager
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO
 
 from . import compiled
 from .config import config_lines
-from .dynamics import EVENT_FIELDS, EventKind
+from .dynamics import EVENT_FIELDS
 from .params import SimParams
 
 if TYPE_CHECKING:  # ensemble imports this module to render event logs
@@ -31,11 +31,6 @@ TC_CURVE_HEADER = "q,tc_mean,tc_sd,fraction_reached"
 #: Time-series rows turned into Python values at a time, so that a long
 #: horizon's rows are never all held at once.
 CHUNK_ROWS = 4096
-
-
-#: The ``,"kind":"<name>"`` fragment of an event line, by EventKind value: a
-#: dict, so that a negative kind raises as an unknown one does.
-_KIND_FIELDS = {kind: f',"kind":"{kind.name.lower()}"' for kind in EventKind}
 
 
 @contextmanager
@@ -110,39 +105,30 @@ def emit_run_metadata(path: str | Path, params: SimParams, scenario: str,
 
 def emit_event_log(out: TextIO, replica: int, events: array) -> None:
     """Write one replica's event rows (see ``dynamics``), an ``array('q')``,
-    to ``out`` as JSON lines: through ``compiled.render_events`` in chunks
-    when the compiled kernel is loaded, else in one write.
+    to ``out`` as JSON lines, rendered by the kernel's tm_render_events
+    ``compiled.EVENT_ROWS`` rows per call from a view of the array, each
+    chunk written as it is rendered.
 
     Each line is what ``json.dumps(..., separators=(",", ":"))`` gives for
     the keys replica, t, firm and kind, then partner when set, child when
     set (only spin-offs have one, and they always have a partner), and
     ``"rescued":true`` only when a rescue fired. A row with a kind outside
-    EventKind or a rescued flag other than 0 and 1 raises ValueError.
+    EventKind or a rescued flag other than 0 and 1 raises ValueError, after
+    the chunks before its own are written.
     """
-    lib = compiled.kernel().lib
-    if lib is not None:
-        compiled.render_events(lib, out, replica, events)
-        return
-    kinds = _KIND_FIELDS
-    ends = {0: '}\n', 1: ',"rescued":true}\n'}  # by the rescued flag
-    lines = []
-    append = lines.append
-    head_t = None
-    rows = zip(*[iter(events)] * EVENT_FIELDS)
-    try:
-        for kind, firm, t, partner, child, rescued in rows:
-            if t != head_t:  # rows come sweep by sweep: one head per sweep
-                head_t = t
-                head = f'{{"replica":{replica},"t":{t},"firm":'
-            if partner < 0:
-                append(f'{head}{firm}{kinds[kind]}{ends[rescued]}')
-            elif child < 0:
-                append(f'{head}{firm}{kinds[kind]},"partner":{partner}'
-                       f'{ends[rescued]}')
-            else:
-                append(f'{head}{firm}{kinds[kind]},"partner":{partner}'
-                       f',"child":{child}{ends[rescued]}')
-    except KeyError:
-        row = (kind, firm, t, partner, child, rescued)
-        raise ValueError(f"event row {row} is not an event") from None
-    out.write("".join(lines))
+    lib = compiled.kernel()
+    chunk = compiled.EVENT_ROWS
+    n_rows = len(events) // EVENT_FIELDS
+    text = ctypes.create_string_buffer(min(n_rows, chunk)
+                                       * lib.tm_event_line_max())
+    for first in range(0, n_rows, chunk):
+        n = min(chunk, n_rows - first)
+        # the view pins the array, so no thread resizes it during the call
+        rows = (ctypes.c_int64 * (EVENT_FIELDS * n)).from_buffer(
+            events, first * compiled.EVENT_ROW_BYTES)
+        size = lib.tm_render_events(rows, n, replica, text)
+        if size < 0:
+            bad = EVENT_FIELDS * (first - 1 - size)
+            row = tuple(events[bad:bad + EVENT_FIELDS])
+            raise ValueError(f"event row {row} is not an event")
+        out.write(str(memoryview(text)[:size], "ascii"))

@@ -32,6 +32,8 @@ class VariantKind(Enum):
 
 
 MAX_SEED = 2**64 - 1
+#: The most lattice sites, lx * ly.
+MAX_SITES = 2**30
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,14 +87,20 @@ def validate_params(p: SimParams) -> None:
         raise ConfigError(f"lx must be an integer >= 3, got {p.lx}")
     if not (isinstance(p.ly, int) and p.ly >= 3):
         raise ConfigError(f"ly must be an integer >= 3, got {p.ly}")
+    # _sweep.c holds slot indices up to 2 * lx * ly in 32-bit ints
+    if p.lx * p.ly > MAX_SITES:
+        raise ConfigError(
+            f"lx * ly must be at most 2^30, got {p.lx} * {p.ly} = "
+            f"{p.lx * p.ly}")
     if not (isinstance(p.t_max, int) and p.t_max >= 0):
         raise ConfigError(f"tmax must be a nonnegative integer, got {p.t_max}")
     try:
         horizon = math.exp(p.sigma * p.t_max)  # the frontier at the horizon
     except OverflowError:
         horizon = math.inf
-    # MarketState.tech_sq_sum holds up to lx*ly squared technologies below
-    # the frontier, and sigma_g_from_sums forms twice that much
+    # the kernel's running sum of squared technologies holds up to lx*ly of
+    # them, each below the frontier's square, and its segment spread forms
+    # twice that much
     if not math.isfinite(2.0 * horizon * horizon * (p.lx * p.ly)):
         raise ConfigError(
             f"sigma ({p.sigma}) is too large for tmax={p.t_max} on a "

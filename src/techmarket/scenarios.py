@@ -117,15 +117,21 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
     feeding it back as a config file reruns the scenario exactly."""
     cells = resolve_cells(name, base, controls)
     replicas = controls.replicas
-    # worst case: replicas done ahead of an earlier one wait whole in the pool
     t_max = cells[0][1].t_max
-    need = replicas * (t_max + 1) * ROW_BYTES
+    n_sites = base.lx * base.ly
+    # worst case: replicas done ahead of an earlier one wait whole in the
+    # pool; plus the lattice's neighbor tables (12 ints a site) and the C
+    # buffers of the replicas running at once
+    need = (replicas * (t_max + 1) * ROW_BYTES + 48 * n_sites
+            + min(controls.jobs, replicas)
+            * compiled.state_bytes(n_sites, controls.events))
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(
             f"replicas={replicas} and tmax={t_max} need {need / 2**30:,.1f} "
-            f"GiB of trajectories, more than the {have / 2**30:,.1f} GiB of "
-            f"physical memory")
+            f"GiB of trajectories and {base.lx}x{base.ly} lattice buffers, "
+            f"more than the {have / 2**30:,.1f} GiB of physical memory")
+    compiled.kernel()  # a machine that cannot build it fails before any write
     curve = name != "custom" and SCENARIOS[name].kind == "tc_curve"
     out_dir = Path(controls.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -174,7 +180,6 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
     if curve:
         written.append(emit_tc_curve_csv(
             curve_rows, out_dir / f"{name}_tc_curve.csv"))
-    notes.append(f"kernel={compiled.kernel().note}")
     written.append(emit_run_metadata(
         out_dir / f"{name}_metadata.txt",
         replace(base, t_max=t_max), name, replicas, __version__,

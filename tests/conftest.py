@@ -6,10 +6,14 @@ from array import array
 
 import pytest
 
-from techmarket import compiled, ensemble
-from techmarket.dynamics import _update_cycle
-from techmarket.ensemble import clear_store
-from techmarket.market import Lattice, MarketState
+from techmarket import ensemble
+
+from oracle import Lattice, MarketState, update_cycle
+
+
+def clear_store():
+    """Forget every ensemble the store holds."""
+    ensemble._STORE.clear()
 
 
 @pytest.fixture(autouse=True)
@@ -21,58 +25,23 @@ def empty_ensemble_store():
     clear_store()
 
 
-def use_python_kernel(monkeypatch):
-    """Replicas run on the Python kernel, as on a machine where the compiled
-    one cannot be built."""
-    monkeypatch.setattr(compiled, "kernel", lambda: compiled.Kernel(
-        None, "python (compiled kernel switched off by a test)"))
+def record_executors(monkeypatch):
+    """The max_workers of every thread executor ``ensemble`` constructs from
+    now on, in a list that grows as they are made."""
+    base, made = ensemble.ThreadPoolExecutor, []
 
+    def recording(max_workers=None, *args, **kwargs):
+        made.append(max_workers)
+        return base(max_workers, *args, **kwargs)
 
-@pytest.fixture
-def python_kernel(monkeypatch):
-    use_python_kernel(monkeypatch)
-
-
-def each_kernel(monkeypatch):
-    """The loaded kernel, then the Python one. For each, the store is
-    emptied, and this yields the kernel's name, ``compiled`` or ``python``,
-    with the max_workers of every thread executor ``ensemble`` constructs
-    from then on, and every thread started from then on. Replicas run on
-    threads only on the compiled kernel."""
-    base, start = ensemble.ThreadPoolExecutor, threading.Thread.start
-    for python in (False, True):
-        if python:
-            use_python_kernel(monkeypatch)
-        made, started = [], []
-
-        def recording(max_workers=None, *args, **kwargs):
-            made.append(max_workers)
-            return base(max_workers, *args, **kwargs)
-
-        def recording_start(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", recording)
-        monkeypatch.setattr(threading.Thread, "start", recording_start)
-        clear_store()
-        yield ("python" if compiled.kernel().lib is None
-               else "compiled"), made, started
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", recording)
+    return made
 
 
 def assert_no_worker_left(threads):
     """Only the given threads are alive, and no child process."""
     assert threading.enumerate() == threads
     assert multiprocessing.active_children() == []
-
-
-@pytest.fixture
-def compiled_lib():
-    """The compiled kernel's library; the test is skipped without one."""
-    lib, note = compiled.kernel()
-    if lib is None:
-        pytest.skip(f"no compiled kernel: {note}")
-    return lib
 
 
 def site_index(lattice, site):
@@ -92,7 +61,7 @@ def moore8_of(lattice, index):
 
 
 def build_market(lx=6, ly=6, firms=(), sweep=0, sigma=0.01):
-    """Hand-placed market: firms is a list of ((x, y), tech, share)."""
+    """Hand-placed oracle market: firms is a list of ((x, y), tech, share)."""
     state = MarketState(Lattice(lx, ly))
     for site, tech, share in firms:
         state.add_firm(tech, share, site_index(state.lattice, site))
@@ -103,10 +72,10 @@ def build_market(lx=6, ly=6, firms=(), sweep=0, sigma=0.01):
 
 
 def step(market, firm_id, params, rng):
-    """One update cycle of the live firm ``firm_id`` on the Python kernel;
-    returns its event row (kind, firm, t, partner, child, rescued)."""
+    """One update cycle of the live firm ``firm_id`` on the oracle; returns
+    its event row (kind, firm, t, partner, child, rescued)."""
     events = array("q")
-    _update_cycle(market, params, rng, (firm_id,), events)
+    update_cycle(market, params, rng, (firm_id,), events)
     return tuple(events)
 
 

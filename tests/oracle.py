@@ -1,0 +1,479 @@
+"""The model in Python: the reference the compiled kernel is tested
+against.
+
+This is the model of ``techmarket.dynamics``, step for step and draw for
+draw, on a market of ``Firm`` objects in a registry ordered by id. It gives
+the kernel's bits: the same trajectories, event rows and event-log text, and
+the same end market and stream. ``init_market`` starts a market as
+``_sweep.c``'s tm_init does, ``run_sweeps`` runs it as tm_run does, and
+``emit_event_log`` renders event rows as tm_render_events does.
+``compiled_state`` fills a kernel State from a market of this module, so
+that the kernel can start from a hand-built one.
+"""
+from __future__ import annotations
+
+import ctypes
+import math
+import random
+from array import array
+from dataclasses import dataclass
+from typing import Iterable, Optional, TextIO
+
+from techmarket import compiled
+from techmarket.dynamics import (
+    _POLICY_SEGMENT,
+    EVENT_FIELDS,
+    RENORM_TOLERANCE,
+    EventKind,
+    Trajectory,
+    renorm_failure,
+)
+from techmarket.market import Segment, neighbor_tables
+from techmarket.params import SimParams, VariantKind
+
+(_BANKRUPTED, _RESCUED, _MOVED_COPIED_FRONTIER, _MOVED_NO_DIFFUSION, _MERGED,
+ _SPIN_OFF, _SPIN_OFF_BLOCKED) = EventKind
+
+#: The ``,"kind":"<name>"`` fragment of an event line, by EventKind value: a
+#: dict, so that a negative kind raises as an unknown one does.
+_KIND_FIELDS = {kind: f',"kind":"{kind.name.lower()}"' for kind in EventKind}
+
+
+# -- random draws -------------------------------------------------------------
+
+def open_unit(rng: random.Random) -> float:
+    """Uniform draw on the open interval (0, 1)."""
+    u = rng.random()
+    while u == 0.0:  # probability 2^-53 per draw
+        u = rng.random()
+    return u
+
+
+def shuffle_in_place(items: list, rng: random.Random) -> None:
+    """Fisher-Yates shuffle driven by rng.random() only."""
+    random = rng.random
+    for i in range(len(items) - 1, 0, -1):
+        j = int(random() * (i + 1))
+        if j > i:
+            j = i
+        items[i], items[j] = items[j], items[i]
+
+
+def sample_distinct(n_total: int, k: int, rng: random.Random) -> list[int]:
+    """k distinct integers drawn uniformly from range(n_total), via a
+    partial Fisher-Yates pass; consumes exactly k draws."""
+    pool = list(range(n_total))
+    for i in range(k):
+        j = i + int(rng.random() * (n_total - i))
+        if j >= n_total:
+            j = n_total - 1
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+# -- the market ---------------------------------------------------------------
+
+@dataclass(slots=True)
+class Firm:
+    id: int
+    tech: float    # technology level A_i, 0 <= A_i < F(t)
+    share: float   # market share omega_i in [0, 1]
+    site: int      # flat lattice index of the occupied site
+
+
+class Lattice:
+    """Rectangular grid with periodic boundaries and precomputed
+    neighbor tables (4-site von Neumann, 8-site Moore)."""
+
+    __slots__ = ("width", "height", "occupancy", "vn4", "moore8")
+
+    def __init__(self, width: int, height: int) -> None:
+        self.width = width
+        self.height = height
+        self.occupancy: list[int] = [-1] * (width * height)  # firm id or -1
+        self.vn4, self.moore8 = neighbor_tables(width, height)
+
+    @property
+    def n_sites(self) -> int:
+        return self.width * self.height
+
+
+class MarketState:
+    """Full simulable state: lattice occupancy, live-firm registry, sweep
+    clock, and the frontier value cached for the current sweep.
+
+    Also carries running sums (weighted_sum = sum omega_j * A_j,
+    tech_sum = sum A_j, tech_sq_sum = sum A_j^2) that the dynamics engine
+    keeps incrementally up to date and resyncs exactly at each sweep start.
+    """
+
+    __slots__ = (
+        "lattice", "firms", "sweep", "frontier_value", "next_id",
+        "weighted_sum", "tech_sum", "tech_sq_sum",
+    )
+
+    def __init__(self, lattice: Lattice) -> None:
+        self.lattice = lattice
+        self.firms: dict[int, Firm] = {}
+        self.sweep = 0
+        self.frontier_value = 1.0
+        self.next_id = 0
+        self.weighted_sum = 0.0
+        self.tech_sum = 0.0
+        self.tech_sq_sum = 0.0
+
+    def total_share(self) -> float:
+        # left to right from 0.0: the built-in sum() compensates float
+        # rounding from Python 3.12 on
+        total = 0.0
+        for f in self.firms.values():
+            total += f.share
+        return total
+
+    def resync_sums(self) -> None:
+        """Recompute the running sums exactly from the registry."""
+        ws = ts = tq = 0.0
+        for f in self.firms.values():
+            a = f.tech
+            ws += f.share * a
+            ts += a
+            tq += a * a
+        self.weighted_sum = ws
+        self.tech_sum = ts
+        self.tech_sq_sum = tq
+
+    def add_firm(self, tech: float, share: float, site_index: int) -> Firm:
+        if self.lattice.occupancy[site_index] >= 0:
+            raise ValueError(f"site index {site_index} already occupied")
+        fid = self.next_id
+        self.next_id = fid + 1
+        firm = Firm(fid, tech, share, site_index)
+        self.firms[fid] = firm
+        self.lattice.occupancy[site_index] = fid
+        self.weighted_sum += share * tech
+        self.tech_sum += tech
+        self.tech_sq_sum += tech * tech
+        return firm
+
+    def remove_firm(self, firm: Firm) -> None:
+        del self.firms[firm.id]
+        self.lattice.occupancy[firm.site] = -1
+        tech = firm.tech
+        self.weighted_sum -= firm.share * tech
+        self.tech_sum -= tech
+        self.tech_sq_sum -= tech * tech
+
+    def set_tech(self, firm: Firm, tech: float) -> None:
+        old = firm.tech
+        self.weighted_sum += firm.share * (tech - old)
+        self.tech_sum += tech - old
+        self.tech_sq_sum += tech * tech - old * old
+        firm.tech = tech
+
+
+def frontier(t: int, sigma: float) -> float:
+    """World frontier technology F(t) = exp(sigma * t); strictly increasing
+    in t for sigma > 0, with F(0) = 1."""
+    return math.exp(sigma * t)
+
+
+def survival_probability(tech_i: float, mean_tech: float, frontier: float,
+                         s: float) -> float:
+    """Probability that a firm survives this step.
+
+    Below the high-technology phase (mean_tech < 1) the relevant lag is
+    G = mean_tech * frontier - tech_i; at or above it (mean_tech >= 1) the
+    lag is H = frontier - tech_i. The probability is exp(-s * lag) when the
+    lag is positive and 1 otherwise (a zero lag also gives 1, the continuous
+    limit of both branches).
+    """
+    if mean_tech < 1.0:
+        lag = mean_tech * frontier - tech_i
+    else:
+        lag = frontier - tech_i
+    return math.exp(-s * lag) if lag > 0.0 else 1.0
+
+
+def classify_segment(tech_i: float, mean_tech: float, sigma_g: float) -> Segment:
+    """Low / Medium / High classification relative to mean_tech +- sigma_g.
+    Values exactly one sigma_g away fall in Medium."""
+    if tech_i < mean_tech - sigma_g:
+        return Segment.LOW
+    if tech_i > mean_tech + sigma_g:
+        return Segment.HIGH
+    return Segment.MEDIUM
+
+
+def sigma_g_from_sums(market: MarketState) -> float:
+    """sigma_g computed from the running sums in O(1); used mid-sweep."""
+    n = len(market.firms)
+    mean = market.weighted_sum
+    var = (market.tech_sq_sum - 2.0 * mean * market.tech_sum) / n + mean * mean
+    return math.sqrt(var) if var > 0.0 else 0.0
+
+
+def init_market(params: SimParams, rng: random.Random) -> MarketState:
+    """Fresh market at sweep 0.
+
+    Exactly round(c * lx * ly) firms are placed on distinct uniformly chosen
+    sites; each gets technology ~ Uniform[0, 1) and share 1/N(0). Draw order:
+    the site sample first (one draw per firm), then one technology draw per
+    firm in placement order.
+    """
+    n0 = params.n_initial_firms  # >= n_min >= 1, by validate_params
+    lattice = Lattice(params.lx, params.ly)
+    state = MarketState(lattice)
+    share0 = 1.0 / n0
+    for site_index in sample_distinct(lattice.n_sites, n0, rng):
+        state.add_firm(rng.random(), share0, site_index)
+    return state
+
+
+# -- the update cycle and the sweeps ------------------------------------------
+
+def external_diffusion(tech: float, frontier: float, r2: float) -> float:
+    """Imperfect copy of the frontier: tech + r2 * (frontier - tech),
+    strictly between tech and frontier for r2 in (0, 1).
+
+    r2 within one ulp of 1 can round the sum up to the frontier itself;
+    the result is clamped to keep technology strictly below the frontier.
+    """
+    out = tech + r2 * (frontier - tech)
+    return out if out < frontier else math.nextafter(frontier, tech)
+
+
+def redistribute_shares_equal(market: MarketState, departing_share: float) -> None:
+    """Split a departed firm's share equally among all remaining firms."""
+    survivors = market.firms
+    if not survivors:
+        raise ValueError("no surviving firms to absorb the departing share")
+    delta = departing_share / len(survivors)
+    for f in survivors.values():
+        f.share += delta
+    market.weighted_sum += delta * market.tech_sum
+
+
+def renormalize_shares(market: MarketState) -> float:
+    """Rescale all shares so they sum to exactly 1; returns the
+    pre-correction error |sum - 1|. Error above RENORM_TOLERANCE means the
+    dynamics corrupted the shares and raises IntegrityError; a total at or
+    below 0 is at least 1 away from 1, so this one check rejects it too."""
+    total = market.total_share()
+    err = abs(total - 1.0)
+    if err > RENORM_TOLERANCE:
+        raise renorm_failure(err, market.sweep)
+    for f in market.firms.values():
+        f.share /= total
+    market.weighted_sum /= total
+    return err
+
+
+def interact(market: MarketState, firm_i: int, firm_j: int, params: SimParams,
+             rng: random.Random) -> EventKind:
+    """Merge or spin-off between firm i (the actor) and neighbor j; returns
+    MERGED, SPIN_OFF or SPIN_OFF_BLOCKED.
+
+    With probability b firm j is absorbed: i keeps max(A_i, A_j) and gains
+    j's share. Otherwise a spin-off site is picked uniformly among i's 8
+    Moore sites; if free, a new firm appears there with max(A_i, A_j) and
+    share omega_s * (omega_i + omega_j), deducted proportionally from both
+    parents, and takes id ``market.next_id - 1``. A blocked spin-off changes
+    nothing. Total share is conserved in every branch.
+    """
+    if firm_i == firm_j:
+        raise ValueError("a firm cannot interact with itself")
+    firms = market.firms
+    i = firms[firm_i]
+    j = firms[firm_j]
+    u = 1.0 - rng.random()
+    if u <= params.b:
+        share_j = j.share
+        tech_j = j.tech
+        market.remove_firm(j)
+        if tech_j > i.tech:
+            market.set_tech(i, tech_j)
+        i.share += share_j
+        market.weighted_sum += share_j * i.tech
+        return _MERGED
+    k = int(rng.random() * 8)
+    k = market.lattice.moore8[8 * i.site + (k if k < 8 else 7)]  # u -> 1 edge
+    if market.lattice.occupancy[k] >= 0:
+        return _SPIN_OFF_BLOCKED
+    d_i = i.share * params.omega_s
+    d_j = j.share * params.omega_s
+    i.share -= d_i
+    j.share -= d_j
+    market.weighted_sum -= d_i * i.tech + d_j * j.tech
+    tech_k = i.tech if i.tech >= j.tech else j.tech
+    market.add_firm(tech_k, d_i + d_j, k)
+    return _SPIN_OFF
+
+
+def update_cycle(market: MarketState, params: SimParams, rng: random.Random,
+                 order: Iterable[int], events: Optional[array]
+                 ) -> tuple[int, int]:
+    """Run the update cycle for each firm of ``order`` still alive, in
+    order; returns the number of bankruptcies and of rescues fired. One
+    event row per step is appended to ``events`` when it is given.
+
+    Everything fixed for the sweep is read once here: the frontier and the
+    sweep index only change between sweeps.
+    """
+    random = rng.random
+    firms = market.firms
+    lattice = market.lattice
+    occ = lattice.occupancy
+    vn4 = lattice.vn4
+    moore8 = lattice.moore8
+    n_min = params.n_min
+    s = params.s
+    q = params.q
+    segment = _POLICY_SEGMENT.get(params.policy)  # None: every firm covered
+    passive = params.variant is VariantKind.PASSIVE_AFTER_RESCUE
+    frontier = market.frontier_value
+    t = market.sweep
+    bankrupted = rescued_total = 0
+    for fid in order:
+        firm = firms.get(fid)
+        if firm is None:  # absorbed by a merge earlier in this sweep
+            continue
+        rescued = False
+        kind = None
+        partner = -1
+        if len(firms) > n_min:
+            mean = market.weighted_sum
+            if 1.0 - random() > survival_probability(firm.tech, mean,
+                                                     frontier, s):
+                if ((segment is None
+                     or classify_segment(firm.tech, mean,
+                                         sigma_g_from_sums(market)) is segment)
+                        and 1.0 - random() <= q):
+                    rescued = True
+                    rescued_total += 1
+                    if passive:
+                        kind = _RESCUED
+                else:
+                    share = firm.share
+                    market.remove_firm(firm)
+                    redistribute_shares_equal(market, share)
+                    bankrupted += 1
+                    kind = _BANKRUPTED
+        if kind is None:
+            site = firm.site
+            k = int(random() * 4)
+            target = vn4[4 * site + (k if k < 4 else 3)]  # u -> 1 edge
+            partner = occ[target]
+            if partner < 0:
+                occ[site] = -1
+                occ[target] = fid
+                firm.site = target
+                hood = 8 * target
+                for nb in range(hood, hood + 8):
+                    if occ[moore8[nb]] >= 0:
+                        k = int(random() * 8)  # clamped for the u -> 1 edge
+                        partner = occ[moore8[hood + (k if k < 8 else 7)]]
+                        break
+                else:
+                    market.set_tech(firm, external_diffusion(
+                        firm.tech, frontier, open_unit(rng)))
+                    kind = _MOVED_COPIED_FRONTIER
+            if kind is None:
+                if partner < 0:  # looked at an empty site: no meeting
+                    kind = _MOVED_NO_DIFFUSION
+                else:
+                    kind = interact(market, fid, partner, params, rng)
+        if events is not None:
+            events.extend((kind, fid, t, partner,
+                           market.next_id - 1 if kind is _SPIN_OFF else -1,
+                           rescued))
+    return bankrupted, rescued_total
+
+
+def run_sweeps(market: MarketState, params: SimParams, rng: random.Random,
+               trajectory: Trajectory, events: Optional[array] = None) -> None:
+    """Run the market from its current sweep for one sweep per row of
+    ``trajectory``, a ``Trajectory.empty``, but the last, and write every
+    row. Pass an event sink as ``events`` to collect every step's row.
+
+    Each sweep resyncs the running sums, records N, the weighted mean
+    technology and its ratio to the frontier, updates each firm alive at
+    its start once in random order, renormalizes shares, and advances the
+    clock and the cached frontier; the last row records the end state.
+    """
+    last = len(trajectory.n_firms) - 1
+    for row in range(last + 1):
+        market.resync_sums()
+        trajectory.n_firms[row] = len(market.firms)
+        trajectory.mean_tech[row] = market.weighted_sum
+        trajectory.ratio[row] = market.weighted_sum / market.frontier_value
+        if row == last:
+            return
+        order = list(market.firms)
+        shuffle_in_place(order, rng)
+        trajectory.bankrupted[row], trajectory.rescued[row] = update_cycle(
+            market, params, rng, order, events)
+        trajectory.renorm_error[row] = renormalize_shares(market)
+        market.sweep += 1
+        market.frontier_value = frontier(market.sweep, params.sigma)
+
+
+# -- event logs ---------------------------------------------------------------
+
+def emit_event_log(out: TextIO, replica: int, events: array) -> None:
+    """``output.emit_event_log``, in one write: the same text, or the same
+    ValueError.
+
+    Each line is what ``json.dumps(..., separators=(",", ":"))`` gives for
+    the keys replica, t, firm and kind, then partner when set, child when
+    set (only spin-offs have one, and they always have a partner), and
+    ``"rescued":true`` only when a rescue fired. A row with a kind outside
+    EventKind or a rescued flag other than 0 and 1 raises ValueError.
+    """
+    kinds = _KIND_FIELDS
+    ends = {0: '}\n', 1: ',"rescued":true}\n'}  # by the rescued flag
+    lines = []
+    append = lines.append
+    head_t = None
+    rows = zip(*[iter(events)] * EVENT_FIELDS)
+    try:
+        for kind, firm, t, partner, child, rescued in rows:
+            if t != head_t:  # rows come sweep by sweep: one head per sweep
+                head_t = t
+                head = f'{{"replica":{replica},"t":{t},"firm":'
+            if partner < 0:
+                append(f'{head}{firm}{kinds[kind]}{ends[rescued]}')
+            elif child < 0:
+                append(f'{head}{firm}{kinds[kind]},"partner":{partner}'
+                       f'{ends[rescued]}')
+            else:
+                append(f'{head}{firm}{kinds[kind]},"partner":{partner}'
+                       f',"child":{child}{ends[rescued]}')
+    except KeyError:
+        row = (kind, firm, t, partner, child, rescued)
+        raise ValueError(f"event row {row} is not an event") from None
+    out.write("".join(lines))
+
+
+# -- the kernel's State from a market -----------------------------------------
+
+def compiled_state(market: MarketState, params: SimParams,
+                   trajectory: Trajectory, rng: random.Random,
+                   logged: bool = False) -> ctypes.Structure:
+    """A ``compiled.new_state`` holding ``market`` and the stream of
+    ``rng``, for ``compiled.run_sweeps`` to run from the market's sweep:
+    firms in slots in the registry's order. The market's lattice must be
+    params' shape; ``market`` and ``rng`` are only read."""
+    state = compiled.new_state(params, trajectory, logged)
+    firms = list(market.firms.values())
+    slot = {f.id: k for k, f in enumerate(firms)}
+    for k, f in enumerate(firms):
+        state.id[k], state.tech[k] = f.id, f.tech
+        state.share[k], state.site[k] = f.share, f.site
+    for site, fid in enumerate(market.lattice.occupancy):
+        state.occ[site] = slot.get(fid, -1)
+    for k, word in enumerate(rng.getstate()[1]):
+        state.mt[k] = word
+    state.n_slots = state.n_live = len(firms)
+    state.sweep, state.next_id = market.sweep, market.next_id
+    state.frontier = market.frontier_value  # tm_run computes ws, ts and tq
+    return state

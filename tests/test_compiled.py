@@ -1,15 +1,21 @@
-"""The compiled sweep kernel against the Python kernel, its reference, and
-its build: fallback, cache and the runs that must load it."""
+"""The compiled kernel against the Python oracle (``oracle.py``), its
+reference, and its build: cache, failure, and the runs that load it."""
 import copy
 import io
 import os
-import pickle
 import random
 from array import array
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck,
+    assume,
+    example,
+    given,
+    settings,
+    strategies as st,
+)
 
 from techmarket import (
     ConfigError,
@@ -18,16 +24,15 @@ from techmarket import (
     SimParams,
     VariantKind,
     compiled,
-    dynamics,
 )
 from techmarket.cli import main
 from techmarket.dynamics import EVENT_FIELDS, EventKind, Trajectory
-from techmarket.ensemble import clear_store, run_ensemble, run_replica
-from techmarket.market import init_market
+from techmarket.ensemble import run_ensemble, run_replica
 from techmarket.output import emit_event_log
 from techmarket.rng import derive_seed
 
-from conftest import build_market, use_python_kernel
+import oracle
+from conftest import build_market
 
 
 @st.composite
@@ -65,29 +70,55 @@ SCALARS = {"sweep": "sweep", "next_id": "next_id",
            "ts": "tech_sum", "tq": "tech_sq_sum"}
 
 
-def run_both(lib, market, params, rng):
-    """Each kernel's run_sweeps to params.t_max with an event sink: the
-    compiled run's (trajectory, events, State), then the Python run's
-    (trajectory, events, market, rng) on copies of ``market`` and ``rng``.
-    The compiled run must leave ``market`` and ``rng`` as they were."""
-    before = pickle.dumps((market, rng))
+def spy_states(monkeypatch):
+    """The State of every replica ``run_replica`` runs from now on, in a list
+    that grows as they run."""
+    states, real = [], compiled.run_sweeps
+
+    def spy(state, events=None):
+        states.append(state)
+        real(state, events)
+
+    monkeypatch.setattr(compiled, "run_sweeps", spy)
+    return states
+
+
+@pytest.fixture
+def run_states(monkeypatch):
+    return spy_states(monkeypatch)
+
+
+def run_both(params, seed):
+    """``run_replica`` of (params, seed) with an event sink, then the oracle's
+    replica from ``random.Random(seed)``: the compiled run's (trajectory,
+    events, State), then the oracle's (trajectory, events, market, rng)."""
+    events = array("q")
+    with pytest.MonkeyPatch.context() as mp:
+        states = spy_states(mp)
+        trajectory = run_replica(params, seed, events)
+    compiled_run = trajectory, events, states[0]
+    rng = random.Random(seed)
+    market = oracle.init_market(params, rng)
     trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
-    state = compiled.run_sweeps(lib, market, params, rng, trajectory, events)
-    assert pickle.dumps((market, rng)) == before
-    compiled_run = trajectory, events, state
-    market, rng = copy.deepcopy(market), copy.deepcopy(rng)
-    trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
-    dynamics.run_sweeps(market, params, rng, trajectory, events)
+    oracle.run_sweeps(market, params, rng, trajectory, events)
     return compiled_run, (trajectory, events, market, rng)
 
 
-def assert_same_runs(compiled_run, python_run):
+def assert_same_runs(compiled_run, oracle_run):
     (tr_c, events_c, state), (tr_py, events_py, market, rng) = (compiled_run,
-                                                               python_run)
+                                                               oracle_run)
     for name in COLUMNS:
         assert np.array_equal(getattr(tr_c, name), getattr(tr_py, name)), name
     assert events_c == events_py
-    # the end market: firms in slot order against the registry's order
+    assert_same_market(state, market)
+    # the end stream: 624 words and the position
+    words = rng.getstate()[1]
+    assert tuple(state.mt[:len(words)]) == words
+
+
+def assert_same_market(state, market):
+    """The State's firms in slot order against the registry's order, its
+    occupancy, its slot count and its scalars against ``market``'s."""
     firms = list(market.firms.values())
     assert state.n_slots == len(firms)
     for name in ("id", "tech", "share", "site"):
@@ -98,42 +129,72 @@ def assert_same_runs(compiled_run, python_run):
             ] == occupancy
     for name, attr in SCALARS.items():
         assert getattr(state, name) == getattr(market, attr), name
-    # the end stream: 624 words and the position
-    words = rng.getstate()[1]
-    assert tuple(state.mt[:len(words)]) == words
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=150, deadline=None)
 @given(params=sim_params())
-def test_compiled_sweeps_match_python(compiled_lib, params):
-    rng = random.Random(params.seed)
-    market = init_market(params, rng)
-    assert_same_runs(*run_both(compiled_lib, market, params, rng))
+def test_compiled_sweeps_match_python(params):
+    assert_same_runs(*run_both(params, params.seed))
 
 
-def test_logged_run_crosses_the_event_buffer(compiled_lib):
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**64 - 1))
+@example(seed=0)
+@example(seed=2**32 - 1)
+@example(seed=2**32)
+@example(seed=2**64 - 1)
+def test_stream_is_seeded_as_random_random(run_states, seed):
+    """After a zero-sweep ``run_replica``, the C stream is Random(seed)'s
+    after the same draws: one site and one technology per initial firm."""
+    params = SimParams(t_max=0)
+    run_replica(params, seed)
+    rng = random.Random(seed)
+    for _ in range(2 * params.n_initial_firms):
+        rng.random()
+    assert tuple(run_states.pop().mt[:625]) == rng.getstate()[1]
+
+
+@pytest.mark.parametrize("params", [
+    SimParams(t_max=0),
+    SimParams(t_max=0, c=1.0),                            # full lattice
+    SimParams(t_max=0, lx=3, ly=3, c=1.0, n_min=9),       # n0 == n_min
+    SimParams(t_max=0, lx=7, ly=4, c=0.5, n_min=14),      # n0 == n_min
+    SimParams(t_max=0, lx=3, ly=11, c=0.4, n_min=5),
+    SimParams(t_max=0, lx=31, ly=5, c=0.05, n_min=3),
+], ids=["10x10", "full", "3x3_full_at_nmin", "7x4_at_nmin", "3x11",
+        "31x5_sparse"])
+def test_initial_market_matches_the_oracle(run_states, params):
+    for k in range(5):
+        seed = derive_seed(params.seed, k)
+        trajectory = run_replica(params, seed)
+        state = run_states.pop()
+        market = oracle.init_market(params, random.Random(seed))
+        market.resync_sums()  # tm_run set them before the first row
+        assert_same_market(state, market)
+        assert state.n_live == params.n_initial_firms == len(market.firms)
+        assert trajectory.n_firms[0] == len(market.firms)
+        assert trajectory.mean_tech[0] == market.weighted_sum
+
+
+def test_logged_run_crosses_the_event_buffer():
     # about 98 live firms, so about 98 rows per sweep
     params = SimParams(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE,
                        t_max=120, seed=5)
-    rng = random.Random(params.seed)
-    market = init_market(params, rng)
-    compiled_run, python_run = run_both(compiled_lib, market, params, rng)
+    compiled_run, oracle_run = run_both(params, params.seed)
     assert len(compiled_run[1]) > 2 * EVENT_FIELDS * compiled.EVENT_ROWS
-    assert_same_runs(compiled_run, python_run)
+    assert_same_runs(compiled_run, oracle_run)
 
 
 def _rendered(replica, sink, python):
-    """emit_event_log's text for ``sink`` on the loaded kernel, in C calls of
-    at most 3 rows, or on the Python one; or the message of the ValueError
-    it raised."""
+    """emit_event_log's text for ``sink`` in C calls of at most 3 rows, or
+    the oracle's; or the message of the ValueError it raised."""
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(compiled, "EVENT_ROWS", 3)
-        if python:
-            use_python_kernel(mp)
         try:
-            emit_event_log(out, replica, sink)
+            (oracle.emit_event_log if python else emit_event_log)(
+                out, replica, sink)
         except ValueError as exc:
             return f"ValueError: {exc}"
     return out.getvalue()
@@ -145,12 +206,11 @@ _EVENT_ROW = st.tuples(st.sampled_from(EventKind), _INT64, _INT64,
                        _UNSET_OR_ID, _UNSET_OR_ID, st.integers(0, 1))
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, deadline=None)
 @given(replica=st.integers(0, 2**63 - 1),
        rows=st.lists(_EVENT_ROW, max_size=8),
        bad=st.sampled_from([(0, 7), (0, -1), (5, 2), (5, -1)]))
-def test_compiled_event_log_matches_python(compiled_lib, replica, rows, bad):
+def test_compiled_event_log_matches_python(replica, rows, bad):
     # 0 rows, 1 row and rows across several C calls; test_golden's event
     # logs cross the full-size calls
     sink = array("q", [value for row in rows for value in row])
@@ -167,11 +227,14 @@ def test_compiled_event_log_matches_python(compiled_lib, replica, rows, bad):
     assert error == _rendered(replica, sink, python=True)
 
 
-def test_replicas_run_on_the_compiled_kernel(compiled_lib, monkeypatch):
-    def python_cycle(*args):
-        raise AssertionError("the Python kernel ran")
+def test_replicas_run_on_the_compiled_kernel(monkeypatch):
+    """Python seeds no stream and builds no market: the kernel starts each
+    replica from its seed."""
+    def no_stream(*args):
+        raise AssertionError("a Python stream was seeded")
 
-    monkeypatch.setattr(dynamics, "_update_cycle", python_cycle)
+    monkeypatch.setattr(random.Random, "seed", no_stream)
+    monkeypatch.setattr(oracle, "init_market", no_stream)
     assert run_replica(SimParams(t_max=20), 7).n_firms.size == 21
 
 
@@ -179,19 +242,32 @@ def test_replicas_run_on_the_compiled_kernel(compiled_lib, monkeypatch):
     SimParams(q=0.9, policy=PolicyKind.MEDIUM_TECH, t_max=60),
     SimParams(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE, t_max=60),
 ], ids=["mediumtech_passive", "egalitarian_active"])
-def test_replica_columns_match_across_kernels(compiled_lib, monkeypatch,
-                                              params):
-    seed = derive_seed(3, 1)
-    whole_c = run_replica(params, seed)
-    monkeypatch.setattr(compiled, "kernel",
-                        lambda: compiled.Kernel(None, "python"))
-    whole_py = run_replica(params, seed)
+def test_replica_columns_match_across_kernels(params):
+    compiled_run, oracle_run = run_both(params, derive_seed(3, 1))
     for name in COLUMNS:
-        assert np.array_equal(getattr(whole_c, name),
-                              getattr(whole_py, name)), name
+        assert np.array_equal(getattr(compiled_run[0], name),
+                              getattr(oracle_run[0], name)), name
 
 
-def test_share_drift_raises_the_python_message(compiled_lib):
+def test_hand_built_market_runs_as_on_the_oracle():
+    """A State filled from an oracle market mid-run continues it as the
+    oracle does: columns, event rows, end market and stream."""
+    params = SimParams(q=0.9, policy=PolicyKind.LOW_TECH, lx=6, ly=5,
+                       n_min=3, t_max=30)
+    rng = random.Random(77)
+    market = oracle.init_market(params, rng)
+    oracle.run_sweeps(market, params, rng, Trajectory.empty(8))
+    trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
+    state = oracle.compiled_state(market, params, trajectory, rng, True)
+    compiled.run_sweeps(state, events)
+    compiled_run = trajectory, events, state
+    trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
+    oracle.run_sweeps(market, params, rng, trajectory, events)
+    assert market.sweep == 37
+    assert_same_runs(compiled_run, (trajectory, events, market, rng))
+
+
+def test_share_drift_raises_the_python_message():
     params = SimParams(lx=6, ly=6, n_min=3, t_max=5)
     # share totals 1.5, 0 and -0.2: a total at or below 0 fails the same
     # tolerance check as any other drift
@@ -204,13 +280,14 @@ def test_share_drift_raises_the_python_message(compiled_lib):
                                      ((4, 4), 0.3, shares[2])])
         events_py, events_c = array("q"), array("q")
         with pytest.raises(IntegrityError) as python_error:
-            dynamics.run_sweeps(copy.deepcopy(market), params,
-                                random.Random(1),
-                                Trajectory.empty(params.t_max + 1), events_py)
+            oracle.run_sweeps(copy.deepcopy(market), params,
+                              random.Random(1),
+                              Trajectory.empty(params.t_max + 1), events_py)
+        state = oracle.compiled_state(market, params,
+                                      Trajectory.empty(params.t_max + 1),
+                                      random.Random(1), logged=True)
         with pytest.raises(IntegrityError) as compiled_error:
-            compiled.run_sweeps(compiled_lib, market, params,
-                                random.Random(1),
-                                Trajectory.empty(params.t_max + 1), events_c)
+            compiled.run_sweeps(state, events_c)
         assert str(compiled_error.value) == str(python_error.value)
         assert str(compiled_error.value) == (
             f"share normalization error {error} exceeds tolerance 0.01 "
@@ -228,52 +305,42 @@ def fresh_kernel():
     compiled.kernel.cache_clear()
 
 
-def _metadata_without_kernel(path):
-    lines = path.read_text().splitlines()
-    kernel = [line for line in lines if line.startswith("# kernel=")]
-    assert len(kernel) == 1
-    return [line for line in lines if line not in kernel], kernel[0]
-
-
-def test_build_failure_runs_the_python_kernel(compiled_lib, monkeypatch,
-                                              tmp_path, fresh_kernel):
-    flags = ["--q", "0.9", "--policy", "mediumtech", "--tmax", "40",
-             "--replicas", "3", "--jobs", "2", "--seed", "4"]
-    assert main(flags + ["--out", str(tmp_path / "compiled")]) == 0
-    clear_store()
-    monkeypatch.setattr(compiled, "COMPILER", str(tmp_path / "no-compiler"))
+@pytest.mark.parametrize("flags", [[], ["--events"]],
+                         ids=["plain", "events"])
+def test_build_failure_exits_one_and_writes_nothing(monkeypatch, tmp_path,
+                                                    capsys, fresh_kernel,
+                                                    flags):
+    compiler = str(tmp_path / "no-compiler")
+    monkeypatch.setattr(compiled, "COMPILER", compiler)
     monkeypatch.setattr(compiled, "cache_dir", lambda: tmp_path / "cache")
-    compiled.kernel.cache_clear()
-    assert main(flags + ["--out", str(tmp_path / "python")]) == 0
-    assert compiled.kernel().lib is None
+    out = tmp_path / "out"
+    assert main(["--q", "0.9", "--tmax", "40", "--replicas", "3",
+                 "--jobs", "2", "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot build or load the sweep "
+                          "kernel with ")
+    assert err.count("\n") == 1 and compiler in err
+    assert not out.exists()
     assert not any((tmp_path / "cache").iterdir())
-    csv = "custom_q0.9_mediumtech_passive.csv"
-    assert (tmp_path / "compiled" / csv).read_bytes() \
-        == (tmp_path / "python" / csv).read_bytes()
-    meta_c, kernel_c = _metadata_without_kernel(
-        tmp_path / "compiled" / "custom_metadata.txt")
-    meta_py, kernel_py = _metadata_without_kernel(
-        tmp_path / "python" / "custom_metadata.txt")
-    assert meta_c == meta_py
-    assert kernel_c == "# kernel=compiled"
-    assert kernel_py.startswith("# kernel=python (build failed: ")
-    assert "no-compiler" in kernel_py
+    with pytest.raises(ConfigError):  # and so does the package's API
+        run_ensemble(SimParams(t_max=5), 2)
 
 
-def test_compile_error_leaves_nothing_in_the_cache(compiled_lib, monkeypatch,
-                                                   tmp_path, fresh_kernel):
+def test_compile_error_leaves_nothing_in_the_cache(monkeypatch, tmp_path,
+                                                   fresh_kernel):
     source = tmp_path / "_sweep.c"
     source.write_text("int tm_sweep(void) { return }\n")
     monkeypatch.setattr(compiled, "SOURCE", source)
     monkeypatch.setattr(compiled, "cache_dir", lambda: tmp_path / "cache")
-    lib, note = compiled.kernel()
-    assert lib is None
-    assert note.startswith("python (build failed: ") and "error" in note
+    with pytest.raises(ConfigError) as info:
+        compiled.kernel()
+    assert str(info.value).startswith("cannot build or load the sweep kernel")
+    assert "error" in str(info.value).removeprefix("cannot build")
     assert not any((tmp_path / "cache").iterdir())
 
 
-def test_parent_builds_once_and_workers_never(compiled_lib, monkeypatch,
-                                              tmp_path, fresh_kernel):
+def test_parent_builds_once_and_workers_never(monkeypatch, tmp_path,
+                                              fresh_kernel):
     builds = tmp_path / "builds"
     real_build = compiled._build
 
@@ -287,20 +354,19 @@ def test_parent_builds_once_and_workers_never(compiled_lib, monkeypatch,
     run_ensemble(SimParams(t_max=20), 4, jobs=2)
     run_ensemble(SimParams(t_max=20, seed=7), 4, jobs=2)
     assert builds.read_text() == f"{os.getpid()}\n"
-    assert compiled.kernel().note == "compiled"
     # only the finished library is left, under the hash of source and flags
     (library,) = (tmp_path / "cache").iterdir()
     assert library.name.startswith("sweep-") and library.suffix == ".so"
 
 
-def test_build_deletes_only_stale_libraries(compiled_lib, monkeypatch,
-                                            tmp_path, fresh_kernel):
+def test_build_deletes_only_stale_libraries(monkeypatch, tmp_path,
+                                            fresh_kernel):
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "sweep-00000000.so").write_bytes(b"an older source's library")
     (cache / "notes.txt").write_text("keep\n")
     monkeypatch.setattr(compiled, "cache_dir", lambda: cache)
-    assert compiled.kernel().note == "compiled"
+    compiled.kernel()
     built = [p.name for p in cache.glob("sweep-*.so")]
     assert len(built) == 1 and built != ["sweep-00000000.so"]
     assert sorted(p.name for p in cache.iterdir()) == sorted(
@@ -308,31 +374,15 @@ def test_build_deletes_only_stale_libraries(compiled_lib, monkeypatch,
     assert (cache / "notes.txt").read_text() == "keep\n"
 
 
-def test_event_log_run_uses_the_compiled_kernel(compiled_lib, monkeypatch,
-                                                tmp_path):
-    def python_cycle(*args):
-        raise AssertionError("the Python kernel ran")
+def test_event_log_run_uses_the_compiled_kernel(monkeypatch, tmp_path):
+    def no_stream(*args):
+        raise AssertionError("a Python stream was seeded")
 
-    monkeypatch.setattr(dynamics, "_update_cycle", python_cycle)
+    monkeypatch.setattr(random.Random, "seed", no_stream)
     assert main(["--q", "0.9", "--tmax", "10", "--replicas", "2",
                  "--jobs", "2", "--events", "--out", str(tmp_path)]) == 0
-    _, kernel = _metadata_without_kernel(tmp_path / "custom_metadata.txt")
-    assert kernel == "# kernel=compiled"
-
-
-def test_build_failure_logs_the_same_events(compiled_lib, monkeypatch,
-                                            tmp_path, fresh_kernel):
-    flags = ["--q", "0.9", "--policy", "mediumtech", "--tmax", "40",
-             "--replicas", "3", "--jobs", "2", "--seed", "4", "--events"]
-    assert main(flags + ["--out", str(tmp_path / "compiled")]) == 0
-    monkeypatch.setattr(compiled, "COMPILER", str(tmp_path / "no-compiler"))
-    monkeypatch.setattr(compiled, "cache_dir", lambda: tmp_path / "cache")
-    compiled.kernel.cache_clear()
-    assert main(flags + ["--out", str(tmp_path / "python")]) == 0
-    assert compiled.kernel().lib is None
-    log = "custom_q0.9_mediumtech_passive_events.jsonl"
-    assert (tmp_path / "compiled" / log).read_bytes() \
-        == (tmp_path / "python" / log).read_bytes()
-    _, kernel_py = _metadata_without_kernel(
-        tmp_path / "python" / "custom_metadata.txt")
-    assert kernel_py.startswith("# kernel=python (build failed: ")
+    log = tmp_path / "custom_q0.9_egalitarian_passive_events.jsonl"
+    assert log.read_text().count("\n") > 2 * 10
+    # the metadata names no kernel: there is only one
+    metadata = (tmp_path / "custom_metadata.txt").read_text()
+    assert "kernel" not in metadata

@@ -27,12 +27,13 @@ from techmarket import compiled, output
 from techmarket.cli import build_parser, main
 from techmarket.config import (
     CONFIG_KEYS,
+    MAX_JOBS,
     RunControls,
     parse_config_file,
     resolve_config,
 )
 from techmarket.dynamics import EventKind
-from techmarket.ensemble import clear_store, run_ensemble
+from techmarket.ensemble import run_ensemble
 from techmarket.output import (
     TC_CURVE_HEADER,
     TIMESERIES_HEADER,
@@ -42,14 +43,11 @@ from techmarket.output import (
     emit_timeseries_csv,
     metadata_text,
 )
-from techmarket.params import TC_Q_GRID
+from techmarket.params import MAX_SITES, TC_Q_GRID
 from techmarket.scenarios import SCENARIOS, resolve_cells, run_scenario
 
-from conftest import (
-    assert_no_worker_left,
-    each_kernel,
-    use_python_kernel,
-)
+import oracle
+from conftest import assert_no_worker_left, clear_store, record_executors
 
 
 class TestConfigResolution:
@@ -130,6 +128,24 @@ class TestConfigResolution:
         with pytest.raises(ConfigError) as error:
             resolve_config(None, {key: raw})
         assert str(error.value).startswith(f"{key} must be")
+
+    def test_jobs_and_lattice_bounds(self):
+        """Each bound is accepted and one past it is a config error; nothing
+        is allocated and nothing starts."""
+        _, controls = resolve_config(None, {"jobs": str(MAX_JOBS)})
+        assert controls.jobs == MAX_JOBS == 1024
+        with pytest.raises(ConfigError, match=f"^jobs must be at most "
+                           f"{MAX_JOBS}, got {MAX_JOBS + 1}$"):
+            resolve_config(None, {"jobs": str(MAX_JOBS + 1)})
+        assert MAX_SITES == 2**30
+        for lx, ly in ((2**15, 2**15), (2**28, 4), (3, 2**30 // 3)):
+            params, _ = resolve_config(None, {"lx": str(lx), "ly": str(ly)})
+            assert params.lx * params.ly <= MAX_SITES
+        for lx, ly in ((2**15 + 1, 2**15), (2**28 + 1, 4),
+                       (3, 2**30 // 3 + 1)):
+            with pytest.raises(ConfigError, match=r"^lx \* ly must be at "
+                                                  r"most 2\^30, got "):
+                resolve_config(None, {"lx": str(lx), "ly": str(ly)})
 
     def test_unknown_flag_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key 'quux'"):
@@ -285,12 +301,12 @@ class TestEventLog:
     #: the same rows as one event sink
     SINK = array("q", [value for row in ROWS for value in row])
 
+    # the package's renderer, on the compiled kernel, and the oracle's
     @pytest.mark.parametrize("kernel", ["loaded", "python"])
-    def test_lines_match_compact_json(self, kernel, monkeypatch):
-        if kernel == "python":
-            use_python_kernel(monkeypatch)
+    def test_lines_match_compact_json(self, kernel):
         out = io.StringIO()
-        emit_event_log(out, 7, self.SINK)
+        (oracle.emit_event_log if kernel == "python" else emit_event_log)(
+            out, 7, self.SINK)
         expected = []
         for kind, firm, t, partner, child, rescued in self.ROWS:
             record = {"replica": 7, "t": t, "firm": firm,
@@ -462,17 +478,13 @@ class TestScenarios:
         params, controls = resolve_config(
             None, {"seed": "5", "tmax": "10", "replicas": "2", "jobs": "2",
                    "out": str(tmp_path)})
-        for kernel, made, started in each_kernel(monkeypatch):
-            run_scenario("fig2", params, controls)
-            # one executor of min(jobs, replicas) threads per cell on the
-            # compiled kernel; on the Python one, the replicas run in the
-            # calling thread, which starts no thread and no process
-            pooled = [2, 2, 2] if kernel == "compiled" else []
-            assert made == pooled
-            assert kernel == "compiled" or started == []
-            assert_no_worker_left(threads)
-            run_scenario("fig2", params, controls)  # served from the store
-            assert made == pooled
+        made = record_executors(monkeypatch)
+        run_scenario("fig2", params, controls)
+        # one executor of min(jobs, replicas) threads per cell
+        assert made == [2, 2, 2]
+        assert_no_worker_left(threads)
+        run_scenario("fig2", params, controls)  # served from the store
+        assert made == [2, 2, 2]
 
     def test_no_child_left_when_a_replica_fails(self, monkeypatch, tmp_path):
         import techmarket.ensemble as ens
@@ -485,12 +497,11 @@ class TestScenarios:
         params, controls = resolve_config(
             None, {"seed": "5", "tmax": "10", "replicas": "4", "jobs": "2",
                    "out": str(tmp_path)})
-        for kernel, made, started in each_kernel(monkeypatch):
-            with pytest.raises(IntegrityError):
-                run_scenario("fig2", params, controls)
-            assert made == ([2] if kernel == "compiled" else [])
-            assert kernel == "compiled" or started == []
-            assert_no_worker_left(threads)
+        made = record_executors(monkeypatch)
+        with pytest.raises(IntegrityError):
+            run_scenario("fig2", params, controls)
+        assert made == [2]
+        assert_no_worker_left(threads)
 
     def test_tc_curve_csv_schema(self, tmp_path):
         params, controls = resolve_config(
@@ -696,9 +707,9 @@ def test_cli_import_loads_no_process_pool(tmp_path):
     """No replica runs on a process, and only a build runs the compiler, so
     a command imports neither ``multiprocessing`` nor the process pool, nor
     ``subprocess`` to load a cached kernel. A 2-replica ensemble at jobs=2
-    on the Python kernel, forced by a kernel cache below a regular file,
-    imports neither of the first two."""
-    lib = compiled.kernel().lib  # built into the cache the child reads
+    whose kernel cannot be built, as its cache is below a regular file,
+    raises ConfigError and imports neither of the first two."""
+    compiled.kernel()  # built into the cache the child reads
     src = Path(__file__).parents[1] / "src"
     code = ("import sys, techmarket.cli\n"
             "from techmarket import compiled\n"
@@ -710,24 +721,24 @@ def test_cli_import_loads_no_process_pool(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
-    loaded = run.stdout.splitlines()
-    assert loaded[0] == "[]"
-    if lib is not None:
-        assert loaded[1] == "[]"
+    assert run.stdout.splitlines() == ["[]", "[]"]
     (tmp_path / "not-a-directory").touch()
     code = ("import sys\n"
-            "from techmarket import SimParams, compiled, run_ensemble\n"
+            "from techmarket import ConfigError, SimParams, run_ensemble\n"
             "mods = ('multiprocessing', 'concurrent.futures.process')\n"
-            "run_ensemble(SimParams(t_max=20), 2, jobs=2)\n"
-            "print(compiled.kernel().note)\n"
+            "try:\n"
+            "    run_ensemble(SimParams(t_max=20), 2, jobs=2)\n"
+            "except ConfigError as exc:\n"
+            "    print(exc)\n"
             "print([m for m in mods if m in sys.modules])\n")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src),
                                   XDG_CACHE_HOME=str(tmp_path
                                                      / "not-a-directory")))
-    note, loaded = run.stdout.splitlines()
-    assert note.startswith("python (build failed: ")
+    error, loaded = run.stdout.splitlines()
+    assert error.startswith("cannot build or load the sweep kernel with ")
+    assert "not-a-directory" in error
     assert loaded == "[]"
 
 
@@ -783,6 +794,76 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--jobs", str(MAX_JOBS + 1)],
+        ["--lx", str(2**15 + 1), "--ly", str(2**15)],
+    ], ids=["jobs", "lattice"])
+    def test_past_a_bound_exit_one(self, monkeypatch, tmp_path, capsys,
+                                   argv):
+        made = record_executors(monkeypatch)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists() and made == []
+
+    def test_jobs_at_the_cap_ask_for_as_many_workers(self, monkeypatch,
+                                                     tmp_path):
+        """With more replicas than --jobs at the cap, the executor is asked
+        for MAX_JOBS workers; this spy runs the replicas in the calling
+        thread, so no thread starts."""
+        import techmarket.ensemble as ens
+
+        made = []
+
+        class Serial:
+            map = staticmethod(map)
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(ens, "ThreadPoolExecutor", Serial)
+        threads = threading.enumerate()
+        assert main(["--jobs", str(MAX_JOBS), "--replicas", str(MAX_JOBS + 1),
+                     "--tmax", "0", "--out", str(tmp_path)]) == 0
+        assert made == [MAX_JOBS]
+        assert threading.enumerate() == threads
+
+    def test_memory_guard_counts_tables_and_running_replicas(
+            self, monkeypatch, tmp_path, capsys):
+        """The guard adds the neighbor tables (48 bytes a site) and the C
+        buffers of the replicas running at once to the trajectories."""
+        have = [0]
+        real = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: {
+            "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have[0]}.get(name)
+            or real(name))
+        flags = ["--tmax", "10", "--replicas", "3", "--jobs", "2",
+                 "--events"]
+        # 3 replicas of 11 rows of 48 bytes, the 10x10 tables, and 2
+        # running replicas: 68 bytes a site, the 2,500-byte stream and a
+        # 4,096-row event buffer each
+        need = 3 * 11 * 48 + 48 * 100 + 2 * (68 * 100 + 2500 + 4096 * 48)
+        for have[0], code in ((need, 0), (need - 1, 1)):
+            out = tmp_path / str(code)
+            assert main(flags + ["--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+        assert "of trajectories and 10x10 lattice buffers, more than" \
+            in capsys.readouterr().err
+        # a lattice at the bound needs far more than 16 GiB: rejected
+        # before anything is allocated
+        have[0] = 2**34
+        out = tmp_path / "large"
+        assert main(["--lx", str(2**15), "--ly", str(2**15), "--tmax", "0",
+                     "--replicas", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: replicas=1 and tmax=0 need ")
+        assert "32768x32768 lattice buffers" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_help_exit_zero_and_names_presets(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(["--help"])
@@ -820,14 +901,11 @@ class TestCli:
     def test_pool_starts_at_most_one_worker_per_replica(self, monkeypatch,
                                                          tmp_path):
         threads = threading.enumerate()
-        for kernel, made, started in each_kernel(monkeypatch):
-            assert main(["--tmax", "5", "--replicas", "2", "--jobs", "4",
-                         "--out", str(tmp_path / kernel)]) == 0
-            # the Python kernel runs its replicas in the calling thread,
-            # which starts no thread and no process
-            assert made == ([2] if kernel == "compiled" else [])
-            assert kernel == "compiled" or started == []
-            assert_no_worker_left(threads)
+        made = record_executors(monkeypatch)
+        assert main(["--tmax", "5", "--replicas", "2", "--jobs", "4",
+                     "--out", str(tmp_path)]) == 0
+        assert made == [2]
+        assert_no_worker_left(threads)
 
     def test_integrity_failure_exit_two(self, monkeypatch, tmp_path, capsys):
         import techmarket.cli as cli_mod

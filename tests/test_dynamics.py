@@ -1,4 +1,6 @@
-"""Engine behavior: events, conservation, ordering, policies, variants."""
+"""Engine behavior on the Python oracle (``oracle.py``), which the compiled
+kernel matches bit for bit: events, conservation, ordering, policies,
+variants."""
 import copy
 import math
 import random
@@ -9,19 +11,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from techmarket import IntegrityError, PolicyKind, SimParams, VariantKind
-from techmarket.dynamics import (
-    EVENT_FIELDS,
-    EventKind,
-    Trajectory,
+from techmarket.dynamics import EVENT_FIELDS, EventKind, Trajectory
+from techmarket.rng import derive_seed
+
+from conftest import build_market, random_market, site_index, step
+from oracle import (
     external_diffusion,
+    init_market,
     interact,
     redistribute_shares_equal,
     renormalize_shares,
     run_sweeps,
+    shuffle_in_place,
+    survival_probability,
 )
-from techmarket.market import survival_probability
-
-from conftest import build_market, random_market, site_index, step
 
 
 def total_share(market):
@@ -29,8 +32,8 @@ def total_share(market):
 
 
 def run(market, params, rng, sweeps, events=None):
-    """The trajectory of ``sweeps`` sweeps of the market on the Python
-    kernel; row k is the market's k-th sweep from now."""
+    """The trajectory of ``sweeps`` sweeps of the market on the oracle; row
+    k is the market's k-th sweep from now."""
     trajectory = Trajectory.empty(sweeps + 1)
     run_sweeps(market, params, rng, trajectory, events)
     return trajectory
@@ -359,9 +362,6 @@ class TestSweep:
 
     def test_running_sums_track_exact_recomputation(self):
         # mid-sweep survival and segment decisions read these sums
-        from techmarket.market import init_market
-        from techmarket.rng import derive_seed, shuffle_in_place
-
         params = SimParams(q=0.5, t_max=0, seed=9,
                            policy=PolicyKind.MEDIUM_TECH)
         rng = random.Random(derive_seed(9, 0))

@@ -30,7 +30,7 @@ from techmarket.ensemble import (
 )
 from techmarket.rng import derive_seed
 
-from conftest import assert_no_worker_left, each_kernel, use_python_kernel
+from conftest import assert_no_worker_left, record_executors
 
 
 def small_params(**kw):
@@ -139,9 +139,8 @@ class TestRunEnsemble:
             math.isnan(serial.tc_mean) and math.isnan(parallel.tc_mean))
 
     def test_more_threads_than_cores_match_serial(self):
-        """8 workers (threads on the compiled kernel), switching threads as
-        often as the interpreter allows: the statistics and the event log
-        equal a serial run's."""
+        """8 worker threads, switching threads as often as the interpreter
+        allows: the statistics and the event log equal a serial run's."""
         import techmarket.ensemble as ens
 
         p = small_params(t_max=40, q=0.9, policy=PolicyKind.MEDIUM_TECH)
@@ -219,15 +218,10 @@ class TwoArgError(Exception):
 
 
 class TestReplicaFailure:
-    # on the Python kernel at jobs=2, the replicas run in the calling thread
-    @pytest.mark.parametrize("jobs, python", [(1, False), (2, False),
-                                              (2, True)],
-                             ids=["1", "2", "2-python"])
-    def test_exception_type_and_fields_kept(self, monkeypatch, jobs, python):
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["1", "2"])
+    def test_exception_type_and_fields_kept(self, monkeypatch, jobs):
         import techmarket.ensemble as ens
 
-        if python:
-            use_python_kernel(monkeypatch)
         bad_seed = replica_seeds(99, 3)[1]
         real = ens.run_replica
 
@@ -265,18 +259,16 @@ class TestReplicaFailure:
             return Trajectory.empty(params.t_max + 1)
 
         monkeypatch.setattr(ens, "run_replica", sabotaged)
-        for kernel, made, threads_started in each_kernel(monkeypatch):
-            for error, event_log in ((TwoArgError, None),
-                                     (OSError, FullDisk())):
-                started[0] = 0
-                with pytest.raises(error):
-                    ens.run_trajectories(small_params(t_max=5), 64, 2,
-                                         event_log)
-                assert started[0] < 64
-                assert_no_worker_left(threads)
-            # the Python kernel runs its replicas in the calling thread
-            assert made == ([2, 2] if kernel == "compiled" else [])
-            assert kernel == "compiled" or threads_started == []
+        made = record_executors(monkeypatch)
+        for error, event_log in ((TwoArgError, None),
+                                 (OSError, FullDisk())):
+            started[0] = 0
+            with pytest.raises(error):
+                ens.run_trajectories(small_params(t_max=5), 64, 2,
+                                     event_log)
+            assert started[0] < 64
+            assert_no_worker_left(threads)
+        assert made == [2, 2]
 
 
 def assert_same_stats(got: EnsembleStats, want: EnsembleStats) -> None:

@@ -1,7 +1,6 @@
 """Golden digests: fixed (params, replica seed) pairs must reproduce these
-trajectories and this event log bit for bit. Both are checked on the
-kernel a replica runs by default (the compiled one where it can be built)
-and on the Python kernel.
+trajectories and this event log bit for bit. Both are checked on
+``run_replica``, the compiled kernel, and on the Python oracle.
 
 The digests pin the behaviour contract (bit-identical trajectories, CSVs and
 event logs for a fixed seed). A change that keeps behaviour leaves them
@@ -10,15 +9,19 @@ must say so and replace them in the same change.
 """
 import hashlib
 import io
+import random
 from array import array
 
 import numpy as np
 import pytest
 
 from techmarket import PolicyKind, SimParams, VariantKind
+from techmarket.dynamics import Trajectory
 from techmarket.ensemble import run_replica
 from techmarket.output import emit_event_log
 from techmarket.rng import derive_seed
+
+import oracle
 
 EGAL = PolicyKind.EGALITARIAN
 LOW = PolicyKind.LOW_TECH
@@ -70,33 +73,50 @@ def _series_digest(tr) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("key", list(TRAJECTORY_DIGESTS), ids=_case_id)
-def test_trajectory_digest(key):
-    q, policy, variant, seed, replica = key
+def oracle_replica(params, replica_seed, events=None):
+    """``run_replica`` on the oracle."""
+    rng = random.Random(replica_seed)
+    trajectory = Trajectory.empty(params.t_max + 1)
+    oracle.run_sweeps(oracle.init_market(params, rng), params, rng,
+                      trajectory, events)
+    return trajectory
+
+
+def _trajectory_digest(key, replica) -> str:
+    q, policy, variant, seed, index = key
     params = SimParams(q=q, policy=policy, variant=variant, t_max=T_MAX,
                        seed=seed)
-    tr = run_replica(params, derive_seed(seed, replica))
-    assert _series_digest(tr) == TRAJECTORY_DIGESTS[key]
+    return _series_digest(replica(params, derive_seed(seed, index)))
 
 
-@pytest.mark.parametrize("key", list(TRAJECTORY_DIGESTS), ids=_case_id)
-def test_trajectory_digest_python_kernel(key, python_kernel):
-    test_trajectory_digest(key)
-
-
-@pytest.mark.parametrize("key", list(EVENT_LOG_DIGESTS), ids=_case_id)
-def test_event_log_digest(key):
+def _event_log_digest(key, replica, render) -> str:
     q, policy, variant, seed = key
     params = SimParams(q=q, policy=policy, variant=variant, t_max=T_MAX,
                        seed=seed)
     events = array("q")
-    run_replica(params, derive_seed(seed, 0), events)
+    replica(params, derive_seed(seed, 0), events)
     log = io.StringIO()
-    emit_event_log(log, 0, events)
-    assert hashlib.sha256(log.getvalue().encode()).hexdigest() \
+    render(log, 0, events)
+    return hashlib.sha256(log.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", list(TRAJECTORY_DIGESTS), ids=_case_id)
+def test_trajectory_digest(key):
+    assert _trajectory_digest(key, run_replica) == TRAJECTORY_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", list(TRAJECTORY_DIGESTS), ids=_case_id)
+def test_trajectory_digest_python_kernel(key):
+    assert _trajectory_digest(key, oracle_replica) == TRAJECTORY_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", list(EVENT_LOG_DIGESTS), ids=_case_id)
+def test_event_log_digest(key):
+    assert _event_log_digest(key, run_replica, emit_event_log) \
         == EVENT_LOG_DIGESTS[key]
 
 
 @pytest.mark.parametrize("key", list(EVENT_LOG_DIGESTS), ids=_case_id)
-def test_event_log_digest_python_kernel(key, python_kernel):
-    test_event_log_digest(key)
+def test_event_log_digest_python_kernel(key):
+    assert _event_log_digest(key, oracle_replica, oracle.emit_event_log) \
+        == EVENT_LOG_DIGESTS[key]

@@ -1,4 +1,5 @@
-"""Core quantities: frontier, means, survival probability, segments, init."""
+"""Core quantities on the Python oracle (``oracle.py``): frontier, means,
+survival probability, segments, init; and the lattice tables."""
 import math
 import random
 
@@ -6,15 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from techmarket import ConfigError, SimParams
-from techmarket.market import (
-    Lattice,
-    Segment,
-    classify_segment,
-    frontier,
-    init_market,
-    sigma_g_from_sums,
-    survival_probability,
-)
+from techmarket.market import Segment
 
 from conftest import (
     build_market,
@@ -22,6 +15,14 @@ from conftest import (
     random_market,
     site_index,
     vn4_of,
+)
+from oracle import (
+    Lattice,
+    classify_segment,
+    frontier,
+    init_market,
+    sigma_g_from_sums,
+    survival_probability,
 )
 
 
