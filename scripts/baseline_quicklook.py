@@ -26,7 +26,8 @@ def main() -> None:
     print(f"replicas={args.replicas} seed={args.seed} ({elapsed:.1f}s)")
     print(f"N(0)={st.n_mean[0]:.1f}  N(50)={st.n_mean[50]:.1f}  "
           f"N(100)={st.n_mean[100]:.1f}  N(600)={st.n_mean[600]:.1f}")
-    print(f"ratio peak {st.ratio_mean.max():.3f} at t={st.ratio_mean.argmax()}  "
+    peak = max(st.ratio_mean)
+    print(f"ratio peak {peak:.3f} at t={st.ratio_mean.index(peak)}  "
           f"ratio(600)={st.ratio_mean[600]:.3f} (+-{st.ratio_sd[600]:.3f})")
     print(f"tc of ensemble mean: {st.tc_of_mean}   "
           f"per-replica tc: {st.tc_mean:.1f} +- {st.tc_sd:.1f} "

@@ -39,6 +39,10 @@
  *
  * tm_render_events renders event rows as the JSON lines of
  * output.emit_event_log.
+ *
+ * tm_fold and tm_column_stats reduce an ensemble's trajectories to the
+ * statistics of ensemble.run_trajectories, summed in the order numpy's
+ * mean and std sum them, so that the results have numpy's bits.
  */
 #include <math.h>
 #include <stddef.h>
@@ -493,4 +497,54 @@ int64_t tm_render_events(const int64_t *rows, int64_t n_rows, int64_t replica,
         p = rescued ? PUT(p, ",\"rescued\":true}\n") : PUT(p, "}\n");
     }
     return p - out;
+}
+
+/* Fold one replica's trajectory columns, of n_rows rows, into an ensemble's
+ * reductions: its N (as double), <A> and ratio into the rows n_row, a_row and
+ * r_row of the replica-major matrices, its rescues into rescued_sum, and its
+ * renormalisation errors into renorm_max, the largest per row (nan once one
+ * is nan, as numpy.maximum keeps it). Returns the first row whose <A>
+ * reaches threshold, or -1 when none does. */
+int64_t tm_fold(const int64_t *n_firms, const double *mean_tech,
+                const double *ratio, const int64_t *rescued,
+                const double *renorm_error, int64_t n_rows, double *n_row,
+                double *a_row, double *r_row, int64_t *rescued_sum,
+                double *renorm_max, double threshold)
+{
+    int64_t crossing = -1;
+    for (int64_t t = 0; t < n_rows; t++) {
+        n_row[t] = (double)n_firms[t];
+        a_row[t] = mean_tech[t];
+        r_row[t] = ratio[t];
+        rescued_sum[t] += rescued[t];
+        if (renorm_error[t] > renorm_max[t] || isnan(renorm_error[t]))
+            renorm_max[t] = renorm_error[t];
+        if (crossing < 0 && mean_tech[t] >= threshold)
+            crossing = t;
+    }
+    return crossing;
+}
+
+/* Each column's mean and population SD over the n >= 1 rows of the
+ * row-major n x cols matrix x, as numpy's x.mean(axis=0) and x.std(axis=0)
+ * give them for cols >= 2: summed row by row, then divided by n; the SD
+ * sums the squared deviations the same way, divides by n and takes the
+ * square root. (numpy sums a single column pairwise, as a vector.) */
+void tm_column_stats(const double *x, int64_t n, int64_t cols, double *mean,
+                     double *sd)
+{
+    for (int64_t c = 0; c < cols; c++)
+        mean[c] = sd[c] = 0.0;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t c = 0; c < cols; c++)
+            mean[c] += x[i * cols + c];
+    for (int64_t c = 0; c < cols; c++)
+        mean[c] /= (double)n;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t c = 0; c < cols; c++) {
+            double d = x[i * cols + c] - mean[c];
+            sd[c] += d * d;
+        }
+    for (int64_t c = 0; c < cols; c++)
+        sd[c] = sqrt(sd[c] / (double)n);
 }

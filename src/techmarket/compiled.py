@@ -1,4 +1,4 @@
-"""The model's kernel, ``_sweep.c``, built once per machine and loaded with
+"""The model's kernel, ``_sweep.c``, built once per checkout and loaded with
 ctypes: every replica starts from its seed, runs its sweeps and renders its
 event log in C.
 
@@ -7,20 +7,26 @@ buffers for the parameters' lattice, pointing at the trajectory's columns.
 ``start`` seeds its stream and draws its initial market, and
 ``run_sweeps`` runs all of its sweeps in one C call that writes the
 columns in place; the end market and stream stay in the State's buffers.
-The lattice's neighbor tables are shared with C without a copy.
+The lattice's neighbor tables and the trajectory's columns, all ``array``
+buffers, are shared with C without a copy.
 A logged run collects its event rows in a buffer of EVENT_ROWS rows: the
 call pauses before a sweep whose rows might not fit, and is called again
 once the rows are appended to the sink. ``output.emit_event_log`` renders
 the rows through the library's third entry, tm_render_events. The C calls
 release the GIL, so replicas on threads run and render their logs in
-parallel.
+parallel. ``fold`` and ``column_stats`` reduce an ensemble's trajectories
+to its statistics, summed in numpy's order.
 
-``kernel()`` builds the library on first use with gcc into
-``$XDG_CACHE_HOME/techmarket`` (``~/.cache/techmarket`` by default), named
-by a CRC-32 of the source, the compiler and the flags, and loads it. A
-build deletes the libraries left there by other sources or flags.
-Nothing is built at import. When the build or the load fails, ``kernel()``
-raises ConfigError saying why: the package has no other kernel.
+``kernel()`` builds the library on first use with gcc into this
+checkout's directory of ``$XDG_CACHE_HOME/techmarket`` (``~/.cache`` by
+default), named by a CRC-32 of the source, the compiler and the flags, and
+loads it. Each checkout keeps its own directory, so checkouts with
+different sources never delete each other's library. A build deletes the
+libraries left in its directory by other sources or flags, and the
+directories of checkouts whose source is gone. Nothing is built at import. When the build or the load fails, ``kernel()``
+raises ConfigError saying why: the package has no other kernel. A process
+tries at most once: later calls raise the same error without running the
+compiler again.
 """
 from __future__ import annotations
 
@@ -93,8 +99,11 @@ _OK, _RENORM_ABOVE_TOLERANCE, _PAUSED = range(3)
 
 
 def cache_dir() -> Path:
+    """This checkout's directory in the cache, named by a CRC-32 of the
+    source's absolute path."""
     base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    return Path(base) / "techmarket"
+    checkout = zlib.crc32(str(SOURCE.resolve()).encode())
+    return Path(base) / "techmarket" / f"src-{checkout:08x}"
 
 
 def _build(path: Path) -> None:
@@ -117,28 +126,55 @@ def _build(path: Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-@functools.cache
+def _prune(path: Path) -> None:
+    """After ``path`` is built: delete the other libraries in its directory
+    and the directories of checkouts whose source is gone, and mark this
+    checkout's directory with a symbolic link to its source. Libraries that
+    a process has loaded stay mapped."""
+    import shutil  # here, as subprocess in _build
+
+    for stale in set(path.parent.glob("sweep-*.so")) - {path}:
+        with contextlib.suppress(OSError):
+            stale.unlink()
+    for mark in path.parent.parent.glob("src-*.source"):
+        with contextlib.suppress(OSError):
+            if not mark.exists():  # the link dangles: that checkout is gone
+                shutil.rmtree(mark.with_suffix(""), ignore_errors=True)
+                mark.unlink()
+    mark = path.parent.with_suffix(".source")
+    with contextlib.suppress(OSError):
+        if not mark.is_symlink():
+            mark.symlink_to(SOURCE.resolve())
+
+
 def kernel() -> ctypes.CDLL:
     """The kernel's library, built first if the cache lacks it. Raises
     ConfigError, naming the reason, when it cannot be built or loaded."""
+    lib = _load()
+    if isinstance(lib, str):
+        raise ConfigError(lib)
+    return lib
+
+
+@functools.cache
+def _load() -> ctypes.CDLL | str:
+    """``kernel()``'s library, or the reason it cannot be had: a cached
+    failure is not retried, so the compiler runs at most once."""
     # crc32 and not hashlib, whose OpenSSL adds 3.4 MB to the resident set
     key = SOURCE.read_bytes() + " ".join((COMPILER, *FLAGS)).encode()
     path = cache_dir() / f"sweep-{zlib.crc32(key):08x}.so"
     try:
         if not path.exists():
             _build(path)
-            with contextlib.suppress(OSError):  # loaded copies stay mapped
-                for stale in set(path.parent.glob("sweep-*.so")) - {path}:
-                    stale.unlink()
+            _prune(path)
         lib = ctypes.CDLL(str(path))
     except OSError as exc:  # failed build, unwritable cache, bad library
-        raise ConfigError(f"cannot build or load the sweep kernel with "
-                          f"{COMPILER}: {exc}") from None
+        return f"cannot build or load the sweep kernel with {COMPILER}: {exc}"
     lib.tm_state_size.argtypes = []
     lib.tm_state_size.restype = ctypes.c_size_t
     if lib.tm_state_size() != ctypes.sizeof(_State):
-        raise ConfigError(f"the sweep kernel in {path} does not match "
-                          f"compiled.py: State layout mismatch")
+        return (f"the sweep kernel in {path} does not match compiled.py: "
+                f"State layout mismatch")
     lib.tm_init.argtypes = [ctypes.POINTER(_State), ctypes.c_uint64, _I64,
                             _I64]
     lib.tm_init.restype = None
@@ -148,7 +184,18 @@ def kernel() -> ctypes.CDLL:
     lib.tm_event_line_max.restype = ctypes.c_size_t
     lib.tm_render_events.argtypes = [_P_I64, _I64, _I64, ctypes.c_char_p]
     lib.tm_render_events.restype = _I64
+    lib.tm_fold.argtypes = [_P_I64, _P_F64, _P_F64, _P_I64, _P_F64, _I64,
+                            _P_F64, _P_F64, _P_F64, _P_I64, _P_F64, _F64]
+    lib.tm_fold.restype = _I64
+    lib.tm_column_stats.argtypes = [_P_F64, _I64, _I64, _P_F64, _P_F64]
+    lib.tm_column_stats.restype = None
     return lib
+
+
+def _view(ctype, buffer, n: int, row: int = 0) -> ctypes.Array:
+    """Row ``row`` of ``n`` ``ctype`` items of a writable buffer, without a
+    copy. Raises ValueError when the buffer is too short for it."""
+    return (ctype * n).from_buffer(buffer, row * n * ctypes.sizeof(ctype))
 
 
 def new_state(params: SimParams, trajectory: Trajectory,
@@ -156,7 +203,9 @@ def new_state(params: SimParams, trajectory: Trajectory,
     """A State of ``params`` with zeroed buffers for its lattice, writing
     one row of ``trajectory``, a ``Trajectory.empty``, per sweep; with
     ``logged``, also an event buffer. The struct keeps the ctypes arrays it
-    points into alive, and the from_buffer views keep the tables."""
+    points into alive, and the from_buffer views keep the tables and the
+    columns."""
+    rows = len(trajectory.n_firms)
     n_sites = params.lx * params.ly
     cap = 2 * n_sites  # see State.id in _sweep.c
     vn4, moore8 = neighbor_tables(params.lx, params.ly)
@@ -172,13 +221,13 @@ def new_state(params: SimParams, trajectory: Trajectory,
         occ=(_I32 * n_sites)(), id=(_I64 * cap)(), tech=(_F64 * cap)(),
         share=(_F64 * cap)(), site=(_I32 * cap)(), order=(_I32 * cap)(),
         mt=(ctypes.c_uint32 * _MT_WORDS)(),
-        n_rows=len(trajectory.n_firms),
-        n_firms=trajectory.n_firms.ctypes.data_as(_P_I64),
-        rescued=trajectory.rescued.ctypes.data_as(_P_I64),
-        bankrupted=trajectory.bankrupted.ctypes.data_as(_P_I64),
-        mean_tech=trajectory.mean_tech.ctypes.data_as(_P_F64),
-        ratio=trajectory.ratio.ctypes.data_as(_P_F64),
-        renorm_error=trajectory.renorm_error.ctypes.data_as(_P_F64),
+        n_rows=rows,
+        n_firms=_view(_I64, trajectory.n_firms, rows),
+        rescued=_view(_I64, trajectory.rescued, rows),
+        bankrupted=_view(_I64, trajectory.bankrupted, rows),
+        mean_tech=_view(_F64, trajectory.mean_tech, rows),
+        ratio=_view(_F64, trajectory.ratio, rows),
+        renorm_error=_view(_F64, trajectory.renorm_error, rows),
         events=(_I64 * (EVENT_FIELDS * max_events))() if logged else None,
         max_events=max_events)
 
@@ -215,3 +264,38 @@ def run_sweeps(state: _State, events: Optional[array] = None) -> None:
     if status == _RENORM_ABOVE_TOLERANCE:
         raise renorm_failure(state.renorm_error[state.row], state.sweep)
 
+
+def fold(trajectory: Trajectory, k: int, n_mat: array, a_mat: array,
+         r_mat: array, rescued_sum: array, renorm_max: array,
+         threshold: float) -> Optional[int]:
+    """Fold replica k's trajectory into an ensemble's reductions, as
+    _sweep.c's tm_fold describes: row k of the replica-major 'd' matrices
+    ``n_mat``, ``a_mat`` and ``r_mat``, and the per-row sums and maxima
+    ``rescued_sum`` ('q') and ``renorm_max`` ('d'), each of
+    ``len(rescued_sum)`` rows. Returns the first row whose mean technology
+    reaches ``threshold``, or None."""
+    rows = len(rescued_sum)
+    crossing = kernel().tm_fold(
+        _view(_I64, trajectory.n_firms, rows),
+        _view(_F64, trajectory.mean_tech, rows),
+        _view(_F64, trajectory.ratio, rows),
+        _view(_I64, trajectory.rescued, rows),
+        _view(_F64, trajectory.renorm_error, rows), rows,
+        _view(_F64, n_mat, rows, k), _view(_F64, a_mat, rows, k),
+        _view(_F64, r_mat, rows, k), _view(_I64, rescued_sum, rows),
+        _view(_F64, renorm_max, rows), threshold)
+    return None if crossing < 0 else crossing
+
+
+def column_stats(matrix: array, cols: int) -> tuple[array, array]:
+    """Each column's mean and population SD over the rows of ``matrix``, a
+    non-empty row-major 'd' array of ``cols`` columns, summed row by row:
+    bit for bit numpy's mean and std over axis 0 when ``cols`` >= 2 (see
+    tm_column_stats)."""
+    n = len(matrix) // cols
+    if n < 1:
+        raise ValueError("column_stats needs at least one row")
+    mean, sd = array("d", [0.0]) * cols, array("d", [0.0]) * cols
+    kernel().tm_column_stats(_view(_F64, matrix, n * cols), n, cols,
+                             _view(_F64, mean, cols), _view(_F64, sd, cols))
+    return mean, sd

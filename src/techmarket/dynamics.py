@@ -54,7 +54,8 @@ A replica runs in the compiled kernel (``_sweep.c``, loaded by
 and one runs all of its sweeps and writes a ``Trajectory``: per sweep N,
 the weighted mean technology and its ratio to the frontier at the sweep's
 start, and the rescues, bankruptcies and renormalization error of the
-sweep, plus one last row holding only the state at the end.
+sweep, plus one last row holding only the state at the end. Its columns
+are ``array`` buffers, which the kernel writes in place.
 ``tests/oracle.py`` holds the same model in Python, step for step, and is
 the reference the kernel is tested against.
 
@@ -68,10 +69,9 @@ active variant it may accompany an action kind), else 0.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
-
-import numpy as np
 
 from .errors import IntegrityError
 from .market import Segment
@@ -104,28 +104,30 @@ class EventKind(IntEnum):
 EVENT_FIELDS = 6
 
 
-#: dtypes of Trajectory's columns, in field order.
-_COLUMN_DTYPES = (np.int64, np.float64, np.float64, np.int64, np.int64,
-                  np.float64)
+#: array typecodes of Trajectory's columns, in field order: int64 and
+#: float64.
+_COLUMN_TYPES = "qddqqd"
 #: Bytes a Trajectory holds per row: six 8-byte columns.
-ROW_BYTES = 8 * len(_COLUMN_DTYPES)
+ROW_BYTES = 8 * len(_COLUMN_TYPES)
 
 
 @dataclass(slots=True)
 class Trajectory:
     """Per-sweep time series of one run; row k holds its k-th sweep."""
 
-    n_firms: np.ndarray       # N(t) at sweep start
-    mean_tech: np.ndarray     # weighted mean technology at sweep start
-    ratio: np.ndarray         # mean_tech / frontier(t)
-    rescued: np.ndarray       # rescues fired during sweep t (0 in the last row)
-    bankrupted: np.ndarray    # bankruptcies during sweep t (0 in the last row)
-    renorm_error: np.ndarray  # share renormalization error of sweep t (0 in the last row)
+    n_firms: array       # 'q': N(t) at sweep start
+    mean_tech: array     # 'd': weighted mean technology at sweep start
+    ratio: array         # 'd': mean_tech / frontier(t)
+    # sweep t's rescues ('q'), bankruptcies ('q') and share renormalization
+    # error ('d'); 0 in the last row
+    rescued: array
+    bankrupted: array
+    renorm_error: array
 
     @classmethod
     def empty(cls, rows: int) -> Trajectory:
         """Zeroed columns of ``rows`` rows, for the kernel to write."""
-        return cls(*(np.zeros(rows, dtype) for dtype in _COLUMN_DTYPES))
+        return cls(*(array(code, [0]) * rows for code in _COLUMN_TYPES))
 
 
 def renorm_failure(err: float, t: int) -> IntegrityError:

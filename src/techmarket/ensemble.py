@@ -10,7 +10,14 @@ ensemble's own (see ``run_trajectories``). No replica leaves the process,
 and the statistics and event logs are identical at any thread count.
 
 Across-replica spread is reported as the population standard deviation
-(divide by n), matching descriptive +-1 SD bands.
+(divide by n), matching descriptive +-1 SD bands. The statistics are
+summed in the order numpy's ``mean`` and ``std`` sum, so they have numpy's
+bits without importing it: a (replicas x sweeps) matrix with two or more
+sweeps row by row in the compiled kernel (``compiled.fold`` and
+``compiled.column_stats``), and a vector, which is the catch-up times or
+a single sweep, pairwise by ``_vector_stats``. Per-sweep statistics are
+``array`` objects: 'q' for t and rescued_sum, 'd' for the rest;
+``numpy.asarray`` views them without a copy.
 
 The ensemble store (``stored_ensemble``) shares ensembles between the cells
 of every scenario run in one process. Per parameter set other than t_max
@@ -25,12 +32,11 @@ process ends.
 from __future__ import annotations
 
 import io
+import math
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, TextIO
-
-import numpy as np
 
 from . import compiled
 from .dynamics import Trajectory
@@ -48,16 +54,16 @@ class EnsembleStats:
     """Across-replica mean and population SD per sweep, plus catch-up times."""
 
     n_replicas: int
-    t: np.ndarray
-    n_mean: np.ndarray
-    n_sd: np.ndarray
-    a_mean: np.ndarray
-    a_sd: np.ndarray
-    ratio_mean: np.ndarray
-    ratio_sd: np.ndarray
-    rescued_sum: np.ndarray     # total rescues per sweep over all replicas
-    renorm_error: np.ndarray    # largest renormalization error per sweep
-    tc_values: np.ndarray       # per-replica crossing sweep (nan if never)
+    t: array
+    n_mean: array
+    n_sd: array
+    a_mean: array
+    a_sd: array
+    ratio_mean: array
+    ratio_sd: array
+    rescued_sum: array          # total rescues per sweep over all replicas
+    renorm_error: array         # largest renormalization error per sweep
+    tc_values: array            # per-replica crossing sweep (nan if never)
     tc_mean: float              # mean over replicas that crossed (nan if none)
     tc_sd: float                # population SD over replicas that crossed
     fraction_reached: float     # share of replicas that crossed within t_max
@@ -90,8 +96,8 @@ def run_replica(params: SimParams, replica_seed: int,
 
 def estimate_tc(mean_tech_series: Sequence[float]) -> Optional[int]:
     """First sweep at which the series reaches TC_THRESHOLD, or None."""
-    hits = np.nonzero(np.asarray(mean_tech_series) >= TC_THRESHOLD)[0]
-    return int(hits[0]) if hits.size else None
+    return next((t for t, a in enumerate(mean_tech_series)
+                 if a >= TC_THRESHOLD), None)
 
 
 def replica_seeds(base_seed: int, n_replicas: int) -> list[int]:
@@ -101,10 +107,11 @@ def replica_seeds(base_seed: int, n_replicas: int) -> list[int]:
 def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
                      event_log: Optional[TextIO] = None) -> EnsembleStats:
     """The statistics of an ensemble from base seed ``params.seed``, whose
-    replicas run ``jobs`` at a time. In replica order, each replica's N,
-    mean technology and ratio rows are copied into (replicas x sweeps)
-    matrices, 24 bytes per replica and sweep, and its other reductions
-    updated; then its trajectory is dropped.
+    replicas run ``jobs`` at a time. In replica order, each replica is
+    folded in by the kernel: its N, mean technology and ratio rows are
+    copied into (replicas x sweeps) matrices, 24 bytes per replica and
+    sweep, and its other reductions updated; then its trajectory is
+    dropped.
 
     When min(jobs, n_replicas) > 1, the replicas run on a thread executor
     of the call's own, as the kernel's C calls release the GIL. It is shut
@@ -137,10 +144,11 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
         return trajectory, text.getvalue()
 
     rows = params.t_max + 1
-    n_mat, a_mat, r_mat = (np.empty((n_replicas, rows)) for _ in range(3))
-    rescued_sum = np.zeros(rows, np.int64)
-    renorm_error = np.zeros(rows)
-    tc_vals = np.full(n_replicas, np.nan)
+    n_mat, a_mat, r_mat = (array("d", [0.0]) * (n_replicas * rows)
+                           for _ in range(3))
+    rescued_sum = array("q", [0]) * rows
+    renorm_error = array("d", [0.0]) * rows
+    tc_vals = array("d", [math.nan]) * n_replicas
     workers = min(jobs, n_replicas)
     executor = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
@@ -154,13 +162,9 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
                 raise
             if text is not None:
                 event_log.write(text)
-            n_mat[k] = trajectory.n_firms
-            a_mat[k] = trajectory.mean_tech
-            r_mat[k] = trajectory.ratio
-            rescued_sum += trajectory.rescued
-            np.maximum(renorm_error, trajectory.renorm_error,
-                       out=renorm_error)
-            if (tc := estimate_tc(trajectory.mean_tech)) is not None:
+            tc = compiled.fold(trajectory, k, n_mat, a_mat, r_mat,
+                               rescued_sum, renorm_error, TC_THRESHOLD)
+            if tc is not None:
                 tc_vals[k] = tc
             # not held while the next replica runs (the text is: freeing it
             # lets malloc trim pages that the next replica's text faults in)
@@ -168,41 +172,83 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
     finally:
         if executor is not None:
             executor.shutdown(cancel_futures=True)
+    n_mean, n_sd = _column_stats(n_mat, rows)
+    a_mean, a_sd = _column_stats(a_mat, rows)
+    ratio_mean, ratio_sd = _column_stats(r_mat, rows)
     return _stats({
-        "t": np.arange(rows, dtype=np.int64),
-        "n_mean": n_mat.mean(axis=0),
-        "n_sd": n_mat.std(axis=0),
-        "a_mean": a_mat.mean(axis=0),
-        "a_sd": a_mat.std(axis=0),
-        "ratio_mean": r_mat.mean(axis=0),
-        "ratio_sd": r_mat.std(axis=0),
+        "t": array("q", range(rows)),
+        "n_mean": n_mean, "n_sd": n_sd,
+        "a_mean": a_mean, "a_sd": a_sd,
+        "ratio_mean": ratio_mean, "ratio_sd": ratio_sd,
         "rescued_sum": rescued_sum,
         "renorm_error": renorm_error,
     }, tc_vals)
 
 
-def _stats(rows: dict[str, np.ndarray], tc_vals: np.ndarray) -> EnsembleStats:
+def _pairwise_sum(x: Sequence[float]) -> float:
+    """numpy's sum of a float64 vector: in order below 8 values, in 8
+    interleaved accumulators up to 128, and above that the sums of two
+    halves split at a multiple of 8."""
+    n = len(x)
+    if n < 8:
+        total = 0.0
+        for v in x:
+            total += v
+        return total
+    if n <= 128:
+        r = list(x[:8])
+        for i in range(8, n - n % 8, 8):
+            for j in range(8):
+                r[j] += x[i + j]
+        total = (((r[0] + r[1]) + (r[2] + r[3]))
+                 + ((r[4] + r[5]) + (r[6] + r[7])))
+        for v in x[n - n % 8:]:
+            total += v
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+
+
+def _vector_stats(x: Sequence[float]) -> tuple[float, float]:
+    """numpy's mean and std of a non-empty float64 vector."""
+    mean = _pairwise_sum(x) / len(x)
+    return mean, math.sqrt(_pairwise_sum([(v - mean) * (v - mean)
+                                          for v in x]) / len(x))
+
+
+def _column_stats(matrix: array, cols: int) -> tuple[array, array]:
+    """numpy's mean and std over axis 0 of a (replicas x cols) matrix,
+    which sums a single column as a vector."""
+    if cols > 1:
+        return compiled.column_stats(matrix, cols)
+    mean, sd = _vector_stats(matrix)
+    return array("d", [mean]), array("d", [sd])
+
+
+def _stats(rows: dict[str, array], tc_vals: array) -> EnsembleStats:
     """EnsembleStats from its per-sweep rows and per-replica crossings."""
-    crossed = ~np.isnan(tc_vals)
+    crossed = [tc for tc in tc_vals if not math.isnan(tc)]
+    tc_mean, tc_sd = (_vector_stats(crossed) if crossed
+                      else (math.nan, math.nan))
     return EnsembleStats(
         n_replicas=len(tc_vals),
         **rows,
         tc_values=tc_vals,
-        tc_mean=float(tc_vals[crossed].mean()) if crossed.any() else float("nan"),
-        tc_sd=float(tc_vals[crossed].std()) if crossed.any() else float("nan"),
-        fraction_reached=float(crossed.mean()),
+        tc_mean=tc_mean,
+        tc_sd=tc_sd,
+        fraction_reached=len(crossed) / len(tc_vals),
         tc_of_mean=estimate_tc(rows["a_mean"]),
-        max_renorm_error=float(rows["renorm_error"].max()),
+        max_renorm_error=max(rows["renorm_error"]),
     )
 
 
 def _slice(stats: EnsembleStats, t_max: int) -> EnsembleStats:
     """The statistics of the same ensemble run only to sweep t_max."""
-    rows = {name: getattr(stats, name)[:t_max + 1].copy()
-            for name in _ROW_FIELDS}
+    rows = {name: getattr(stats, name)[:t_max + 1] for name in _ROW_FIELDS}
     rows["rescued_sum"][t_max] = 0  # a run's last row has no sweep after it
     rows["renorm_error"][t_max] = 0.0
-    tc_vals = np.where(stats.tc_values <= t_max, stats.tc_values, np.nan)
+    tc_vals = array("d", (tc if tc <= t_max else math.nan
+                          for tc in stats.tc_values))
     return _stats(rows, tc_vals)
 
 

@@ -4,8 +4,8 @@ Each replica owns one stream, seeded from a 64-bit seed derived through
 numpy's ``SeedSequence`` algorithm, so replica k's stream is a pure
 function of ``(base_seed, k)`` and replicas can run in any order or in
 parallel without affecting results. The seed derivation is a pure-Python
-port, which keeps ``numpy.random`` (about 6 MB of resident memory) out of
-the process.
+port: the package imports no numpy, and tests check the port against
+``numpy.random.SeedSequence``.
 
 The stream itself lives in the compiled kernel: MT19937 seeded as
 ``random.Random(seed)`` is, consumed only through ``random()``'s 53-bit

@@ -104,7 +104,7 @@ def _curve_final(stats: EnsembleStats, horizon: int) -> bool:
     """Whether every replica and the ensemble mean crossed by ``horizon``:
     a longer run then gives the same crossings, so the same curve row."""
     return (stats.tc_of_mean is not None and stats.tc_of_mean <= horizon
-            and bool((stats.tc_values <= horizon).all()))
+            and all(tc <= horizon for tc in stats.tc_values))
 
 
 def run_scenario(name: str, base: SimParams, controls: RunControls,

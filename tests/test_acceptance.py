@@ -238,7 +238,7 @@ def test_criterion_02_survival_probability_oracle():
 def test_criterion_03_free_market_baseline(baseline_q0):
     stats, elapsed = baseline_q0
     n0 = stats.n_mean[0]
-    argmax = int(stats.ratio_mean.argmax())
+    argmax = int(np.asarray(stats.ratio_mean).argmax())
     _verdict(3, "free-market-baseline", [
         (f"N(50)={stats.n_mean[50]:.2f}<0.5*N(0)={0.5 * n0:.0f}",
          stats.n_mean[50] < 0.5 * n0),
@@ -269,8 +269,8 @@ def test_criterion_05_hightech_null_result(baseline_q0, hightech_q99,
     clauses = []
     for t in range(100, 601, 100):
         clauses += _small_next_to_medium(base, ht, mediumtech_q99, t)
-    rescued = int(ht.rescued_sum.sum())
-    rescued_medium = int(mediumtech_q99.rescued_sum.sum())
+    rescued = int(np.asarray(ht.rescued_sum).sum())
+    rescued_medium = int(np.asarray(mediumtech_q99.rescued_sum).sum())
     clauses.append((
         f"rescued={rescued}<{SMALL_VS_MEDIUM:g}*rescued_med="
         f"{SMALL_VS_MEDIUM * rescued_medium:.0f}",
@@ -281,7 +281,7 @@ def test_criterion_05_hightech_null_result(baseline_q0, hightech_q99,
 def test_criterion_06_lowtech_policy(baseline_q0, lowtech_q99, mediumtech_q99):
     base, _ = baseline_q0
     lt = lowtech_q99
-    rescues = lt.rescued_sum.astype(float)
+    rescues = np.asarray(lt.rescued_sum).astype(float)
     early_share = rescues[:200].sum() / rescues.sum()
     _verdict(6, "lowtech-policy", [
         (f"rescues in t<200: {early_share:.0%}>50%", early_share > 0.5),
@@ -304,7 +304,7 @@ def test_criterion_07_tc_divergence(tc_grid):
 def test_criterion_08_variant_contrast(variant_pair):
     passive, active = variant_pair
     n0 = active.n_mean[0]
-    min_n = float(active.n_mean.min())
+    min_n = float(np.asarray(active.n_mean).min())
     _verdict(8, "variant-contrast", [
         (f"active min mean N={min_n:.1f}>0.7*N(0)={0.7 * n0:.0f}",
          min_n > 0.7 * n0),

@@ -235,7 +235,7 @@ def test_replicas_run_on_the_compiled_kernel(monkeypatch):
 
     monkeypatch.setattr(random.Random, "seed", no_stream)
     monkeypatch.setattr(oracle, "init_market", no_stream)
-    assert run_replica(SimParams(t_max=20), 7).n_firms.size == 21
+    assert len(run_replica(SimParams(t_max=20), 7).n_firms) == 21
 
 
 @pytest.mark.parametrize("params", [
@@ -300,9 +300,9 @@ def test_share_drift_raises_the_python_message():
 @pytest.fixture
 def fresh_kernel():
     """The test loads the kernel from scratch; later tests load it again."""
-    compiled.kernel.cache_clear()
+    compiled._load.cache_clear()
     yield
-    compiled.kernel.cache_clear()
+    compiled._load.cache_clear()
 
 
 @pytest.mark.parametrize("flags", [[], ["--events"]],
@@ -339,6 +339,33 @@ def test_compile_error_leaves_nothing_in_the_cache(monkeypatch, tmp_path,
     assert not any((tmp_path / "cache").iterdir())
 
 
+def test_build_failure_runs_the_compiler_once(monkeypatch, tmp_path,
+                                              fresh_kernel):
+    """A process that cannot build the kernel tries once: a second call
+    raises the same error without running the compiler again."""
+    import subprocess
+
+    runs = []
+    real_run = subprocess.run
+
+    def counted(args, **kwargs):
+        runs.append(args[0])
+        return real_run(args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counted)
+    monkeypatch.setattr(compiled, "COMPILER", "false")  # exits 1
+    monkeypatch.setattr(compiled, "cache_dir", lambda: tmp_path / "cache")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ConfigError) as info:
+            compiled.kernel()
+        errors.append(str(info.value))
+    assert runs == ["false"]
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("cannot build or load the sweep kernel "
+                                "with false: ")
+
+
 def test_parent_builds_once_and_workers_never(monkeypatch, tmp_path,
                                               fresh_kernel):
     builds = tmp_path / "builds"
@@ -372,6 +399,35 @@ def test_build_deletes_only_stale_libraries(monkeypatch, tmp_path,
     assert sorted(p.name for p in cache.iterdir()) == sorted(
         ["notes.txt", *built])
     assert (cache / "notes.txt").read_text() == "keep\n"
+
+
+def test_checkouts_keep_their_own_libraries(monkeypatch, tmp_path,
+                                            fresh_kernel):
+    """Checkouts with different sources build into directories of their
+    own, so neither deletes the other's library; a build removes the
+    directory of a checkout whose source is gone."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    text = compiled.SOURCE.read_text()
+    libraries = {}
+    for name in ("a", "b", "c"):
+        source = tmp_path / name / "_sweep.c"
+        source.parent.mkdir()
+        source.write_text(f"{text}/* checkout {name} */\n")
+        monkeypatch.setattr(compiled, "SOURCE", source)
+        compiled._load.cache_clear()
+        compiled.kernel()
+        (libraries[name],) = compiled.cache_dir().glob("sweep-*.so")
+        if name == "b":
+            assert libraries["a"].exists()  # b deleted nothing of a's
+            (tmp_path / "a" / "_sweep.c").unlink()
+    root = tmp_path / "cache" / "techmarket"
+    assert len({lib.parent for lib in libraries.values()}) == 3
+    assert not libraries["a"].parent.exists()
+    assert sorted(p.name for p in root.iterdir()) == sorted(
+        name for lib in libraries.values() if lib.exists()
+        for name in (lib.parent.name, f"{lib.parent.name}.source"))
+    assert (root / f"{libraries['b'].parent.name}.source").resolve() == (
+        tmp_path / "b" / "_sweep.c")
 
 
 def test_event_log_run_uses_the_compiled_kernel(monkeypatch, tmp_path):

@@ -555,7 +555,7 @@ class TestScenarios:
             # and the ensemble mean crossed, and tmax if there is none
             horizons = []
             for st in ensembles:
-                last = (max(st.tc_values.max(), st.tc_of_mean)
+                last = (max(np.asarray(st.tc_values).max(), st.tc_of_mean)
                         if st.fraction_reached == 1 and st.tc_of_mean is not None
                         else math.inf)
                 horizons.append(next(
@@ -740,6 +740,32 @@ def test_cli_import_loads_no_process_pool(tmp_path):
     assert error.startswith("cannot build or load the sweep kernel with ")
     assert "not-a-directory" in error
     assert loaded == "[]"
+
+
+def test_runs_without_numpy(tmp_path):
+    """numpy is a test dependency only: a custom run with events in an
+    interpreter that cannot import it exits 0 and writes the same CSV and
+    event log as a run here."""
+    compiled.kernel()  # built into the cache the child reads
+    src = Path(__file__).parents[1] / "src"
+    args = ["--q", "0.9", "--policy", "mediumtech", "--tmax", "12",
+            "--replicas", "3", "--seed", "8", "--events"]
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"  # any import of it fails
+            "from techmarket.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    run = subprocess.run(
+        [sys.executable, "-c", code, *args, "--out", str(tmp_path / "bare")],
+        capture_output=True, text=True, env=dict(os.environ,
+                                                 PYTHONPATH=str(src)))
+    assert run.returncode == 0, run.stderr
+    assert main([*args, "--out", str(tmp_path / "here")]) == 0
+    names = sorted(p.name for p in (tmp_path / "here").iterdir()
+                   if p.suffix in (".csv", ".jsonl"))
+    assert len(names) == 2
+    for name in names:
+        assert (tmp_path / "bare" / name).read_bytes() \
+            == (tmp_path / "here" / name).read_bytes(), name
 
 
 def test_package_root_exports_the_entry_points():

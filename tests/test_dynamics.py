@@ -296,7 +296,7 @@ class TestSweep:
         m = random_market(random.Random(2), n_min=6, n_max=10)
         n_start = len(m.firms)
         tr = run(m, params, rng, 40)
-        assert not tr.bankrupted.any()
+        assert not np.asarray(tr.bankrupted).any()
         assert tr.n_firms[0] == n_start and (np.diff(tr.n_firms) >= 0).all()
 
     def test_no_bankruptcies_at_firm_floor(self):
@@ -307,8 +307,8 @@ class TestSweep:
                  for x in range(4) for y in range(4)]
         m = build_market(lx=4, ly=4, firms=firms)
         tr = run(m, params, rng, 20)
-        assert not tr.bankrupted.any()
-        assert not tr.rescued.any()  # check skipped entirely
+        assert not np.asarray(tr.bankrupted).any()
+        assert not np.asarray(tr.rescued).any()  # check skipped entirely
 
     def test_bankruptcies_resume_above_floor(self):
         params = SimParams(q=0.0, lx=6, ly=6, n_min=2)

@@ -7,11 +7,12 @@ import sys
 import threading
 import time
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from techmarket import (
     EnsembleStats,
@@ -125,8 +126,8 @@ class TestRunEnsemble:
         st = run_ensemble(p, 1)
         tr = run_replica(p, derive_seed(p.seed, 0))
         assert np.array_equal(st.a_mean, tr.mean_tech)
-        assert np.all(st.a_sd == 0.0)
-        assert np.all(st.n_sd == 0.0)
+        assert np.all(np.asarray(st.a_sd) == 0.0)
+        assert np.all(np.asarray(st.n_sd) == 0.0)
 
     def test_parallel_matches_serial(self):
         p = small_params(t_max=40)
@@ -158,18 +159,88 @@ class TestRunEnsemble:
     def test_constant_synthetic_ensemble(self, monkeypatch):
         import techmarket.ensemble as ens
 
-        row = np.full(5, 3.0)
-
         def synthetic(params, seed, events=None):
-            return Trajectory(np.full(5, 7), row.copy(), row.copy(),
-                              np.zeros(5, int), np.zeros(5, int), np.zeros(5))
+            return Trajectory(array("q", [7] * 5), array("d", [3.0] * 5),
+                              array("d", [3.0] * 5), array("q", [0] * 5),
+                              array("q", [0] * 5), array("d", [0.0] * 5))
 
         monkeypatch.setattr(ens, "run_replica", synthetic)
         st = ens.run_trajectories(small_params(t_max=4), 4)
-        assert np.all(st.a_mean == 3.0) and np.all(st.a_sd == 0.0)
-        assert np.all(st.n_mean == 7.0) and np.all(st.n_sd == 0.0)
+        assert np.all(np.asarray(st.a_mean) == 3.0)
+        assert np.all(np.asarray(st.a_sd) == 0.0)
+        assert np.all(np.asarray(st.n_mean) == 7.0)
+        assert np.all(np.asarray(st.n_sd) == 0.0)
         assert st.tc_of_mean == 0  # constant 3.0 >= 1 from the start
         assert st.fraction_reached == 1.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_replicas=st.integers(1, 300), rows=st.integers(1, 6),
+           data_seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 1e-3, 1e6]))
+    @example(n_replicas=1, rows=1, data_seed=0, scale=1.0)
+    @example(n_replicas=8, rows=1, data_seed=1, scale=1.0)
+    @example(n_replicas=129, rows=1, data_seed=2, scale=1e6)
+    @example(n_replicas=300, rows=1, data_seed=3, scale=1.0)
+    @example(n_replicas=300, rows=6, data_seed=4, scale=1e-3)
+    def test_statistics_match_numpy_bit_for_bit(self, n_replicas, rows,
+                                                data_seed, scale):
+        """Synthetic trajectories through run_trajectories: every statistic
+        has the bits of numpy's mean, std(axis=0), sum, max and 1-D
+        mean/std, with rows == 1 (a vector to numpy, summed pairwise) and
+        replicas that never cross among the cases."""
+        import techmarket.ensemble as ens
+
+        gen = np.random.default_rng(data_seed)
+        n_firms = gen.integers(1, 100, (n_replicas, rows))
+        mean_tech = gen.uniform(0.0, 1.2, (n_replicas, rows))
+        ratio = gen.uniform(0.0, 1.0, (n_replicas, rows)) * scale
+        rescued = gen.integers(0, 50, (n_replicas, rows))
+        renorm = gen.uniform(0.0, 1e-12, (n_replicas, rows))
+        params = small_params(t_max=rows - 1)
+        index = {seed: k for k, seed in
+                 enumerate(replica_seeds(params.seed, n_replicas))}
+
+        def synthetic(params, seed, events=None):
+            k = index[seed]
+            return Trajectory(
+                array("q", n_firms[k].tolist()),
+                array("d", mean_tech[k].tolist()),
+                array("d", ratio[k].tolist()),
+                array("q", rescued[k].tolist()), array("q", [0] * rows),
+                array("d", renorm[k].tolist()))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ens, "run_replica", synthetic)
+            stats = ens.run_trajectories(params, n_replicas)
+
+        n_mat = n_firms.astype(float)
+        crossing = [np.flatnonzero(row >= 1.0) for row in mean_tech]
+        tc_values = np.array([c[0] if c.size else np.nan for c in crossing],
+                             dtype=float)
+        crossed = tc_values[~np.isnan(tc_values)]
+        a_mean = mean_tech.mean(axis=0)
+        want = {
+            "t": np.arange(rows), "n_mean": n_mat.mean(axis=0),
+            "n_sd": n_mat.std(axis=0), "a_mean": a_mean,
+            "a_sd": mean_tech.std(axis=0), "ratio_mean": ratio.mean(axis=0),
+            "ratio_sd": ratio.std(axis=0), "rescued_sum": rescued.sum(axis=0),
+            "renorm_error": renorm.max(axis=0), "tc_values": tc_values,
+        }
+        for name, value in want.items():
+            got = getattr(stats, name)
+            assert got.typecode == ("d" if value.dtype.kind == "f" else "q")
+            assert np.asarray(got).tobytes() == value.tobytes(), name
+        scalars = {
+            "tc_mean": crossed.mean() if crossed.size else np.nan,
+            "tc_sd": crossed.std() if crossed.size else np.nan,
+            "fraction_reached": (~np.isnan(tc_values)).mean(),
+            "max_renorm_error": renorm.max(),
+        }
+        for name, value in scalars.items():
+            assert np.float64(getattr(stats, name)).tobytes() \
+                == np.float64(value).tobytes(), name
+        hits = np.flatnonzero(a_mean >= 1.0)
+        assert stats.tc_of_mean == (int(hits[0]) if hits.size else None)
 
     def test_free_market_always_crosses(self):
         stats = run_ensemble(small_params(t_max=250), 4)
@@ -272,11 +343,11 @@ class TestReplicaFailure:
 
 
 def assert_same_stats(got: EnsembleStats, want: EnsembleStats) -> None:
-    """Every field equal, arrays in dtype and value, nan where nan."""
+    """Every field equal, arrays in typecode and value, nan where nan."""
     for field in dataclasses.fields(EnsembleStats):
         a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype, field.name
+        if isinstance(b, array):
+            assert a.typecode == b.typecode, field.name
             assert np.array_equal(a, b, equal_nan=True), field.name
         elif isinstance(b, float) and math.isnan(b):
             assert math.isnan(a), field.name
