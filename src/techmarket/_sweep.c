@@ -14,8 +14,14 @@
  *   no multiply-add is fused, and without -ffast-math.
  * - exp and sqrt come from the C library's libm, as in CPython's math.
  * - The stream is CPython's MT19937 (_randommodule.c): random() joins two
- *   words as genrand_res53 does; the 624 words and the position are the
- *   ones Random.getstate() returns.
+ *   words as genrand_res53 does. State.mt holds the 624 words and the
+ *   position that Random.getstate() returns, before and after every call.
+ *   Within a call the draws are read from a Stream on the call's stack: a
+ *   block of the 624 words, tempered, which is refilled by twisting State.mt
+ *   and tempering all 624 words in one loop (the block refill of SFMT, Saito
+ *   and Matsumoto 2008, on the same MT19937 sequence). On entry the block
+ *   is tempered from the State's words, as a State may arrive with its
+ *   position anywhere: after a pause, or filled from another stream.
  *
  * compiled.py mirrors the State struct with ctypes and checks its size
  * against tm_state_size() before use.
@@ -93,27 +99,17 @@ size_t tm_state_size(void) { return sizeof(State); }
 #define MT_N 624
 #define MT_M 397
 
-static uint32_t genrand_uint32(uint32_t *mt)
+/* The stream within a call: mt is State.mt, whose position word is stale
+ * until stream_close writes pos back; block[k] is mt[k] tempered for every
+ * k from pos on. */
+typedef struct {
+    uint32_t *mt;
+    uint32_t pos;
+    uint32_t block[MT_N];
+} Stream;
+
+static uint32_t temper(uint32_t y)
 {
-    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
-    uint32_t y;
-    uint32_t pos = mt[MT_N];
-    if (pos >= MT_N) {
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        pos = 0;
-    }
-    y = mt[pos];
-    mt[MT_N] = pos + 1;
     y ^= (y >> 11);
     y ^= (y << 7) & 0x9d2c5680U;
     y ^= (y << 15) & 0xefc60000U;
@@ -121,17 +117,66 @@ static uint32_t genrand_uint32(uint32_t *mt)
     return y;
 }
 
-/* Random.random() */
-static double uniform(uint32_t *mt)
+/* A word's next value in the twist, from its top bit, the low bits of the
+ * word after it and the word MT_M after it (mod MT_N): mag01[y & 1] as a
+ * mask, which -O2 vectorises. */
+static uint32_t twist(uint32_t word, uint32_t next, uint32_t ahead)
 {
-    uint32_t a = genrand_uint32(mt) >> 5, b = genrand_uint32(mt) >> 6;
+    uint32_t y = (word & 0x80000000U) | (next & 0x7fffffffU);
+    return ahead ^ (y >> 1) ^ ((0U - (y & 0x1U)) & 0x9908b0dfU);
+}
+
+/* Twist mt to its next 624 words and temper them into block. -O2
+ * vectorises these loops: the pointers are restrict, and each trip count
+ * is a multiple of four or a tail (224, then 3; 396, then 1; 624). */
+static void refill_block(uint32_t *restrict mt, uint32_t *restrict block)
+{
+    int kk;
+    for (kk = 0; kk < (MT_N - MT_M) / 4 * 4; kk++)
+        mt[kk] = twist(mt[kk], mt[kk + 1], mt[kk + MT_M]);
+    for (; kk < MT_N - MT_M; kk++)
+        mt[kk] = twist(mt[kk], mt[kk + 1], mt[kk + MT_M]);
+    for (; kk < MT_N - 1; kk++)
+        mt[kk] = twist(mt[kk], mt[kk + 1], mt[kk + (MT_M - MT_N)]);
+    mt[MT_N - 1] = twist(mt[MT_N - 1], mt[0], mt[MT_M - 1]);
+    for (kk = 0; kk < MT_N; kk++)
+        block[kk] = temper(mt[kk]);
+}
+
+static void stream_open(Stream *rs, uint32_t *mt)
+{
+    rs->mt = mt;
+    rs->pos = mt[MT_N];
+    for (uint32_t k = rs->pos; k < MT_N; k++)
+        rs->block[k] = temper(mt[k]);
+}
+
+static void stream_close(const Stream *rs)
+{
+    rs->mt[MT_N] = rs->pos;
+}
+
+/* genrand_uint32() */
+static uint32_t next_word(Stream *rs)
+{
+    if (rs->pos >= MT_N) {
+        refill_block(rs->mt, rs->block);
+        rs->pos = 0;
+    }
+    return rs->block[rs->pos++];
+}
+
+/* Random.random() */
+static double uniform(Stream *rs)
+{
+    uint32_t a = next_word(rs) >> 5, b = next_word(rs) >> 6;
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
 /* int(random() * n), clamped to n - 1 for the u -> 1 rounding edge */
-static int64_t pick(uint32_t *mt, int64_t n)
+static int64_t pick(Stream *rs, int64_t n)
 {
-    int64_t k = (int64_t)(uniform(mt) * (double)n);
+    int64_t k = (int64_t)(uniform(rs) * (double)n);
     return k < n ? k : n - 1;
 }
 
@@ -174,15 +219,16 @@ static void seed_stream(uint32_t *mt, uint64_t seed)
  * site draw: tm_run rewrites it before every sweep. */
 void tm_init(State *st, uint64_t seed, int64_t n_sites, int64_t n0)
 {
-    uint32_t *mt = st->mt;
+    Stream rs;
     int32_t *pool = st->order;
-    seed_stream(mt, seed);
+    seed_stream(st->mt, seed);
+    stream_open(&rs, st->mt);
     for (int64_t i = 0; i < n_sites; i++) {
         pool[i] = (int32_t)i;
         st->occ[i] = -1;
     }
     for (int64_t i = 0; i < n0; i++) {
-        int64_t j = i + pick(mt, n_sites - i);
+        int64_t j = i + pick(&rs, n_sites - i);
         int32_t tmp = pool[i];
         pool[i] = pool[j];
         pool[j] = tmp;
@@ -190,7 +236,7 @@ void tm_init(State *st, uint64_t seed, int64_t n_sites, int64_t n0)
     double share = 1.0 / (double)n0;
     for (int64_t f = 0; f < n0; f++) {
         st->id[f] = f;
-        st->tech[f] = uniform(mt);
+        st->tech[f] = uniform(&rs);
         st->share[f] = share;
         st->site[f] = pool[f];
         st->occ[pool[f]] = (int32_t)f;
@@ -198,6 +244,7 @@ void tm_init(State *st, uint64_t seed, int64_t n_sites, int64_t n0)
     st->n_slots = st->n_live = st->next_id = n0;
     st->sweep = st->row = 0;
     st->frontier = 1.0;
+    stream_close(&rs);
 }
 
 static void remove_firm(State *st, int64_t f)
@@ -232,10 +279,9 @@ static int segment_of(const State *st, double tech, double mean)
     return SEGMENT_MEDIUM;
 }
 
-static int interact(State *st, int64_t i, int64_t j)
+static int interact(State *st, Stream *rs, int64_t i, int64_t j)
 {
-    uint32_t *mt = st->mt;
-    if (1.0 - uniform(mt) <= st->b) {
+    if (1.0 - uniform(rs) <= st->b) {
         double share_j = st->share[j], tech_j = st->tech[j];
         remove_firm(st, j);
         if (tech_j > st->tech[i])
@@ -244,7 +290,7 @@ static int interact(State *st, int64_t i, int64_t j)
         st->ws += share_j * st->tech[i];
         return MERGED;
     }
-    int32_t k = st->moore8[8 * (int64_t)st->site[i] + pick(mt, 8)];
+    int32_t k = st->moore8[8 * (int64_t)st->site[i] + pick(rs, 8)];
     if (st->occ[k] >= 0)
         return SPIN_OFF_BLOCKED;
     double d_i = st->share[i] * st->omega_s;
@@ -267,9 +313,8 @@ static int interact(State *st, int64_t i, int64_t j)
     return SPIN_OFF;
 }
 
-static void update_cycle(State *st, int64_t n_order)
+static void update_cycle(State *st, Stream *rs, int64_t n_order)
 {
-    uint32_t *mt = st->mt;
     int32_t *occ = st->occ;
     double frontier = st->frontier;
     for (int64_t v = 0; v < n_order; v++) {
@@ -284,10 +329,10 @@ static void update_cycle(State *st, int64_t n_order)
             double tech = st->tech[f];
             double lag = mean < 1.0 ? mean * frontier - tech : frontier - tech;
             double p = lag > 0.0 ? exp(-st->s * lag) : 1.0;
-            if (1.0 - uniform(mt) > p) {
+            if (1.0 - uniform(rs) > p) {
                 if ((st->segment == SEGMENT_ANY
                      || segment_of(st, tech, mean) == st->segment)
-                        && 1.0 - uniform(mt) <= st->q) {
+                        && 1.0 - uniform(rs) <= st->q) {
                     st->rescued[st->row]++;
                     rescued = 1;
                     if (st->passive)
@@ -307,7 +352,7 @@ static void update_cycle(State *st, int64_t n_order)
         }
         if (kind < 0) {
             int32_t site = st->site[f];
-            int32_t target = st->vn4[4 * (int64_t)site + pick(mt, 4)];
+            int32_t target = st->vn4[4 * (int64_t)site + pick(rs, 4)];
             int64_t partner = occ[target];
             if (partner < 0) {
                 occ[site] = -1;
@@ -319,11 +364,11 @@ static void update_cycle(State *st, int64_t n_order)
                     if (occ[hood[nb]] >= 0)
                         break;
                 if (nb < 8) {
-                    partner = occ[hood[pick(mt, 8)]];
+                    partner = occ[hood[pick(rs, 8)]];
                 } else {
                     double r2;
                     do
-                        r2 = uniform(mt);
+                        r2 = uniform(rs);
                     while (r2 == 0.0);
                     double tech = st->tech[f];
                     double out = tech + r2 * (frontier - tech);
@@ -338,7 +383,7 @@ static void update_cycle(State *st, int64_t n_order)
                     kind = MOVED_NO_DIFFUSION;
                 } else {
                     partner_id = st->id[partner];  /* before a merge clears it */
-                    kind = interact(st, f, partner);
+                    kind = interact(st, rs, f, partner);
                 }
             }
         }
@@ -371,14 +416,9 @@ static void compact(State *st)
     st->n_slots = n;
 }
 
-/* Run the sweeps from row st->row on: returns OK once the last row is
- * written, PAUSED before a sweep whose event rows might not fit, or
- * RENORM_ABOVE_TOLERANCE where the renormalisation fails (a share total at
- * or below 0 among them), with the error in the sweep's row and the sweep
- * not advanced. Columns rescued and bankrupted must start at 0. */
-int tm_run(State *st)
+/* tm_run's sweeps, drawing from rs */
+static int run(State *st, Stream *rs)
 {
-    st->n_events = 0;
     for (;;) {
         int64_t n = st->n_slots, row = st->row;
         double ws = 0.0, ts = 0.0, tq = 0.0;
@@ -403,12 +443,12 @@ int tm_run(State *st)
         for (int64_t f = 0; f < n; f++)
             order[f] = (int32_t)f;
         for (int64_t i = n - 1; i > 0; i--) {
-            int64_t j = pick(st->mt, i + 1);
+            int64_t j = pick(rs, i + 1);
             int32_t tmp = order[i];
             order[i] = order[j];
             order[j] = tmp;
         }
-        update_cycle(st, n);
+        update_cycle(st, rs, n);
         compact(st);
 
         double total = 0.0;
@@ -425,6 +465,21 @@ int tm_run(State *st)
         st->frontier = exp(st->sigma * (double)st->sweep);
         st->row++;
     }
+}
+
+/* Run the sweeps from row st->row on: returns OK once the last row is
+ * written, PAUSED before a sweep whose event rows might not fit, or
+ * RENORM_ABOVE_TOLERANCE where the renormalisation fails (a share total at
+ * or below 0 among them), with the error in the sweep's row and the sweep
+ * not advanced. Columns rescued and bankrupted must start at 0. */
+int tm_run(State *st)
+{
+    Stream rs;
+    stream_open(&rs, st->mt);
+    st->n_events = 0;
+    int status = run(st, &rs);
+    stream_close(&rs);
+    return status;
 }
 
 /* EventKind names, lower case, by kind */
@@ -499,18 +554,20 @@ int64_t tm_render_events(const int64_t *rows, int64_t n_rows, int64_t replica,
     return p - out;
 }
 
-/* Fold one replica's trajectory columns, of n_rows rows, into an ensemble's
- * reductions: its N (as double), <A> and ratio into the rows n_row, a_row and
- * r_row of the replica-major matrices, its rescues into rescued_sum, and its
- * renormalisation errors into renorm_max, the largest per row (nan once one
- * is nan, as numpy.maximum keeps it). Returns the first row whose <A>
- * reaches threshold, or -1 when none does. */
+/* Fold replica k's trajectory columns, of n_rows rows, into an ensemble's
+ * reductions: its N (as double), <A> and ratio into row k of the
+ * replica-major matrices n_mat, a_mat and r_mat, its rescues into
+ * rescued_sum, and its renormalisation errors into renorm_max, the largest
+ * per row (nan once one is nan, as numpy.maximum keeps it). Returns the
+ * first row whose <A> reaches threshold, or -1 when none does. */
 int64_t tm_fold(const int64_t *n_firms, const double *mean_tech,
                 const double *ratio, const int64_t *rescued,
-                const double *renorm_error, int64_t n_rows, double *n_row,
-                double *a_row, double *r_row, int64_t *rescued_sum,
-                double *renorm_max, double threshold)
+                const double *renorm_error, int64_t n_rows, int64_t k,
+                double *n_mat, double *a_mat, double *r_mat,
+                int64_t *rescued_sum, double *renorm_max, double threshold)
 {
+    double *n_row = n_mat + k * n_rows, *a_row = a_mat + k * n_rows;
+    double *r_row = r_mat + k * n_rows;
     int64_t crossing = -1;
     for (int64_t t = 0; t < n_rows; t++) {
         n_row[t] = (double)n_firms[t];

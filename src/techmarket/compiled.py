@@ -14,7 +14,7 @@ call pauses before a sweep whose rows might not fit, and is called again
 once the rows are appended to the sink. ``output.emit_event_log`` renders
 the rows through the library's third entry, tm_render_events. The C calls
 release the GIL, so replicas on threads run and render their logs in
-parallel. ``fold`` and ``column_stats`` reduce an ensemble's trajectories
+parallel. ``folder`` and ``column_stats`` reduce an ensemble's trajectories
 to its statistics, summed in numpy's order.
 
 ``kernel()`` builds the library on first use with gcc into this
@@ -37,7 +37,7 @@ import os
 import zlib
 from array import array
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .dynamics import (
     _POLICY_SEGMENT,
@@ -54,10 +54,14 @@ SOURCE = Path(__file__).with_name("_sweep.c")
 COMPILER = "gcc"
 #: -ffp-contract=off keeps gcc from fusing a multiply and an add, which
 #: rounds once where Python rounds twice; -ffast-math and -march would
-#: change results too. -O1, not -O2: the compiler's peak memory counts
-#: toward the peak resident set of the run that builds the kernel, and
-#: -O2 needs about 4 MB more for a kernel at most about 10% faster.
-FLAGS = ("-O1", "-ffp-contract=off", "-shared", "-fPIC")
+#: change results too. -O2 vectorises the stream's refill (see _sweep.c):
+#: an active q=0.99 replica takes about 0.6 of the CPU time it took at -O1
+#: before the refill was written for it. The compiler's peak memory counts
+#: toward the peak resident set of the run that builds the kernel; the two
+#: ggc params make gcc collect its garbage sooner, which keeps the -O2 peak
+#: about 1.4 MB above -O1's rather than 4 MB, for the same library bytes.
+FLAGS = ("-O2", "-ffp-contract=off", "--param", "ggc-min-expand=20",
+         "--param", "ggc-min-heapsize=2048", "-shared", "-fPIC")
 
 _I64, _F64, _I32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int32
 _INT = ctypes.c_int  # the item of an array('i')
@@ -185,7 +189,8 @@ def _load() -> ctypes.CDLL | str:
     lib.tm_render_events.argtypes = [_P_I64, _I64, _I64, ctypes.c_char_p]
     lib.tm_render_events.restype = _I64
     lib.tm_fold.argtypes = [_P_I64, _P_F64, _P_F64, _P_I64, _P_F64, _I64,
-                            _P_F64, _P_F64, _P_F64, _P_I64, _P_F64, _F64]
+                            _I64, _P_F64, _P_F64, _P_F64, _P_I64, _P_F64,
+                            _F64]
     lib.tm_fold.restype = _I64
     lib.tm_column_stats.argtypes = [_P_F64, _I64, _I64, _P_F64, _P_F64]
     lib.tm_column_stats.restype = None
@@ -265,26 +270,36 @@ def run_sweeps(state: _State, events: Optional[array] = None) -> None:
         raise renorm_failure(state.renorm_error[state.row], state.sweep)
 
 
-def fold(trajectory: Trajectory, k: int, n_mat: array, a_mat: array,
-         r_mat: array, rescued_sum: array, renorm_max: array,
-         threshold: float) -> Optional[int]:
-    """Fold replica k's trajectory into an ensemble's reductions, as
-    _sweep.c's tm_fold describes: row k of the replica-major 'd' matrices
-    ``n_mat``, ``a_mat`` and ``r_mat``, and the per-row sums and maxima
-    ``rescued_sum`` ('q') and ``renorm_max`` ('d'), each of
-    ``len(rescued_sum)`` rows. Returns the first row whose mean technology
-    reaches ``threshold``, or None."""
+def folder(n_mat: array, a_mat: array, r_mat: array, rescued_sum: array,
+           renorm_max: array,
+           threshold: float) -> Callable[[Trajectory, int], Optional[int]]:
+    """``fold(trajectory, k)``, which folds replica k's trajectory into an
+    ensemble's reductions, as _sweep.c's tm_fold describes: row k of the
+    replica-major 'd' matrices ``n_mat``, ``a_mat`` and ``r_mat``, and the
+    per-row sums and maxima ``rescued_sum`` ('q') and ``renorm_max`` ('d'),
+    each of ``len(rescued_sum)`` rows. It returns the first row whose mean
+    technology reaches ``threshold``, or None. The views of the reductions
+    are made once, here."""
     rows = len(rescued_sum)
-    crossing = kernel().tm_fold(
-        _view(_I64, trajectory.n_firms, rows),
-        _view(_F64, trajectory.mean_tech, rows),
-        _view(_F64, trajectory.ratio, rows),
-        _view(_I64, trajectory.rescued, rows),
-        _view(_F64, trajectory.renorm_error, rows), rows,
-        _view(_F64, n_mat, rows, k), _view(_F64, a_mat, rows, k),
-        _view(_F64, r_mat, rows, k), _view(_I64, rescued_sum, rows),
-        _view(_F64, renorm_max, rows), threshold)
-    return None if crossing < 0 else crossing
+    size = len(n_mat)
+    reductions = (*(_view(_F64, m, size) for m in (n_mat, a_mat, r_mat)),
+                  _view(_I64, rescued_sum, rows),
+                  _view(_F64, renorm_max, rows))
+    tm_fold = kernel().tm_fold
+
+    def fold(trajectory: Trajectory, k: int) -> Optional[int]:
+        if not 0 <= k < size // rows:
+            raise IndexError(f"replica {k} is not a row of the matrices")
+        crossing = tm_fold(
+            _view(_I64, trajectory.n_firms, rows),
+            _view(_F64, trajectory.mean_tech, rows),
+            _view(_F64, trajectory.ratio, rows),
+            _view(_I64, trajectory.rescued, rows),
+            _view(_F64, trajectory.renorm_error, rows), rows, k, *reductions,
+            threshold)
+        return None if crossing < 0 else crossing
+
+    return fold
 
 
 def column_stats(matrix: array, cols: int) -> tuple[array, array]:

@@ -13,7 +13,7 @@ Across-replica spread is reported as the population standard deviation
 (divide by n), matching descriptive +-1 SD bands. The statistics are
 summed in the order numpy's ``mean`` and ``std`` sum, so they have numpy's
 bits without importing it: a (replicas x sweeps) matrix with two or more
-sweeps row by row in the compiled kernel (``compiled.fold`` and
+sweeps row by row in the compiled kernel (``compiled.folder`` and
 ``compiled.column_stats``), and a vector, which is the catch-up times or
 a single sweep, pairwise by ``_vector_stats``. Per-sweep statistics are
 ``array`` objects: 'q' for t and rescued_sum, 'd' for the rest;
@@ -25,9 +25,12 @@ and per replica count it keeps the statistics of the longest horizon run so
 far. A request up to that horizon is answered by slicing them: a
 column-wise mean or SD over replicas depends only on that sweep's values,
 so the slice is bit-identical to a fresh run. A longer request simulates
-every replica from sweep 0 and replaces the entry. The store costs 72
-bytes per aggregate row plus one crossing per replica, kept until the
-process ends.
+every replica from sweep 0 and replaces the entry. A t_max=0 request is
+simulated and not stored: its single sweep is a vector, summed pairwise,
+so a slice of a longer run, summed replica by replica, has other bits
+from 8 replicas on; zero sweeps cost only each replica's set-up. The
+store costs 72 bytes per aggregate row plus one crossing per replica,
+kept until the process ends.
 """
 from __future__ import annotations
 
@@ -149,6 +152,8 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
     rescued_sum = array("q", [0]) * rows
     renorm_error = array("d", [0.0]) * rows
     tc_vals = array("d", [math.nan]) * n_replicas
+    fold = compiled.folder(n_mat, a_mat, r_mat, rescued_sum, renorm_error,
+                           TC_THRESHOLD)
     workers = min(jobs, n_replicas)
     executor = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
@@ -162,8 +167,7 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
                 raise
             if text is not None:
                 event_log.write(text)
-            tc = compiled.fold(trajectory, k, n_mat, a_mat, r_mat,
-                               rescued_sum, renorm_error, TC_THRESHOLD)
+            tc = fold(trajectory, k)
             if tc is not None:
                 tc_vals[k] = tc
             # not held while the next replica runs (the text is: freeing it
@@ -266,7 +270,9 @@ def stored_ensemble(params: SimParams, n_replicas: int,
     """``run_trajectories(params, n_replicas)``, bit for bit, through the
     store: sliced from a stored run at least as long, and otherwise
     simulated from sweep 0 at ``jobs`` and stored in place of the shorter
-    run."""
+    run. A t_max=0 request is simulated and leaves the store as it is."""
+    if params.t_max == 0:
+        return run_trajectories(params, n_replicas, jobs)
     key = (replace(params, t_max=0), n_replicas)
     stats = _STORE.get(key)
     if stats is None or stats.t[-1] < params.t_max:

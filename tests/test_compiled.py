@@ -186,6 +186,62 @@ def test_logged_run_crosses_the_event_buffer():
     assert_same_runs(compiled_run, oracle_run)
 
 
+class _CountingSink(array):
+    """An event sink that records each append of ``run_sweeps``: one per
+    tm_run call."""
+
+    def __new__(cls):
+        sink = super().__new__(cls, "q")
+        sink.appends = []
+        return sink
+
+    def frombytes(self, data):
+        self.appends.append(len(data))
+        super().frombytes(data)
+
+
+def test_logged_run_paused_before_every_sweep():
+    """With the event buffer at its floor, the site count, a run of more
+    than half as many live firms pauses before every sweep: each call runs
+    one sweep and tempers the stream's block afresh from the State's words
+    at their position. The columns, event rows and end stream are the
+    unpaused run's and the oracle's."""
+    params = SimParams(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE,
+                       t_max=40, seed=8)
+    unpaused, oracle_run = run_both(params, params.seed)
+    assert_same_runs(unpaused, oracle_run)
+    events = _CountingSink()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiled, "EVENT_ROWS", 1)
+        states = spy_states(mp)
+        trajectory = run_replica(params, params.seed, events)
+    assert states[0].max_events == params.lx * params.ly
+    # a call per sweep; the last one also writes the end state's row
+    assert len(events.appends) == params.t_max
+    assert_same_runs((trajectory, events, states[0]), oracle_run)
+
+
+@pytest.mark.parametrize("position", [622, 623, 624])
+def test_stream_handed_over_at_a_position_matches_the_oracle(position):
+    """A State handed a stream at position 623 draws its first uniform from
+    word 623, tempered on entry, and word 0 of the next twist; 622 takes
+    both before the twist, 624 both after it."""
+    params = SimParams(q=0.9, policy=PolicyKind.LOW_TECH, lx=6, ly=5,
+                       n_min=3, t_max=12)
+    market = oracle.init_market(params, random.Random(5))
+    rng = random.Random(6)
+    for _ in range(position):
+        rng.getrandbits(32)  # one word each
+    assert rng.getstate()[1][-1] == position
+    trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
+    state = oracle.compiled_state(market, params, trajectory, rng, True)
+    compiled.run_sweeps(state, events)
+    compiled_run = trajectory, events, state
+    trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
+    oracle.run_sweeps(market, params, rng, trajectory, events)
+    assert_same_runs(compiled_run, (trajectory, events, market, rng))
+
+
 def _rendered(replica, sink, python):
     """emit_event_log's text for ``sink`` in C calls of at most 3 rows, or
     the oracle's; or the message of the ValueError it raised."""

@@ -383,6 +383,22 @@ class TestEnsembleStore:
         st = stored_ensemble(small_params(t_max=25), 2, SERIAL)
         assert len(st.t) == 26
 
+    def test_zero_horizon_is_simulated_and_keeps_the_entry(self,
+                                                           monkeypatch):
+        """A single sweep's statistics are a vector's, summed pairwise, so a
+        slice of a longer run, summed replica by replica, has other bits
+        from 8 replicas on: a t_max=0 request is simulated, and the longer
+        run stays stored."""
+        import techmarket.ensemble as ens
+
+        params = SimParams(t_max=5, seed=1)
+        longer = stored_ensemble(params, 40, SERIAL)
+        zero = replace(params, t_max=0)
+        assert_same_stats(stored_ensemble(zero, 40, SERIAL),
+                          run_ensemble(zero, 40))
+        monkeypatch.setattr(ens, "run_replica", None)  # any call fails
+        assert_same_stats(stored_ensemble(params, 40, SERIAL), longer)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("params", [
         small_params(q=0.5, t_max=90),
