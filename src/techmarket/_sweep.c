@@ -44,7 +44,7 @@
  * and calls again.
  *
  * tm_render_events renders event rows as the JSON lines of
- * output.emit_event_log.
+ * compiled.render_events.
  *
  * tm_fold and tm_column_stats reduce an ensemble's trajectories to the
  * statistics of ensemble.run_trajectories, summed in the order numpy's

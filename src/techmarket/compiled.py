@@ -10,12 +10,13 @@ columns in place; the end market and stream stay in the State's buffers.
 The lattice's neighbor tables and the trajectory's columns, all ``array``
 buffers, are shared with C without a copy.
 A logged run collects its event rows in a buffer of EVENT_ROWS rows: the
-call pauses before a sweep whose rows might not fit, and is called again
-once the rows are appended to the sink. ``output.emit_event_log`` renders
-the rows through the library's third entry, tm_render_events. The C calls
-release the GIL, so replicas on threads run and render their logs in
-parallel. ``folder`` and ``column_stats`` reduce an ensemble's trajectories
-to its statistics, summed in numpy's order.
+call pauses before a sweep whose rows might not fit, hands the rows to the
+caller's sink as a view of the buffer, and is called again.
+``render_events`` renders rows as JSON lines through the library's third
+entry, tm_render_events. The C calls release the GIL, so replicas on
+threads run and render their logs in parallel. ``folder`` and
+``column_stats`` reduce an ensemble's trajectories to its statistics,
+summed in numpy's order.
 
 ``kernel()`` builds the library on first use with gcc into this
 checkout's directory of ``$XDG_CACHE_HOME/techmarket`` (``~/.cache`` by
@@ -23,10 +24,10 @@ default), named by a CRC-32 of the source, the compiler and the flags, and
 loads it. Each checkout keeps its own directory, so checkouts with
 different sources never delete each other's library. A build deletes the
 libraries left in its directory by other sources or flags, and the
-directories of checkouts whose source is gone. Nothing is built at import. When the build or the load fails, ``kernel()``
-raises ConfigError saying why: the package has no other kernel. A process
-tries at most once: later calls raise the same error without running the
-compiler again.
+directories of checkouts whose source is gone. Nothing is built at
+import. When the build or the load fails, ``kernel()`` raises ConfigError
+saying why: the package has no other kernel. A process tries at most once:
+later calls raise the same error without running the compiler again.
 """
 from __future__ import annotations
 
@@ -253,21 +254,49 @@ def start(state: _State, params: SimParams, seed: int) -> None:
                      params.n_initial_firms)
 
 
-def run_sweeps(state: _State, events: Optional[array] = None) -> None:
+def run_sweeps(state: _State, events: Optional[Callable] = None) -> None:
     """Run ``state`` from its sweep for one sweep per trajectory row but
-    the last, and write every row; with an event sink, an ``array('q')``,
-    append every step's event row to it (the State must be logged). A share
-    total that drifts beyond RENORM_TOLERANCE raises IntegrityError after
-    the failing sweep's rows are appended."""
+    the last, and write every row; with an event sink, a callable (the
+    State must be logged), pass it each C call's event rows as a bytes view
+    of the State's buffer, valid only during the sink's call. A share total
+    that drifts beyond RENORM_TOLERANCE raises IntegrityError after the
+    failing sweep's rows are passed on."""
     lib = kernel()
+    if events is not None:
+        address = ctypes.addressof(state.events.contents)
     status = _PAUSED
     while status == _PAUSED:
         status = lib.tm_run(ctypes.byref(state))
         if events is not None:
-            events.frombytes(ctypes.string_at(
-                state.events, state.n_events * EVENT_ROW_BYTES))
+            rows = ctypes.c_ubyte * (state.n_events * EVENT_ROW_BYTES)
+            events(memoryview(rows.from_address(address)).cast("B"))
     if status == _RENORM_ABOVE_TOLERANCE:
         raise renorm_failure(state.renorm_error[state.row], state.sweep)
+
+
+def render_events(rows, replica: int) -> str:
+    """Event rows (see ``dynamics``) as the JSON lines of replica
+    ``replica``, rendered by tm_render_events in one call. ``rows`` is a
+    writable buffer of whole rows: an ``array('q')``, or the view a
+    ``run_sweeps`` sink gets.
+
+    Each line is what ``json.dumps(..., separators=(",", ":"))`` gives for
+    the keys replica, t, firm and kind, then partner when set, child when
+    set (only spin-offs have one, and they always have a partner), and
+    ``"rescued":true`` only when a rescue fired. A row with a kind outside
+    EventKind or a rescued flag other than 0 and 1 raises ValueError.
+    """
+    lib = kernel()
+    n_rows = memoryview(rows).nbytes // EVENT_ROW_BYTES
+    # the view pins the buffer, so no thread resizes it during the call
+    view = (_I64 * (EVENT_FIELDS * n_rows)).from_buffer(rows)
+    text = ctypes.create_string_buffer(n_rows * lib.tm_event_line_max())
+    size = lib.tm_render_events(view, n_rows, replica, text)
+    if size < 0:
+        bad = EVENT_FIELDS * (-1 - size)
+        row = tuple(view[bad:bad + EVENT_FIELDS])
+        raise ValueError(f"event row {row} is not an event")
+    return str(memoryview(text)[:size], "ascii")
 
 
 def folder(n_mat: array, a_mat: array, r_mat: array, rescued_sum: array,

@@ -59,8 +59,9 @@ are ``array`` buffers, which the kernel writes in place.
 ``tests/oracle.py`` holds the same model in Python, step for step, and is
 the reference the kernel is tested against.
 
-Given an event sink, an ``array('q')``, each step appends one row of
-EVENT_FIELDS int64 values, ``(kind, firm, t, partner, child, rescued)``:
+A logged run writes one event row per step, which the kernel hands to the
+caller's sink (see ``compiled.run_sweeps``): EVENT_FIELDS int64 values,
+``(kind, firm, t, partner, child, rescued)``:
 the step's EventKind and firm, the sweep, the partner (the absorbed firm
 for MERGED, the interaction partner for SPIN_OFF and SPIN_OFF_BLOCKED) and
 the id of a newly founded spin-off, each -1 when there is none, and 1 when
@@ -100,7 +101,7 @@ class EventKind(IntEnum):
     SPIN_OFF_BLOCKED = 6
 
 
-#: int64 values per row of an event sink; see the module docstring.
+#: int64 values per event row; see the module docstring.
 EVENT_FIELDS = 6
 
 

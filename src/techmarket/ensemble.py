@@ -34,16 +34,14 @@ kept until the process ends.
 """
 from __future__ import annotations
 
-import io
 import math
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence, TextIO
 
 from . import compiled
 from .dynamics import Trajectory
-from .output import emit_event_log
 from .params import SimParams
 from .rng import derive_seed
 
@@ -80,10 +78,11 @@ _ROW_FIELDS = ("t", "n_mean", "n_sd", "a_mean", "a_sd", "ratio_mean",
 
 
 def run_replica(params: SimParams, replica_seed: int,
-                events: Optional[array] = None) -> Trajectory:
+                events: Optional[Callable] = None) -> Trajectory:
     """Simulate one replica from sweep 0 to sweep t_max from the given
-    stream seed. Every step's event row is appended to ``events`` when a
-    sink is given.
+    stream seed. With an event sink, a callable, every step's event row is
+    passed to it: each kernel call's rows at once, as a bytes view valid
+    only during the sink's call (see ``compiled.run_sweeps``).
 
     The trajectory is allocated here and written by the compiled kernel,
     which seeds the stream, draws the initial market and runs the sweeps in
@@ -122,11 +121,12 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
     still queued. Otherwise they run one after another in the calling
     thread.
 
-    With ``event_log``, each replica renders its events to JSON lines in the
-    thread that ran it, and the text is written to the stream in replica
-    order as soon as that replica and every earlier one have finished.
-    Serial and threaded runs give the same bytes. A replica's exception
-    propagates unchanged, with a note naming its seed.
+    With ``event_log``, each replica renders its event rows to JSON lines
+    in the thread that runs it, each time the kernel pauses, and keeps only
+    the text. The text is written to the stream in replica order as soon as
+    that replica and every earlier one have finished. Serial and threaded
+    runs give the same bytes. A replica's exception propagates unchanged,
+    with a note naming its seed.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
@@ -135,16 +135,15 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
     compiled.kernel()
     seeds = replica_seeds(params.seed, n_replicas)
 
-    def replica(k: int, seed: int) -> tuple[Trajectory, Optional[str]]:
-        """Replica k, plus its event log as JSONL text when one is kept;
-        the rows themselves are not kept."""
+    def replica(k: int, seed: int) -> tuple[Trajectory, Optional[list[str]]]:
+        """Replica k, plus its event log as JSONL text, a chunk per kernel
+        call, when one is kept."""
         if event_log is None:
             return run_replica(params, seed), None
-        events = array("q")
-        trajectory = run_replica(params, seed, events)
-        text = io.StringIO()
-        emit_event_log(text, k, events)
-        return trajectory, text.getvalue()
+        chunks: list[str] = []
+        trajectory = run_replica(params, seed, lambda rows: chunks.append(
+            compiled.render_events(rows, k)))
+        return trajectory, chunks
 
     rows = params.t_max + 1
     n_mat, a_mat, r_mat = (array("d", [0.0]) * (n_replicas * rows)
@@ -161,12 +160,12 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
             replica, range(n_replicas), seeds)
         for k, seed in enumerate(seeds):
             try:
-                trajectory, text = next(results)
+                trajectory, chunks = next(results)
             except Exception as exc:
                 exc.add_note(f"replica seed {seed}")
                 raise
-            if text is not None:
-                event_log.write(text)
+            if chunks is not None:
+                event_log.writelines(chunks)
             tc = fold(trajectory, k)
             if tc is not None:
                 tc_vals[k] = tc

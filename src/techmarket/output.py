@@ -1,29 +1,26 @@
-"""CSV, metadata, and event-log emission.
+"""CSV and metadata emission, and the atomic write of every output file.
 
 Time-series CSV schema (fixed): ``t,N_mean,N_sd,A_mean,A_sd,ratio_mean,ratio_sd``
 with one row per sweep. Catch-up curve CSV: ``q,tc_mean,tc_sd,fraction_reached``.
 Floats carry 12 significant digits. The metadata file doubles as a config
 file: plain lines are config keys, informational records are comments.
 Every file is written through ``atomic_write``, so it appears complete or
-not at all. Event logs are written to a stream given by the caller, in
-chunks rendered by the compiled kernel.
+not at all: event logs too, which ``scenarios`` opens with it and
+``ensemble.run_trajectories`` fills with the text of
+``compiled.render_events``.
 """
 from __future__ import annotations
 
-import ctypes
 import os
-from array import array
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO
 
-from . import compiled
 from .config import config_lines
-from .dynamics import EVENT_FIELDS
 from .params import SimParams
 
-if TYPE_CHECKING:  # ensemble imports this module to render event logs
+if TYPE_CHECKING:
     from .ensemble import EnsembleStats
 
 TIMESERIES_HEADER = "t,N_mean,N_sd,A_mean,A_sd,ratio_mean,ratio_sd"
@@ -101,34 +98,3 @@ def emit_run_metadata(path: str | Path, params: SimParams, scenario: str,
         fh.write(metadata_text(params, scenario, replicas, version,
                                max_renorm_error, notes))
     return path
-
-
-def emit_event_log(out: TextIO, replica: int, events: array) -> None:
-    """Write one replica's event rows (see ``dynamics``), an ``array('q')``,
-    to ``out`` as JSON lines, rendered by the kernel's tm_render_events
-    ``compiled.EVENT_ROWS`` rows per call from a view of the array, each
-    chunk written as it is rendered.
-
-    Each line is what ``json.dumps(..., separators=(",", ":"))`` gives for
-    the keys replica, t, firm and kind, then partner when set, child when
-    set (only spin-offs have one, and they always have a partner), and
-    ``"rescued":true`` only when a rescue fired. A row with a kind outside
-    EventKind or a rescued flag other than 0 and 1 raises ValueError, after
-    the chunks before its own are written.
-    """
-    lib = compiled.kernel()
-    chunk = compiled.EVENT_ROWS
-    n_rows = len(events) // EVENT_FIELDS
-    text = ctypes.create_string_buffer(min(n_rows, chunk)
-                                       * lib.tm_event_line_max())
-    for first in range(0, n_rows, chunk):
-        n = min(chunk, n_rows - first)
-        # the view pins the array, so no thread resizes it during the call
-        rows = (ctypes.c_int64 * (EVENT_FIELDS * n)).from_buffer(
-            events, first * compiled.EVENT_ROW_BYTES)
-        size = lib.tm_render_events(rows, n, replica, text)
-        if size < 0:
-            bad = EVENT_FIELDS * (first - 1 - size)
-            row = tuple(events[bad:bad + EVENT_FIELDS])
-            raise ValueError(f"event row {row} is not an event")
-        out.write(str(memoryview(text)[:size], "ascii"))

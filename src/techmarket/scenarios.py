@@ -119,12 +119,14 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
     replicas = controls.replicas
     t_max = cells[0][1].t_max
     n_sites = base.lx * base.ly
-    # worst case: replicas done ahead of an earlier one wait whole in the
-    # pool; plus the lattice's neighbor tables (12 ints a site) and the C
-    # buffers of the replicas running at once
-    need = (replicas * (t_max + 1) * ROW_BYTES + 48 * n_sites
-            + min(controls.jobs, replicas)
-            * compiled.state_bytes(n_sites, controls.events))
+    # the ensemble's three matrices (24 bytes a replica and row); whole
+    # trajectories: on threads, replicas done ahead of an earlier one wait
+    # whole, serially one is held at a time; the lattice's neighbor tables
+    # (12 ints a site) and the C buffers of the replicas running at once
+    workers = min(controls.jobs, replicas)
+    held = replicas if workers > 1 else 1
+    need = ((replicas * 24 + held * ROW_BYTES) * (t_max + 1) + 48 * n_sites
+            + workers * compiled.state_bytes(n_sites, controls.events))
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(

@@ -420,8 +420,8 @@ def run_sweeps(market: MarketState, params: SimParams, rng: random.Random,
 # -- event logs ---------------------------------------------------------------
 
 def emit_event_log(out: TextIO, replica: int, events: array) -> None:
-    """``output.emit_event_log``, in one write: the same text, or the same
-    ValueError.
+    """``compiled.render_events``' text for ``events``, an ``array('q')``,
+    written to ``out``; or the same ValueError.
 
     Each line is what ``json.dumps(..., separators=(",", ":"))`` gives for
     the keys replica, t, firm and kind, then partner when set, child when

@@ -28,7 +28,6 @@ from techmarket import (
 from techmarket.cli import main
 from techmarket.dynamics import EVENT_FIELDS, EventKind, Trajectory
 from techmarket.ensemble import run_ensemble, run_replica
-from techmarket.output import emit_event_log
 from techmarket.rng import derive_seed
 
 import oracle
@@ -95,7 +94,7 @@ def run_both(params, seed):
     events = array("q")
     with pytest.MonkeyPatch.context() as mp:
         states = spy_states(mp)
-        trajectory = run_replica(params, seed, events)
+        trajectory = run_replica(params, seed, events.frombytes)
     compiled_run = trajectory, events, states[0]
     rng = random.Random(seed)
     market = oracle.init_market(params, rng)
@@ -187,8 +186,8 @@ def test_logged_run_crosses_the_event_buffer():
 
 
 class _CountingSink(array):
-    """An event sink that records each append of ``run_sweeps``: one per
-    tm_run call."""
+    """An event row array whose ``frombytes``, as a ``run_sweeps`` sink,
+    records each call's bytes: one append per tm_run call."""
 
     def __new__(cls):
         sink = super().__new__(cls, "q")
@@ -214,11 +213,43 @@ def test_logged_run_paused_before_every_sweep():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(compiled, "EVENT_ROWS", 1)
         states = spy_states(mp)
-        trajectory = run_replica(params, params.seed, events)
+        trajectory = run_replica(params, params.seed, events.frombytes)
     assert states[0].max_events == params.lx * params.ly
     # a call per sweep; the last one also writes the end state's row
     assert len(events.appends) == params.t_max
     assert_same_runs((trajectory, events, states[0]), oracle_run)
+
+
+def test_event_log_rendered_at_every_sweep_is_the_same_text():
+    """With the event buffer at its floor, every replica pauses before
+    every sweep and ``run_trajectories`` renders each sweep's rows on its
+    own: the log is the default buffer's bytes and the oracle's rows
+    rendered by the oracle."""
+    params = SimParams(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE,
+                       t_max=40, seed=8)
+    logs, renders, real = [], [], compiled.render_events
+
+    def counted(rows, replica):
+        renders.append(compiled.EVENT_ROWS)
+        return real(rows, replica)
+
+    for buffer_rows in (compiled.EVENT_ROWS, 1):
+        log = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compiled, "EVENT_ROWS", buffer_rows)
+            mp.setattr(compiled, "render_events", counted)
+            run_ensemble(params, 3, 1, log)
+        logs.append(log.getvalue())
+    # one render per kernel call, so one per sweep
+    assert renders.count(1) == 3 * params.t_max
+    expected = io.StringIO()
+    for k in range(3):
+        rng = random.Random(derive_seed(params.seed, k))
+        events = array("q")
+        oracle.run_sweeps(oracle.init_market(params, rng), params, rng,
+                          Trajectory.empty(params.t_max + 1), events)
+        oracle.emit_event_log(expected, k, events)
+    assert logs == [expected.getvalue()] * 2
 
 
 @pytest.mark.parametrize("position", [622, 623, 624])
@@ -235,7 +266,7 @@ def test_stream_handed_over_at_a_position_matches_the_oracle(position):
     assert rng.getstate()[1][-1] == position
     trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
     state = oracle.compiled_state(market, params, trajectory, rng, True)
-    compiled.run_sweeps(state, events)
+    compiled.run_sweeps(state, events.frombytes)
     compiled_run = trajectory, events, state
     trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
     oracle.run_sweeps(market, params, rng, trajectory, events)
@@ -243,16 +274,16 @@ def test_stream_handed_over_at_a_position_matches_the_oracle(position):
 
 
 def _rendered(replica, sink, python):
-    """emit_event_log's text for ``sink`` in C calls of at most 3 rows, or
-    the oracle's; or the message of the ValueError it raised."""
+    """``compiled.render_events``' text for ``sink``, or the oracle's; or
+    the message of the ValueError it raised."""
     out = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(compiled, "EVENT_ROWS", 3)
-        try:
-            (oracle.emit_event_log if python else emit_event_log)(
-                out, replica, sink)
-        except ValueError as exc:
-            return f"ValueError: {exc}"
+    try:
+        if python:
+            oracle.emit_event_log(out, replica, sink)
+        else:
+            out.write(compiled.render_events(sink, replica))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
     return out.getvalue()
 
 
@@ -267,8 +298,8 @@ _EVENT_ROW = st.tuples(st.sampled_from(EventKind), _INT64, _INT64,
        rows=st.lists(_EVENT_ROW, max_size=8),
        bad=st.sampled_from([(0, 7), (0, -1), (5, 2), (5, -1)]))
 def test_compiled_event_log_matches_python(replica, rows, bad):
-    # 0 rows, 1 row and rows across several C calls; test_golden's event
-    # logs cross the full-size calls
+    # 0 rows, 1 row and several; test_golden's event logs render whole
+    # replicas
     sink = array("q", [value for row in rows for value in row])
     text = _rendered(replica, sink, python=False)
     assert text == _rendered(replica, sink, python=True)
@@ -315,7 +346,7 @@ def test_hand_built_market_runs_as_on_the_oracle():
     oracle.run_sweeps(market, params, rng, Trajectory.empty(8))
     trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
     state = oracle.compiled_state(market, params, trajectory, rng, True)
-    compiled.run_sweeps(state, events)
+    compiled.run_sweeps(state, events.frombytes)
     compiled_run = trajectory, events, state
     trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
     oracle.run_sweeps(market, params, rng, trajectory, events)
@@ -343,7 +374,7 @@ def test_share_drift_raises_the_python_message():
                                       Trajectory.empty(params.t_max + 1),
                                       random.Random(1), logged=True)
         with pytest.raises(IntegrityError) as compiled_error:
-            compiled.run_sweeps(state, events_c)
+            compiled.run_sweeps(state, events_c.frombytes)
         assert str(compiled_error.value) == str(python_error.value)
         assert str(compiled_error.value) == (
             f"share normalization error {error} exceeds tolerance 0.01 "

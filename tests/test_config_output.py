@@ -38,7 +38,6 @@ from techmarket.output import (
     TC_CURVE_HEADER,
     TIMESERIES_HEADER,
     atomic_write,
-    emit_event_log,
     emit_run_metadata,
     emit_timeseries_csv,
     metadata_text,
@@ -305,8 +304,10 @@ class TestEventLog:
     @pytest.mark.parametrize("kernel", ["loaded", "python"])
     def test_lines_match_compact_json(self, kernel):
         out = io.StringIO()
-        (oracle.emit_event_log if kernel == "python" else emit_event_log)(
-            out, 7, self.SINK)
+        if kernel == "python":
+            oracle.emit_event_log(out, 7, self.SINK)
+        else:
+            out.write(compiled.render_events(self.SINK, 7))
         expected = []
         for kind, firm, t, partner, child, rescued in self.ROWS:
             record = {"replica": 7, "t": t, "firm": firm,
@@ -815,8 +816,9 @@ class TestCli:
         assert main(["--sigma", "0", "--tmax", "10000000000000",
                      "--replicas", "1", "--out", str(out)]) == 1
         err = capsys.readouterr().err
+        # 72 bytes a row: 24 in the ensemble's matrices, 48 in the trajectory
         assert err.startswith("config error: replicas=1 and tmax=10000000000000"
-                              " need 447,034.8 GiB of trajectories")
+                              " need 670,552.3 GiB of trajectories")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -860,22 +862,33 @@ class TestCli:
 
     def test_memory_guard_counts_tables_and_running_replicas(
             self, monkeypatch, tmp_path, capsys):
-        """The guard adds the neighbor tables (48 bytes a site) and the C
-        buffers of the replicas running at once to the trajectories."""
+        """The guard adds the ensemble's matrices (24 bytes a replica and
+        row), the neighbor tables (48 bytes a site) and the C buffers of the
+        replicas running at once to the trajectories; on threads every
+        replica's whole trajectory counts."""
         have = [0]
         real = os.sysconf
         monkeypatch.setattr(os, "sysconf", lambda name: {
             "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have[0]}.get(name)
             or real(name))
-        flags = ["--tmax", "10", "--replicas", "3", "--jobs", "2",
-                 "--events"]
-        # 3 replicas of 11 rows of 48 bytes, the 10x10 tables, and 2
-        # running replicas: 68 bytes a site, the 2,500-byte stream and a
-        # 4,096-row event buffer each
-        need = 3 * 11 * 48 + 48 * 100 + 2 * (68 * 100 + 2500 + 4096 * 48)
-        for have[0], code in ((need, 0), (need - 1, 1)):
-            out = tmp_path / str(code)
-            assert main(flags + ["--out", str(out)]) == code
+        flags = ["--tmax", "10", "--replicas", "3", "--events"]
+        # 3 replicas of 11 rows in the matrices (24 bytes), the 10x10
+        # tables, and per running replica 68 bytes a site, the 2,500-byte
+        # stream and a 4,096-row event buffer
+        base = 3 * 11 * 24 + 48 * 100
+        running = 68 * 100 + 2500 + 4096 * 48
+        # on 2 threads, 2 replicas run and every trajectory (11 rows of 48
+        # bytes) may wait whole; serially one runs and one is held
+        threaded = base + 3 * 11 * 48 + 2 * running
+        serial = base + 11 * 48 + running
+        # the matrices were once left out: that count is too little
+        uncounted = threaded - 3 * 11 * 24
+        for jobs, have[0], code in (
+                (2, threaded, 0), (2, threaded - 1, 1), (2, uncounted, 1),
+                (1, serial, 0), (1, serial - 1, 1)):
+            out = tmp_path / f"{jobs}-{have[0]}"
+            assert main(flags + ["--jobs", str(jobs),
+                                 "--out", str(out)]) == code
             assert out.exists() == (code == 0)
         assert "of trajectories and 10x10 lattice buffers, more than" \
             in capsys.readouterr().err

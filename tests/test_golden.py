@@ -15,10 +15,9 @@ from array import array
 import numpy as np
 import pytest
 
-from techmarket import PolicyKind, SimParams, VariantKind
+from techmarket import PolicyKind, SimParams, VariantKind, compiled
 from techmarket.dynamics import Trajectory
 from techmarket.ensemble import run_replica
-from techmarket.output import emit_event_log
 from techmarket.rng import derive_seed
 
 import oracle
@@ -89,15 +88,25 @@ def _trajectory_digest(key, replica) -> str:
     return _series_digest(replica(params, derive_seed(seed, index)))
 
 
+def compiled_logged_replica(params, replica_seed, events):
+    """``run_replica`` appending its event rows to the array ``events``."""
+    return run_replica(params, replica_seed, events.frombytes)
+
+
+def oracle_text(events, replica) -> str:
+    """The oracle's JSON lines of event rows ``events``."""
+    log = io.StringIO()
+    oracle.emit_event_log(log, replica, events)
+    return log.getvalue()
+
+
 def _event_log_digest(key, replica, render) -> str:
     q, policy, variant, seed = key
     params = SimParams(q=q, policy=policy, variant=variant, t_max=T_MAX,
                        seed=seed)
     events = array("q")
     replica(params, derive_seed(seed, 0), events)
-    log = io.StringIO()
-    render(log, 0, events)
-    return hashlib.sha256(log.getvalue().encode()).hexdigest()
+    return hashlib.sha256(render(events, 0).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("key", list(TRAJECTORY_DIGESTS), ids=_case_id)
@@ -112,11 +121,11 @@ def test_trajectory_digest_python_kernel(key):
 
 @pytest.mark.parametrize("key", list(EVENT_LOG_DIGESTS), ids=_case_id)
 def test_event_log_digest(key):
-    assert _event_log_digest(key, run_replica, emit_event_log) \
-        == EVENT_LOG_DIGESTS[key]
+    assert _event_log_digest(key, compiled_logged_replica,
+                             compiled.render_events) == EVENT_LOG_DIGESTS[key]
 
 
 @pytest.mark.parametrize("key", list(EVENT_LOG_DIGESTS), ids=_case_id)
 def test_event_log_digest_python_kernel(key):
-    assert _event_log_digest(key, oracle_replica, oracle.emit_event_log) \
+    assert _event_log_digest(key, oracle_replica, oracle_text) \
         == EVENT_LOG_DIGESTS[key]
