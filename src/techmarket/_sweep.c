@@ -36,15 +36,12 @@
  * f gets id f, slot f, share 1.0 / n0 and the f-th site drawn.
  *
  * tm_run writes the rows of a dynamics.Trajectory into the columns State
- * points to: a row per sweep, plus the end state's. When State.events is
- * set, each visit also writes the step's event row: (kind, firm, t,
- * partner, child, rescued), with -1 for no partner and no child. A sweep
- * writes at most one row per firm alive at its start, so tm_run returns
- * PAUSED before a sweep whose rows might not fit; the caller takes the rows
- * and calls again.
- *
- * tm_render_events renders event rows as the JSON lines of
- * compiled.render_events.
+ * points to: a row per sweep, plus the end state's. When State.text is set,
+ * each visit also appends the step's line of the event log to it (see
+ * put_event). A sweep writes at most one line per firm alive at its start,
+ * so tm_run returns PAUSED before a sweep whose lines might not fit; the
+ * caller takes the text and calls again. tm_event_line_max gives the
+ * longest line's bytes, by which the caller sizes State.text.
  *
  * tm_fold and tm_column_stats reduce an ensemble's trajectories to the
  * statistics of ensemble.run_trajectories, summed in the order numpy's
@@ -88,10 +85,10 @@ typedef struct {
     int64_t row, n_rows;
     int64_t *n_firms, *rescued, *bankrupted;
     double *mean_tech, *ratio, *renorm_error;
-    /* event rows, six int64 each: this call wrote n_events of at most
-     * max_events; NULL keeps none */
-    int64_t *events;
-    int64_t n_events, max_events;
+    /* the event log's text: this call wrote n_text bytes of at most
+     * max_text; NULL keeps none. replica is the index its lines carry. */
+    char *text;
+    int64_t n_text, max_text, replica;
 } State;
 
 size_t tm_state_size(void) { return sizeof(State); }
@@ -313,6 +310,67 @@ static int interact(State *st, Stream *rs, int64_t i, int64_t j)
     return SPIN_OFF;
 }
 
+/* The kinds' names in the event log, by kind */
+static const char *const KIND_NAMES[N_KINDS] = {
+    "bankrupted", "rescued", "moved_copied_frontier", "moved_no_diffusion",
+    "merged", "spin_off", "spin_off_blocked"
+};
+
+/* The longest line: the longest kind name, a partner, a child, a rescue and
+ * five integers of 19 characters (INT64_MAX): every integer is >= 0. */
+#define EVENT_LINE_MAX (sizeof "{\"replica\":,\"t\":,\"firm\":,\"kind\":\"" \
+    "moved_copied_frontier\",\"partner\":,\"child\":,\"rescued\":true}\n" \
+    - 1 + 5 * 19)
+
+size_t tm_event_line_max(void) { return EVENT_LINE_MAX; }
+
+#define PUT(p, literal) \
+    (memcpy(p, literal, sizeof literal - 1), (p) + sizeof literal - 1)
+
+static char *put_int(char *p, int64_t v)
+{
+    char digits[19];
+    int n = 0;
+    do {
+        digits[n++] = (char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    while (n)
+        *p++ = digits[--n];
+    return p;
+}
+
+/* Append firm fid's step of this sweep to the text as one line: keys
+ * replica, t, firm and kind, then partner when set (>= 0), child when the
+ * step founded a spin-off (the newest firm), and "rescued":true when a
+ * rescue fired. */
+static void put_event(State *st, int kind, int64_t fid, int64_t partner,
+                      int rescued)
+{
+    char *p = st->text + st->n_text;
+    p = PUT(p, "{\"replica\":");
+    p = put_int(p, st->replica);
+    p = PUT(p, ",\"t\":");
+    p = put_int(p, st->sweep);
+    p = PUT(p, ",\"firm\":");
+    p = put_int(p, fid);
+    p = PUT(p, ",\"kind\":\"");
+    size_t len = strlen(KIND_NAMES[kind]);
+    memcpy(p, KIND_NAMES[kind], len);
+    p += len;
+    *p++ = '"';
+    if (partner >= 0) {
+        p = PUT(p, ",\"partner\":");
+        p = put_int(p, partner);
+        if (kind == SPIN_OFF) {
+            p = PUT(p, ",\"child\":");
+            p = put_int(p, st->next_id - 1);
+        }
+    }
+    p = rescued ? PUT(p, ",\"rescued\":true}\n") : PUT(p, "}\n");
+    st->n_text = p - st->text;
+}
+
 static void update_cycle(State *st, Stream *rs, int64_t n_order)
 {
     int32_t *occ = st->occ;
@@ -387,15 +445,8 @@ static void update_cycle(State *st, Stream *rs, int64_t n_order)
                 }
             }
         }
-        if (st->events) {
-            int64_t *row = st->events + 6 * st->n_events++;
-            row[0] = kind;
-            row[1] = fid;
-            row[2] = st->sweep;
-            row[3] = partner_id;
-            row[4] = kind == SPIN_OFF ? st->next_id - 1 : -1;
-            row[5] = rescued;
-        }
+        if (st->text)
+            put_event(st, kind, fid, partner_id, rescued);
     }
 }
 
@@ -436,7 +487,8 @@ static int run(State *st, Stream *rs)
         st->ratio[row] = ws / st->frontier;
         if (row == st->n_rows - 1)
             return OK;
-        if (st->events && st->n_events + n > st->max_events)
+        if (st->text
+                && st->n_text + n * (int64_t)EVENT_LINE_MAX > st->max_text)
             return PAUSED;
 
         int32_t *order = st->order;
@@ -468,7 +520,7 @@ static int run(State *st, Stream *rs)
 }
 
 /* Run the sweeps from row st->row on: returns OK once the last row is
- * written, PAUSED before a sweep whose event rows might not fit, or
+ * written, PAUSED before a sweep whose event lines might not fit, or
  * RENORM_ABOVE_TOLERANCE where the renormalisation fails (a share total at
  * or below 0 among them), with the error in the sweep's row and the sweep
  * not advanced. Columns rescued and bankrupted must start at 0. */
@@ -476,82 +528,10 @@ int tm_run(State *st)
 {
     Stream rs;
     stream_open(&rs, st->mt);
-    st->n_events = 0;
+    st->n_text = 0;
     int status = run(st, &rs);
     stream_close(&rs);
     return status;
-}
-
-/* EventKind names, lower case, by kind */
-static const char *const KIND_NAMES[N_KINDS] = {
-    "bankrupted", "rescued", "moved_copied_frontier", "moved_no_diffusion",
-    "merged", "spin_off", "spin_off_blocked"
-};
-
-/* The longest line: the longest kind name, a partner, a child, a rescue and
- * five integers of 20 characters (INT64_MIN). */
-#define EVENT_LINE_MAX (sizeof "{\"replica\":,\"t\":,\"firm\":,\"kind\":\"" \
-    "moved_copied_frontier\",\"partner\":,\"child\":,\"rescued\":true}\n" \
-    - 1 + 5 * 20)
-
-size_t tm_event_line_max(void) { return EVENT_LINE_MAX; }
-
-#define PUT(p, literal) \
-    (memcpy(p, literal, sizeof literal - 1), (p) + sizeof literal - 1)
-
-static char *put_int(char *p, int64_t v)
-{
-    char digits[20];
-    int n = 0;
-    uint64_t u = v < 0 ? 0U - (uint64_t)v : (uint64_t)v;
-    if (v < 0)
-        *p++ = '-';
-    do {
-        digits[n++] = (char)('0' + u % 10);
-        u /= 10;
-    } while (u);
-    while (n)
-        *p++ = digits[--n];
-    return p;
-}
-
-/* Render n_rows event rows of replica to out, which holds n_rows *
- * tm_event_line_max() bytes: one line each, keys replica, t, firm and kind,
- * then partner when set, child when set after a partner, and
- * "rescued":true when the flag is 1. Returns the bytes written, or -1 - i
- * when row i has a kind outside EventKind or a flag other than 0 and 1. */
-int64_t tm_render_events(const int64_t *rows, int64_t n_rows, int64_t replica,
-                         char *out)
-{
-    char *p = out;
-    for (int64_t i = 0; i < n_rows; i++) {
-        const int64_t *row = rows + 6 * i;
-        int64_t kind = row[0], partner = row[3], child = row[4];
-        int64_t rescued = row[5];
-        if (kind < 0 || kind >= N_KINDS || rescued < 0 || rescued > 1)
-            return -1 - i;
-        p = PUT(p, "{\"replica\":");
-        p = put_int(p, replica);
-        p = PUT(p, ",\"t\":");
-        p = put_int(p, row[2]);
-        p = PUT(p, ",\"firm\":");
-        p = put_int(p, row[1]);
-        p = PUT(p, ",\"kind\":\"");
-        size_t len = strlen(KIND_NAMES[kind]);
-        memcpy(p, KIND_NAMES[kind], len);
-        p += len;
-        *p++ = '"';
-        if (partner >= 0) {
-            p = PUT(p, ",\"partner\":");
-            p = put_int(p, partner);
-            if (child >= 0) {
-                p = PUT(p, ",\"child\":");
-                p = put_int(p, child);
-            }
-        }
-        p = rescued ? PUT(p, ",\"rescued\":true}\n") : PUT(p, "}\n");
-    }
-    return p - out;
 }
 
 /* Fold replica k's trajectory columns, of n_rows rows, into an ensemble's

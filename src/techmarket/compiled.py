@@ -1,5 +1,5 @@
 """The model's kernel, ``_sweep.c``, built once per checkout and loaded with
-ctypes: every replica starts from its seed, runs its sweeps and renders its
+ctypes: every replica starts from its seed, runs its sweeps and writes its
 event log in C.
 
 A replica runs in a ``State`` that ``new_state`` allocates with zeroed
@@ -9,14 +9,12 @@ buffers for the parameters' lattice, pointing at the trajectory's columns.
 columns in place; the end market and stream stay in the State's buffers.
 The lattice's neighbor tables and the trajectory's columns, all ``array``
 buffers, are shared with C without a copy.
-A logged run collects its event rows in a buffer of EVENT_ROWS rows: the
-call pauses before a sweep whose rows might not fit, hands the rows to the
-caller's sink as a view of the buffer, and is called again.
-``render_events`` renders rows as JSON lines through the library's third
-entry, tm_render_events. The C calls release the GIL, so replicas on
-threads run and render their logs in parallel. ``folder`` and
-``column_stats`` reduce an ensemble's trajectories to its statistics,
-summed in numpy's order.
+A logged run writes each step's JSON line into a text buffer of
+EVENT_ROWS lines: the call pauses before a sweep whose lines might not
+fit, hands the text to the caller's sink as a ``str``, and is called
+again. The C calls release the GIL, so replicas on threads run and write
+their logs in parallel. ``folder`` and ``column_stats`` reduce an
+ensemble's trajectories to its statistics, summed in numpy's order.
 
 ``kernel()`` builds the library on first use with gcc into this
 checkout's directory of ``$XDG_CACHE_HOME/techmarket`` (``~/.cache`` by
@@ -42,7 +40,6 @@ from typing import Callable, Optional
 
 from .dynamics import (
     _POLICY_SEGMENT,
-    EVENT_FIELDS,
     RENORM_TOLERANCE,
     Trajectory,
     renorm_failure,
@@ -90,15 +87,14 @@ class _State(ctypes.Structure):
         ("row", _I64), ("n_rows", _I64),
         ("n_firms", _P_I64), ("rescued", _P_I64), ("bankrupted", _P_I64),
         ("mean_tech", _P_F64), ("ratio", _P_F64), ("renorm_error", _P_F64),
-        ("events", _P_I64), ("n_events", _I64), ("max_events", _I64),
+        ("text", ctypes.POINTER(ctypes.c_char)), ("n_text", _I64),
+        ("max_text", _I64), ("replica", _I64),
     ]
 
 
-#: Event rows a logged run collects per C call (at least a lattice's sites,
-#: the most one sweep writes): 192 KiB.
+#: Event lines a logged run has room for per C call (at least a lattice's
+#: sites, the most one sweep writes), each of tm_event_line_max() bytes.
 EVENT_ROWS = 4096
-#: Bytes of one event row.
-EVENT_ROW_BYTES = EVENT_FIELDS * ctypes.sizeof(_I64)
 #: tm_run's return codes.
 _OK, _RENORM_ABOVE_TOLERANCE, _PAUSED = range(3)
 
@@ -187,8 +183,6 @@ def _load() -> ctypes.CDLL | str:
     lib.tm_run.restype = ctypes.c_int
     lib.tm_event_line_max.argtypes = []
     lib.tm_event_line_max.restype = ctypes.c_size_t
-    lib.tm_render_events.argtypes = [_P_I64, _I64, _I64, ctypes.c_char_p]
-    lib.tm_render_events.restype = _I64
     lib.tm_fold.argtypes = [_P_I64, _P_F64, _P_F64, _P_I64, _P_F64, _I64,
                             _I64, _P_F64, _P_F64, _P_F64, _P_I64, _P_F64,
                             _F64]
@@ -208,14 +202,14 @@ def new_state(params: SimParams, trajectory: Trajectory,
               logged: bool) -> _State:
     """A State of ``params`` with zeroed buffers for its lattice, writing
     one row of ``trajectory``, a ``Trajectory.empty``, per sweep; with
-    ``logged``, also an event buffer. The struct keeps the ctypes arrays it
-    points into alive, and the from_buffer views keep the tables and the
-    columns."""
+    ``logged``, also an event log's text buffer, for replica 0 until its
+    ``replica`` is set. The struct keeps the ctypes arrays it points into
+    alive, and the from_buffer views keep the tables and the columns."""
     rows = len(trajectory.n_firms)
     n_sites = params.lx * params.ly
     cap = 2 * n_sites  # see State.id in _sweep.c
     vn4, moore8 = neighbor_tables(params.lx, params.ly)
-    max_events = max(EVENT_ROWS, n_sites)
+    max_text = _text_bytes(n_sites) if logged else 0
     return _State(
         s=params.s, b=params.b, q=params.q, omega_s=params.omega_s,
         sigma=params.sigma, tolerance=RENORM_TOLERANCE,
@@ -234,17 +228,23 @@ def new_state(params: SimParams, trajectory: Trajectory,
         mean_tech=_view(_F64, trajectory.mean_tech, rows),
         ratio=_view(_F64, trajectory.ratio, rows),
         renorm_error=_view(_F64, trajectory.renorm_error, rows),
-        events=(_I64 * (EVENT_FIELDS * max_events))() if logged else None,
-        max_events=max_events)
+        text=(ctypes.c_char * max_text)() if logged else None,
+        max_text=max_text)
+
+
+def _text_bytes(n_sites: int) -> int:
+    """Bytes of a logged State's text buffer: EVENT_ROWS lines, or a line
+    per site when the lattice has more sites."""
+    return max(EVENT_ROWS, n_sites) * kernel().tm_event_line_max()
 
 
 def state_bytes(n_sites: int, logged: bool) -> int:
     """Bytes of the buffers ``new_state`` allocates on a lattice of
     ``n_sites`` sites: occ, then id, tech, share, site and order for twice
     the sites (see State.id in _sweep.c), the stream, and a logged
-    replica's event buffer."""
+    replica's text buffer."""
     return ((4 + 2 * (8 + 8 + 8 + 4 + 4)) * n_sites + 4 * _MT_WORDS
-            + (EVENT_ROW_BYTES * max(EVENT_ROWS, n_sites) if logged else 0))
+            + (_text_bytes(n_sites) if logged else 0))
 
 
 def start(state: _State, params: SimParams, seed: int) -> None:
@@ -257,46 +257,20 @@ def start(state: _State, params: SimParams, seed: int) -> None:
 def run_sweeps(state: _State, events: Optional[Callable] = None) -> None:
     """Run ``state`` from its sweep for one sweep per trajectory row but
     the last, and write every row; with an event sink, a callable (the
-    State must be logged), pass it each C call's event rows as a bytes view
-    of the State's buffer, valid only during the sink's call. A share total
-    that drifts beyond RENORM_TOLERANCE raises IntegrityError after the
-    failing sweep's rows are passed on."""
+    State must be logged), pass it each C call's event log lines as one
+    ``str``. A share total that drifts beyond RENORM_TOLERANCE raises
+    IntegrityError after the failing sweep's lines are passed on."""
     lib = kernel()
     if events is not None:
-        address = ctypes.addressof(state.events.contents)
+        address = ctypes.addressof(state.text.contents)
     status = _PAUSED
     while status == _PAUSED:
         status = lib.tm_run(ctypes.byref(state))
         if events is not None:
-            rows = ctypes.c_ubyte * (state.n_events * EVENT_ROW_BYTES)
-            events(memoryview(rows.from_address(address)).cast("B"))
+            text = ctypes.c_char * state.n_text
+            events(str(memoryview(text.from_address(address)), "ascii"))
     if status == _RENORM_ABOVE_TOLERANCE:
         raise renorm_failure(state.renorm_error[state.row], state.sweep)
-
-
-def render_events(rows, replica: int) -> str:
-    """Event rows (see ``dynamics``) as the JSON lines of replica
-    ``replica``, rendered by tm_render_events in one call. ``rows`` is a
-    writable buffer of whole rows: an ``array('q')``, or the view a
-    ``run_sweeps`` sink gets.
-
-    Each line is what ``json.dumps(..., separators=(",", ":"))`` gives for
-    the keys replica, t, firm and kind, then partner when set, child when
-    set (only spin-offs have one, and they always have a partner), and
-    ``"rescued":true`` only when a rescue fired. A row with a kind outside
-    EventKind or a rescued flag other than 0 and 1 raises ValueError.
-    """
-    lib = kernel()
-    n_rows = memoryview(rows).nbytes // EVENT_ROW_BYTES
-    # the view pins the buffer, so no thread resizes it during the call
-    view = (_I64 * (EVENT_FIELDS * n_rows)).from_buffer(rows)
-    text = ctypes.create_string_buffer(n_rows * lib.tm_event_line_max())
-    size = lib.tm_render_events(view, n_rows, replica, text)
-    if size < 0:
-        bad = EVENT_FIELDS * (-1 - size)
-        row = tuple(view[bad:bad + EVENT_FIELDS])
-        raise ValueError(f"event row {row} is not an event")
-    return str(memoryview(text)[:size], "ascii")
 
 
 def folder(n_mat: array, a_mat: array, r_mat: array, rescued_sum: array,

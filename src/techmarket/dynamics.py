@@ -59,20 +59,20 @@ are ``array`` buffers, which the kernel writes in place.
 ``tests/oracle.py`` holds the same model in Python, step for step, and is
 the reference the kernel is tested against.
 
-A logged run writes one event row per step, which the kernel hands to the
-caller's sink (see ``compiled.run_sweeps``): EVENT_FIELDS int64 values,
-``(kind, firm, t, partner, child, rescued)``:
-the step's EventKind and firm, the sweep, the partner (the absorbed firm
-for MERGED, the interaction partner for SPIN_OFF and SPIN_OFF_BLOCKED) and
-the id of a newly founded spin-off, each -1 when there is none, and 1 when
-the intervention fired during the step (always for RESCUED; under the
-active variant it may accompany an action kind), else 0.
+A logged run writes one line of JSON per step, which the kernel hands to
+the caller's sink (see ``compiled.run_sweeps``): what
+``json.dumps(..., separators=(",", ":"))`` gives for the keys replica, t
+(the sweep), firm and kind (the step's outcome, in lower case), then
+partner (the absorbed firm for merged, the interaction partner for
+spin_off and spin_off_blocked), child (a newly founded spin-off's id) and
+``"rescued":true`` (the intervention fired during the step: always for
+rescued; under the active variant it may accompany an action kind), each
+left out when there is none.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from enum import IntEnum
 
 from .errors import IntegrityError
 from .market import Segment
@@ -86,23 +86,6 @@ _POLICY_SEGMENT = {
     PolicyKind.MEDIUM_TECH: Segment.MEDIUM,
     PolicyKind.HIGH_TECH: Segment.HIGH,
 }
-
-
-class EventKind(IntEnum):
-    """Terminal outcome of one per-firm step; the value is the kind column
-    of an event row."""
-
-    BANKRUPTED = 0
-    RESCUED = 1
-    MOVED_COPIED_FRONTIER = 2
-    MOVED_NO_DIFFUSION = 3
-    MERGED = 4
-    SPIN_OFF = 5
-    SPIN_OFF_BLOCKED = 6
-
-
-#: int64 values per event row; see the module docstring.
-EVENT_FIELDS = 6
 
 
 #: array typecodes of Trajectory's columns, in field order: int64 and

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, TextIO
 
 from . import compiled
-from .dynamics import Trajectory
+from .dynamics import ROW_BYTES, Trajectory
 from .params import SimParams
 from .rng import derive_seed
 
@@ -78,11 +78,13 @@ _ROW_FIELDS = ("t", "n_mean", "n_sd", "a_mean", "a_sd", "ratio_mean",
 
 
 def run_replica(params: SimParams, replica_seed: int,
-                events: Optional[Callable] = None) -> Trajectory:
+                events: Optional[Callable] = None, *,
+                replica: int = 0) -> Trajectory:
     """Simulate one replica from sweep 0 to sweep t_max from the given
-    stream seed. With an event sink, a callable, every step's event row is
-    passed to it: each kernel call's rows at once, as a bytes view valid
-    only during the sink's call (see ``compiled.run_sweeps``).
+    stream seed. With an event sink, a callable, every step's line of the
+    event log, which names the replica as ``replica`` (>= 0), is passed to
+    it: each kernel call's lines at once, as one ``str`` (see
+    ``compiled.run_sweeps``).
 
     The trajectory is allocated here and written by the compiled kernel,
     which seeds the stream, draws the initial market and runs the sweeps in
@@ -91,6 +93,7 @@ def run_replica(params: SimParams, replica_seed: int,
     """
     trajectory = Trajectory.empty(params.t_max + 1)
     state = compiled.new_state(params, trajectory, events is not None)
+    state.replica = replica
     compiled.start(state, params, replica_seed)
     compiled.run_sweeps(state, events)
     return trajectory
@@ -121,12 +124,12 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
     still queued. Otherwise they run one after another in the calling
     thread.
 
-    With ``event_log``, each replica renders its event rows to JSON lines
-    in the thread that runs it, each time the kernel pauses, and keeps only
-    the text. The text is written to the stream in replica order as soon as
-    that replica and every earlier one have finished. Serial and threaded
-    runs give the same bytes. A replica's exception propagates unchanged,
-    with a note naming its seed.
+    With ``event_log``, the kernel writes each replica's event log as JSON
+    lines in the thread that runs it, and the replica keeps only the text,
+    a chunk per kernel call. The text is written to the stream in replica
+    order as soon as that replica and every earlier one have finished.
+    Serial and threaded runs give the same bytes. A replica's exception
+    propagates unchanged, with a note naming its seed.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
@@ -141,9 +144,7 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
         if event_log is None:
             return run_replica(params, seed), None
         chunks: list[str] = []
-        trajectory = run_replica(params, seed, lambda rows: chunks.append(
-            compiled.render_events(rows, k)))
-        return trajectory, chunks
+        return run_replica(params, seed, chunks.append, replica=k), chunks
 
     rows = params.t_max + 1
     n_mat, a_mat, r_mat = (array("d", [0.0]) * (n_replicas * rows)
@@ -186,6 +187,22 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
         "rescued_sum": rescued_sum,
         "renorm_error": renorm_error,
     }, tc_vals)
+
+
+def bytes_needed(params: SimParams, n_replicas: int, jobs: int,
+                 logged: bool) -> int:
+    """The most bytes ``run_trajectories(params, n_replicas, jobs)`` holds
+    at once, with an event log when ``logged``, leaving out the log text
+    that replicas keep between kernel calls: the three matrices, 24 bytes a replica and row; whole trajectories, of
+    every replica on threads, where replicas done ahead of an earlier one
+    wait whole, and of one when serial; the lattice's neighbor tables, 12
+    ints a site; and the C buffers of the replicas running at once."""
+    rows = params.t_max + 1
+    n_sites = params.lx * params.ly
+    workers = min(jobs, n_replicas)
+    held = n_replicas if workers > 1 else 1
+    return ((n_replicas * 24 + held * ROW_BYTES) * rows + 48 * n_sites
+            + workers * compiled.state_bytes(n_sites, logged))
 
 
 def _pairwise_sum(x: Sequence[float]) -> float:

@@ -6,8 +6,8 @@ Floats carry 12 significant digits. The metadata file doubles as a config
 file: plain lines are config keys, informational records are comments.
 Every file is written through ``atomic_write``, so it appears complete or
 not at all: event logs too, which ``scenarios`` opens with it and
-``ensemble.run_trajectories`` fills with the text of
-``compiled.render_events``.
+``ensemble.run_trajectories`` fills with the text the compiled kernel
+writes.
 """
 from __future__ import annotations
 

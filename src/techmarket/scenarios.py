@@ -49,8 +49,12 @@ from pathlib import Path
 
 from . import __version__, compiled
 from .config import RunControls
-from .dynamics import ROW_BYTES
-from .ensemble import EnsembleStats, run_trajectories, stored_ensemble
+from .ensemble import (
+    EnsembleStats,
+    bytes_needed,
+    run_trajectories,
+    stored_ensemble,
+)
 from .errors import ConfigError
 from .output import (
     atomic_write,
@@ -118,15 +122,7 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
     cells = resolve_cells(name, base, controls)
     replicas = controls.replicas
     t_max = cells[0][1].t_max
-    n_sites = base.lx * base.ly
-    # the ensemble's three matrices (24 bytes a replica and row); whole
-    # trajectories: on threads, replicas done ahead of an earlier one wait
-    # whole, serially one is held at a time; the lattice's neighbor tables
-    # (12 ints a site) and the C buffers of the replicas running at once
-    workers = min(controls.jobs, replicas)
-    held = replicas if workers > 1 else 1
-    need = ((replicas * 24 + held * ROW_BYTES) * (t_max + 1) + 48 * n_sites
-            + workers * compiled.state_bytes(n_sites, controls.events))
+    need = bytes_needed(cells[0][1], replicas, controls.jobs, controls.events)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(

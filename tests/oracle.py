@@ -3,10 +3,11 @@ against.
 
 This is the model of ``techmarket.dynamics``, step for step and draw for
 draw, on a market of ``Firm`` objects in a registry ordered by id. It gives
-the kernel's bits: the same trajectories, event rows and event-log text, and
-the same end market and stream. ``init_market`` starts a market as
-``_sweep.c``'s tm_init does, ``run_sweeps`` runs it as tm_run does, and
-``emit_event_log`` renders event rows as tm_render_events does.
+the kernel's bits: the same trajectories, event-log text, end market and
+stream. ``init_market`` starts a market as ``_sweep.c``'s tm_init does, and
+``run_sweeps`` runs it as tm_run does. A step's outcome is an ``EventKind``
+and its record an event row of EVENT_FIELDS integers, this module's own
+format; ``emit_event_log`` renders the rows as the lines tm_run writes.
 ``compiled_state`` fills a kernel State from a market of this module, so
 that the kernel can start from a hand-built one.
 """
@@ -17,25 +18,43 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
+from enum import IntEnum
 from typing import Iterable, Optional, TextIO
 
 from techmarket import compiled
 from techmarket.dynamics import (
     _POLICY_SEGMENT,
-    EVENT_FIELDS,
     RENORM_TOLERANCE,
-    EventKind,
     Trajectory,
     renorm_failure,
 )
 from techmarket.market import Segment, neighbor_tables
 from techmarket.params import SimParams, VariantKind
 
+
+class EventKind(IntEnum):
+    """Terminal outcome of one per-firm step, valued as ``_sweep.c``'s
+    kinds; the value is the kind column of an event row."""
+
+    BANKRUPTED = 0
+    RESCUED = 1
+    MOVED_COPIED_FRONTIER = 2
+    MOVED_NO_DIFFUSION = 3
+    MERGED = 4
+    SPIN_OFF = 5
+    SPIN_OFF_BLOCKED = 6
+
+
+#: Integers per event row: ``(kind, firm, t, partner, child, rescued)``, the
+#: step's EventKind and firm, the sweep, the partner and the id of a newly
+#: founded spin-off (each -1 when there is none), and 1 when the
+#: intervention fired during the step, else 0.
+EVENT_FIELDS = 6
+
 (_BANKRUPTED, _RESCUED, _MOVED_COPIED_FRONTIER, _MOVED_NO_DIFFUSION, _MERGED,
  _SPIN_OFF, _SPIN_OFF_BLOCKED) = EventKind
 
-#: The ``,"kind":"<name>"`` fragment of an event line, by EventKind value: a
-#: dict, so that a negative kind raises as an unknown one does.
+#: The ``,"kind":"<name>"`` fragment of an event line, by EventKind value.
 _KIND_FIELDS = {kind: f',"kind":"{kind.name.lower()}"' for kind in EventKind}
 
 
@@ -420,37 +439,27 @@ def run_sweeps(market: MarketState, params: SimParams, rng: random.Random,
 # -- event logs ---------------------------------------------------------------
 
 def emit_event_log(out: TextIO, replica: int, events: array) -> None:
-    """``compiled.render_events``' text for ``events``, an ``array('q')``,
-    written to ``out``; or the same ValueError.
-
-    Each line is what ``json.dumps(..., separators=(",", ":"))`` gives for
-    the keys replica, t, firm and kind, then partner when set, child when
-    set (only spin-offs have one, and they always have a partner), and
-    ``"rescued":true`` only when a rescue fired. A row with a kind outside
-    EventKind or a rescued flag other than 0 and 1 raises ValueError.
-    """
+    """Write the event rows ``events``, an ``array('q')``, to ``out`` as
+    the lines replica ``replica``'s logged kernel run writes (see
+    ``dynamics``)."""
     kinds = _KIND_FIELDS
-    ends = {0: '}\n', 1: ',"rescued":true}\n'}  # by the rescued flag
+    ends = ('}\n', ',"rescued":true}\n')  # by the rescued flag
     lines = []
     append = lines.append
     head_t = None
-    rows = zip(*[iter(events)] * EVENT_FIELDS)
-    try:
-        for kind, firm, t, partner, child, rescued in rows:
-            if t != head_t:  # rows come sweep by sweep: one head per sweep
-                head_t = t
-                head = f'{{"replica":{replica},"t":{t},"firm":'
-            if partner < 0:
-                append(f'{head}{firm}{kinds[kind]}{ends[rescued]}')
-            elif child < 0:
-                append(f'{head}{firm}{kinds[kind]},"partner":{partner}'
-                       f'{ends[rescued]}')
-            else:
-                append(f'{head}{firm}{kinds[kind]},"partner":{partner}'
-                       f',"child":{child}{ends[rescued]}')
-    except KeyError:
-        row = (kind, firm, t, partner, child, rescued)
-        raise ValueError(f"event row {row} is not an event") from None
+    for kind, firm, t, partner, child, rescued in zip(
+            *[iter(events)] * EVENT_FIELDS):
+        if t != head_t:  # rows come sweep by sweep: one head per sweep
+            head_t = t
+            head = f'{{"replica":{replica},"t":{t},"firm":'
+        if partner < 0:
+            append(f'{head}{firm}{kinds[kind]}{ends[rescued]}')
+        elif child < 0:
+            append(f'{head}{firm}{kinds[kind]},"partner":{partner}'
+                   f'{ends[rescued]}')
+        else:
+            append(f'{head}{firm}{kinds[kind]},"partner":{partner}'
+                   f',"child":{child}{ends[rescued]}')
     out.write("".join(lines))
 
 

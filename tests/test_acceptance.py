@@ -15,13 +15,17 @@ import pytest
 
 from techmarket import PolicyKind, SimParams, VariantKind, run_ensemble
 from techmarket.config import resolve_config
-from techmarket.dynamics import EventKind
 from techmarket.ensemble import run_replica
 from techmarket.rng import derive_seed
 from techmarket.scenarios import run_scenario
 
 from conftest import moore8_of, random_market
-from oracle import interact, redistribute_shares_equal, survival_probability
+from oracle import (
+    EventKind,
+    interact,
+    redistribute_shares_equal,
+    survival_probability,
+)
 
 JOBS = 2
 RENORM_PEAKS: dict[str, float] = {}

@@ -1,6 +1,7 @@
 """The compiled kernel against the Python oracle (``oracle.py``), its
 reference, and its build: cache, failure, and the runs that load it."""
 import copy
+import ctypes
 import io
 import os
 import random
@@ -26,7 +27,7 @@ from techmarket import (
     compiled,
 )
 from techmarket.cli import main
-from techmarket.dynamics import EVENT_FIELDS, EventKind, Trajectory
+from techmarket.dynamics import Trajectory
 from techmarket.ensemble import run_ensemble, run_replica
 from techmarket.rng import derive_seed
 
@@ -87,15 +88,17 @@ def run_states(monkeypatch):
     return spy_states(monkeypatch)
 
 
-def run_both(params, seed):
-    """``run_replica`` of (params, seed) with an event sink, then the oracle's
-    replica from ``random.Random(seed)``: the compiled run's (trajectory,
-    events, State), then the oracle's (trajectory, events, market, rng)."""
-    events = array("q")
+def run_both(params, seed, replica=0):
+    """``run_replica`` of (params, seed) with an event sink, as replica
+    ``replica``, then the oracle's replica from ``random.Random(seed)``: the
+    compiled run's (trajectory, event log text a chunk per kernel call,
+    State), then the oracle's (trajectory, event rows, market, rng)."""
+    chunks = []
     with pytest.MonkeyPatch.context() as mp:
         states = spy_states(mp)
-        trajectory = run_replica(params, seed, events.frombytes)
-    compiled_run = trajectory, events, states[0]
+        trajectory = run_replica(params, seed, chunks.append,
+                                 replica=replica)
+    compiled_run = trajectory, chunks, states[0]
     rng = random.Random(seed)
     market = oracle.init_market(params, rng)
     trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
@@ -103,12 +106,30 @@ def run_both(params, seed):
     return compiled_run, (trajectory, events, market, rng)
 
 
-def assert_same_runs(compiled_run, oracle_run):
-    (tr_c, events_c, state), (tr_py, events_py, market, rng) = (compiled_run,
-                                                               oracle_run)
+def oracle_text(events, replica=0) -> str:
+    """The oracle's event rows ``events`` as replica ``replica``'s lines."""
+    out = io.StringIO()
+    oracle.emit_event_log(out, replica, events)
+    return out.getvalue()
+
+
+def run_logged(state):
+    """Run a logged State to its end: its event log, a chunk per kernel
+    call."""
+    chunks = []
+    compiled.run_sweeps(state, chunks.append)
+    return chunks
+
+
+def assert_same_runs(compiled_run, oracle_run, replica=0):
+    """The compiled run's columns, event log, end market and end stream
+    against the oracle's, its event rows rendered as replica
+    ``replica``'s."""
+    (tr_c, chunks, state), (tr_py, events, market, rng) = (compiled_run,
+                                                           oracle_run)
     for name in COLUMNS:
         assert np.array_equal(getattr(tr_c, name), getattr(tr_py, name)), name
-    assert events_c == events_py
+    assert "".join(chunks) == oracle_text(events, replica)
     assert_same_market(state, market)
     # the end stream: 624 words and the position
     words = rng.getstate()[1]
@@ -131,9 +152,10 @@ def assert_same_market(state, market):
 
 
 @settings(max_examples=150, deadline=None)
-@given(params=sim_params())
-def test_compiled_sweeps_match_python(params):
-    assert_same_runs(*run_both(params, params.seed))
+@given(params=sim_params(),
+       replica=st.sampled_from((0, 2**63 - 1)) | st.integers(0, 2**63 - 1))
+def test_compiled_sweeps_match_python(params, replica):
+    assert_same_runs(*run_both(params, params.seed, replica), replica)
 
 
 @settings(max_examples=300, deadline=None,
@@ -177,79 +199,94 @@ def test_initial_market_matches_the_oracle(run_states, params):
 
 
 def test_logged_run_crosses_the_event_buffer():
-    # about 98 live firms, so about 98 rows per sweep
+    # about 98 live firms, so about 98 lines of about 70 bytes per sweep,
+    # and a pause about every 100 sweeps
     params = SimParams(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE,
-                       t_max=120, seed=5)
+                       t_max=300, seed=5)
     compiled_run, oracle_run = run_both(params, params.seed)
-    assert len(compiled_run[1]) > 2 * EVENT_FIELDS * compiled.EVENT_ROWS
+    assert len(compiled_run[1]) > 2
     assert_same_runs(compiled_run, oracle_run)
 
 
-class _CountingSink(array):
-    """An event row array whose ``frombytes``, as a ``run_sweeps`` sink,
-    records each call's bytes: one append per tm_run call."""
-
-    def __new__(cls):
-        sink = super().__new__(cls, "q")
-        sink.appends = []
-        return sink
-
-    def frombytes(self, data):
-        self.appends.append(len(data))
-        super().frombytes(data)
-
-
 def test_logged_run_paused_before_every_sweep():
-    """With the event buffer at its floor, the site count, a run of more
-    than half as many live firms pauses before every sweep: each call runs
-    one sweep and tempers the stream's block afresh from the State's words
-    at their position. The columns, event rows and end stream are the
-    unpaused run's and the oracle's."""
+    """With the text buffer at its floor, a longest line per site, a run
+    of about 98 live firms pauses before every sweep: each call runs one
+    sweep and tempers the stream's block afresh from the State's words at
+    their position. The columns, event log and end stream are the unpaused
+    run's and the oracle's."""
     params = SimParams(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE,
                        t_max=40, seed=8)
     unpaused, oracle_run = run_both(params, params.seed)
     assert_same_runs(unpaused, oracle_run)
-    events = _CountingSink()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(compiled, "EVENT_ROWS", 1)
-        states = spy_states(mp)
-        trajectory = run_replica(params, params.seed, events.frombytes)
-    assert states[0].max_events == params.lx * params.ly
+        paused, _ = run_both(params, params.seed)
+    assert paused[2].max_text == (params.lx * params.ly
+                                  * compiled.kernel().tm_event_line_max())
     # a call per sweep; the last one also writes the end state's row
-    assert len(events.appends) == params.t_max
-    assert_same_runs((trajectory, events, states[0]), oracle_run)
+    assert len(paused[1]) == params.t_max
+    assert_same_runs(paused, oracle_run)
 
 
 def test_event_log_rendered_at_every_sweep_is_the_same_text():
-    """With the event buffer at its floor, every replica pauses before
-    every sweep and ``run_trajectories`` renders each sweep's rows on its
-    own: the log is the default buffer's bytes and the oracle's rows
-    rendered by the oracle."""
+    """With the text buffer at its floor, every replica pauses before every
+    sweep and ``run_trajectories`` writes each sweep's lines as a chunk of
+    its own: the log is the default buffer's bytes and the oracle's rows
+    rendered by the oracle, each replica's lines naming its index."""
     params = SimParams(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE,
                        t_max=40, seed=8)
-    logs, renders, real = [], [], compiled.render_events
 
-    def counted(rows, replica):
-        renders.append(compiled.EVENT_ROWS)
-        return real(rows, replica)
+    class Log(io.StringIO):
+        """A log that counts the chunks written to it."""
 
+        def writelines(self, chunks):
+            chunks = list(chunks)
+            writes.append(len(chunks))
+            super().writelines(chunks)
+
+    logs, writes = [], []
     for buffer_rows in (compiled.EVENT_ROWS, 1):
-        log = io.StringIO()
+        log = Log()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(compiled, "EVENT_ROWS", buffer_rows)
-            mp.setattr(compiled, "render_events", counted)
             run_ensemble(params, 3, 1, log)
         logs.append(log.getvalue())
-    # one render per kernel call, so one per sweep
-    assert renders.count(1) == 3 * params.t_max
-    expected = io.StringIO()
+    # one chunk per kernel call: one call a replica, then one per sweep
+    assert writes == [1] * 3 + [params.t_max] * 3
+    expected = []
     for k in range(3):
         rng = random.Random(derive_seed(params.seed, k))
         events = array("q")
         oracle.run_sweeps(oracle.init_market(params, rng), params, rng,
                           Trajectory.empty(params.t_max + 1), events)
-        oracle.emit_event_log(expected, k, events)
-    assert logs == [expected.getvalue()] * 2
+        expected.append(oracle_text(events, k))
+    assert logs == ["".join(expected)] * 2
+
+
+#: The State's fields that point to buffers ``new_state`` allocates; the
+#: others are views of the neighbor tables and the trajectory's columns.
+OWNED = ("occ", "id", "tech", "share", "site", "order", "mt", "text")
+
+
+@pytest.mark.parametrize("logged", [False, True], ids=["plain", "logged"])
+@pytest.mark.parametrize("lx,ly", [(10, 10), (80, 60)],
+                         ids=["10x10", "80x60"])
+def test_state_bytes_is_what_new_state_allocates(logged, lx, ly):
+    """``state_bytes`` is the sum of the buffers a ``new_state`` points to,
+    read where the struct keeps them alive: ``_objects``, keyed by field
+    index in hex, each entry ending with the array. 80x60 has more sites
+    than EVENT_ROWS, so its text buffer holds a line per site."""
+    params = SimParams(lx=lx, ly=ly, t_max=0)
+    state = compiled.new_state(params, Trajectory.empty(1), logged)
+    fields = [name for name, _ in compiled._State._fields_]
+    kept = [state._objects.get(f"{fields.index(name):x}") for name in OWNED]
+    allocated = sum(ctypes.sizeof(entry[-1]) for entry in kept if entry)
+    assert allocated == compiled.state_bytes(lx * ly, logged)
+    assert (kept[-1] is not None) == logged
+    if logged:  # tm_run's bound is the buffer's size
+        lines = max(compiled.EVENT_ROWS, lx * ly)
+        assert state.max_text == ctypes.sizeof(kept[-1][-1]) == (
+            lines * compiled.kernel().tm_event_line_max())
 
 
 @pytest.mark.parametrize("position", [622, 623, 624])
@@ -264,54 +301,12 @@ def test_stream_handed_over_at_a_position_matches_the_oracle(position):
     for _ in range(position):
         rng.getrandbits(32)  # one word each
     assert rng.getstate()[1][-1] == position
-    trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
+    trajectory = Trajectory.empty(params.t_max + 1)
     state = oracle.compiled_state(market, params, trajectory, rng, True)
-    compiled.run_sweeps(state, events.frombytes)
-    compiled_run = trajectory, events, state
+    compiled_run = trajectory, run_logged(state), state
     trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
     oracle.run_sweeps(market, params, rng, trajectory, events)
     assert_same_runs(compiled_run, (trajectory, events, market, rng))
-
-
-def _rendered(replica, sink, python):
-    """``compiled.render_events``' text for ``sink``, or the oracle's; or
-    the message of the ValueError it raised."""
-    out = io.StringIO()
-    try:
-        if python:
-            oracle.emit_event_log(out, replica, sink)
-        else:
-            out.write(compiled.render_events(sink, replica))
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-    return out.getvalue()
-
-
-_INT64 = st.integers(-2**63, 2**63 - 1)
-_UNSET_OR_ID = st.one_of(st.just(-1), st.integers(0, 2**63 - 1))
-_EVENT_ROW = st.tuples(st.sampled_from(EventKind), _INT64, _INT64,
-                       _UNSET_OR_ID, _UNSET_OR_ID, st.integers(0, 1))
-
-
-@settings(max_examples=300, deadline=None)
-@given(replica=st.integers(0, 2**63 - 1),
-       rows=st.lists(_EVENT_ROW, max_size=8),
-       bad=st.sampled_from([(0, 7), (0, -1), (5, 2), (5, -1)]))
-def test_compiled_event_log_matches_python(replica, rows, bad):
-    # 0 rows, 1 row and several; test_golden's event logs render whole
-    # replicas
-    sink = array("q", [value for row in rows for value in row])
-    text = _rendered(replica, sink, python=False)
-    assert text == _rendered(replica, sink, python=True)
-    assert text.count("\n") == len(rows)
-    # the last row gets a kind outside EventKind or a rescued flag other
-    # than 0 and 1
-    column, value = bad
-    sink[-EVENT_FIELDS:] = array("q", [0, 1, 2, -1, -1, 0])
-    sink[column - EVENT_FIELDS] = value
-    error = _rendered(replica, sink, python=False)
-    assert error.startswith("ValueError: event row (")
-    assert error == _rendered(replica, sink, python=True)
 
 
 def test_replicas_run_on_the_compiled_kernel(monkeypatch):
@@ -344,10 +339,9 @@ def test_hand_built_market_runs_as_on_the_oracle():
     rng = random.Random(77)
     market = oracle.init_market(params, rng)
     oracle.run_sweeps(market, params, rng, Trajectory.empty(8))
-    trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
+    trajectory = Trajectory.empty(params.t_max + 1)
     state = oracle.compiled_state(market, params, trajectory, rng, True)
-    compiled.run_sweeps(state, events.frombytes)
-    compiled_run = trajectory, events, state
+    compiled_run = trajectory, run_logged(state), state
     trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
     oracle.run_sweeps(market, params, rng, trajectory, events)
     assert market.sweep == 37
@@ -365,23 +359,24 @@ def test_share_drift_raises_the_python_message():
         market = build_market(firms=[((0, 0), 0.2, shares[0]),
                                      ((2, 2), 0.4, shares[1]),
                                      ((4, 4), 0.3, shares[2])])
-        events_py, events_c = array("q"), array("q")
+        events = array("q")
         with pytest.raises(IntegrityError) as python_error:
             oracle.run_sweeps(copy.deepcopy(market), params,
                               random.Random(1),
-                              Trajectory.empty(params.t_max + 1), events_py)
+                              Trajectory.empty(params.t_max + 1), events)
         state = oracle.compiled_state(market, params,
                                       Trajectory.empty(params.t_max + 1),
                                       random.Random(1), logged=True)
+        chunks = []
         with pytest.raises(IntegrityError) as compiled_error:
-            compiled.run_sweeps(state, events_c.frombytes)
+            compiled.run_sweeps(state, chunks.append)
         assert str(compiled_error.value) == str(python_error.value)
         assert str(compiled_error.value) == (
             f"share normalization error {error} exceeds tolerance 0.01 "
             f"at sweep 0")
-        # the failing sweep's rows are appended before the error is raised
-        assert len(events_py) == 3 * EVENT_FIELDS
-        assert events_c == events_py
+        # the failing sweep's lines are passed on before the error is raised
+        assert len(events) == 3 * oracle.EVENT_FIELDS
+        assert chunks == [oracle_text(events)]
 
 
 @pytest.fixture

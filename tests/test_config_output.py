@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import runpy
 import subprocess
@@ -32,8 +33,9 @@ from techmarket.config import (
     parse_config_file,
     resolve_config,
 )
-from techmarket.dynamics import EventKind
+from techmarket.dynamics import Trajectory
 from techmarket.ensemble import run_ensemble
+from techmarket.rng import derive_seed
 from techmarket.output import (
     TC_CURVE_HEADER,
     TIMESERIES_HEADER,
@@ -286,43 +288,47 @@ class TestMetadata:
 
 
 class TestEventLog:
-    #: (kind, firm, t, partner, child, rescued), -1 for no partner and no
-    #: child
-    ROWS = [
-        (EventKind.MOVED_NO_DIFFUSION, 4, 0, -1, -1, 0),
-        (EventKind.BANKRUPTED, 17, 3, -1, -1, 0),
-        (EventKind.RESCUED, 5, 3, -1, -1, 1),
-        (EventKind.MERGED, 8, 12, 9, -1, 0),
-        (EventKind.SPIN_OFF, 31, 12, 17, 92, 0),
-        (EventKind.SPIN_OFF_BLOCKED, 2, 40, 0, -1, 1),
-        (EventKind.MOVED_COPIED_FRONTIER, 0, 41, -1, -1, 1),
-    ]
-    #: the same rows as one event sink
-    SINK = array("q", [value for row in ROWS for value in row])
+    #: a sparse passive cell, whose log holds the rescued kind and copies
+    #: of the frontier, and an active one, whose rescues come with action
+    #: kinds
+    CELLS = (SimParams(q=0.9, policy=PolicyKind.MEDIUM_TECH, c=0.2,
+                       t_max=60, seed=21),
+             SimParams(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE,
+                       t_max=60, seed=22))
+    #: the keys in the README's order
+    KEYS = ("replica", "t", "firm", "kind", "partner", "child", "rescued")
+    KINDS = {"bankrupted", "rescued", "moved_copied_frontier",
+             "moved_no_diffusion", "merged", "spin_off", "spin_off_blocked"}
 
-    # the package's renderer, on the compiled kernel, and the oracle's
+    # two replicas of each cell, logged by the compiled kernel, and the
+    # oracle's rows of the same replicas rendered by the oracle
     @pytest.mark.parametrize("kernel", ["loaded", "python"])
     def test_lines_match_compact_json(self, kernel):
         out = io.StringIO()
-        if kernel == "python":
-            oracle.emit_event_log(out, 7, self.SINK)
-        else:
-            out.write(compiled.render_events(self.SINK, 7))
-        expected = []
-        for kind, firm, t, partner, child, rescued in self.ROWS:
-            record = {"replica": 7, "t": t, "firm": firm,
-                      "kind": kind.name.lower()}
-            if partner >= 0:
-                record["partner"] = partner
-            if child >= 0:
-                record["child"] = child
-            if rescued:
-                record["rescued"] = True
-            expected.append(json.dumps(record, separators=(",", ":")) + "\n")
-        assert out.getvalue() == "".join(expected)
-        assert out.getvalue().splitlines()[4] == (
-            '{"replica":7,"t":12,"firm":31,"kind":"spin_off",'
-            '"partner":17,"child":92}')
+        for params in self.CELLS:
+            if kernel == "loaded":
+                run_ensemble(params, 2, 1, out)
+                continue
+            for k in range(2):
+                rng = random.Random(derive_seed(params.seed, k))
+                events = array("q")
+                oracle.run_sweeps(oracle.init_market(params, rng), params,
+                                  rng, Trajectory.empty(params.t_max + 1),
+                                  events)
+                oracle.emit_event_log(out, k, events)
+        lines = out.getvalue().splitlines()
+        records = [json.loads(line) for line in lines]
+        for line, record in zip(lines, records):
+            assert line == json.dumps(record, separators=(",", ":"))
+            keys = list(record)
+            assert keys[:4] == list(self.KEYS[:4])
+            assert keys == [key for key in self.KEYS if key in record]
+            assert "child" not in record or "partner" in record
+            assert record.get("rescued", True) is True
+        assert {r["replica"] for r in records} == {0, 1}
+        assert {r["kind"] for r in records} == self.KINDS
+        assert any(r["kind"] != "rescued" and r.get("rescued")
+                   for r in records)
 
 
 class TestAtomicWrite:
@@ -436,10 +442,10 @@ class TestScenarios:
         real = ens.run_replica
         bad_seed = ens.replica_seeds(3, 3)[1]
 
-        def drift(params, seed, events=None):
+        def drift(params, seed, events=None, *, replica=0):
             if seed == bad_seed:
                 raise IntegrityError("normalization error 0.5 exceeds tolerance")
-            return real(params, seed, events)
+            return real(params, seed, events, replica=replica)
 
         monkeypatch.setattr(ens, "run_replica", drift)
         code = main(["--tmax", "5", "--replicas", "3", "--seed", "3",
@@ -454,9 +460,9 @@ class TestScenarios:
         real = ens.run_replica
         calls = []
 
-        def spy(params, seed, events=None):
+        def spy(params, seed, events=None, *, replica=0):
             calls.append(events is not None)
-            return real(params, seed, events)
+            return real(params, seed, events, replica=replica)
 
         monkeypatch.setattr(ens, "run_replica", spy)
         flags = {"seed": "5", "tmax": "12", "replicas": "2", "q": "0.5"}
@@ -490,7 +496,7 @@ class TestScenarios:
     def test_no_child_left_when_a_replica_fails(self, monkeypatch, tmp_path):
         import techmarket.ensemble as ens
 
-        def drift(params, seed, events=None):
+        def drift(params, seed, events=None, *, replica=0):
             raise IntegrityError("normalization error 0.5 exceeds tolerance")
 
         monkeypatch.setattr(ens, "run_replica", drift)
@@ -580,9 +586,9 @@ class TestScenarios:
         real = ens.run_replica
         horizons = []
 
-        def spy(params, seed, events=None):
+        def spy(params, seed, events=None, *, replica=0):
             horizons.append(params.t_max)
-            return real(params, seed, events)
+            return real(params, seed, events, replica=replica)
 
         monkeypatch.setattr(ens, "run_replica", spy)
         # sigma=0 keeps the frontier at 1, which no replica's mean reaches
@@ -624,9 +630,9 @@ class TestScenarios:
         real = ens.run_replica
         horizons = []
 
-        def spy(params, seed, events=None):
+        def spy(params, seed, events=None, *, replica=0):
             horizons.append(params.t_max)
-            return real(params, seed, events)
+            return real(params, seed, events, replica=replica)
 
         monkeypatch.setattr(ens, "run_replica", spy)
         flags = ["--scenario", "fig5", "--tmax", "300", "--replicas", "2",
@@ -652,9 +658,9 @@ class TestScenarios:
         real = ens.run_replica
         simulated = []
 
-        def spy(params, seed, events=None):
+        def spy(params, seed, events=None, *, replica=0):
             simulated.append(params.q)
-            return real(params, seed, events)
+            return real(params, seed, events, replica=replica)
 
         monkeypatch.setattr(ens, "run_replica", spy)
 
@@ -874,9 +880,9 @@ class TestCli:
         flags = ["--tmax", "10", "--replicas", "3", "--events"]
         # 3 replicas of 11 rows in the matrices (24 bytes), the 10x10
         # tables, and per running replica 68 bytes a site, the 2,500-byte
-        # stream and a 4,096-row event buffer
+        # stream and a text buffer of 4,096 lines of 187 bytes
         base = 3 * 11 * 24 + 48 * 100
-        running = 68 * 100 + 2500 + 4096 * 48
+        running = 68 * 100 + 2500 + 4096 * 187
         # on 2 threads, 2 replicas run and every trajectory (11 rows of 48
         # bytes) may wait whole; serially one runs and one is held
         threaded = base + 3 * 11 * 48 + 2 * running
@@ -1007,7 +1013,7 @@ class TestCli:
             self, monkeypatch, tmp_path, capsys):
         import techmarket.ensemble as ens
 
-        def drift(params, seed, events=None):
+        def drift(params, seed, events=None, *, replica=0):
             raise IntegrityError("normalization error 0.5 exceeds tolerance")
 
         monkeypatch.setattr(ens, "run_replica", drift)

@@ -159,7 +159,7 @@ class TestRunEnsemble:
     def test_constant_synthetic_ensemble(self, monkeypatch):
         import techmarket.ensemble as ens
 
-        def synthetic(params, seed, events=None):
+        def synthetic(params, seed, events=None, *, replica=0):
             return Trajectory(array("q", [7] * 5), array("d", [3.0] * 5),
                               array("d", [3.0] * 5), array("q", [0] * 5),
                               array("q", [0] * 5), array("d", [0.0] * 5))
@@ -200,7 +200,7 @@ class TestRunEnsemble:
         index = {seed: k for k, seed in
                  enumerate(replica_seeds(params.seed, n_replicas))}
 
-        def synthetic(params, seed, events=None):
+        def synthetic(params, seed, events=None, *, replica=0):
             k = index[seed]
             return Trajectory(
                 array("q", n_firms[k].tolist()),
@@ -285,10 +285,10 @@ class TestRunEnsemble:
 
         bad_seed = replica_seeds(99, 3)[2]
 
-        def sabotaged(params, seed, events=None):
+        def sabotaged(params, seed, events=None, *, replica=0):
             if seed == bad_seed:
                 raise ValueError("boom")
-            return real(params, seed, events)
+            return real(params, seed, events, replica=replica)
 
         real = ens.run_replica
         monkeypatch.setattr(ens, "run_replica", sabotaged)
@@ -312,10 +312,10 @@ class TestReplicaFailure:
         bad_seed = replica_seeds(99, 3)[1]
         real = ens.run_replica
 
-        def sabotaged(params, seed, events=None):
+        def sabotaged(params, seed, events=None, *, replica=0):
             if seed == bad_seed:
                 raise TwoArgError(7, "boom")
-            return real(params, seed, events)
+            return real(params, seed, events, replica=replica)
 
         monkeypatch.setattr(ens, "run_replica", sabotaged)
         with pytest.raises(TwoArgError) as info:
@@ -339,7 +339,7 @@ class TestReplicaFailure:
         started = [0]
         lock = threading.Lock()
 
-        def sabotaged(params, seed, events=None):
+        def sabotaged(params, seed, events=None, *, replica=0):
             with lock:
                 started[0] += 1
             if seed == bad_seed and events is None:
@@ -432,8 +432,8 @@ class TestEnsembleStore:
         real = ens.run_replica
         runs = []
 
-        def spy(params, seed, events=None):
-            trajectory = real(params, seed, events)
+        def spy(params, seed, events=None, *, replica=0):
+            trajectory = real(params, seed, events, replica=replica)
             runs.append(len(trajectory.n_firms) - 1)
             return trajectory
 

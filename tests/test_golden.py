@@ -15,7 +15,7 @@ from array import array
 import numpy as np
 import pytest
 
-from techmarket import PolicyKind, SimParams, VariantKind, compiled
+from techmarket import PolicyKind, SimParams, VariantKind
 from techmarket.dynamics import Trajectory
 from techmarket.ensemble import run_replica
 from techmarket.rng import derive_seed
@@ -88,25 +88,28 @@ def _trajectory_digest(key, replica) -> str:
     return _series_digest(replica(params, derive_seed(seed, index)))
 
 
-def compiled_logged_replica(params, replica_seed, events):
-    """``run_replica`` appending its event rows to the array ``events``."""
-    return run_replica(params, replica_seed, events.frombytes)
+def compiled_text(params, replica_seed) -> str:
+    """``run_replica``'s event log as replica 0."""
+    chunks = []
+    run_replica(params, replica_seed, chunks.append)
+    return "".join(chunks)
 
 
-def oracle_text(events, replica) -> str:
-    """The oracle's JSON lines of event rows ``events``."""
-    log = io.StringIO()
-    oracle.emit_event_log(log, replica, events)
+def oracle_text(params, replica_seed) -> str:
+    """The oracle's event rows of the same replica, rendered as replica
+    0's lines."""
+    events, log = array("q"), io.StringIO()
+    oracle_replica(params, replica_seed, events)
+    oracle.emit_event_log(log, 0, events)
     return log.getvalue()
 
 
-def _event_log_digest(key, replica, render) -> str:
+def _event_log_digest(key, text) -> str:
     q, policy, variant, seed = key
     params = SimParams(q=q, policy=policy, variant=variant, t_max=T_MAX,
                        seed=seed)
-    events = array("q")
-    replica(params, derive_seed(seed, 0), events)
-    return hashlib.sha256(render(events, 0).encode()).hexdigest()
+    return hashlib.sha256(
+        text(params, derive_seed(seed, 0)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("key", list(TRAJECTORY_DIGESTS), ids=_case_id)
@@ -121,11 +124,9 @@ def test_trajectory_digest_python_kernel(key):
 
 @pytest.mark.parametrize("key", list(EVENT_LOG_DIGESTS), ids=_case_id)
 def test_event_log_digest(key):
-    assert _event_log_digest(key, compiled_logged_replica,
-                             compiled.render_events) == EVENT_LOG_DIGESTS[key]
+    assert _event_log_digest(key, compiled_text) == EVENT_LOG_DIGESTS[key]
 
 
 @pytest.mark.parametrize("key", list(EVENT_LOG_DIGESTS), ids=_case_id)
 def test_event_log_digest_python_kernel(key):
-    assert _event_log_digest(key, oracle_replica, oracle_text) \
-        == EVENT_LOG_DIGESTS[key]
+    assert _event_log_digest(key, oracle_text) == EVENT_LOG_DIGESTS[key]
