@@ -1,6 +1,7 @@
 """Golden digests: fixed (params, replica seed) pairs must reproduce these
 trajectories and this event log bit for bit. Both are checked on
-``run_replica``, the compiled kernel, and on the Python oracle.
+``run_replica``, the compiled kernel, and on the Python oracle. The preset
+scenarios must write these CSVs byte for byte.
 
 The digests pin the behaviour contract (bit-identical trajectories, CSVs and
 event logs for a fixed seed). A change that keeps behaviour leaves them
@@ -16,9 +17,11 @@ import numpy as np
 import pytest
 
 from techmarket import PolicyKind, SimParams, VariantKind
+from techmarket.config import resolve_config
 from techmarket.dynamics import Trajectory
 from techmarket.ensemble import run_replica
 from techmarket.rng import derive_seed
+from techmarket.scenarios import run_scenario
 
 import oracle
 
@@ -56,6 +59,52 @@ EVENT_LOG_DIGESTS = {
         "48011f7f42192ab061c69946373622d18e4e98603fac2978e124134fdbec8ea0",
     (0.99, EGAL, ACTIVE, 22):
         "f675112fc2c916f46372a3d95db1ece1c48eb83574f4a69f9c4fd8fd695bab01",
+}
+
+# preset -> {CSV file name: sha256 of its bytes}, at 2 replicas and seed 42
+CSV_DIGESTS = {
+    "fig1": {
+        "fig1_q0_egalitarian_passive.csv":
+            "30e4d79d3d6665ad5a591cc78c86fa10cba13157f051dfd1cb35190ef12146c7",
+    },
+    "fig2": {
+        "fig2_q0.3_egalitarian_passive.csv":
+            "938ee6dc781bcb0e085b9e1f4a29ae7a57cc4f66a382fbda5c6b675b31c4a660",
+        "fig2_q0.9_egalitarian_passive.csv":
+            "e30f49308ca87f41f6603f3f749dfe514daae8c2b27562c0def52a461c02cbb5",
+        "fig2_q0.99_egalitarian_passive.csv":
+            "3253d98cf304a69ecb323fb76c2502ae55256cb4803ddf55a7d02dac95a51deb",
+    },
+    "fig3": {
+        "fig3_q0.3_lowtech_passive.csv":
+            "c5a4191d9fd1155d5fa5a6c2a76785d118022a23acfc41e0b5789a64ecd3752f",
+        "fig3_q0.9_lowtech_passive.csv":
+            "3e7a5524984d2e3651414087bc90d520ce1174fe270f1d82b948cc7cbebc9190",
+        "fig3_q0.99_lowtech_passive.csv":
+            "ecc5de1f2aa9dd4de4bcec95c2bada1fa7b703b688b6b57b4d32c1bc669e8b4e",
+    },
+    "fig4": {
+        "fig4_q0.3_mediumtech_passive.csv":
+            "3250f0f57c8dc93de62ae68ca4b3dd4dcc9f9cf8e91da7ead56fab6a7c95ba6b",
+        "fig4_q0.9_mediumtech_passive.csv":
+            "7200d2ef2368a87cff0c6e23bf0e3e75d9d077346b881c30cd21385192863688",
+        "fig4_q0.99_mediumtech_passive.csv":
+            "067579fbf77df2dab8eaea26a5af0286edf6e224ea1ff03f848319122e80b9ee",
+    },
+    "fig5": {
+        "fig5_tc_curve.csv":
+            "fa99f82c5898eb93edc6d4bd369f5d6f0a8318ccc675a1dc2ddc48baeb545730",
+    },
+    "fig6": {
+        "fig6_q0.99_egalitarian_passive.csv":
+            "e3a525e00aa1a9014adbf9f41c6a9f08dc12ec355a9dda97b324eef27e6f4fd6",
+        "fig6_q0.99_egalitarian_active.csv":
+            "cee912665e974d527697ad93c20e7e7f266fe27c8b8487b565d87c913d9cfd87",
+    },
+    "fig7": {
+        "fig7_q0.99_egalitarian_active.csv":
+            "cee912665e974d527697ad93c20e7e7f266fe27c8b8487b565d87c913d9cfd87",
+    },
 }
 
 
@@ -130,3 +179,13 @@ def test_event_log_digest(key):
 @pytest.mark.parametrize("key", list(EVENT_LOG_DIGESTS), ids=_case_id)
 def test_event_log_digest_python_kernel(key):
     assert _event_log_digest(key, oracle_text) == EVENT_LOG_DIGESTS[key]
+
+
+@pytest.mark.parametrize("preset", list(CSV_DIGESTS))
+def test_preset_csv_digests(preset, tmp_path):
+    params, controls = resolve_config(
+        None, {"scenario": preset, "replicas": "2", "seed": "42",
+               "out": str(tmp_path)})
+    written = run_scenario(preset, params, controls).written
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in written if p.suffix == ".csv"} == CSV_DIGESTS[preset]
