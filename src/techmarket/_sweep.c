@@ -46,10 +46,23 @@
  * tm_fold and tm_column_stats reduce an ensemble's trajectories to the
  * statistics of ensemble.run_trajectories, summed in the order numpy's
  * mean and std sum them, so that the results have numpy's bits.
+ *
+ * tm_csv_rows writes the CSV rows of output.py: integers as Python's "%d"
+ * and floats as its "%.12g" write them, byte for byte. glibc's snprintf is
+ * as slow as Python's formatting, so in 1e-15 <= |x| < 1e12 the digits are
+ * made here, by one 128-bit product and a rounding half to even on its
+ * exact remainder: the fixed-precision conversion of Adams, "Ryu revisited:
+ * printf floating point conversion" (PLDI 2019), at the one precision the
+ * package prints. Values outside that range go to snprintf under a C
+ * numeric locale of the call's own, so that the caller's LC_NUMERIC cannot
+ * change the decimal point. unsigned __int128 is a gcc extension on 64-bit
+ * targets, and the kernel is built with gcc (compiled.COMPILER).
  */
+#include <locale.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <string.h>
 
 enum {
@@ -327,14 +340,20 @@ size_t tm_event_line_max(void) { return EVENT_LINE_MAX; }
 #define PUT(p, literal) \
     (memcpy(p, literal, sizeof literal - 1), (p) + sizeof literal - 1)
 
+/* v as "%d" writes it: at most 20 characters, INT64_MIN's */
 static char *put_int(char *p, int64_t v)
 {
+    uint64_t u = (uint64_t)v;
     char digits[19];
     int n = 0;
+    if (v < 0) {
+        *p++ = '-';
+        u = 0 - u;
+    }
     do {
-        digits[n++] = (char)('0' + v % 10);
-        v /= 10;
-    } while (v);
+        digits[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
     while (n)
         *p++ = digits[--n];
     return p;
@@ -584,4 +603,163 @@ void tm_column_stats(const double *x, int64_t n, int64_t cols, double *mean,
         }
     for (int64_t c = 0; c < cols; c++)
         sd[c] = sqrt(sd[c] / (double)n);
+}
+
+/* %.12g's digits in the exact range: 1e-15 <= x < 1e12 */
+#define G_MIN 1e-15
+#define G_MAX 1e12
+/* 10^11 and 10^12: twelve digits as an integer lie in [G_LOW, G_HIGH) */
+#define G_LOW 100000000000ULL
+#define G_HIGH 1000000000000ULL
+
+/* 5^k for k in [0, 27] */
+static const uint64_t POW5[28] = {
+    1U, 5U, 25U, 125U, 625U, 3125U, 15625U, 78125U, 390625U, 1953125U,
+    9765625U, 48828125U, 244140625U, 1220703125U, 6103515625ULL,
+    30517578125ULL, 152587890625ULL, 762939453125ULL, 3814697265625ULL,
+    19073486328125ULL, 95367431640625ULL, 476837158203125ULL,
+    2384185791015625ULL, 11920928955078125ULL, 59604644775390625ULL,
+    298023223876953125ULL, 1490116119384765625ULL, 7450580596923828125ULL
+};
+
+/* The twelve significant digits of x, G_MIN <= x < G_MAX, as an integer in
+ * [G_LOW, G_HIGH), with the decimal exponent of the first digit in *exp10.
+ * x is m 2^e exactly, so its digits are m 5^k 2^(e + k) for k = 11 - e10,
+ * rounded to an integer half to even on the exact remainder, as dtoa's
+ * mode 2 rounds; m 5^k < 2^116 fits in 128 bits, and the shift -(e + k) is
+ * in [13, 76] over the range. */
+static uint64_t g_digits(double x, int *exp10)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    uint64_t m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
+    int e = (int)(bits >> 52) - 1075;  /* x is normal and positive */
+    /* floor((e + 52) log10 2), which is floor(log10 x) or one less; gcc's
+     * >> of a negative int shifts in its sign */
+    int e10 = ((e + 52) * 78913) >> 18;
+    int k = 11 - e10;
+    unsigned __int128 p = (unsigned __int128)m * POW5[k];
+    uint64_t q = (uint64_t)(p >> -(e + k));
+    if (q >= G_HIGH) {  /* e10 was one less than floor(log10 x) */
+        e10++;
+        k--;
+        p = (unsigned __int128)m * POW5[k];
+        q = (uint64_t)(p >> -(e + k));
+    }
+    int shift = -(e + k);
+    unsigned __int128 half = (unsigned __int128)1 << (shift - 1);
+    unsigned __int128 rem = p & ((half << 1) - 1);
+    if (rem > half || (rem == half && (q & 1)))
+        q++;
+    if (q == G_HIGH) {  /* rounding carried into a thirteenth digit */
+        q = G_LOW;
+        e10++;
+    }
+    *exp10 = e10;
+    return q;
+}
+
+/* The longest field put_g writes: "-d.ddddddddddde-XXX" */
+#define G_FIELD_MAX 19
+
+/* x as the C library's "%.12g" writes it under the C locale, made on the
+ * first call into *c_locale; NULL when the locale cannot be made. */
+static char *put_g_libc(char *p, double x, locale_t *c_locale)
+{
+    if (!*c_locale)
+        *c_locale = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+    if (!*c_locale)
+        return NULL;
+    locale_t caller = uselocale(*c_locale);
+    int n = snprintf(p, G_FIELD_MAX + 1, "%.12g", x);
+    uselocale(caller);
+    return p + n;
+}
+
+/* x as Python's "%.12g" % x writes it: nan whatever its sign, inf, -0, and
+ * twelve significant digits without trailing zeros, in exponent form when
+ * the first digit's exponent X is below -4 or at least 12 (at least two
+ * exponent digits). */
+static char *put_g(char *p, double x, locale_t *c_locale)
+{
+    if (isnan(x))
+        return PUT(p, "nan");
+    if (signbit(x)) {
+        *p++ = '-';
+        x = -x;
+    }
+    if (isinf(x))
+        return PUT(p, "inf");
+    if (x == 0.0) {
+        *p++ = '0';
+        return p;
+    }
+    if (x < G_MIN || x >= G_MAX)
+        return put_g_libc(p, x, c_locale);
+    int e10;
+    uint64_t q = g_digits(x, &e10);
+    char d[12];
+    for (int i = 11; i >= 0; i--) {
+        d[i] = (char)('0' + q % 10);
+        q /= 10;
+    }
+    size_t n = 12;
+    while (d[n - 1] == '0')  /* d[0] is not '0' */
+        n--;
+    if (e10 < -4 || e10 >= 12) {
+        *p++ = d[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, n - 1);
+            p += n - 1;
+        }
+        *p++ = 'e';
+        *p++ = e10 < 0 ? '-' : '+';
+        int a = e10 < 0 ? -e10 : e10;  /* at most 15 */
+        *p++ = (char)('0' + a / 10);
+        *p++ = (char)('0' + a % 10);
+    } else if (e10 >= 0) {
+        size_t whole = (size_t)e10 + 1;
+        memcpy(p, d, whole);
+        p += whole;
+        if (n > whole) {
+            *p++ = '.';
+            memcpy(p, d + whole, n - whole);
+            p += n - whole;
+        }
+    } else {
+        p = PUT(p, "0.");
+        for (int z = -e10 - 1; z > 0; z--)
+            *p++ = '0';
+        memcpy(p, d, n);
+        p += n;
+    }
+    return p;
+}
+
+/* Write n_rows CSV lines into out: t[r] as "%d" writes it unless t is
+ * NULL, then cols[c][r] for each of the n_cols columns as "%.12g" writes
+ * it, comma-separated. Returns the bytes written, or -1 when the C locale
+ * for the values outside [G_MIN, G_MAX) cannot be made. out must hold 20
+ * bytes for t, 20 per column and 1 per line; the C library may write a
+ * NUL after a line's last field, where its newline then goes. */
+int64_t tm_csv_rows(const int64_t *t, const double *const *cols,
+                    int64_t n_cols, int64_t n_rows, char *out)
+{
+    locale_t c_locale = (locale_t)0;
+    char *p = out;
+    for (int64_t r = 0; r < n_rows && p; r++) {
+        if (t)
+            p = put_int(p, t[r]);
+        for (int64_t c = 0; c < n_cols && p; c++) {
+            if (t || c)
+                *p++ = ',';
+            p = put_g(p, cols[c][r], &c_locale);
+        }
+        if (p)
+            *p++ = '\n';
+    }
+    if (c_locale)
+        freelocale(c_locale);
+    return p ? p - out : -1;
 }

@@ -15,6 +15,8 @@ fit, hands the text to the caller's sink as a ``str``, and is called
 again. The C calls release the GIL, so replicas on threads run and write
 their logs in parallel. ``folder`` and ``column_stats`` reduce an
 ensemble's trajectories to its statistics, summed in numpy's order.
+``csv_rows`` writes CSV rows, each integer and float byte for byte as
+Python's ``"%d"`` and ``"%.12g"`` write it.
 
 ``kernel()`` builds the library on first use with gcc into this
 checkout's directory of ``$XDG_CACHE_HOME/techmarket`` (``~/.cache`` by
@@ -36,7 +38,7 @@ import os
 import zlib
 from array import array
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .dynamics import (
     _POLICY_SEGMENT,
@@ -189,6 +191,9 @@ def _load() -> ctypes.CDLL | str:
     lib.tm_fold.restype = _I64
     lib.tm_column_stats.argtypes = [_P_F64, _I64, _I64, _P_F64, _P_F64]
     lib.tm_column_stats.restype = None
+    lib.tm_csv_rows.argtypes = [_P_I64, ctypes.POINTER(_P_F64), _I64, _I64,
+                                ctypes.POINTER(ctypes.c_char)]
+    lib.tm_csv_rows.restype = _I64
     return lib
 
 
@@ -317,3 +322,30 @@ def column_stats(matrix: array, cols: int) -> tuple[array, array]:
     kernel().tm_column_stats(_view(_F64, matrix, n * cols), n, cols,
                              _view(_F64, mean, cols), _view(_F64, sd, cols))
     return mean, sd
+
+
+#: The most bytes tm_csv_rows writes for a field and its comma: an int64
+#: has at most 20 characters ("-9223372036854775808") and a float 19
+#: ("-d.ddddddddddde-XXX").
+_FIELD_BYTES = 21
+
+
+def csv_rows(t: Optional[array], columns: Sequence[array]) -> str:
+    """The CSV lines of ``columns``, 'd' arrays as long as the first, after
+    a first column ``t``, a 'q' array, unless it is None: each integer as
+    ``"%d"`` and each float as ``"%.12g"`` formats it, byte for byte (see
+    tm_csv_rows)."""
+    rows = len(columns[0])
+    if any(len(c) != rows for c in (*columns, *([] if t is None else [t]))):
+        raise ValueError("csv_rows needs columns of one length")
+    if rows == 0:
+        return ""
+    size = rows * (len(columns) + (t is not None)) * _FIELD_BYTES
+    out = bytearray(size)
+    written = kernel().tm_csv_rows(
+        None if t is None else _view(_I64, t, rows),
+        (_P_F64 * len(columns))(*(_view(_F64, c, rows) for c in columns)),
+        len(columns), rows, (ctypes.c_char * size).from_buffer(out))
+    if written < 0:
+        raise MemoryError("cannot make the C locale to format a float")
+    return str(memoryview(out)[:written], "ascii")

@@ -192,11 +192,16 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
 def bytes_needed(params: SimParams, n_replicas: int, jobs: int,
                  logged: bool) -> int:
     """The most bytes ``run_trajectories(params, n_replicas, jobs)`` holds
-    at once, with an event log when ``logged``, leaving out the log text
-    that replicas keep between kernel calls: the three matrices, 24 bytes a replica and row; whole trajectories, of
-    every replica on threads, where replicas done ahead of an earlier one
-    wait whole, and of one when serial; the lattice's neighbor tables, 12
-    ints a site; and the C buffers of the replicas running at once."""
+    at once, with an event log when ``logged``. It counts:
+
+    - the three replica-major matrices, 24 bytes a replica and row;
+    - whole trajectories, ROW_BYTES a row: every replica's on threads,
+      where replicas done ahead of an earlier one wait whole, and one's
+      when serial;
+    - the lattice's neighbor tables, 12 ints (48 bytes) a site;
+    - the C buffers of the replicas running at once, ``state_bytes`` each.
+
+    It leaves out the log text that replicas keep between kernel calls."""
     rows = params.t_max + 1
     n_sites = params.lx * params.ly
     workers = min(jobs, n_replicas)

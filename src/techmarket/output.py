@@ -2,8 +2,12 @@
 
 Time-series CSV schema (fixed): ``t,N_mean,N_sd,A_mean,A_sd,ratio_mean,ratio_sd``
 with one row per sweep. Catch-up curve CSV: ``q,tc_mean,tc_sd,fraction_reached``.
-Floats carry 12 significant digits. The metadata file doubles as a config
-file: plain lines are config keys, informational records are comments.
+Floats carry 12 significant digits. The compiled kernel writes the rows
+(``compiled.csv_rows``), byte for byte as Python's ``"%d"`` and ``"%.12g"``
+format them, CHUNK_ROWS rows per call, so that a chunk's buffer is bounded
+by CHUNK_ROWS rows however long the horizon. The metadata file doubles as
+a config file: plain lines are config keys, informational records are
+comments.
 Every file is written through ``atomic_write``, so it appears complete or
 not at all: event logs too, which ``scenarios`` opens with it and
 ``ensemble.run_trajectories`` fills with the text the compiled kernel
@@ -12,11 +16,13 @@ writes.
 from __future__ import annotations
 
 import os
+from array import array
 from contextlib import contextmanager
-from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO
+from typing import (TYPE_CHECKING, Iterable, Iterator, Optional, Sequence,
+                    TextIO)
 
+from . import compiled
 from .config import config_lines
 from .params import SimParams
 
@@ -25,8 +31,9 @@ if TYPE_CHECKING:
 
 TIMESERIES_HEADER = "t,N_mean,N_sd,A_mean,A_sd,ratio_mean,ratio_sd"
 TC_CURVE_HEADER = "q,tc_mean,tc_sd,fraction_reached"
-#: Time-series rows turned into Python values at a time, so that a long
-#: horizon's rows are never all held at once.
+#: Time-series rows formatted per kernel call: a chunk's buffer holds at
+#: most 21 bytes a field, 0.6 MB at 4096 rows, and a long horizon's text is
+#: never all held at once.
 CHUNK_ROWS = 4096
 
 
@@ -46,31 +53,30 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def _emit_csv(path: str | Path, header: str, row: str,
-              rows: Iterable[tuple]) -> Path:
-    """Write ``header`` and then each of ``rows`` formatted by the printf
-    template ``row``, line by line. ``%.12g`` renders a float exactly as
-    ``format(x, ".12g")`` does, nan, inf and -0 included."""
+def emit_timeseries_csv(stats: EnsembleStats, path: str | Path) -> Path:
+    """The time series of ``stats``, one row per sweep, written CHUNK_ROWS
+    rows at a time."""
     path = Path(path)
+    columns = (stats.n_mean, stats.n_sd, stats.a_mean, stats.a_sd,
+               stats.ratio_mean, stats.ratio_sd)
     with atomic_write(path) as fh:
-        fh.write(header + "\n")
-        fh.writelines(map(row.__mod__, rows))
+        fh.write(TIMESERIES_HEADER + "\n")
+        for i in range(0, len(stats.t), CHUNK_ROWS):
+            fh.write(compiled.csv_rows(
+                stats.t[i:i + CHUNK_ROWS],
+                [c[i:i + CHUNK_ROWS] for c in columns]))
     return path
 
 
-def emit_timeseries_csv(stats: EnsembleStats, path: str | Path) -> Path:
-    columns = (stats.t, stats.n_mean, stats.n_sd, stats.a_mean, stats.a_sd,
-               stats.ratio_mean, stats.ratio_sd)
-    return _emit_csv(path, TIMESERIES_HEADER, "%d" + ",%.12g" * 6 + "\n",
-                     chain.from_iterable(
-                         zip(*(c[i:i + CHUNK_ROWS].tolist() for c in columns))
-                         for i in range(0, len(stats.t), CHUNK_ROWS)))
-
-
-def emit_tc_curve_csv(rows: Iterable[tuple[float, float, float, float]],
+def emit_tc_curve_csv(rows: Sequence[tuple[float, float, float, float]],
                       path: str | Path) -> Path:
     """One ``(q, tc_mean, tc_sd, fraction_reached)`` row per cell."""
-    return _emit_csv(path, TC_CURVE_HEADER, "%.12g,%.12g,%.12g,%.12g\n", rows)
+    path = Path(path)
+    with atomic_write(path) as fh:
+        fh.write(TC_CURVE_HEADER + "\n")
+        fh.write(compiled.csv_rows(
+            None, [array("d", (row[i] for row in rows)) for i in range(4)]))
+    return path
 
 
 def metadata_text(params: SimParams, scenario: str, replicas: int,

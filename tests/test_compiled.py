@@ -1,8 +1,11 @@
 """The compiled kernel against the Python oracle (``oracle.py``), its
-reference, and its build: cache, failure, and the runs that load it."""
+reference, and its build: cache, failure, and the runs that load it; its
+CSV writer against Python's ``%`` formatting."""
 import copy
 import ctypes
 import io
+import locale
+import math
 import os
 import random
 from array import array
@@ -524,3 +527,94 @@ def test_event_log_run_uses_the_compiled_kernel(monkeypatch, tmp_path):
     # the metadata names no kernel: there is only one
     metadata = (tmp_path / "custom_metadata.txt").read_text()
     assert "kernel" not in metadata
+
+
+def csv_floats(values) -> list[str]:
+    """The lines ``compiled.csv_rows`` writes for one float column."""
+    return compiled.csv_rows(None, [array("d", values)]).split("\n")[:-1]
+
+
+#: NaN with its sign bit set, which Python writes as "nan"
+NEGATIVE_NAN = math.copysign(math.nan, -1.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats()                      # every double
+                | st.floats(-1e13, 1e13)         # around the exact range
+                | st.floats(-1e-300, 1e-300)     # subnormals and +-0
+                | st.just(NEGATIVE_NAN), min_size=1, max_size=50))
+def test_csv_floats_are_python_g12(values):
+    assert csv_floats(values) == ["%.12g" % x for x in values]
+
+
+@pytest.mark.parametrize("x, text", [
+    # ties round to even
+    (123456789012.5, "123456789012"),
+    (12345678901.25, "12345678901.2"),
+    # a carry into a thirteenth digit moves up a decade, and %g's switch
+    # to exponent form reads the rounded exponent
+    (999999999999.5, "1e+12"),
+    (9.999999999995e-05, "9.99999999999e-05"),
+    (math.nextafter(9.999999999995e-05, 0.0), "9.99999999999e-05"),
+    (math.nextafter(9.999999999995e-05, 1.0), "0.0001"),
+    (0.0001, "0.0001"),
+    (1e-05, "1e-05"),
+    # both edges of the exact range, and the C library beyond them
+    (1e-15, "1e-15"),
+    (math.nextafter(1e-15, 0.0), "1e-15"),
+    (math.nextafter(1e12, 0.0), "1e+12"),
+    (1e12, "1e+12"),
+    (-1.5e-300, "-1.5e-300"),
+    (5e-324, "4.94065645841e-324"),
+    (-0.0, "-0"), (0.0, "0"),
+    (math.inf, "inf"), (-math.inf, "-inf"),
+    (math.nan, "nan"), (NEGATIVE_NAN, "nan"),
+])
+def test_csv_float_fixed_cases(x, text):
+    assert "%.12g" % x == text
+    assert csv_floats([x]) == [text]
+
+
+def test_csv_rows_write_t_as_python_d():
+    t = array("q", [0, 1, 600, 2**63 - 1, -2**63])
+    columns = [array("d", [0.5, -2.0, 1e-20, math.nan, 3.0]),
+               array("d", [1e15, 7.0, 0.1, -0.0, math.inf])]
+    assert compiled.csv_rows(t, columns) == "".join(
+        "%d,%.12g,%.12g\n" % row for row in zip(t, *columns))
+
+
+def test_csv_rows_reject_columns_of_other_lengths():
+    with pytest.raises(ValueError, match="one length"):
+        compiled.csv_rows(array("q", [0]), [array("d", [1.0, 2.0])])
+
+
+def _comma_locale():
+    """An installed locale whose decimal point is not ".", or None."""
+    saved = locale.setlocale(locale.LC_NUMERIC)
+    try:
+        for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8",
+                     "fr_FR.utf8", "nl_NL.UTF-8", "ru_RU.UTF-8", "de_DE",
+                     "fr_FR"):
+            try:
+                locale.setlocale(locale.LC_NUMERIC, name)
+            except locale.Error:
+                continue
+            if locale.localeconv()["decimal_point"] != ".":
+                return name
+        return None
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, saved)
+
+
+def test_csv_floats_ignore_the_numeric_locale():
+    name = _comma_locale()
+    if name is None:
+        pytest.skip("no installed locale has a decimal point other than .")
+    values = [1.5, 0.25, 1.5e-20, 2.5e300, -3.75e-310]
+    saved = locale.setlocale(locale.LC_NUMERIC)
+    try:
+        locale.setlocale(locale.LC_NUMERIC, name)
+        got = csv_floats(values)
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, saved)
+    assert got == ["%.12g" % x for x in values]
