@@ -583,11 +583,6 @@ def test_csv_rows_write_t_as_python_d():
         "%d,%.12g,%.12g\n" % row for row in zip(t, *columns))
 
 
-def test_csv_rows_reject_columns_of_other_lengths():
-    with pytest.raises(ValueError, match="one length"):
-        compiled.csv_rows(array("q", [0]), [array("d", [1.0, 2.0])])
-
-
 def _comma_locale():
     """An installed locale whose decimal point is not ".", or None."""
     saved = locale.setlocale(locale.LC_NUMERIC)
