@@ -4,7 +4,7 @@ Time-series CSV schema (fixed): ``t,N_mean,N_sd,A_mean,A_sd,ratio_mean,ratio_sd`
 with one row per sweep. Catch-up curve CSV: ``q,tc_mean,tc_sd,fraction_reached``.
 Floats carry 12 significant digits. The compiled kernel writes the rows
 (``compiled.csv_rows``), byte for byte as Python's ``"%d"`` and ``"%.12g"``
-format them, CHUNK_ROWS rows per call, so that a chunk's buffer is bounded
+format them, at most CHUNK_ROWS rows per call: a chunk's buffer is bounded
 by CHUNK_ROWS rows however long the horizon. The metadata file doubles as
 a config file: plain lines are config keys, informational records are
 comments.
@@ -53,30 +53,30 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def emit_timeseries_csv(stats: EnsembleStats, path: str | Path) -> Path:
-    """The time series of ``stats``, one row per sweep, written CHUNK_ROWS
-    rows at a time."""
+def _emit_csv(path: str | Path, header: str, chunks: Iterable[str]) -> Path:
+    """Write ``header`` and then each chunk of CSV lines."""
     path = Path(path)
+    with atomic_write(path) as fh:
+        fh.write(header + "\n")
+        fh.writelines(chunks)
+    return path
+
+
+def emit_timeseries_csv(stats: EnsembleStats, path: str | Path) -> Path:
+    """The time series of ``stats``, one row per sweep."""
     columns = (stats.n_mean, stats.n_sd, stats.a_mean, stats.a_sd,
                stats.ratio_mean, stats.ratio_sd)
-    with atomic_write(path) as fh:
-        fh.write(TIMESERIES_HEADER + "\n")
-        for i in range(0, len(stats.t), CHUNK_ROWS):
-            fh.write(compiled.csv_rows(
-                stats.t[i:i + CHUNK_ROWS],
-                [c[i:i + CHUNK_ROWS] for c in columns]))
-    return path
+    return _emit_csv(path, TIMESERIES_HEADER, (
+        compiled.csv_rows(stats.t[i:i + CHUNK_ROWS],
+                          [c[i:i + CHUNK_ROWS] for c in columns])
+        for i in range(0, len(stats.t), CHUNK_ROWS)))
 
 
 def emit_tc_curve_csv(rows: Sequence[tuple[float, float, float, float]],
                       path: str | Path) -> Path:
     """One ``(q, tc_mean, tc_sd, fraction_reached)`` row per cell."""
-    path = Path(path)
-    with atomic_write(path) as fh:
-        fh.write(TC_CURVE_HEADER + "\n")
-        fh.write(compiled.csv_rows(
-            None, [array("d", (row[i] for row in rows)) for i in range(4)]))
-    return path
+    return _emit_csv(path, TC_CURVE_HEADER, [compiled.csv_rows(
+        None, [array("d", (row[i] for row in rows)) for i in range(4)])])
 
 
 def metadata_text(params: SimParams, scenario: str, replicas: int,
