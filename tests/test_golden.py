@@ -16,7 +16,7 @@ from array import array
 import numpy as np
 import pytest
 
-from techmarket import PolicyKind, SimParams, VariantKind
+from techmarket import PolicyKind, SimParams, VariantKind, ensemble
 from techmarket.config import resolve_config
 from techmarket.dynamics import Trajectory
 from techmarket.ensemble import run_replica
@@ -50,6 +50,26 @@ TRAJECTORY_DIGESTS = {
         "d90a5f8bf173360893653ae0b52ac9a5a061bdb386b7c6d19776d46074a7b4c4",
     (1.0, LOW, PASSIVE, 17, 0):
         "d1ca822b99484a3c624d0ab6a1c184325c7ebb8d74e15b32c5a1b6ec651102b9",
+}
+
+# TRAJECTORY_DIGESTS' replicas -> sha256 of the replica's rows as a
+# one-replica ensemble exposes them: n_mean, a_mean, ratio_mean (float64),
+# rescued_sum (int64) and renorm_error (float64)
+ENSEMBLE_DIGESTS = {
+    (0.0, EGAL, PASSIVE, 11, 0):
+        "3ecdf05665002938c89a875ad93e6ac784f95c096cfae3db68073b61f673d8e3",
+    (0.99, EGAL, PASSIVE, 12, 1):
+        "5b82c4f6a7153a4e191d7681352f6c95008a80d5fb8b10ac84afaa3e3c15310c",
+    (0.99, EGAL, ACTIVE, 13, 0):
+        "819dd1ecfe1a525e8583d2353e19117696e8227f18c3a828fb5d4a7ad995ed8a",
+    (0.99, LOW, ACTIVE, 14, 2):
+        "c1935c537929b591e746def5e49320f6a2144598a2b87b809a284f6edd0daf8a",
+    (0.99, MEDIUM, PASSIVE, 15, 0):
+        "396e71c9431754e47d595a52af385b61042eec8ece9aeb4e20e7283c683f0804",
+    (1.0, HIGH, ACTIVE, 16, 1):
+        "7c81cc546f150c4896ad0ec2771dea100bcbd337cf4ba7b63a2e91c2f7e3c5d9",
+    (1.0, LOW, PASSIVE, 17, 0):
+        "e2baf1f7387b76df7a327d572757e0d4ee3db1492ee3cd2681210d2a44e1ce57",
 }
 
 # (q, policy, variant, base seed) of one event-logged replica -> sha256 of
@@ -137,6 +157,25 @@ def _trajectory_digest(key, replica) -> str:
     return _series_digest(replica(params, derive_seed(seed, index)))
 
 
+def _ensemble_digest(key) -> str:
+    """The digest of replica ``index`` of base seed ``seed`` run as the only
+    replica of an ensemble, whose statistics are then its own rows."""
+    q, policy, variant, seed, index = key
+    params = SimParams(q=q, policy=policy, variant=variant, t_max=T_MAX,
+                       seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensemble, "replica_seeds",
+                   lambda base, n: [derive_seed(seed, index)])
+        stats = ensemble.run_trajectories(params, 1)
+    h = hashlib.sha256()
+    for name, dtype in (("n_mean", "<f8"), ("a_mean", "<f8"),
+                        ("ratio_mean", "<f8"), ("rescued_sum", "<i8"),
+                        ("renorm_error", "<f8")):
+        h.update(np.ascontiguousarray(getattr(stats, name),
+                                      dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
 def compiled_text(params, replica_seed) -> str:
     """``run_replica``'s event log as replica 0."""
     chunks = []
@@ -169,6 +208,11 @@ def test_trajectory_digest(key):
 @pytest.mark.parametrize("key", list(TRAJECTORY_DIGESTS), ids=_case_id)
 def test_trajectory_digest_python_kernel(key):
     assert _trajectory_digest(key, oracle_replica) == TRAJECTORY_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", list(ENSEMBLE_DIGESTS), ids=_case_id)
+def test_replica_ensemble_digest(key):
+    assert _ensemble_digest(key) == ENSEMBLE_DIGESTS[key]
 
 
 @pytest.mark.parametrize("key", list(EVENT_LOG_DIGESTS), ids=_case_id)
