@@ -35,17 +35,26 @@
  * clamped to n - 1), then one technology u per firm in placement order. Firm
  * f gets id f, slot f, share 1.0 / n0 and the f-th site drawn.
  *
- * tm_run writes the rows of a dynamics.Trajectory into the columns State
- * points to: a row per sweep, plus the end state's. When State.text is set,
- * each visit also appends the step's line of the event log to it (see
- * put_event). A sweep writes at most one line per firm alive at its start,
- * so tm_run returns PAUSED before a sweep whose lines might not fit; the
- * caller takes the text and calls again. tm_event_line_max gives the
- * longest line's bytes, by which the caller sizes State.text.
+ * tm_run writes a replica's rows straight into its ensemble's buffers: a
+ * row per sweep, plus the end state's. N (as a double), <A> and its ratio
+ * to the frontier go to the replica's row of three replica-major matrices.
+ * Each sweep's rescues are added to a per-row sum, and its renormalisation
+ * error folded into a per-row maximum, that every replica of the ensemble
+ * shares. Replicas run on threads with the GIL released, so both are
+ * atomic; an integer sum and a maximum do not depend on the order of their
+ * terms, so every thread count gives the same bits. The State keeps the
+ * first row whose <A> reaches its threshold, the replica's catch-up time.
  *
- * tm_fold and tm_column_stats reduce an ensemble's trajectories to the
- * statistics of ensemble.run_trajectories, summed in the order numpy's
- * mean and std sum them, so that the results have numpy's bits.
+ * When State.text is set, each visit also appends the step's line of the
+ * event log to it (see put_event). A sweep writes at most one line per firm
+ * alive at its start, so tm_run returns PAUSED before a sweep whose lines
+ * might not fit; the caller takes the text and calls again.
+ * tm_event_line_max gives the longest line's bytes, by which the caller
+ * sizes State.text.
+ *
+ * tm_column_stats reduces the ensemble's matrices to the statistics of
+ * ensemble.run_trajectories, summed in the order numpy's mean and std sum
+ * them, so that the results have numpy's bits.
  *
  * tm_csv_rows writes the CSV rows of output.py: integers as Python's "%d"
  * and floats as its "%.12g" write them, byte for byte. glibc's snprintf is
@@ -94,10 +103,21 @@ typedef struct {
     double frontier, ws, ts, tq;
     /* MT19937: 624 words, then the position */
     uint32_t *mt;
-    /* the trajectory's columns: row is the next one to write, of n_rows */
+    /* the ensemble's buffers: row is the next one to write, of n_rows.
+     * n_firms, mean_tech and ratio point at this replica's row of the
+     * matrices; rescued and renorm_error are the rows' sum and maximum over
+     * every replica, which the replicas on other threads write too. */
     int64_t row, n_rows;
-    int64_t *n_firms, *rescued, *bankrupted;
-    double *mean_tech, *ratio, *renorm_error;
+    double *n_firms, *mean_tech, *ratio;
+    int64_t *rescued;
+    double *renorm_error;
+    /* the running sweep's rescues and its renormalisation error, kept for
+     * the message when it fails */
+    int64_t n_rescued;
+    double err;
+    /* the first row whose <A> reaches threshold, or -1 */
+    double threshold;
+    int64_t crossing;
     /* the event log's text: this call wrote n_text bytes of at most
      * max_text; NULL keeps none. replica is the index its lines carry. */
     char *text;
@@ -253,6 +273,7 @@ void tm_init(State *st, uint64_t seed, int64_t n_sites, int64_t n0)
     }
     st->n_slots = st->n_live = st->next_id = n0;
     st->sweep = st->row = 0;
+    st->crossing = -1;
     st->frontier = 1.0;
     stream_close(&rs);
 }
@@ -410,7 +431,7 @@ static void update_cycle(State *st, Stream *rs, int64_t n_order)
                 if ((st->segment == SEGMENT_ANY
                      || segment_of(st, tech, mean) == st->segment)
                         && 1.0 - uniform(rs) <= st->q) {
-                    st->rescued[st->row]++;
+                    st->n_rescued++;
                     rescued = 1;
                     if (st->passive)
                         kind = RESCUED;
@@ -422,7 +443,6 @@ static void update_cycle(State *st, Stream *rs, int64_t n_order)
                         if (st->id[g] >= 0)
                             st->share[g] += delta;
                     st->ws += delta * st->ts;
-                    st->bankrupted[st->row]++;
                     kind = BANKRUPTED;
                 }
             }
@@ -486,6 +506,19 @@ static void compact(State *st)
     st->n_slots = n;
 }
 
+/* Fold a sweep's renormalisation error into the row's maximum over the
+ * replicas: nan once either is nan, as numpy.maximum keeps it. A
+ * compare-exchange that fails reads the value another thread wrote. */
+static void fold_max(double *max, double err)
+{
+    double cur;
+    __atomic_load(max, &cur, __ATOMIC_RELAXED);
+    while (!isnan(cur) && (err > cur || isnan(err))
+           && !__atomic_compare_exchange(max, &cur, &err, 1, __ATOMIC_RELAXED,
+                                         __ATOMIC_RELAXED))
+        ;
+}
+
 /* tm_run's sweeps, drawing from rs */
 static int run(State *st, Stream *rs)
 {
@@ -501,9 +534,11 @@ static int run(State *st, Stream *rs)
         st->ws = ws;
         st->ts = ts;
         st->tq = tq;
-        st->n_firms[row] = n;
+        st->n_firms[row] = (double)n;
         st->mean_tech[row] = ws;
         st->ratio[row] = ws / st->frontier;
+        if (st->crossing < 0 && ws >= st->threshold)
+            st->crossing = row;
         if (row == st->n_rows - 1)
             return OK;
         if (st->text
@@ -519,16 +554,19 @@ static int run(State *st, Stream *rs)
             order[i] = order[j];
             order[j] = tmp;
         }
+        st->n_rescued = 0;
         update_cycle(st, rs, n);
         compact(st);
 
         double total = 0.0;
         for (int64_t f = 0; f < st->n_slots; f++)
             total += st->share[f];
-        double err = fabs(total - 1.0);
-        st->renorm_error[row] = err;
+        double err = st->err = fabs(total - 1.0);
         if (err > st->tolerance)
             return RENORM_ABOVE_TOLERANCE;
+        __atomic_fetch_add(&st->rescued[row], st->n_rescued,
+                           __ATOMIC_RELAXED);
+        fold_max(&st->renorm_error[row], err);
         for (int64_t f = 0; f < st->n_slots; f++)
             st->share[f] /= total;
         st->ws /= total;
@@ -541,8 +579,8 @@ static int run(State *st, Stream *rs)
 /* Run the sweeps from row st->row on: returns OK once the last row is
  * written, PAUSED before a sweep whose event lines might not fit, or
  * RENORM_ABOVE_TOLERANCE where the renormalisation fails (a share total at
- * or below 0 among them), with the error in the sweep's row and the sweep
- * not advanced. Columns rescued and bankrupted must start at 0. */
+ * or below 0 among them), with the error in st->err, the shared rows left
+ * as they were and the sweep not advanced. */
 int tm_run(State *st)
 {
     Stream rs;
@@ -551,34 +589,6 @@ int tm_run(State *st)
     int status = run(st, &rs);
     stream_close(&rs);
     return status;
-}
-
-/* Fold replica k's trajectory columns, of n_rows rows, into an ensemble's
- * reductions: its N (as double), <A> and ratio into row k of the
- * replica-major matrices n_mat, a_mat and r_mat, its rescues into
- * rescued_sum, and its renormalisation errors into renorm_max, the largest
- * per row (nan once one is nan, as numpy.maximum keeps it). Returns the
- * first row whose <A> reaches threshold, or -1 when none does. */
-int64_t tm_fold(const int64_t *n_firms, const double *mean_tech,
-                const double *ratio, const int64_t *rescued,
-                const double *renorm_error, int64_t n_rows, int64_t k,
-                double *n_mat, double *a_mat, double *r_mat,
-                int64_t *rescued_sum, double *renorm_max, double threshold)
-{
-    double *n_row = n_mat + k * n_rows, *a_row = a_mat + k * n_rows;
-    double *r_row = r_mat + k * n_rows;
-    int64_t crossing = -1;
-    for (int64_t t = 0; t < n_rows; t++) {
-        n_row[t] = (double)n_firms[t];
-        a_row[t] = mean_tech[t];
-        r_row[t] = ratio[t];
-        rescued_sum[t] += rescued[t];
-        if (renorm_error[t] > renorm_max[t] || isnan(renorm_error[t]))
-            renorm_max[t] = renorm_error[t];
-        if (crossing < 0 && mean_tech[t] >= threshold)
-            crossing = t;
-    }
-    return crossing;
 }
 
 /* Each column's mean and population SD over the n >= 1 rows of the

@@ -3,18 +3,20 @@ ctypes: every replica starts from its seed, runs its sweeps and writes its
 event log in C.
 
 A replica runs in a ``State`` that ``new_state`` allocates with zeroed
-buffers for the parameters' lattice, pointing at the trajectory's columns.
+buffers for the parameters' lattice, pointing at its ensemble's buffers.
 ``start`` seeds its stream and draws its initial market, and
 ``run_sweeps`` runs all of its sweeps in one C call that writes the
-columns in place; the end market and stream stay in the State's buffers.
-The lattice's neighbor tables and the trajectory's columns, all ``array``
-buffers, are shared with C without a copy.
+replica's rows into the ensemble's matrices and its rescues and
+renormalization errors into the rows every replica shares; the end market
+and stream stay in the State's buffers. The lattice's neighbor tables and
+the ensemble's buffers, all ``array`` buffers, are shared with C without a
+copy.
 A logged run writes each step's JSON line into a text buffer of
 EVENT_ROWS lines: the call pauses before a sweep whose lines might not
 fit, hands the text to the caller's sink as a ``str``, and is called
 again. The C calls release the GIL, so replicas on threads run and write
-their logs in parallel. ``folder`` and ``column_stats`` reduce an
-ensemble's trajectories to its statistics, summed in numpy's order.
+their logs in parallel. ``column_stats`` reduces an ensemble's matrices to
+its statistics, summed in numpy's order.
 ``csv_rows`` writes CSV rows, each integer and float byte for byte as
 Python's ``"%d"`` and ``"%.12g"`` write it.
 
@@ -43,7 +45,7 @@ from typing import Callable, Optional, Sequence
 from .dynamics import (
     _POLICY_SEGMENT,
     RENORM_TOLERANCE,
-    Trajectory,
+    TC_THRESHOLD,
     renorm_failure,
 )
 from .errors import ConfigError
@@ -87,8 +89,10 @@ class _State(ctypes.Structure):
         ("frontier", _F64), ("ws", _F64), ("ts", _F64), ("tq", _F64),
         ("mt", ctypes.POINTER(ctypes.c_uint32)),
         ("row", _I64), ("n_rows", _I64),
-        ("n_firms", _P_I64), ("rescued", _P_I64), ("bankrupted", _P_I64),
-        ("mean_tech", _P_F64), ("ratio", _P_F64), ("renorm_error", _P_F64),
+        ("n_firms", _P_F64), ("mean_tech", _P_F64), ("ratio", _P_F64),
+        ("rescued", _P_I64), ("renorm_error", _P_F64),
+        ("n_rescued", _I64), ("err", _F64),
+        ("threshold", _F64), ("crossing", _I64),
         ("text", ctypes.POINTER(ctypes.c_char)), ("n_text", _I64),
         ("max_text", _I64), ("replica", _I64),
     ]
@@ -185,10 +189,6 @@ def _load() -> ctypes.CDLL | str:
     lib.tm_run.restype = ctypes.c_int
     lib.tm_event_line_max.argtypes = []
     lib.tm_event_line_max.restype = ctypes.c_size_t
-    lib.tm_fold.argtypes = [_P_I64, _P_F64, _P_F64, _P_I64, _P_F64, _I64,
-                            _I64, _P_F64, _P_F64, _P_F64, _P_I64, _P_F64,
-                            _F64]
-    lib.tm_fold.restype = _I64
     lib.tm_column_stats.argtypes = [_P_F64, _I64, _I64, _P_F64, _P_F64]
     lib.tm_column_stats.restype = None
     lib.tm_csv_rows.argtypes = [_P_I64, ctypes.POINTER(_P_F64), _I64, _I64,
@@ -203,14 +203,19 @@ def _view(ctype, buffer, n: int, row: int = 0) -> ctypes.Array:
     return (ctype * n).from_buffer(buffer, row * n * ctypes.sizeof(ctype))
 
 
-def new_state(params: SimParams, trajectory: Trajectory,
+def new_state(params: SimParams, replica: int, out: Sequence[array],
               logged: bool) -> _State:
-    """A State of ``params`` with zeroed buffers for its lattice, writing
-    one row of ``trajectory``, a ``Trajectory.empty``, per sweep; with
-    ``logged``, also an event log's text buffer, for replica 0 until its
-    ``replica`` is set. The struct keeps the ctypes arrays it points into
-    alive, and the from_buffer views keep the tables and the columns."""
-    rows = len(trajectory.n_firms)
+    """A State of ``params`` with zeroed buffers for its lattice, running
+    replica ``replica`` of the ensemble whose buffers are ``out``: the
+    replica-major 'd' matrices of N, mean technology and ratio, then the
+    per-row rescue sum ('q') and renormalization error maximum ('d'), of
+    ``len(out[3])`` rows each. With ``logged``, it also has an event log's
+    text buffer, whose lines name ``replica``. The struct keeps the ctypes
+    arrays it points into alive, and the from_buffer views keep the tables
+    and the ensemble's buffers. Raises ValueError when ``replica`` is not a
+    row of the matrices."""
+    n_mat, a_mat, r_mat, rescued_sum, renorm_max = out
+    rows = len(rescued_sum)
     n_sites = params.lx * params.ly
     cap = 2 * n_sites  # see State.id in _sweep.c
     vn4, moore8 = neighbor_tables(params.lx, params.ly)
@@ -227,14 +232,14 @@ def new_state(params: SimParams, trajectory: Trajectory,
         share=(_F64 * cap)(), site=(_I32 * cap)(), order=(_I32 * cap)(),
         mt=(ctypes.c_uint32 * _MT_WORDS)(),
         n_rows=rows,
-        n_firms=_view(_I64, trajectory.n_firms, rows),
-        rescued=_view(_I64, trajectory.rescued, rows),
-        bankrupted=_view(_I64, trajectory.bankrupted, rows),
-        mean_tech=_view(_F64, trajectory.mean_tech, rows),
-        ratio=_view(_F64, trajectory.ratio, rows),
-        renorm_error=_view(_F64, trajectory.renorm_error, rows),
+        n_firms=_view(_F64, n_mat, rows, replica),
+        mean_tech=_view(_F64, a_mat, rows, replica),
+        ratio=_view(_F64, r_mat, rows, replica),
+        rescued=_view(_I64, rescued_sum, rows),
+        renorm_error=_view(_F64, renorm_max, rows),
+        threshold=TC_THRESHOLD, crossing=-1,
         text=(ctypes.c_char * max_text)() if logged else None,
-        max_text=max_text)
+        max_text=max_text, replica=replica)
 
 
 def _text_bytes(n_sites: int) -> int:
@@ -260,11 +265,11 @@ def start(state: _State, params: SimParams, seed: int) -> None:
 
 
 def run_sweeps(state: _State, events: Optional[Callable] = None) -> None:
-    """Run ``state`` from its sweep for one sweep per trajectory row but
-    the last, and write every row; with an event sink, a callable (the
-    State must be logged), pass it each C call's event log lines as one
-    ``str``. A share total that drifts beyond RENORM_TOLERANCE raises
-    IntegrityError after the failing sweep's lines are passed on."""
+    """Run ``state`` from its sweep for one sweep per row but the last, and
+    write every row; with an event sink, a callable (the State must be
+    logged), pass it each C call's event log lines as one ``str``. A share
+    total that drifts beyond RENORM_TOLERANCE raises IntegrityError after
+    the failing sweep's lines are passed on."""
     lib = kernel()
     if events is not None:
         address = ctypes.addressof(state.text.contents)
@@ -275,39 +280,7 @@ def run_sweeps(state: _State, events: Optional[Callable] = None) -> None:
             text = ctypes.c_char * state.n_text
             events(str(memoryview(text.from_address(address)), "ascii"))
     if status == _RENORM_ABOVE_TOLERANCE:
-        raise renorm_failure(state.renorm_error[state.row], state.sweep)
-
-
-def folder(n_mat: array, a_mat: array, r_mat: array, rescued_sum: array,
-           renorm_max: array,
-           threshold: float) -> Callable[[Trajectory, int], Optional[int]]:
-    """``fold(trajectory, k)``, which folds replica k's trajectory into an
-    ensemble's reductions, as _sweep.c's tm_fold describes: row k of the
-    replica-major 'd' matrices ``n_mat``, ``a_mat`` and ``r_mat``, and the
-    per-row sums and maxima ``rescued_sum`` ('q') and ``renorm_max`` ('d'),
-    each of ``len(rescued_sum)`` rows. It returns the first row whose mean
-    technology reaches ``threshold``, or None. The views of the reductions
-    are made once, here."""
-    rows = len(rescued_sum)
-    size = len(n_mat)
-    reductions = (*(_view(_F64, m, size) for m in (n_mat, a_mat, r_mat)),
-                  _view(_I64, rescued_sum, rows),
-                  _view(_F64, renorm_max, rows))
-    tm_fold = kernel().tm_fold
-
-    def fold(trajectory: Trajectory, k: int) -> Optional[int]:
-        if not 0 <= k < size // rows:
-            raise IndexError(f"replica {k} is not a row of the matrices")
-        crossing = tm_fold(
-            _view(_I64, trajectory.n_firms, rows),
-            _view(_F64, trajectory.mean_tech, rows),
-            _view(_F64, trajectory.ratio, rows),
-            _view(_I64, trajectory.rescued, rows),
-            _view(_F64, trajectory.renorm_error, rows), rows, k, *reductions,
-            threshold)
-        return None if crossing < 0 else crossing
-
-    return fold
+        raise renorm_failure(state.err, state.sweep)
 
 
 def column_stats(matrix: array, cols: int) -> tuple[array, array]:

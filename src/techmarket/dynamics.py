@@ -1,5 +1,5 @@
 """The model: a replica's start, its per-firm update cycle and sweeps, the
-order of their random draws, and the records a run writes.
+order of their random draws, and what a run writes.
 
 Replica k's stream is MT19937 seeded as ``random.Random(seed)`` is, from
 its 64-bit seed (see ``rng``), and every draw u is one ``random()`` value
@@ -51,13 +51,15 @@ int(u * (i + 1)) for i from N - 1 down to 1.
 
 A replica runs in the compiled kernel (``_sweep.c``, loaded by
 ``compiled``): one C call seeds its stream and draws its initial market,
-and one runs all of its sweeps and writes a ``Trajectory``: per sweep N,
-the weighted mean technology and its ratio to the frontier at the sweep's
-start, and the rescues, bankruptcies and renormalization error of the
-sweep, plus one last row holding only the state at the end. Its columns
-are ``array`` buffers, which the kernel writes in place.
-``tests/oracle.py`` holds the same model in Python, step for step, and is
-the reference the kernel is tested against.
+and one runs all of its sweeps and writes its rows straight into its
+ensemble's buffers: per sweep N, the weighted mean technology and its ratio
+to the frontier at the sweep's start into the replica's row of the
+ensemble's matrices, and the sweep's rescues and renormalization error into
+a sum and a maximum over the ensemble's replicas, plus one last row holding
+only the state at the end. It also finds the first sweep whose mean
+technology reaches TC_THRESHOLD. ``tests/oracle.py`` holds the same model
+in Python, step for step, and is the reference the kernel is tested
+against.
 
 A logged run writes one line of JSON per step, which the kernel hands to
 the caller's sink (see ``compiled.run_sweeps``): what
@@ -71,47 +73,21 @@ left out when there is none.
 """
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass
-
 from .errors import IntegrityError
 from .market import Segment
 from .params import PolicyKind
 
 #: Allowed pre-correction drift of sum(shares) from 1 at a sweep boundary.
 RENORM_TOLERANCE = 1e-2
+#: Threshold the mean technology must reach to end the catch-up phase; the
+#: frontier value at t=0.
+TC_THRESHOLD = 1.0
 
 _POLICY_SEGMENT = {
     PolicyKind.LOW_TECH: Segment.LOW,
     PolicyKind.MEDIUM_TECH: Segment.MEDIUM,
     PolicyKind.HIGH_TECH: Segment.HIGH,
 }
-
-
-#: array typecodes of Trajectory's columns, in field order: int64 and
-#: float64.
-_COLUMN_TYPES = "qddqqd"
-#: Bytes a Trajectory holds per row: six 8-byte columns.
-ROW_BYTES = 8 * len(_COLUMN_TYPES)
-
-
-@dataclass(slots=True)
-class Trajectory:
-    """Per-sweep time series of one run; row k holds its k-th sweep."""
-
-    n_firms: array       # 'q': N(t) at sweep start
-    mean_tech: array     # 'd': weighted mean technology at sweep start
-    ratio: array         # 'd': mean_tech / frontier(t)
-    # sweep t's rescues ('q'), bankruptcies ('q') and share renormalization
-    # error ('d'); 0 in the last row
-    rescued: array
-    bankrupted: array
-    renorm_error: array
-
-    @classmethod
-    def empty(cls, rows: int) -> Trajectory:
-        """Zeroed columns of ``rows`` rows, for the kernel to write."""
-        return cls(*(array(code, [0]) * rows for code in _COLUMN_TYPES))
 
 
 def renorm_failure(err: float, t: int) -> IntegrityError:

@@ -4,20 +4,23 @@ the ensemble store.
 A replica is one full simulation of the market for t_max sweeps; an ensemble
 is n_replicas of them run from seeds derived as ``derive_seed(params.seed,
 k)`` for replica k. A replica starts from its seed and runs all of its
-sweeps in the compiled kernel (see ``compiled``). Replicas are independent
-and the kernel's C calls release the GIL, so they may run on threads of the
-ensemble's own (see ``run_trajectories``). No replica leaves the process,
-and the statistics and event logs are identical at any thread count.
+sweeps in the compiled kernel (see ``compiled``), which writes its rows
+straight into the ensemble's buffers: no replica keeps a trajectory of its
+own. Replicas are independent and the kernel's C calls release the GIL, so
+they may run on threads of the ensemble's own (see ``run_trajectories``).
+No replica leaves the process, and the statistics and event logs are
+identical at any thread count.
 
 Across-replica spread is reported as the population standard deviation
 (divide by n), matching descriptive +-1 SD bands. The statistics are
 summed in the order numpy's ``mean`` and ``std`` sum, so they have numpy's
 bits without importing it: a (replicas x sweeps) matrix with two or more
-sweeps row by row in the compiled kernel (``compiled.folder`` and
-``compiled.column_stats``), and a vector, which is the catch-up times or
-a single sweep, pairwise by ``_vector_stats``. Per-sweep statistics are
-``array`` objects: 'q' for t and rescued_sum, 'd' for the rest;
-``numpy.asarray`` views them without a copy.
+sweeps row by row in the compiled kernel (``compiled.column_stats``), and
+a vector, which is the catch-up times or a single sweep, pairwise by
+``_vector_stats``. The per-sweep rescue sum and renormalization error
+maximum are order-free, so the replicas add to them as they run.
+Per-sweep statistics are ``array`` objects: 'q' for t and rescued_sum,
+'d' for the rest; ``numpy.asarray`` views them without a copy.
 
 The ensemble store (``stored_ensemble``) shares ensembles between the cells
 of every scenario run in one process. Per parameter set other than t_max
@@ -41,13 +44,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, TextIO
 
 from . import compiled
-from .dynamics import ROW_BYTES, Trajectory
+from .dynamics import TC_THRESHOLD
 from .params import SimParams
 from .rng import derive_seed
-
-#: Threshold the mean technology must reach to end the catch-up phase; the
-#: frontier value at t=0.
-TC_THRESHOLD = 1.0
 
 
 @dataclass(slots=True)
@@ -77,26 +76,22 @@ _ROW_FIELDS = ("t", "n_mean", "n_sd", "a_mean", "a_sd", "ratio_mean",
                "ratio_sd", "rescued_sum", "renorm_error")
 
 
-def run_replica(params: SimParams, replica_seed: int,
-                events: Optional[Callable] = None, *,
-                replica: int = 0) -> Trajectory:
-    """Simulate one replica from sweep 0 to sweep t_max from the given
-    stream seed. With an event sink, a callable, every step's line of the
-    event log, which names the replica as ``replica`` (>= 0), is passed to
-    it: each kernel call's lines at once, as one ``str`` (see
-    ``compiled.run_sweeps``).
-
-    The trajectory is allocated here and written by the compiled kernel,
-    which seeds the stream, draws the initial market and runs the sweeps in
-    a State of its own: a row per sweep, plus one final snapshot at
-    t = t_max.
+def run_replica(params: SimParams, replica_seed: int, k: int,
+                out: Sequence[array],
+                events: Optional[Callable] = None) -> Optional[int]:
+    """Simulate replica ``k`` of an ensemble from sweep 0 to sweep t_max
+    from the given stream seed, writing its rows into the ensemble's
+    buffers ``out`` (see ``compiled.new_state``): a row per sweep, plus one
+    final snapshot at t = t_max. Returns the first sweep whose mean
+    technology reaches TC_THRESHOLD, or None. With an event sink, a
+    callable, every step's line of the event log, which names the replica
+    as ``k``, is passed to it: each kernel call's lines at once, as one
+    ``str`` (see ``compiled.run_sweeps``).
     """
-    trajectory = Trajectory.empty(params.t_max + 1)
-    state = compiled.new_state(params, trajectory, events is not None)
-    state.replica = replica
+    state = compiled.new_state(params, k, out, events is not None)
     compiled.start(state, params, replica_seed)
     compiled.run_sweeps(state, events)
-    return trajectory
+    return None if state.crossing < 0 else state.crossing
 
 
 def estimate_tc(mean_tech_series: Sequence[float]) -> Optional[int]:
@@ -112,11 +107,10 @@ def replica_seeds(base_seed: int, n_replicas: int) -> list[int]:
 def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
                      event_log: Optional[TextIO] = None) -> EnsembleStats:
     """The statistics of an ensemble from base seed ``params.seed``, whose
-    replicas run ``jobs`` at a time. In replica order, each replica is
-    folded in by the kernel: its N, mean technology and ratio rows are
-    copied into (replicas x sweeps) matrices, 24 bytes per replica and
-    sweep, and its other reductions updated; then its trajectory is
-    dropped.
+    replicas run ``jobs`` at a time. Each replica's kernel run writes its N,
+    mean technology and ratio rows into (replicas x sweeps) matrices, 24
+    bytes per replica and sweep, and adds its rescues and renormalization
+    errors to the per-sweep sum and maximum, 16 bytes a sweep.
 
     When min(jobs, n_replicas) > 1, the replicas run on a thread executor
     of the call's own, as the kernel's C calls release the GIL. It is shut
@@ -138,22 +132,23 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
     compiled.kernel()
     seeds = replica_seeds(params.seed, n_replicas)
 
-    def replica(k: int, seed: int) -> tuple[Trajectory, Optional[list[str]]]:
-        """Replica k, plus its event log as JSONL text, a chunk per kernel
-        call, when one is kept."""
-        if event_log is None:
-            return run_replica(params, seed), None
-        chunks: list[str] = []
-        return run_replica(params, seed, chunks.append, replica=k), chunks
-
     rows = params.t_max + 1
     n_mat, a_mat, r_mat = (array("d", [0.0]) * (n_replicas * rows)
                            for _ in range(3))
     rescued_sum = array("q", [0]) * rows
     renorm_error = array("d", [0.0]) * rows
+    out = (n_mat, a_mat, r_mat, rescued_sum, renorm_error)
     tc_vals = array("d", [math.nan]) * n_replicas
-    fold = compiled.folder(n_mat, a_mat, r_mat, rescued_sum, renorm_error,
-                           TC_THRESHOLD)
+
+    def replica(k: int, seed: int) -> tuple[Optional[int],
+                                            Optional[list[str]]]:
+        """Replica k's crossing, plus its event log as JSONL text, a chunk
+        per kernel call, when one is kept."""
+        if event_log is None:
+            return run_replica(params, seed, k, out), None
+        chunks: list[str] = []
+        return run_replica(params, seed, k, out, chunks.append), chunks
+
     workers = min(jobs, n_replicas)
     executor = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
@@ -161,18 +156,14 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
             replica, range(n_replicas), seeds)
         for k, seed in enumerate(seeds):
             try:
-                trajectory, chunks = next(results)
+                tc, chunks = next(results)
             except Exception as exc:
                 exc.add_note(f"replica seed {seed}")
                 raise
             if chunks is not None:
                 event_log.writelines(chunks)
-            tc = fold(trajectory, k)
             if tc is not None:
                 tc_vals[k] = tc
-            # not held while the next replica runs (the text is: freeing it
-            # lets malloc trim pages that the next replica's text faults in)
-            del trajectory
     finally:
         if executor is not None:
             executor.shutdown(cancel_futures=True)
@@ -192,22 +183,20 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
 def bytes_needed(params: SimParams, n_replicas: int, jobs: int,
                  logged: bool) -> int:
     """The most bytes ``run_trajectories(params, n_replicas, jobs)`` holds
-    at once, with an event log when ``logged``. It counts:
+    at once while its replicas run, with an event log when ``logged``. It
+    counts:
 
     - the three replica-major matrices, 24 bytes a replica and row;
-    - whole trajectories, ROW_BYTES a row: every replica's on threads,
-      where replicas done ahead of an earlier one wait whole, and one's
-      when serial;
+    - the per-row rescue sum and renormalization error maximum, 16 bytes a
+      row;
     - the lattice's neighbor tables, 12 ints (48 bytes) a site;
     - the C buffers of the replicas running at once, ``state_bytes`` each.
 
     It leaves out the log text that replicas keep between kernel calls."""
     rows = params.t_max + 1
     n_sites = params.lx * params.ly
-    workers = min(jobs, n_replicas)
-    held = n_replicas if workers > 1 else 1
-    return ((n_replicas * 24 + held * ROW_BYTES) * rows + 48 * n_sites
-            + workers * compiled.state_bytes(n_sites, logged))
+    return ((n_replicas * 24 + 16) * rows + 48 * n_sites
+            + min(jobs, n_replicas) * compiled.state_bytes(n_sites, logged))
 
 
 def _pairwise_sum(x: Sequence[float]) -> float:

@@ -127,8 +127,9 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
     if need > have:
         raise ConfigError(
             f"replicas={replicas} and tmax={t_max} need {need / 2**30:,.1f} "
-            f"GiB of trajectories and {base.lx}x{base.ly} lattice buffers, "
-            f"more than the {have / 2**30:,.1f} GiB of physical memory")
+            f"GiB of per-sweep ensemble rows and {base.lx}x{base.ly} lattice "
+            f"buffers, more than the {have / 2**30:,.1f} GiB of physical "
+            f"memory")
     compiled.kernel()  # a machine that cannot build it fails before any write
     curve = name != "custom" and SCENARIOS[name].kind == "tc_curve"
     out_dir = Path(controls.out)

@@ -3,13 +3,18 @@ against.
 
 This is the model of ``techmarket.dynamics``, step for step and draw for
 draw, on a market of ``Firm`` objects in a registry ordered by id. It gives
-the kernel's bits: the same trajectories, event-log text, end market and
-stream. ``init_market`` starts a market as ``_sweep.c``'s tm_init does, and
-``run_sweeps`` runs it as tm_run does. A step's outcome is an ``EventKind``
-and its record an event row of EVENT_FIELDS integers, this module's own
-format; ``emit_event_log`` renders the rows as the lines tm_run writes.
-``compiled_state`` fills a kernel State from a market of this module, so
-that the kernel can start from a hand-built one.
+the kernel's bits: the same rows, event-log text, end market and stream.
+``init_market`` starts a market as ``_sweep.c``'s tm_init does, and
+``run_sweeps`` runs it as tm_run does, into a ``Trajectory``, this module's
+own per-replica record, which also counts each sweep's bankruptcies. A
+step's outcome is an ``EventKind`` and its record an event row of
+EVENT_FIELDS integers, this module's own format too; ``emit_event_log``
+renders the rows as the lines tm_run writes.
+
+``kernel_replica`` runs one replica on the kernel as the only replica of an
+ensemble, whose buffers are then its own rows, and ``compiled_state`` fills
+a kernel State from a market of this module, so that the kernel can start
+from a hand-built one.
 """
 from __future__ import annotations
 
@@ -19,15 +24,15 @@ import random
 from array import array
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, NamedTuple, Optional, TextIO
 
 from techmarket import compiled
 from techmarket.dynamics import (
     _POLICY_SEGMENT,
     RENORM_TOLERANCE,
-    Trajectory,
     renorm_failure,
 )
+from techmarket.ensemble import run_replica
 from techmarket.market import Segment, neighbor_tables
 from techmarket.params import SimParams, VariantKind
 
@@ -56,6 +61,31 @@ EVENT_FIELDS = 6
 
 #: The ``,"kind":"<name>"`` fragment of an event line, by EventKind value.
 _KIND_FIELDS = {kind: f',"kind":"{kind.name.lower()}"' for kind in EventKind}
+
+
+#: array typecodes of Trajectory's columns, in field order: int64 and
+#: float64.
+_COLUMN_TYPES = "qddqqd"
+
+
+@dataclass(slots=True)
+class Trajectory:
+    """Per-sweep time series of one oracle run; row k holds its k-th
+    sweep."""
+
+    n_firms: array       # 'q': N(t) at sweep start
+    mean_tech: array     # 'd': weighted mean technology at sweep start
+    ratio: array         # 'd': mean_tech / frontier(t)
+    # sweep t's rescues ('q'), bankruptcies ('q') and share renormalization
+    # error ('d'); 0 in the last row
+    rescued: array
+    bankrupted: array
+    renorm_error: array
+
+    @classmethod
+    def empty(cls, rows: int) -> Trajectory:
+        """Zeroed columns of ``rows`` rows."""
+        return cls(*(array(code, [0]) * rows for code in _COLUMN_TYPES))
 
 
 # -- random draws -------------------------------------------------------------
@@ -463,16 +493,44 @@ def emit_event_log(out: TextIO, replica: int, events: array) -> None:
     out.write("".join(lines))
 
 
-# -- the kernel's State from a market -----------------------------------------
+# -- the kernel's runs --------------------------------------------------------
 
-def compiled_state(market: MarketState, params: SimParams,
-                   trajectory: Trajectory, rng: random.Random,
+class Rows(NamedTuple):
+    """An ensemble's buffers, in the order ``compiled.new_state`` takes
+    them as ``out``. In a one-replica ensemble they are the replica's rows,
+    N as a float64: the columns an oracle Trajectory has but bankrupted."""
+
+    n_firms: array
+    mean_tech: array
+    ratio: array
+    rescued: array
+    renorm_error: array
+
+
+def ensemble_buffers(rows: int, replicas: int = 1) -> Rows:
+    """Zeroed buffers of an ensemble of ``replicas`` replicas of ``rows``
+    rows, as ``run_trajectories`` makes them."""
+    return Rows(*(array("d", [0.0]) * (replicas * rows) for _ in range(3)),
+                array("q", [0]) * rows, array("d", [0.0]) * rows)
+
+
+def kernel_replica(params: SimParams, seed: int, events=None) -> Rows:
+    """The rows of ``run_replica`` of (params, seed) as replica 0 of a
+    one-replica ensemble."""
+    rows = ensemble_buffers(params.t_max + 1)
+    run_replica(params, seed, 0, rows, events)
+    return rows
+
+
+def compiled_state(market: MarketState, params: SimParams, rows: Rows,
+                   rng: random.Random,
                    logged: bool = False) -> ctypes.Structure:
     """A ``compiled.new_state`` holding ``market`` and the stream of
-    ``rng``, for ``compiled.run_sweeps`` to run from the market's sweep:
-    firms in slots in the registry's order. The market's lattice must be
-    params' shape; ``market`` and ``rng`` are only read."""
-    state = compiled.new_state(params, trajectory, logged)
+    ``rng``, writing replica 0's rows into ``rows``, an
+    ``ensemble_buffers``, for ``compiled.run_sweeps`` to run from the
+    market's sweep: firms in slots in the registry's order. The market's
+    lattice must be params' shape; ``market`` and ``rng`` are only read."""
+    state = compiled.new_state(params, 0, rows, logged)
     firms = list(market.firms.values())
     slot = {f.id: k for k, f in enumerate(firms)}
     for k, f in enumerate(firms):

@@ -15,7 +15,6 @@ import pytest
 
 from techmarket import PolicyKind, SimParams, VariantKind, run_ensemble
 from techmarket.config import resolve_config
-from techmarket.ensemble import run_replica
 from techmarket.rng import derive_seed
 from techmarket.scenarios import run_scenario
 
@@ -23,6 +22,7 @@ from conftest import moore8_of, random_market
 from oracle import (
     EventKind,
     interact,
+    kernel_replica,
     redistribute_shares_equal,
     survival_probability,
 )
@@ -344,8 +344,8 @@ def test_criterion_09_determinism(tmp_path):
     p_act = replace(p_pas, variant=VariantKind.ACTIVE_AFTER_RESCUE)
     variants_equal = True
     for k in range(4):
-        a = run_replica(p_pas, derive_seed(56, k))
-        b = run_replica(p_act, derive_seed(56, k))
+        a = kernel_replica(p_pas, derive_seed(56, k))
+        b = kernel_replica(p_act, derive_seed(56, k))
         variants_equal &= (np.array_equal(a.mean_tech, b.mean_tech)
                            and np.array_equal(a.n_firms, b.n_firms)
                            and np.array_equal(a.ratio, b.ratio))

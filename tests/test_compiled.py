@@ -30,8 +30,8 @@ from techmarket import (
     compiled,
 )
 from techmarket.cli import main
-from techmarket.dynamics import Trajectory
-from techmarket.ensemble import run_ensemble, run_replica
+from techmarket.dynamics import TC_THRESHOLD
+from techmarket.ensemble import run_ensemble
 from techmarket.rng import derive_seed
 
 import oracle
@@ -62,11 +62,6 @@ def sim_params(draw):
         assume(False)
 
 
-#: The columns the kernels write.
-COLUMNS = ("n_firms", "mean_tech", "ratio", "rescued", "bankrupted",
-           "renorm_error")
-
-
 #: State's scalars of the end market, with MarketState's names.
 SCALARS = {"sweep": "sweep", "next_id": "next_id",
            "frontier": "frontier_value", "ws": "weighted_sum",
@@ -74,7 +69,7 @@ SCALARS = {"sweep": "sweep", "next_id": "next_id",
 
 
 def spy_states(monkeypatch):
-    """The State of every replica ``run_replica`` runs from now on, in a list
+    """The State of every replica the kernel runs from now on, in a list
     that grows as they run."""
     states, real = [], compiled.run_sweeps
 
@@ -92,19 +87,19 @@ def run_states(monkeypatch):
 
 
 def run_both(params, seed, replica=0):
-    """``run_replica`` of (params, seed) with an event sink, as replica
-    ``replica``, then the oracle's replica from ``random.Random(seed)``: the
-    compiled run's (trajectory, event log text a chunk per kernel call,
-    State), then the oracle's (trajectory, event rows, market, rng)."""
-    chunks = []
-    with pytest.MonkeyPatch.context() as mp:
-        states = spy_states(mp)
-        trajectory = run_replica(params, seed, chunks.append,
-                                 replica=replica)
-    compiled_run = trajectory, chunks, states[0]
+    """The kernel's run of (params, seed) as a one-replica ensemble, with an
+    event log whose lines name the replica ``replica``, then the oracle's
+    replica from ``random.Random(seed)``: the compiled run's (rows, event
+    log text a chunk per kernel call, State), then the oracle's
+    (trajectory, event rows, market, rng)."""
+    rows = oracle.ensemble_buffers(params.t_max + 1)
+    state = compiled.new_state(params, 0, rows, True)
+    state.replica = replica
+    compiled.start(state, params, seed)
+    compiled_run = rows, run_logged(state), state
     rng = random.Random(seed)
     market = oracle.init_market(params, rng)
-    trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
+    trajectory, events = oracle.Trajectory.empty(params.t_max + 1), array("q")
     oracle.run_sweeps(market, params, rng, trajectory, events)
     return compiled_run, (trajectory, events, market, rng)
 
@@ -125,13 +120,15 @@ def run_logged(state):
 
 
 def assert_same_runs(compiled_run, oracle_run, replica=0):
-    """The compiled run's columns, event log, end market and end stream
-    against the oracle's, its event rows rendered as replica
+    """The compiled run's rows, crossing, event log, end market and end
+    stream against the oracle's, its event rows rendered as replica
     ``replica``'s."""
     (tr_c, chunks, state), (tr_py, events, market, rng) = (compiled_run,
                                                            oracle_run)
-    for name in COLUMNS:
+    for name in oracle.Rows._fields:
         assert np.array_equal(getattr(tr_c, name), getattr(tr_py, name)), name
+    assert state.crossing == next((row for row, a in enumerate(tr_py.mean_tech)
+                                   if a >= TC_THRESHOLD), -1)
     assert "".join(chunks) == oracle_text(events, replica)
     assert_same_market(state, market)
     # the end stream: 624 words and the position
@@ -172,7 +169,7 @@ def test_stream_is_seeded_as_random_random(run_states, seed):
     """After a zero-sweep ``run_replica``, the C stream is Random(seed)'s
     after the same draws: one site and one technology per initial firm."""
     params = SimParams(t_max=0)
-    run_replica(params, seed)
+    oracle.kernel_replica(params, seed)
     rng = random.Random(seed)
     for _ in range(2 * params.n_initial_firms):
         rng.random()
@@ -191,7 +188,7 @@ def test_stream_is_seeded_as_random_random(run_states, seed):
 def test_initial_market_matches_the_oracle(run_states, params):
     for k in range(5):
         seed = derive_seed(params.seed, k)
-        trajectory = run_replica(params, seed)
+        trajectory = oracle.kernel_replica(params, seed)
         state = run_states.pop()
         market = oracle.init_market(params, random.Random(seed))
         market.resync_sums()  # tm_run set them before the first row
@@ -261,13 +258,13 @@ def test_event_log_rendered_at_every_sweep_is_the_same_text():
         rng = random.Random(derive_seed(params.seed, k))
         events = array("q")
         oracle.run_sweeps(oracle.init_market(params, rng), params, rng,
-                          Trajectory.empty(params.t_max + 1), events)
+                          oracle.Trajectory.empty(params.t_max + 1), events)
         expected.append(oracle_text(events, k))
     assert logs == ["".join(expected)] * 2
 
 
 #: The State's fields that point to buffers ``new_state`` allocates; the
-#: others are views of the neighbor tables and the trajectory's columns.
+#: others are views of the neighbor tables and the ensemble's buffers.
 OWNED = ("occ", "id", "tech", "share", "site", "order", "mt", "text")
 
 
@@ -280,7 +277,7 @@ def test_state_bytes_is_what_new_state_allocates(logged, lx, ly):
     index in hex, each entry ending with the array. 80x60 has more sites
     than EVENT_ROWS, so its text buffer holds a line per site."""
     params = SimParams(lx=lx, ly=ly, t_max=0)
-    state = compiled.new_state(params, Trajectory.empty(1), logged)
+    state = compiled.new_state(params, 0, oracle.ensemble_buffers(1), logged)
     fields = [name for name, _ in compiled._State._fields_]
     kept = [state._objects.get(f"{fields.index(name):x}") for name in OWNED]
     allocated = sum(ctypes.sizeof(entry[-1]) for entry in kept if entry)
@@ -304,10 +301,10 @@ def test_stream_handed_over_at_a_position_matches_the_oracle(position):
     for _ in range(position):
         rng.getrandbits(32)  # one word each
     assert rng.getstate()[1][-1] == position
-    trajectory = Trajectory.empty(params.t_max + 1)
-    state = oracle.compiled_state(market, params, trajectory, rng, True)
-    compiled_run = trajectory, run_logged(state), state
-    trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
+    rows = oracle.ensemble_buffers(params.t_max + 1)
+    state = oracle.compiled_state(market, params, rows, rng, True)
+    compiled_run = rows, run_logged(state), state
+    trajectory, events = oracle.Trajectory.empty(params.t_max + 1), array("q")
     oracle.run_sweeps(market, params, rng, trajectory, events)
     assert_same_runs(compiled_run, (trajectory, events, market, rng))
 
@@ -320,7 +317,7 @@ def test_replicas_run_on_the_compiled_kernel(monkeypatch):
 
     monkeypatch.setattr(random.Random, "seed", no_stream)
     monkeypatch.setattr(oracle, "init_market", no_stream)
-    assert len(run_replica(SimParams(t_max=20), 7).n_firms) == 21
+    assert len(oracle.kernel_replica(SimParams(t_max=20), 7).n_firms) == 21
 
 
 @pytest.mark.parametrize("params", [
@@ -329,7 +326,7 @@ def test_replicas_run_on_the_compiled_kernel(monkeypatch):
 ], ids=["mediumtech_passive", "egalitarian_active"])
 def test_replica_columns_match_across_kernels(params):
     compiled_run, oracle_run = run_both(params, derive_seed(3, 1))
-    for name in COLUMNS:
+    for name in oracle.Rows._fields:
         assert np.array_equal(getattr(compiled_run[0], name),
                               getattr(oracle_run[0], name)), name
 
@@ -341,11 +338,11 @@ def test_hand_built_market_runs_as_on_the_oracle():
                        n_min=3, t_max=30)
     rng = random.Random(77)
     market = oracle.init_market(params, rng)
-    oracle.run_sweeps(market, params, rng, Trajectory.empty(8))
-    trajectory = Trajectory.empty(params.t_max + 1)
-    state = oracle.compiled_state(market, params, trajectory, rng, True)
-    compiled_run = trajectory, run_logged(state), state
-    trajectory, events = Trajectory.empty(params.t_max + 1), array("q")
+    oracle.run_sweeps(market, params, rng, oracle.Trajectory.empty(8))
+    rows = oracle.ensemble_buffers(params.t_max + 1)
+    state = oracle.compiled_state(market, params, rows, rng, True)
+    compiled_run = rows, run_logged(state), state
+    trajectory, events = oracle.Trajectory.empty(params.t_max + 1), array("q")
     oracle.run_sweeps(market, params, rng, trajectory, events)
     assert market.sweep == 37
     assert_same_runs(compiled_run, (trajectory, events, market, rng))
@@ -366,9 +363,10 @@ def test_share_drift_raises_the_python_message():
         with pytest.raises(IntegrityError) as python_error:
             oracle.run_sweeps(copy.deepcopy(market), params,
                               random.Random(1),
-                              Trajectory.empty(params.t_max + 1), events)
-        state = oracle.compiled_state(market, params,
-                                      Trajectory.empty(params.t_max + 1),
+                              oracle.Trajectory.empty(params.t_max + 1),
+                              events)
+        rows = oracle.ensemble_buffers(params.t_max + 1)
+        state = oracle.compiled_state(market, params, rows,
                                       random.Random(1), logged=True)
         chunks = []
         with pytest.raises(IntegrityError) as compiled_error:
@@ -380,6 +378,8 @@ def test_share_drift_raises_the_python_message():
         # the failing sweep's lines are passed on before the error is raised
         assert len(events) == 3 * oracle.EVENT_FIELDS
         assert chunks == [oracle_text(events)]
+        # and the rows the ensemble's replicas share are left as they were
+        assert not any(rows.rescued) and not any(rows.renorm_error)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Config resolution, CSV/metadata emission, event logs, scenarios with
 the ensemble store, and the CLI."""
+import contextlib
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import re
 import runpy
 import subprocess
 import sys
+import tempfile
 import threading
 from array import array
 from dataclasses import replace
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from techmarket import (
     ConfigError,
@@ -33,7 +36,6 @@ from techmarket.config import (
     parse_config_file,
     resolve_config,
 )
-from techmarket.dynamics import Trajectory
 from techmarket.ensemble import run_ensemble
 from techmarket.rng import derive_seed
 from techmarket.output import (
@@ -313,7 +315,8 @@ class TestEventLog:
                 rng = random.Random(derive_seed(params.seed, k))
                 events = array("q")
                 oracle.run_sweeps(oracle.init_market(params, rng), params,
-                                  rng, Trajectory.empty(params.t_max + 1),
+                                  rng,
+                                  oracle.Trajectory.empty(params.t_max + 1),
                                   events)
                 oracle.emit_event_log(out, k, events)
         lines = out.getvalue().splitlines()
@@ -442,10 +445,10 @@ class TestScenarios:
         real = ens.run_replica
         bad_seed = ens.replica_seeds(3, 3)[1]
 
-        def drift(params, seed, events=None, *, replica=0):
+        def drift(params, seed, k, out, events=None):
             if seed == bad_seed:
                 raise IntegrityError("normalization error 0.5 exceeds tolerance")
-            return real(params, seed, events, replica=replica)
+            return real(params, seed, k, out, events)
 
         monkeypatch.setattr(ens, "run_replica", drift)
         code = main(["--tmax", "5", "--replicas", "3", "--seed", "3",
@@ -460,9 +463,9 @@ class TestScenarios:
         real = ens.run_replica
         calls = []
 
-        def spy(params, seed, events=None, *, replica=0):
+        def spy(params, seed, k, out, events=None):
             calls.append(events is not None)
-            return real(params, seed, events, replica=replica)
+            return real(params, seed, k, out, events)
 
         monkeypatch.setattr(ens, "run_replica", spy)
         flags = {"seed": "5", "tmax": "12", "replicas": "2", "q": "0.5"}
@@ -496,7 +499,7 @@ class TestScenarios:
     def test_no_child_left_when_a_replica_fails(self, monkeypatch, tmp_path):
         import techmarket.ensemble as ens
 
-        def drift(params, seed, events=None, *, replica=0):
+        def drift(params, seed, k, out, events=None):
             raise IntegrityError("normalization error 0.5 exceeds tolerance")
 
         monkeypatch.setattr(ens, "run_replica", drift)
@@ -586,9 +589,9 @@ class TestScenarios:
         real = ens.run_replica
         horizons = []
 
-        def spy(params, seed, events=None, *, replica=0):
+        def spy(params, seed, k, out, events=None):
             horizons.append(params.t_max)
-            return real(params, seed, events, replica=replica)
+            return real(params, seed, k, out, events)
 
         monkeypatch.setattr(ens, "run_replica", spy)
         # sigma=0 keeps the frontier at 1, which no replica's mean reaches
@@ -630,9 +633,9 @@ class TestScenarios:
         real = ens.run_replica
         horizons = []
 
-        def spy(params, seed, events=None, *, replica=0):
+        def spy(params, seed, k, out, events=None):
             horizons.append(params.t_max)
-            return real(params, seed, events, replica=replica)
+            return real(params, seed, k, out, events)
 
         monkeypatch.setattr(ens, "run_replica", spy)
         flags = ["--scenario", "fig5", "--tmax", "300", "--replicas", "2",
@@ -658,9 +661,9 @@ class TestScenarios:
         real = ens.run_replica
         simulated = []
 
-        def spy(params, seed, events=None, *, replica=0):
+        def spy(params, seed, k, out, events=None):
             simulated.append(params.q)
-            return real(params, seed, events, replica=replica)
+            return real(params, seed, k, out, events)
 
         monkeypatch.setattr(ens, "run_replica", spy)
 
@@ -690,9 +693,8 @@ def test_figure_script_simulates_each_trajectory_once(monkeypatch, tmp_path):
     horizons = []
 
     def spy(params, seed, *rest):
-        trajectory = real(params, seed, *rest)
-        horizons.append(len(trajectory.n_firms) - 1)
-        return trajectory
+        horizons.append(params.t_max)
+        return real(params, seed, *rest)
 
     monkeypatch.setattr(ens, "run_replica", spy)
     script = Path(__file__).parents[1] / "scripts" / "reproduce_figures.py"
@@ -822,9 +824,10 @@ class TestCli:
         assert main(["--sigma", "0", "--tmax", "10000000000000",
                      "--replicas", "1", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        # 72 bytes a row: 24 in the ensemble's matrices, 48 in the trajectory
+        # 40 bytes a row: 24 in the ensemble's matrices, 16 in the rescue
+        # sum and renormalization error maximum
         assert err.startswith("config error: replicas=1 and tmax=10000000000000"
-                              " need 670,552.3 GiB of trajectories")
+                              " need 372,529.0 GiB of per-sweep ensemble rows")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -868,10 +871,11 @@ class TestCli:
 
     def test_memory_guard_counts_tables_and_running_replicas(
             self, monkeypatch, tmp_path, capsys):
-        """The guard adds the ensemble's matrices (24 bytes a replica and
+        """The guard counts the ensemble's matrices (24 bytes a replica and
+        row), the rescue sum and renormalization error maximum (16 bytes a
         row), the neighbor tables (48 bytes a site) and the C buffers of the
-        replicas running at once to the trajectories; on threads every
-        replica's whole trajectory counts."""
+        replicas running at once. No replica keeps rows of its own, on
+        threads or serially."""
         have = [0]
         real = os.sysconf
         monkeypatch.setattr(os, "sysconf", lambda name: {
@@ -881,12 +885,11 @@ class TestCli:
         # 3 replicas of 11 rows in the matrices (24 bytes), the 10x10
         # tables, and per running replica 68 bytes a site, the 2,500-byte
         # stream and a text buffer of 4,096 lines of 187 bytes
-        base = 3 * 11 * 24 + 48 * 100
+        base = 3 * 11 * 24 + 11 * 16 + 48 * 100
         running = 68 * 100 + 2500 + 4096 * 187
-        # on 2 threads, 2 replicas run and every trajectory (11 rows of 48
-        # bytes) may wait whole; serially one runs and one is held
-        threaded = base + 3 * 11 * 48 + 2 * running
-        serial = base + 11 * 48 + running
+        # on 2 threads, 2 replicas run; serially one
+        threaded = base + 2 * running
+        serial = base + running
         # the matrices were once left out: that count is too little
         uncounted = threaded - 3 * 11 * 24
         for jobs, have[0], code in (
@@ -896,8 +899,8 @@ class TestCli:
             assert main(flags + ["--jobs", str(jobs),
                                  "--out", str(out)]) == code
             assert out.exists() == (code == 0)
-        assert "of trajectories and 10x10 lattice buffers, more than" \
-            in capsys.readouterr().err
+        assert ("of per-sweep ensemble rows and 10x10 lattice buffers, more "
+                "than") in capsys.readouterr().err
         # a lattice at the bound needs far more than 16 GiB: rejected
         # before anything is allocated
         have[0] = 2**34
@@ -1013,7 +1016,7 @@ class TestCli:
             self, monkeypatch, tmp_path, capsys):
         import techmarket.ensemble as ens
 
-        def drift(params, seed, events=None, *, replica=0):
+        def drift(params, seed, k, out, events=None):
             raise IntegrityError("normalization error 0.5 exceeds tolerance")
 
         monkeypatch.setattr(ens, "run_replica", drift)
@@ -1022,3 +1025,61 @@ class TestCli:
         seed = ens.replica_seeds(3, 1)[0]
         assert code == 2
         assert f"replica seed {seed}" in capsys.readouterr().err
+
+
+@st.composite
+def cli_flags(draw):
+    """The flags of a custom run that passes validation: lattices 3..12 a
+    side, both variants, every policy, s, b and q at their edges among the
+    draws, 1-3 replicas at --jobs 1-3, with and without --events, and
+    horizons up to 30."""
+    lx, ly = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    c = draw(st.floats(1.0 / (lx * ly), 1.0))
+    values = {
+        "sigma": draw(st.floats(0.0, 1.0)),
+        "s": draw(st.sampled_from((0.0, 1e300)) | st.floats(0.0, 10.0)),
+        "b": draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)),
+        "n_min": draw(st.integers(1, max(1, int(c * lx * ly)))),
+        "omega_s": draw(st.floats(0.01, 0.99)),
+        "c": c,
+        "q": draw(st.sampled_from((0.0, 0.99, 1.0)) | st.floats(0.0, 1.0)),
+        "policy": draw(st.sampled_from(PolicyKind)),
+        "variant": draw(st.sampled_from(VariantKind)),
+        "lx": lx, "ly": ly,
+        "t_max": draw(st.integers(0, 30)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+    }
+    try:
+        SimParams(**values)
+    except ConfigError:
+        assume(False)
+    names = {"n_min": "nmin", "omega_s": "omega-s", "t_max": "tmax"}
+    flags = [f"--{names.get(key, key)}={getattr(value, 'value', value)!r}"
+             .replace("'", "") for key, value in values.items()]
+    flags += [f"--replicas={draw(st.integers(1, 3))}",
+              f"--jobs={draw(st.integers(1, 3))}"]
+    return flags + (["--events"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(flags=cli_flags())
+def test_validated_runs_keep_the_exit_code_contract(flags):
+    """Every input that passes validation exits 0 with finite CSV values,
+    or 1 or 2 with one line on stderr and no traceback."""
+    clear_store()
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(flags + ["--out", out])
+        csvs = list(Path(out).glob("*.csv"))
+        values = [float(x) for csv in csvs
+                  for line in csv.read_text().splitlines()[1:]
+                  for x in line.split(",")]
+    if code == 0:
+        assert len(csvs) == 1 and values
+        assert all(math.isfinite(v) for v in values)
+    else:
+        assert code in (1, 2)
+        assert err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from techmarket import IntegrityError, PolicyKind, SimParams, VariantKind
-from techmarket.dynamics import Trajectory
 from techmarket.rng import derive_seed
 
 from conftest import build_market, random_market, site_index, step
 from oracle import (
     EVENT_FIELDS,
     EventKind,
+    Trajectory,
     external_diffusion,
     init_market,
     interact,

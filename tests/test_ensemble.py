@@ -21,17 +21,16 @@ from techmarket import (
     VariantKind,
     run_ensemble,
 )
-from techmarket.dynamics import ROW_BYTES
 from techmarket.ensemble import (
-    Trajectory,
+    bytes_needed,
     estimate_tc,
     replica_seeds,
-    run_replica,
     stored_ensemble,
 )
 from techmarket.rng import derive_seed
 
 from conftest import assert_no_worker_left, record_executors
+from oracle import kernel_replica
 
 
 def small_params(**kw):
@@ -43,34 +42,33 @@ def small_params(**kw):
 class TestRunReplica:
     def test_zero_horizon_single_record(self):
         p = small_params(t_max=0)
-        tr = run_replica(p, derive_seed(p.seed, 0))
+        tr = kernel_replica(p, derive_seed(p.seed, 0))
         assert len(tr.n_firms) == 1
         assert tr.n_firms[0] == 80
         assert tr.ratio[0] == tr.mean_tech[0]  # frontier(0) = 1
 
     def test_series_length_and_clock(self):
         p = small_params(t_max=25)
-        tr = run_replica(p, derive_seed(p.seed, 0))
-        assert all(len(getattr(tr, field.name)) == 26
-                   for field in dataclasses.fields(Trajectory))
+        tr = kernel_replica(p, derive_seed(p.seed, 0))
+        assert all(len(column) == 26 for column in tr)
 
     def test_bit_identical_reruns(self):
         p = small_params(t_max=40)
-        a = run_replica(p, derive_seed(p.seed, 3))
-        b = run_replica(p, derive_seed(p.seed, 3))
+        a = kernel_replica(p, derive_seed(p.seed, 3))
+        b = kernel_replica(p, derive_seed(p.seed, 3))
         assert np.array_equal(a.mean_tech, b.mean_tech)
         assert np.array_equal(a.n_firms, b.n_firms)
         assert np.array_equal(a.ratio, b.ratio)
 
     def test_ratio_identity(self):
         p = small_params(t_max=50, sigma=0.01)
-        tr = run_replica(p, derive_seed(p.seed, 1))
+        tr = kernel_replica(p, derive_seed(p.seed, 1))
         recon = tr.ratio * np.exp(0.01 * np.arange(51))
         assert np.allclose(recon, tr.mean_tech, rtol=1e-12, atol=0.0)
 
     def test_free_market_plateau_near_floor(self):
         p = SimParams(q=0.0, t_max=600, seed=42)
-        tr = run_replica(p, derive_seed(42, 0))
+        tr = kernel_replica(p, derive_seed(42, 0))
         assert 8 <= tr.n_firms[600] <= 20
 
     def test_variants_identical_without_intervention(self):
@@ -78,8 +76,8 @@ class TestRunReplica:
                                  variant=VariantKind.PASSIVE_AFTER_RESCUE)
         p_active = small_params(t_max=80, q=0.0,
                                 variant=VariantKind.ACTIVE_AFTER_RESCUE)
-        a = run_replica(p_passive, derive_seed(99, 5))
-        b = run_replica(p_active, derive_seed(99, 5))
+        a = kernel_replica(p_passive, derive_seed(99, 5))
+        b = kernel_replica(p_active, derive_seed(99, 5))
         assert np.array_equal(a.mean_tech, b.mean_tech)
         assert np.array_equal(a.n_firms, b.n_firms)
 
@@ -120,11 +118,25 @@ class TestSeeding:
             derive_seed(1, -1)
 
 
+def write_rows(out, k, n_firms, mean_tech, ratio, rescued, renorm_error):
+    """What replica k's kernel run writes into the ensemble's buffers
+    ``out``: its rows of the matrices, then its rescues and renormalization
+    errors added to the per-row sum and maximum."""
+    n_mat, a_mat, r_mat, rescued_sum, renorm_max = out
+    rows = len(rescued_sum)
+    for matrix, values in ((n_mat, n_firms), (a_mat, mean_tech),
+                           (r_mat, ratio)):
+        matrix[k * rows:(k + 1) * rows] = array("d", values)
+    for t in range(rows):
+        rescued_sum[t] += rescued[t]
+        renorm_max[t] = max(renorm_max[t], renorm_error[t])
+
+
 class TestRunEnsemble:
     def test_single_replica_degenerate_sd(self):
         p = small_params(t_max=30)
         st = run_ensemble(p, 1)
-        tr = run_replica(p, derive_seed(p.seed, 0))
+        tr = kernel_replica(p, derive_seed(p.seed, 0))
         assert np.array_equal(st.a_mean, tr.mean_tech)
         assert np.all(np.asarray(st.a_sd) == 0.0)
         assert np.all(np.asarray(st.n_sd) == 0.0)
@@ -159,10 +171,10 @@ class TestRunEnsemble:
     def test_constant_synthetic_ensemble(self, monkeypatch):
         import techmarket.ensemble as ens
 
-        def synthetic(params, seed, events=None, *, replica=0):
-            return Trajectory(array("q", [7] * 5), array("d", [3.0] * 5),
-                              array("d", [3.0] * 5), array("q", [0] * 5),
-                              array("q", [0] * 5), array("d", [0.0] * 5))
+        def synthetic(params, seed, k, out, events=None):
+            write_rows(out, k, [7] * 5, [3.0] * 5, [3.0] * 5, [0] * 5,
+                       [0.0] * 5)
+            return 0
 
         monkeypatch.setattr(ens, "run_replica", synthetic)
         st = ens.run_trajectories(small_params(t_max=4), 4)
@@ -184,10 +196,12 @@ class TestRunEnsemble:
     @example(n_replicas=300, rows=6, data_seed=4, scale=1e-3)
     def test_statistics_match_numpy_bit_for_bit(self, n_replicas, rows,
                                                 data_seed, scale):
-        """Synthetic trajectories through run_trajectories: every statistic
+        """Synthetic replica rows through run_trajectories: every statistic
         has the bits of numpy's mean, std(axis=0), sum, max and 1-D
         mean/std, with rows == 1 (a vector to numpy, summed pairwise) and
-        replicas that never cross among the cases."""
+        replicas that never cross among the cases. The synthetic replicas
+        add to the sum and maximum themselves, as the kernel does; the
+        threaded-reduction test checks the kernel's own."""
         import techmarket.ensemble as ens
 
         gen = np.random.default_rng(data_seed)
@@ -200,14 +214,13 @@ class TestRunEnsemble:
         index = {seed: k for k, seed in
                  enumerate(replica_seeds(params.seed, n_replicas))}
 
-        def synthetic(params, seed, events=None, *, replica=0):
-            k = index[seed]
-            return Trajectory(
-                array("q", n_firms[k].tolist()),
-                array("d", mean_tech[k].tolist()),
-                array("d", ratio[k].tolist()),
-                array("q", rescued[k].tolist()), array("q", [0] * rows),
-                array("d", renorm[k].tolist()))
+        def synthetic(params, seed, k, out, events=None):
+            assert index[seed] == k
+            write_rows(out, k, n_firms[k].tolist(), mean_tech[k].tolist(),
+                       ratio[k].tolist(), rescued[k].tolist(),
+                       renorm[k].tolist())
+            hits = np.flatnonzero(mean_tech[k] >= 1.0)
+            return int(hits[0]) if hits.size else None
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ens, "run_replica", synthetic)
@@ -242,6 +255,38 @@ class TestRunEnsemble:
         hits = np.flatnonzero(a_mean >= 1.0)
         assert stats.tc_of_mean == (int(hits[0]) if hits.size else None)
 
+    @pytest.mark.parametrize("params", [
+        small_params(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE,
+                     t_max=600),
+        small_params(q=0.9, policy=PolicyKind.MEDIUM_TECH, t_max=150),
+    ], ids=["active", "mediumtech"])
+    def test_threaded_reductions_equal_the_replicas(self, params):
+        """16 replicas on 4 threads, three times over: the per-sweep rescue
+        sum and renormalization error maximum, which the replicas' kernel
+        runs update as they go, and the crossings are the serial run's, and
+        the sum, maximum and crossings of each replica run alone. The active
+        q=0.99 cell rescues about 85 firms a sweep and crosses never; the
+        medium-tech one crosses at sweeps 60..133. On a machine of few cores
+        few updates race, so this checks the results, not that the updates
+        are atomic."""
+        alone = [kernel_replica(params, seed)
+                 for seed in replica_seeds(params.seed, 16)]
+        crossings = [estimate_tc(run.mean_tech) for run in alone]
+        want = {
+            "rescued_sum": np.sum([run.rescued for run in alone], axis=0),
+            "renorm_error": np.max([run.renorm_error for run in alone],
+                                   axis=0),
+            "tc_values": [math.nan if tc is None else tc for tc in crossings],
+        }
+        assert want["rescued_sum"].any()
+        serial = run_ensemble(params, 16, 1)
+        for _ in range(3):
+            threaded = run_ensemble(params, 16, 4)
+            assert_same_stats(threaded, serial)
+            for name, value in want.items():
+                assert np.array_equal(getattr(threaded, name), value,
+                                      equal_nan=True), name
+
     def test_free_market_always_crosses(self):
         stats = run_ensemble(small_params(t_max=250), 4)
         assert stats.fraction_reached == 1.0
@@ -249,16 +294,22 @@ class TestRunEnsemble:
         assert stats.tc_of_mean is not None
 
     def test_peak_memory_below_holding_every_trajectory(self):
-        """Replicas stream into the statistics: the traced peak of a serial
-        40-replica ensemble stays below what its trajectories would hold."""
+        """Replicas write straight into the ensemble's buffers: the traced
+        peak of a 40-replica ensemble, serial or on threads, is what the
+        memory guard counts plus the statistics' seven per-sweep rows (56
+        bytes a row), made once every replica has run, and under 64 KiB
+        more. Whole trajectories (48 bytes a row each) would add 3.8 MB."""
         params = SimParams(t_max=2000, seed=3)
-        tracemalloc.start()
-        try:
-            run_ensemble(params, 40)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 40 * (params.t_max + 1) * ROW_BYTES
+        run_ensemble(params, 1)  # the kernel is loaded before tracing
+        for jobs in (1, 2):
+            tracemalloc.start()
+            try:
+                run_ensemble(params, 40, jobs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < (bytes_needed(params, 40, jobs, False)
+                           + 56 * (params.t_max + 1) + 2**16), jobs
 
     def test_logged_replica_holds_little_beyond_its_text(self, tmp_path):
         """A logged replica keeps only its rendered text, not its rows: the
@@ -285,10 +336,10 @@ class TestRunEnsemble:
 
         bad_seed = replica_seeds(99, 3)[2]
 
-        def sabotaged(params, seed, events=None, *, replica=0):
+        def sabotaged(params, seed, k, out, events=None):
             if seed == bad_seed:
                 raise ValueError("boom")
-            return real(params, seed, events, replica=replica)
+            return real(params, seed, k, out, events)
 
         real = ens.run_replica
         monkeypatch.setattr(ens, "run_replica", sabotaged)
@@ -312,10 +363,10 @@ class TestReplicaFailure:
         bad_seed = replica_seeds(99, 3)[1]
         real = ens.run_replica
 
-        def sabotaged(params, seed, events=None, *, replica=0):
+        def sabotaged(params, seed, k, out, events=None):
             if seed == bad_seed:
                 raise TwoArgError(7, "boom")
-            return real(params, seed, events, replica=replica)
+            return real(params, seed, k, out, events)
 
         monkeypatch.setattr(ens, "run_replica", sabotaged)
         with pytest.raises(TwoArgError) as info:
@@ -339,13 +390,13 @@ class TestReplicaFailure:
         started = [0]
         lock = threading.Lock()
 
-        def sabotaged(params, seed, events=None, *, replica=0):
+        def sabotaged(params, seed, k, out, events=None):
             with lock:
                 started[0] += 1
             if seed == bad_seed and events is None:
                 raise TwoArgError(7, "boom")
             time.sleep(0.05)
-            return Trajectory.empty(params.t_max + 1)
+            return None
 
         monkeypatch.setattr(ens, "run_replica", sabotaged)
         made = record_executors(monkeypatch)
@@ -432,10 +483,9 @@ class TestEnsembleStore:
         real = ens.run_replica
         runs = []
 
-        def spy(params, seed, events=None, *, replica=0):
-            trajectory = real(params, seed, events, replica=replica)
-            runs.append(len(trajectory.n_firms) - 1)
-            return trajectory
+        def spy(params, seed, k, out, events=None):
+            runs.append(len(out[3]) - 1)  # the rows it writes, but the last
+            return real(params, seed, k, out, events)
 
         monkeypatch.setattr(ens, "run_replica", spy)
         first = replace(params, t_max=params.t_max * 2 // 3)

@@ -1,7 +1,9 @@
 """Golden digests: fixed (params, replica seed) pairs must reproduce these
-trajectories and this event log bit for bit. Both are checked on
-``run_replica``, the compiled kernel, and on the Python oracle. The preset
-scenarios must write these CSVs byte for byte.
+trajectories and this event log bit for bit. The trajectories are pinned on
+the Python oracle, bankruptcies included, and on the compiled kernel as a
+one-replica ensemble exposes them; the kernel's rows must also equal the
+oracle's. The event log is pinned on both. The preset scenarios must write
+these CSVs byte for byte.
 
 The digests pin the behaviour contract (bit-identical trajectories, CSVs and
 event logs for a fixed seed). A change that keeps behaviour leaves them
@@ -18,8 +20,6 @@ import pytest
 
 from techmarket import PolicyKind, SimParams, VariantKind, ensemble
 from techmarket.config import resolve_config
-from techmarket.dynamics import Trajectory
-from techmarket.ensemble import run_replica
 from techmarket.rng import derive_seed
 from techmarket.scenarios import run_scenario
 
@@ -144,17 +144,18 @@ def _series_digest(tr) -> str:
 def oracle_replica(params, replica_seed, events=None):
     """``run_replica`` on the oracle."""
     rng = random.Random(replica_seed)
-    trajectory = Trajectory.empty(params.t_max + 1)
+    trajectory = oracle.Trajectory.empty(params.t_max + 1)
     oracle.run_sweeps(oracle.init_market(params, rng), params, rng,
                       trajectory, events)
     return trajectory
 
 
-def _trajectory_digest(key, replica) -> str:
+def _golden_replica(key, replica):
+    """The golden replica ``key`` run by ``replica``."""
     q, policy, variant, seed, index = key
     params = SimParams(q=q, policy=policy, variant=variant, t_max=T_MAX,
                        seed=seed)
-    return _series_digest(replica(params, derive_seed(seed, index)))
+    return replica(params, derive_seed(seed, index))
 
 
 def _ensemble_digest(key) -> str:
@@ -179,7 +180,7 @@ def _ensemble_digest(key) -> str:
 def compiled_text(params, replica_seed) -> str:
     """``run_replica``'s event log as replica 0."""
     chunks = []
-    run_replica(params, replica_seed, chunks.append)
+    oracle.kernel_replica(params, replica_seed, chunks.append)
     return "".join(chunks)
 
 
@@ -202,12 +203,18 @@ def _event_log_digest(key, text) -> str:
 
 @pytest.mark.parametrize("key", list(TRAJECTORY_DIGESTS), ids=_case_id)
 def test_trajectory_digest(key):
-    assert _trajectory_digest(key, run_replica) == TRAJECTORY_DIGESTS[key]
+    """The kernel's rows are the pinned oracle's, column for column."""
+    compiled_run = _golden_replica(key, oracle.kernel_replica)
+    oracle_run = _golden_replica(key, oracle_replica)
+    for name in oracle.Rows._fields:
+        assert np.array_equal(getattr(compiled_run, name),
+                              getattr(oracle_run, name)), name
 
 
 @pytest.mark.parametrize("key", list(TRAJECTORY_DIGESTS), ids=_case_id)
 def test_trajectory_digest_python_kernel(key):
-    assert _trajectory_digest(key, oracle_replica) == TRAJECTORY_DIGESTS[key]
+    assert _series_digest(_golden_replica(key, oracle_replica)) \
+        == TRAJECTORY_DIGESTS[key]
 
 
 @pytest.mark.parametrize("key", list(ENSEMBLE_DIGESTS), ids=_case_id)
