@@ -1,5 +1,5 @@
-/* The techmarket model, compiled: one call starts a replica from its seed,
- * one call runs its sweeps.
+/* The techmarket model, compiled: one call runs every replica of an
+ * ensemble, each from its seed, on threads that start and end inside it.
  *
  * dynamics.py documents the model and the draw order. tests/oracle.py holds
  * the same model in Python, the reference this file is tested against; the
@@ -35,20 +35,38 @@
  * clamped to n - 1), then one technology u per firm in placement order. Firm
  * f gets id f, slot f, share 1.0 / n0 and the f-th site drawn.
  *
- * tm_run writes a replica's rows straight into its ensemble's buffers: a
+ * tm_run_ensemble runs an ensemble's replicas on workers that each reuse one
+ * State: the calling thread and a pthread for every further State, created
+ * in the call and joined before it returns. A worker claims the next
+ * replica index from a shared counter, points its State's rows at that
+ * replica's, starts it from its seed (tm_init) and runs its sweeps (as
+ * tm_run), then stores its crossing. A replica that fails its
+ * renormalisation stops every worker from claiming more; the replicas
+ * below it were claimed before it and run to their end, so the lowest
+ * failing index, which the call reports, is the one a serial run meets
+ * first. A thread that cannot be created leaves its replicas to the other
+ * workers, with the same results. A logged ensemble runs on one worker,
+ * whose State's text takes the lines of replica after replica; the call
+ * returns PAUSED when it is full and continues where it stopped when it is
+ * called again. tm_init and tm_run run a single State by hand: a replica
+ * from its seed, or a market that the caller filled in.
+ *
+ * A replica's run writes its rows straight into its ensemble's buffers: a
  * row per sweep, plus the end state's. N (as a double), <A> and its ratio
  * to the frontier go to the replica's row of three replica-major matrices.
  * Each sweep's rescues are added to a per-row sum, and its renormalisation
  * error folded into a per-row maximum, that every replica of the ensemble
- * shares. Replicas run on threads with the GIL released, so both are
- * atomic; an integer sum and a maximum do not depend on the order of their
- * terms, so every thread count gives the same bits. The State keeps the
- * first row whose <A> reaches its threshold, the replica's catch-up time.
+ * shares. An ensemble's replicas run on several threads at once, so both
+ * are atomic; an integer sum and a maximum do not depend on the order of
+ * their terms, so every thread count gives the same bits. The State keeps
+ * the first row whose <A> reaches its threshold, the replica's catch-up
+ * time.
  *
  * When State.text is set, each visit also appends the step's line of the
  * event log to it (see put_event). A sweep writes at most one line per firm
- * alive at its start, so tm_run returns PAUSED before a sweep whose lines
- * might not fit; the caller takes the text and calls again.
+ * alive at its start, so tm_run and tm_run_ensemble return PAUSED before a
+ * sweep whose lines might not fit; the caller takes the text and calls
+ * again.
  * tm_event_line_max gives the longest line's bytes, by which the caller
  * sizes State.text.
  *
@@ -69,9 +87,11 @@
  */
 #include <locale.h>
 #include <math.h>
+#include <pthread.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 
 enum {
@@ -244,21 +264,23 @@ static void seed_stream(uint32_t *mt, uint64_t seed)
     mt[MT_N] = MT_N;
 }
 
-/* Seed the stream and draw the market at sweep 0 of n0 firms on n_sites
- * sites, into zeroed buffers (see the header). order is the scratch of the
- * site draw: tm_run rewrites it before every sweep. */
-void tm_init(State *st, uint64_t seed, int64_t n_sites, int64_t n0)
+/* Seed the stream, open it as rs and draw the market at sweep 0 of n0
+ * firms on n_sites sites (see the header). Every field a run reads is set
+ * here or by run before it is read, so a State that ran another replica
+ * starts this one as a new State would. order is the scratch of the site
+ * draw: run rewrites it before every sweep. */
+static void start(State *st, Stream *rs, uint64_t seed, int64_t n_sites,
+                  int64_t n0)
 {
-    Stream rs;
     int32_t *pool = st->order;
     seed_stream(st->mt, seed);
-    stream_open(&rs, st->mt);
+    stream_open(rs, st->mt);
     for (int64_t i = 0; i < n_sites; i++) {
         pool[i] = (int32_t)i;
         st->occ[i] = -1;
     }
     for (int64_t i = 0; i < n0; i++) {
-        int64_t j = i + pick(&rs, n_sites - i);
+        int64_t j = i + pick(rs, n_sites - i);
         int32_t tmp = pool[i];
         pool[i] = pool[j];
         pool[j] = tmp;
@@ -266,7 +288,7 @@ void tm_init(State *st, uint64_t seed, int64_t n_sites, int64_t n0)
     double share = 1.0 / (double)n0;
     for (int64_t f = 0; f < n0; f++) {
         st->id[f] = f;
-        st->tech[f] = uniform(&rs);
+        st->tech[f] = uniform(rs);
         st->share[f] = share;
         st->site[f] = pool[f];
         st->occ[pool[f]] = (int32_t)f;
@@ -275,6 +297,13 @@ void tm_init(State *st, uint64_t seed, int64_t n_sites, int64_t n0)
     st->sweep = st->row = 0;
     st->crossing = -1;
     st->frontier = 1.0;
+}
+
+/* Start a replica from its seed: start, with the stream closed after it */
+void tm_init(State *st, uint64_t seed, int64_t n_sites, int64_t n0)
+{
+    Stream rs;
+    start(st, &rs, seed, n_sites, n0);
     stream_close(&rs);
 }
 
@@ -588,6 +617,118 @@ int tm_run(State *st)
     st->n_text = 0;
     int status = run(st, &rs);
     stream_close(&rs);
+    return status;
+}
+
+/* An ensemble's run, which lasts across the calls of a paused, logged
+ * run. Replica k starts from seeds[k] and writes row k of the three
+ * replica-major matrices, of states[0]->n_rows rows each, and its crossing
+ * to tc_vals[k], which is left as it is when the replica never crosses.
+ * next is the next replica to claim; failed is the lowest replica that
+ * failed, or n_replicas. paused is 1 while states[0] is stopped inside
+ * replica states[0]->replica. workers is the number of workers the last
+ * call ran on: the caller and the threads it started. */
+typedef struct {
+    State **states;
+    int64_t n_states;
+    const uint64_t *seeds;
+    int64_t n_replicas, n_sites, n0;
+    double *n_firms, *mean_tech, *ratio, *tc_vals;
+    int64_t next, failed, paused, workers;
+} Ensemble;
+
+size_t tm_ensemble_size(void) { return sizeof(Ensemble); }
+
+/* Lower *min to v, atomically */
+static void fold_min(int64_t *min, int64_t v)
+{
+    int64_t cur = __atomic_load_n(min, __ATOMIC_RELAXED);
+    while (v < cur && !__atomic_compare_exchange_n(
+               min, &cur, v, 1, __ATOMIC_RELAXED, __ATOMIC_RELAXED))
+        ;
+}
+
+/* A worker's loop: claim replicas and run them in st until none is left,
+ * one has failed, or st's text is full (PAUSED, with the replica kept in
+ * st). With resume, first finish the replica st paused in. */
+static int work(Ensemble *en, State *st, int resume)
+{
+    Stream rs;
+    int64_t rows = st->n_rows;
+    for (;;) {
+        int64_t k = st->replica;
+        if (resume) {
+            stream_open(&rs, st->mt);
+            resume = 0;
+        } else {
+            if (__atomic_load_n(&en->failed, __ATOMIC_RELAXED)
+                    < en->n_replicas)
+                return OK;
+            k = __atomic_fetch_add(&en->next, 1, __ATOMIC_RELAXED);
+            if (k >= en->n_replicas)
+                return OK;
+            st->replica = k;
+            st->n_firms = en->n_firms + k * rows;
+            st->mean_tech = en->mean_tech + k * rows;
+            st->ratio = en->ratio + k * rows;
+            start(st, &rs, en->seeds[k], en->n_sites, en->n0);
+        }
+        int status = run(st, &rs);
+        stream_close(&rs);
+        if (status == PAUSED)
+            return PAUSED;
+        if (status == RENORM_ABOVE_TOLERANCE) {
+            fold_min(&en->failed, k);
+            return status;
+        }
+        if (st->crossing >= 0)
+            en->tc_vals[k] = (double)st->crossing;
+    }
+}
+
+typedef struct {
+    pthread_t thread;
+    Ensemble *en;
+    State *st;
+} Worker;
+
+static void *work_on_thread(void *arg)
+{
+    Worker *w = arg;
+    work(w->en, w->st, 0);
+    return NULL;
+}
+
+/* Run en's replicas on its States: states[0] in the calling thread, each
+ * other on a thread of its own that this call creates and joins. Returns
+ * OK once every replica has run, RENORM_ABOVE_TOLERANCE when one failed,
+ * with the lowest such replica in en->failed and its error and sweep in
+ * the State that ran it, or PAUSED when states[0], the only State of a
+ * logged run, has filled its text; the next call then continues. */
+int tm_run_ensemble(Ensemble *en)
+{
+    int64_t n_threads = en->paused ? 0 : en->n_states - 1, started = 0;
+    Worker *threads = malloc(sizeof *threads * (size_t)n_threads);
+    for (int64_t w = 0; w < en->n_states; w++) {
+        en->states[w]->n_text = 0;
+        if (!en->paused)  /* a State that claims nothing names no replica */
+            en->states[w]->replica = -1;
+    }
+    for (int64_t w = 0; threads && w < n_threads; w++) {
+        Worker *t = &threads[started];
+        t->en = en;
+        t->st = en->states[w + 1];
+        if (pthread_create(&t->thread, NULL, work_on_thread, t) == 0)
+            started++;
+    }
+    int status = work(en, en->states[0], (int)en->paused);
+    for (int64_t w = 0; w < started; w++)
+        pthread_join(threads[w].thread, NULL);
+    free(threads);
+    en->workers = 1 + started;
+    en->paused = status == PAUSED;
+    if (en->failed < en->n_replicas)
+        return RENORM_ABOVE_TOLERANCE;
     return status;
 }
 

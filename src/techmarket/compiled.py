@@ -2,21 +2,22 @@
 ctypes: every replica starts from its seed, runs its sweeps and writes its
 event log in C.
 
-A replica runs in a ``State`` that ``new_state`` allocates with zeroed
-buffers for the parameters' lattice, pointing at its ensemble's buffers.
-``start`` seeds its stream and draws its initial market, and
-``run_sweeps`` runs all of its sweeps in one C call that writes the
+``run_replicas`` runs all of an ensemble's replicas in one C call, on one
+``State`` per worker: the calling thread, and threads that the call starts
+and joins before it returns. A ``State``, which ``new_state`` allocates
+with zeroed buffers for the parameters' lattice, points at its ensemble's
+buffers; a worker reuses it for every replica it claims, writing the
 replica's rows into the ensemble's matrices and its rescues and
-renormalization errors into the rows every replica shares; the end market
-and stream stay in the State's buffers. The lattice's neighbor tables and
-the ensemble's buffers, all ``array`` buffers, are shared with C without a
-copy.
-A logged run writes each step's JSON line into a text buffer of
-EVENT_ROWS lines: the call pauses before a sweep whose lines might not
-fit, hands the text to the caller's sink as a ``str``, and is called
-again. The C calls release the GIL, so replicas on threads run and write
-their logs in parallel. ``column_stats`` reduces an ensemble's matrices to
-its statistics, summed in numpy's order.
+renormalization errors into the rows every replica shares. The lattice's
+neighbor tables and the ensemble's buffers, all ``array`` buffers, are
+shared with C without a copy. The call releases the GIL.
+A logged ensemble runs on one ``State``, which writes each step's JSON
+line into a text buffer of EVENT_ROWS lines: the call pauses before a
+sweep whose lines might not fit, hands the text to the caller's sink as a
+memoryview of that buffer, without a copy, and is called again. ``start`` and ``run_sweeps`` run a single
+``State`` by hand, from a seed or from a market filled in by the caller;
+the end market and stream stay in its buffers. ``column_stats`` reduces
+an ensemble's matrices to its statistics, summed in numpy's order.
 ``csv_rows`` writes CSV rows, each integer and float byte for byte as
 Python's ``"%d"`` and ``"%.12g"`` write it.
 
@@ -62,8 +63,9 @@ COMPILER = "gcc"
 #: toward the peak resident set of the run that builds the kernel; the two
 #: ggc params make gcc collect its garbage sooner, which keeps the -O2 peak
 #: about 1.4 MB above -O1's rather than 4 MB, for the same library bytes.
+#: -pthread: tm_run_ensemble starts its workers' threads.
 FLAGS = ("-O2", "-ffp-contract=off", "--param", "ggc-min-expand=20",
-         "--param", "ggc-min-heapsize=2048", "-shared", "-fPIC")
+         "--param", "ggc-min-heapsize=2048", "-shared", "-fPIC", "-pthread")
 
 _I64, _F64, _I32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int32
 _INT = ctypes.c_int  # the item of an array('i')
@@ -98,10 +100,23 @@ class _State(ctypes.Structure):
     ]
 
 
+class _Ensemble(ctypes.Structure):
+    """``Ensemble`` in ``_sweep.c``, field for field."""
+
+    _fields_ = [
+        ("states", ctypes.POINTER(ctypes.POINTER(_State))),
+        ("n_states", _I64), ("seeds", ctypes.POINTER(ctypes.c_uint64)),
+        ("n_replicas", _I64), ("n_sites", _I64), ("n0", _I64),
+        ("n_firms", _P_F64), ("mean_tech", _P_F64), ("ratio", _P_F64),
+        ("tc_vals", _P_F64),
+        ("next", _I64), ("failed", _I64), ("paused", _I64), ("workers", _I64),
+    ]
+
+
 #: Event lines a logged run has room for per C call (at least a lattice's
 #: sites, the most one sweep writes), each of tm_event_line_max() bytes.
 EVENT_ROWS = 4096
-#: tm_run's return codes.
+#: tm_run's and tm_run_ensemble's return codes.
 _OK, _RENORM_ABOVE_TOLERANCE, _PAUSED = range(3)
 
 
@@ -177,16 +192,20 @@ def _load() -> ctypes.CDLL | str:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:  # failed build, unwritable cache, bad library
         return f"cannot build or load the sweep kernel with {COMPILER}: {exc}"
-    lib.tm_state_size.argtypes = []
-    lib.tm_state_size.restype = ctypes.c_size_t
-    if lib.tm_state_size() != ctypes.sizeof(_State):
-        return (f"the sweep kernel in {path} does not match compiled.py: "
-                f"State layout mismatch")
+    for name, size, struct in (("State", lib.tm_state_size, _State),
+                               ("Ensemble", lib.tm_ensemble_size, _Ensemble)):
+        size.argtypes = []
+        size.restype = ctypes.c_size_t
+        if size() != ctypes.sizeof(struct):
+            return (f"the sweep kernel in {path} does not match compiled.py: "
+                    f"{name} layout mismatch")
     lib.tm_init.argtypes = [ctypes.POINTER(_State), ctypes.c_uint64, _I64,
                             _I64]
     lib.tm_init.restype = None
     lib.tm_run.argtypes = [ctypes.POINTER(_State)]
     lib.tm_run.restype = ctypes.c_int
+    lib.tm_run_ensemble.argtypes = [ctypes.POINTER(_Ensemble)]
+    lib.tm_run_ensemble.restype = ctypes.c_int
     lib.tm_event_line_max.argtypes = []
     lib.tm_event_line_max.restype = ctypes.c_size_t
     lib.tm_column_stats.argtypes = [_P_F64, _I64, _I64, _P_F64, _P_F64]
@@ -267,20 +286,78 @@ def start(state: _State, params: SimParams, seed: int) -> None:
 def run_sweeps(state: _State, events: Optional[Callable] = None) -> None:
     """Run ``state`` from its sweep for one sweep per row but the last, and
     write every row; with an event sink, a callable (the State must be
-    logged), pass it each C call's event log lines as one ``str``. A share
+    logged), pass it each C call's event log lines, ASCII, as one
+    memoryview of the State's text buffer: the sink writes or copies them
+    before it returns, as the next call overwrites them. A share
     total that drifts beyond RENORM_TOLERANCE raises IntegrityError after
     the failing sweep's lines are passed on."""
     lib = kernel()
+    status = _until_done(lambda: lib.tm_run(ctypes.byref(state)), state,
+                         events)
+    if status == _RENORM_ABOVE_TOLERANCE:
+        raise renorm_failure(state.err, state.sweep)
+
+
+def workers(jobs: int, n_replicas: int, logged: bool) -> int:
+    """The States ``run_replicas`` runs an ensemble on: one for a logged
+    ensemble, whose lines then come in replica order, else one per job up
+    to one per replica."""
+    return 1 if logged else min(jobs, n_replicas)
+
+
+def run_replicas(params: SimParams, seeds: Sequence[int],
+                 out: Sequence[array], tc_vals: array, jobs: int,
+                 events: Optional[Callable] = None) -> None:
+    """Run replica k of an ensemble of ``params`` from ``seeds[k]`` for
+    every k, in one C call on ``workers(jobs, len(seeds), logged)``
+    States: the calling thread and a thread for each further State, which
+    the call starts and joins (see tm_run_ensemble). Each replica writes its
+    rows into the ensemble's buffers ``out`` (see ``new_state``) and its
+    crossing, if any, into ``tc_vals[k]``. With an event sink, as in
+    ``run_sweeps``, the replicas run one after another on one State, and
+    the C call, paused whenever its text is full, passes each part's lines
+    to the sink. A replica whose share total drifts beyond RENORM_TOLERANCE
+    stops the claiming of further replicas and raises IntegrityError for
+    the lowest such replica, with a note naming its seed."""
+    lib = kernel()
+    n, rows, logged = len(seeds), len(out[3]), events is not None
+    states = [new_state(params, 0, out, logged)
+              for _ in range(workers(jobs, n, logged))]
+    ensemble = _Ensemble(
+        states=(ctypes.POINTER(_State) * len(states))(
+            *map(ctypes.pointer, states)),
+        n_states=len(states),
+        seeds=_view(ctypes.c_uint64, array("Q", seeds), n),
+        n_replicas=n, n_sites=params.lx * params.ly,
+        n0=params.n_initial_firms,
+        n_firms=_view(_F64, out[0], n * rows),
+        mean_tech=_view(_F64, out[1], n * rows),
+        ratio=_view(_F64, out[2], n * rows),
+        tc_vals=_view(_F64, tc_vals, n), failed=n)
+    status = _until_done(lambda: lib.tm_run_ensemble(ctypes.byref(ensemble)),
+                         states[0], events)
+    if status == _RENORM_ABOVE_TOLERANCE:
+        k = ensemble.failed
+        state = next(state for state in states if state.replica == k)
+        error = renorm_failure(state.err, state.sweep)
+        error.add_note(f"replica seed {seeds[k]}")
+        raise error
+
+
+def _until_done(call: Callable[[], int], state: _State,
+                events: Optional[Callable]) -> int:
+    """Call ``call`` until it returns other than PAUSED, and return that;
+    with an event sink, pass it the text ``state`` wrote in each call, as
+    a memoryview of the State's buffer that the next call overwrites."""
     if events is not None:
         address = ctypes.addressof(state.text.contents)
     status = _PAUSED
     while status == _PAUSED:
-        status = lib.tm_run(ctypes.byref(state))
+        status = call()
         if events is not None:
             text = ctypes.c_char * state.n_text
-            events(str(memoryview(text.from_address(address)), "ascii"))
-    if status == _RENORM_ABOVE_TOLERANCE:
-        raise renorm_failure(state.err, state.sweep)
+            events(memoryview(text.from_address(address)))
+    return status
 
 
 def column_stats(matrix: array, cols: int) -> tuple[array, array]:

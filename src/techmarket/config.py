@@ -129,7 +129,8 @@ CONFIG_KEYS = {
     "ly": Key(_cast_int, "ly", "lattice height"),
     "tmax": Key(_cast_int, "t_max", "horizon in sweeps"),
     "jobs": Key(_cast_jobs, None, "replicas run at once on threads, at most "
-                f"{MAX_JOBS} (default 1)"),
+                f"{MAX_JOBS} (default 1); a cell with --events runs its "
+                "replicas one at a time"),
     "out": Key(_cast_path, None, "output directory (default: out)"),
     "events": Key(_cast_bool, None, "also write one JSONL event log per cell"),
 }

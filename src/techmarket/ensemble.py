@@ -3,13 +3,13 @@ the ensemble store.
 
 A replica is one full simulation of the market for t_max sweeps; an ensemble
 is n_replicas of them run from seeds derived as ``derive_seed(params.seed,
-k)`` for replica k. A replica starts from its seed and runs all of its
-sweeps in the compiled kernel (see ``compiled``), which writes its rows
-straight into the ensemble's buffers: no replica keeps a trajectory of its
-own. Replicas are independent and the kernel's C calls release the GIL, so
-they may run on threads of the ensemble's own (see ``run_trajectories``).
-No replica leaves the process, and the statistics and event logs are
-identical at any thread count.
+k)`` for replica k. An ensemble's replicas run in one call of the
+compiled kernel (``compiled.run_replicas``), each from its seed through
+all of its sweeps, on threads that the call starts and joins; each writes
+its rows straight into the ensemble's buffers, so no replica keeps a
+trajectory of its own and Python does nothing per replica. No replica
+leaves the process, and the statistics and event logs are identical at
+any thread count.
 
 Across-replica spread is reported as the population standard deviation
 (divide by n), matching descriptive +-1 SD bands. The statistics are
@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, TextIO
+from typing import BinaryIO, Optional, Sequence
 
 from . import compiled
 from .dynamics import TC_THRESHOLD
@@ -76,24 +75,6 @@ _ROW_FIELDS = ("t", "n_mean", "n_sd", "a_mean", "a_sd", "ratio_mean",
                "ratio_sd", "rescued_sum", "renorm_error")
 
 
-def run_replica(params: SimParams, replica_seed: int, k: int,
-                out: Sequence[array],
-                events: Optional[Callable] = None) -> Optional[int]:
-    """Simulate replica ``k`` of an ensemble from sweep 0 to sweep t_max
-    from the given stream seed, writing its rows into the ensemble's
-    buffers ``out`` (see ``compiled.new_state``): a row per sweep, plus one
-    final snapshot at t = t_max. Returns the first sweep whose mean
-    technology reaches TC_THRESHOLD, or None. With an event sink, a
-    callable, every step's line of the event log, which names the replica
-    as ``k``, is passed to it: each kernel call's lines at once, as one
-    ``str`` (see ``compiled.run_sweeps``).
-    """
-    state = compiled.new_state(params, k, out, events is not None)
-    compiled.start(state, params, replica_seed)
-    compiled.run_sweeps(state, events)
-    return None if state.crossing < 0 else state.crossing
-
-
 def estimate_tc(mean_tech_series: Sequence[float]) -> Optional[int]:
     """First sweep at which the series reaches TC_THRESHOLD, or None."""
     return next((t for t, a in enumerate(mean_tech_series)
@@ -105,68 +86,38 @@ def replica_seeds(base_seed: int, n_replicas: int) -> list[int]:
 
 
 def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
-                     event_log: Optional[TextIO] = None) -> EnsembleStats:
+                     event_log: Optional[BinaryIO] = None) -> EnsembleStats:
     """The statistics of an ensemble from base seed ``params.seed``, whose
     replicas run ``jobs`` at a time. Each replica's kernel run writes its N,
     mean technology and ratio rows into (replicas x sweeps) matrices, 24
     bytes per replica and sweep, and adds its rescues and renormalization
     errors to the per-sweep sum and maximum, 16 bytes a sweep.
 
-    When min(jobs, n_replicas) > 1, the replicas run on a thread executor
-    of the call's own, as the kernel's C calls release the GIL. It is shut
-    down before this returns or raises, and a failure cancels the replicas
-    still queued. Otherwise they run one after another in the calling
-    thread.
+    Every replica runs in one kernel call (``compiled.run_replicas``), on
+    min(jobs, n_replicas) workers: the calling thread and threads that the
+    call starts and joins, so none is left when this returns or raises. A
+    failing replica stops the claiming of further ones.
 
-    With ``event_log``, the kernel writes each replica's event log as JSON
-    lines in the thread that runs it, and the replica keeps only the text,
-    a chunk per kernel call. The text is written to the stream in replica
-    order as soon as that replica and every earlier one have finished.
-    Serial and threaded runs give the same bytes. A replica's exception
-    propagates unchanged, with a note naming its seed.
+    With ``event_log``, a binary stream, the kernel writes the replicas'
+    event logs as JSON lines, one replica after another on one worker
+    whatever ``jobs`` is, and each call's text goes from the kernel's
+    buffer straight to the stream: the log holds the replicas in order, the
+    same bytes at any ``jobs``. A
+    replica's renormalization failure raises IntegrityError with a note
+    naming its seed.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
-    # built and loaded here, before any worker starts: threads share the
-    # pid that names the build's temporary file
-    compiled.kernel()
-    seeds = replica_seeds(params.seed, n_replicas)
-
     rows = params.t_max + 1
     n_mat, a_mat, r_mat = (array("d", [0.0]) * (n_replicas * rows)
                            for _ in range(3))
     rescued_sum = array("q", [0]) * rows
     renorm_error = array("d", [0.0]) * rows
-    out = (n_mat, a_mat, r_mat, rescued_sum, renorm_error)
     tc_vals = array("d", [math.nan]) * n_replicas
-
-    def replica(k: int, seed: int) -> tuple[Optional[int],
-                                            Optional[list[str]]]:
-        """Replica k's crossing, plus its event log as JSONL text, a chunk
-        per kernel call, when one is kept."""
-        if event_log is None:
-            return run_replica(params, seed, k, out), None
-        chunks: list[str] = []
-        return run_replica(params, seed, k, out, chunks.append), chunks
-
-    workers = min(jobs, n_replicas)
-    executor = ThreadPoolExecutor(workers) if workers > 1 else None
-    try:
-        results = (executor.map if executor else map)(
-            replica, range(n_replicas), seeds)
-        for k, seed in enumerate(seeds):
-            try:
-                tc, chunks = next(results)
-            except Exception as exc:
-                exc.add_note(f"replica seed {seed}")
-                raise
-            if chunks is not None:
-                event_log.writelines(chunks)
-            if tc is not None:
-                tc_vals[k] = tc
-    finally:
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
+    compiled.run_replicas(
+        params, replica_seeds(params.seed, n_replicas),
+        (n_mat, a_mat, r_mat, rescued_sum, renorm_error), tc_vals, jobs,
+        None if event_log is None else event_log.write)
     n_mean, n_sd = _column_stats(n_mat, rows)
     a_mean, a_sd = _column_stats(a_mat, rows)
     ratio_mean, ratio_sd = _column_stats(r_mat, rows)
@@ -182,21 +133,25 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
 
 def bytes_needed(params: SimParams, n_replicas: int, jobs: int,
                  logged: bool) -> int:
-    """The most bytes ``run_trajectories(params, n_replicas, jobs)`` holds
-    at once while its replicas run, with an event log when ``logged``. It
-    counts:
+    """The most bytes ``run_trajectories(params, n_replicas, jobs)`` and
+    ``stored_ensemble``'s slice of its result hold at once, with an event
+    log when ``logged``. It counts:
 
     - the three replica-major matrices, 24 bytes a replica and row;
     - the per-row rescue sum and renormalization error maximum, 16 bytes a
       row;
+    - the statistics' seven other per-row arrays, made while the matrices
+      are held, 56 bytes a row;
+    - the store's slice, a copy of the nine per-row arrays, 72 bytes a row;
     - the lattice's neighbor tables, 12 ints (48 bytes) a site;
-    - the C buffers of the replicas running at once, ``state_bytes`` each.
-
-    It leaves out the log text that replicas keep between kernel calls."""
+    - the C buffers of the States the replicas run on, ``state_bytes``
+      each: one per worker, and a single one, with its text buffer, for a
+      logged ensemble, whose text goes to the log without a copy."""
     rows = params.t_max + 1
     n_sites = params.lx * params.ly
-    return ((n_replicas * 24 + 16) * rows + 48 * n_sites
-            + min(jobs, n_replicas) * compiled.state_bytes(n_sites, logged))
+    states = compiled.workers(jobs, n_replicas, logged)
+    return ((n_replicas * 24 + 16 + 56 + 72) * rows + 48 * n_sites
+            + states * compiled.state_bytes(n_sites, logged))
 
 
 def _pairwise_sum(x: Sequence[float]) -> float:

@@ -38,8 +38,9 @@ that runs the presets in the order fig1..fig7 (as
 and fig7 from the store. A cell with an event log always simulates its
 full tmax, so its ``max_renorm_error`` covers every sweep, and it writes
 the same curve row and notes. A cell that simulates runs ``controls.jobs``
-replicas at once, on workers of its own that are gone before the cell
-returns or raises.
+replicas at once, on workers of one kernel call that are gone before the
+cell returns or raises; a cell with an event log runs its replicas one
+after another.
 """
 from __future__ import annotations
 
@@ -148,8 +149,9 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
         if controls.events:
             log_path = out_dir / f"{name}_{label}_events.jsonl"
             with atomic_write(log_path) as event_log:
+                # the kernel's ASCII lines go to the file's binary layer
                 stats = run_trajectories(cell_params, replicas,
-                                         controls.jobs, event_log)
+                                         controls.jobs, event_log.buffer)
         elif curve:
             for horizon in _horizons(t_max):
                 stats = stored_ensemble(replace(cell_params, t_max=horizon),

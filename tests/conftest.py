@@ -1,14 +1,15 @@
 import math
 import multiprocessing
+import os
 import random
 import threading
 from array import array
 
 import pytest
 
-from techmarket import ensemble
+from techmarket import compiled, ensemble
 
-from oracle import Lattice, MarketState, update_cycle
+from oracle import Lattice, MarketState, kernel_replica, update_cycle
 
 
 def clear_store():
@@ -25,23 +26,50 @@ def empty_ensemble_store():
     clear_store()
 
 
-def record_executors(monkeypatch):
-    """The max_workers of every thread executor ``ensemble`` constructs from
-    now on, in a list that grows as they are made."""
-    base, made = ensemble.ThreadPoolExecutor, []
+def record_workers(monkeypatch):
+    """The workers of every ensemble the kernel runs from now on, in a list
+    that grows as they finish: the calling thread plus the threads that
+    tm_run_ensemble started, as the call reports them. A paused logged
+    ensemble counts at its first call only."""
+    lib, made = compiled.kernel(), []
+    real = lib.tm_run_ensemble
 
-    def recording(max_workers=None, *args, **kwargs):
-        made.append(max_workers)
-        return base(max_workers, *args, **kwargs)
+    def recording(ensemble_ref):
+        run = ensemble_ref._obj  # the Ensemble that byref points to
+        first = not run.paused
+        status = real(ensemble_ref)
+        if first:
+            made.append(run.workers)
+        return status
 
-    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(lib, "tm_run_ensemble", recording)
     return made
 
 
+def live_threads():
+    """The Python threads alive, and the ids of every thread of the
+    process, C threads included (empty where /proc is missing)."""
+    tasks = "/proc/self/task"
+    return (threading.enumerate(),
+            sorted(os.listdir(tasks)) if os.path.isdir(tasks) else [])
+
+
 def assert_no_worker_left(threads):
-    """Only the given threads are alive, and no child process."""
-    assert threading.enumerate() == threads
+    """Only the threads of ``live_threads()`` are alive, and no child
+    process."""
+    assert live_threads() == threads
     assert multiprocessing.active_children() == []
+
+
+def lowest_failing(params, n_replicas):
+    """(k, tolerance): the first replica k >= 1 of the ensemble of
+    ``params`` whose largest renormalization error is above every earlier
+    replica's, and the largest of those earlier errors. With
+    RENORM_TOLERANCE at it, replica k is the lowest replica that fails."""
+    errors = [max(kernel_replica(params, seed).renorm_error)
+              for seed in ensemble.replica_seeds(params.seed, n_replicas)]
+    k = next(k for k in range(1, n_replicas) if errors[k] > max(errors[:k]))
+    return k, max(errors[:k])
 
 
 def site_index(lattice, site):

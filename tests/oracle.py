@@ -32,7 +32,6 @@ from techmarket.dynamics import (
     RENORM_TOLERANCE,
     renorm_failure,
 )
-from techmarket.ensemble import run_replica
 from techmarket.market import Segment, neighbor_tables
 from techmarket.params import SimParams, VariantKind
 
@@ -515,10 +514,11 @@ def ensemble_buffers(rows: int, replicas: int = 1) -> Rows:
 
 
 def kernel_replica(params: SimParams, seed: int, events=None) -> Rows:
-    """The rows of ``run_replica`` of (params, seed) as replica 0 of a
-    one-replica ensemble."""
+    """The rows of the kernel's replica of (params, seed), run by
+    ``compiled.run_replicas`` as the only replica of an ensemble."""
     rows = ensemble_buffers(params.t_max + 1)
-    run_replica(params, seed, 0, rows, events)
+    compiled.run_replicas(params, [seed], rows, array("d", [math.nan]), 1,
+                          events)
     return rows
 
 

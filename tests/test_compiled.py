@@ -69,15 +69,16 @@ SCALARS = {"sweep": "sweep", "next_id": "next_id",
 
 
 def spy_states(monkeypatch):
-    """The State of every replica the kernel runs from now on, in a list
-    that grows as they run."""
-    states, real = [], compiled.run_sweeps
+    """Every State the kernel's ensembles run on from now on, in a list
+    that grows as they are made: after a one-replica ensemble, its State
+    holds the replica's end market and stream."""
+    states, real = [], compiled.new_state
 
-    def spy(state, events=None):
-        states.append(state)
-        real(state, events)
+    def spy(*args):
+        states.append(real(*args))
+        return states[-1]
 
-    monkeypatch.setattr(compiled, "run_sweeps", spy)
+    monkeypatch.setattr(compiled, "new_state", spy)
     return states
 
 
@@ -115,7 +116,8 @@ def run_logged(state):
     """Run a logged State to its end: its event log, a chunk per kernel
     call."""
     chunks = []
-    compiled.run_sweeps(state, chunks.append)
+    compiled.run_sweeps(state,
+                        lambda text: chunks.append(str(text, "ascii")))
     return chunks
 
 
@@ -166,7 +168,7 @@ def test_compiled_sweeps_match_python(params, replica):
 @example(seed=2**32)
 @example(seed=2**64 - 1)
 def test_stream_is_seeded_as_random_random(run_states, seed):
-    """After a zero-sweep ``run_replica``, the C stream is Random(seed)'s
+    """After a zero-sweep replica, the C stream is Random(seed)'s
     after the same draws: one site and one technology per initial firm."""
     params = SimParams(t_max=0)
     oracle.kernel_replica(params, seed)
@@ -229,30 +231,33 @@ def test_logged_run_paused_before_every_sweep():
 
 
 def test_event_log_rendered_at_every_sweep_is_the_same_text():
-    """With the text buffer at its floor, every replica pauses before every
-    sweep and ``run_trajectories`` writes each sweep's lines as a chunk of
-    its own: the log is the default buffer's bytes and the oracle's rows
-    rendered by the oracle, each replica's lines naming its index."""
+    """With the text buffer at its floor, the one State of a logged
+    ensemble pauses before every sweep, and ``run_trajectories`` writes
+    each sweep's lines as a chunk of its own: the log is the default
+    buffer's bytes and the oracle's rows rendered by the oracle, each
+    replica's lines naming its index."""
     params = SimParams(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE,
                        t_max=40, seed=8)
 
-    class Log(io.StringIO):
+    class Log(io.BytesIO):
         """A log that counts the chunks written to it."""
 
-        def writelines(self, chunks):
-            chunks = list(chunks)
-            writes.append(len(chunks))
-            super().writelines(chunks)
+        def write(self, chunk):
+            writes[-1] += 1
+            return super().write(chunk)
 
     logs, writes = [], []
     for buffer_rows in (compiled.EVENT_ROWS, 1):
         log = Log()
+        writes.append(0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(compiled, "EVENT_ROWS", buffer_rows)
             run_ensemble(params, 3, 1, log)
-        logs.append(log.getvalue())
-    # one chunk per kernel call: one call a replica, then one per sweep
-    assert writes == [1] * 3 + [params.t_max] * 3
+        logs.append(log.getvalue().decode())
+    # one chunk per kernel call: the default buffer, room for 4,096 of the
+    # longest lines, pauses once in the three replicas' 11,643 lines of
+    # about 65 bytes; the floor pauses before every sweep
+    assert writes == [2, 3 * params.t_max]
     expected = []
     for k in range(3):
         rng = random.Random(derive_seed(params.seed, k))
@@ -370,7 +375,8 @@ def test_share_drift_raises_the_python_message():
                                       random.Random(1), logged=True)
         chunks = []
         with pytest.raises(IntegrityError) as compiled_error:
-            compiled.run_sweeps(state, chunks.append)
+            compiled.run_sweeps(
+                state, lambda text: chunks.append(str(text, "ascii")))
         assert str(compiled_error.value) == str(python_error.value)
         assert str(compiled_error.value) == (
             f"share normalization error {error} exceeds tolerance 0.01 "

@@ -11,7 +11,6 @@ import runpy
 import subprocess
 import sys
 import tempfile
-import threading
 from array import array
 from dataclasses import replace
 from pathlib import Path
@@ -50,7 +49,13 @@ from techmarket.params import MAX_SITES, TC_Q_GRID
 from techmarket.scenarios import SCENARIOS, resolve_cells, run_scenario
 
 import oracle
-from conftest import assert_no_worker_left, clear_store, record_executors
+from conftest import (
+    assert_no_worker_left,
+    clear_store,
+    live_threads,
+    lowest_failing,
+    record_workers,
+)
 
 
 class TestConfigResolution:
@@ -309,7 +314,9 @@ class TestEventLog:
         out = io.StringIO()
         for params in self.CELLS:
             if kernel == "loaded":
-                run_ensemble(params, 2, 1, out)
+                log = io.BytesIO()  # the kernel's lines are ASCII bytes
+                run_ensemble(params, 2, 1, log)
+                out.write(log.getvalue().decode())
                 continue
             for k in range(2):
                 rng = random.Random(derive_seed(params.seed, k))
@@ -442,15 +449,9 @@ class TestScenarios:
                                                  capsys, jobs):
         import techmarket.ensemble as ens
 
-        real = ens.run_replica
-        bad_seed = ens.replica_seeds(3, 3)[1]
-
-        def drift(params, seed, k, out, events=None):
-            if seed == bad_seed:
-                raise IntegrityError("normalization error 0.5 exceeds tolerance")
-            return real(params, seed, k, out, events)
-
-        monkeypatch.setattr(ens, "run_replica", drift)
+        bad, tolerance = lowest_failing(SimParams(t_max=5, seed=3), 3)
+        bad_seed = ens.replica_seeds(3, 3)[bad]
+        monkeypatch.setattr(compiled, "RENORM_TOLERANCE", tolerance)
         code = main(["--tmax", "5", "--replicas", "3", "--seed", "3",
                      "--events", "--jobs", jobs, "--out", str(tmp_path)])
         assert code == 2
@@ -458,16 +459,14 @@ class TestScenarios:
         assert list(tmp_path.iterdir()) == []
 
     def test_events_bypass_the_store(self, monkeypatch, tmp_path):
-        import techmarket.ensemble as ens
-
-        real = ens.run_replica
+        real = compiled.run_replicas
         calls = []
 
-        def spy(params, seed, k, out, events=None):
-            calls.append(events is not None)
-            return real(params, seed, k, out, events)
+        def spy(params, seeds, out, tc_vals, jobs, events=None):
+            calls.extend([events is not None] * len(seeds))
+            return real(params, seeds, out, tc_vals, jobs, events)
 
-        monkeypatch.setattr(ens, "run_replica", spy)
+        monkeypatch.setattr(compiled, "run_replicas", spy)
         flags = {"seed": "5", "tmax": "12", "replicas": "2", "q": "0.5"}
         for out, events in (("a", "true"), ("b", "false"), ("c", "true")):
             params, controls = resolve_config(
@@ -482,36 +481,34 @@ class TestScenarios:
             == (tmp_path / "c" / csv).read_bytes()
 
     def test_one_pool_per_call_and_no_child_left(self, monkeypatch, tmp_path):
-        """One executor per cell that simulates and none for a call that the
-        store serves; no worker outlives the call."""
-        threads = threading.enumerate()
+        """One ensemble call per cell that simulates and none for a call
+        that the store serves; no worker outlives the call."""
+        threads = live_threads()
         params, controls = resolve_config(
             None, {"seed": "5", "tmax": "10", "replicas": "2", "jobs": "2",
                    "out": str(tmp_path)})
-        made = record_executors(monkeypatch)
+        made = record_workers(monkeypatch)
         run_scenario("fig2", params, controls)
-        # one executor of min(jobs, replicas) threads per cell
+        # one call of min(jobs, replicas) workers per cell
         assert made == [2, 2, 2]
         assert_no_worker_left(threads)
         run_scenario("fig2", params, controls)  # served from the store
         assert made == [2, 2, 2]
 
     def test_no_child_left_when_a_replica_fails(self, monkeypatch, tmp_path):
-        import techmarket.ensemble as ens
-
-        def drift(params, seed, k, out, events=None):
-            raise IntegrityError("normalization error 0.5 exceeds tolerance")
-
-        monkeypatch.setattr(ens, "run_replica", drift)
-        threads = threading.enumerate()
+        """Every replica fails its first sweep: the first cell's call stops,
+        no worker outlives it, and no output file is written."""
+        monkeypatch.setattr(compiled, "RENORM_TOLERANCE", -1.0)
+        threads = live_threads()
         params, controls = resolve_config(
             None, {"seed": "5", "tmax": "10", "replicas": "4", "jobs": "2",
                    "out": str(tmp_path)})
-        made = record_executors(monkeypatch)
+        made = record_workers(monkeypatch)
         with pytest.raises(IntegrityError):
             run_scenario("fig2", params, controls)
         assert made == [2]
         assert_no_worker_left(threads)
+        assert list(tmp_path.iterdir()) == []
 
     def test_tc_curve_csv_schema(self, tmp_path):
         params, controls = resolve_config(
@@ -586,14 +583,14 @@ class TestScenarios:
 
         full = [h for _ in TC_Q_GRID
                 for h in (128, 256, 512, 1024, 2048, 3000)]
-        real = ens.run_replica
+        real = compiled.run_replicas
         horizons = []
 
-        def spy(params, seed, k, out, events=None):
-            horizons.append(params.t_max)
-            return real(params, seed, k, out, events)
+        def spy(params, seeds, *rest):
+            horizons.extend([params.t_max] * len(seeds))
+            return real(params, seeds, *rest)
 
-        monkeypatch.setattr(ens, "run_replica", spy)
+        monkeypatch.setattr(compiled, "run_replicas", spy)
         # sigma=0 keeps the frontier at 1, which no replica's mean reaches
         params, controls = resolve_config(
             None, {"seed": "5", "sigma": "0", "replicas": "2",
@@ -630,14 +627,14 @@ class TestScenarios:
             self, monkeypatch, tmp_path):
         import techmarket.ensemble as ens
 
-        real = ens.run_replica
+        real = compiled.run_replicas
         horizons = []
 
-        def spy(params, seed, k, out, events=None):
-            horizons.append(params.t_max)
-            return real(params, seed, k, out, events)
+        def spy(params, seeds, *rest):
+            horizons.extend([params.t_max] * len(seeds))
+            return real(params, seeds, *rest)
 
-        monkeypatch.setattr(ens, "run_replica", spy)
+        monkeypatch.setattr(compiled, "run_replicas", spy)
         flags = ["--scenario", "fig5", "--tmax", "300", "--replicas", "2",
                  "--seed", "8"]
         assert main(flags + ["--out", str(tmp_path / "plain")]) == 0
@@ -658,14 +655,14 @@ class TestScenarios:
             self, monkeypatch, tmp_path):
         import techmarket.ensemble as ens
 
-        real = ens.run_replica
+        real = compiled.run_replicas
         simulated = []
 
-        def spy(params, seed, k, out, events=None):
-            simulated.append(params.q)
-            return real(params, seed, k, out, events)
+        def spy(params, seeds, *rest):
+            simulated.extend([params.q] * len(seeds))
+            return real(params, seeds, *rest)
 
-        monkeypatch.setattr(ens, "run_replica", spy)
+        monkeypatch.setattr(compiled, "run_replicas", spy)
 
         def run(name, out):
             params, controls = resolve_config(
@@ -687,16 +684,14 @@ class TestScenarios:
 
 
 def test_figure_script_simulates_each_trajectory_once(monkeypatch, tmp_path):
-    import techmarket.ensemble as ens
-
-    real = ens.run_replica
+    real = compiled.run_replicas
     horizons = []
 
-    def spy(params, seed, *rest):
-        horizons.append(params.t_max)
-        return real(params, seed, *rest)
+    def spy(params, seeds, *rest):
+        horizons.extend([params.t_max] * len(seeds))
+        return real(params, seeds, *rest)
 
-    monkeypatch.setattr(ens, "run_replica", spy)
+    monkeypatch.setattr(compiled, "run_replicas", spy)
     script = Path(__file__).parents[1] / "scripts" / "reproduce_figures.py"
     monkeypatch.setattr(sys, "argv", [str(script), "--replicas", "1",
                                       "--jobs", "1", "--out", str(tmp_path)])
@@ -713,28 +708,31 @@ def test_figure_script_simulates_each_trajectory_once(monkeypatch, tmp_path):
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):
-    """No replica runs on a process, and only a build runs the compiler, so
-    a command imports neither ``multiprocessing`` nor the process pool, nor
-    ``subprocess`` to load a cached kernel. A 2-replica ensemble at jobs=2
-    whose kernel cannot be built, as its cache is below a regular file,
-    raises ConfigError and imports neither of the first two."""
+    """No replica runs on a process or a Python executor, and only a build
+    runs the compiler, so a command imports neither ``multiprocessing`` nor
+    ``concurrent.futures``, nor ``subprocess`` to load a cached kernel, and
+    a 2-replica ensemble at jobs=2 imports none of them either. One whose
+    kernel cannot be built, as its cache is below a regular file, raises
+    ConfigError and imports neither of the first two."""
     compiled.kernel()  # built into the cache the child reads
     src = Path(__file__).parents[1] / "src"
     code = ("import sys, techmarket.cli\n"
             "from techmarket import compiled\n"
-            "mods = ('multiprocessing', 'concurrent.futures.process', "
+            "mods = ('multiprocessing', 'concurrent.futures', "
             "'subprocess')\n"
             "print([m for m in mods if m in sys.modules])\n"
             "compiled.kernel()\n"
+            "print([m for m in mods if m in sys.modules])\n"
+            "techmarket.run_ensemble(techmarket.SimParams(t_max=5), 2, 2)\n"
             "print([m for m in mods if m in sys.modules])\n")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
-    assert run.stdout.splitlines() == ["[]", "[]"]
+    assert run.stdout.splitlines() == ["[]"] * 3
     (tmp_path / "not-a-directory").touch()
     code = ("import sys\n"
             "from techmarket import ConfigError, SimParams, run_ensemble\n"
-            "mods = ('multiprocessing', 'concurrent.futures.process')\n"
+            "mods = ('multiprocessing', 'concurrent.futures')\n"
             "try:\n"
             "    run_ensemble(SimParams(t_max=20), 2, jobs=2)\n"
             "except ConfigError as exc:\n"
@@ -824,10 +822,12 @@ class TestCli:
         assert main(["--sigma", "0", "--tmax", "10000000000000",
                      "--replicas", "1", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        # 40 bytes a row: 24 in the ensemble's matrices, 16 in the rescue
-        # sum and renormalization error maximum
+        # 168 bytes a row: 24 in the ensemble's matrices, 16 in the rescue
+        # sum and renormalization error maximum, 56 in the statistics' other
+        # rows and 72 in the store's slice of them
         assert err.startswith("config error: replicas=1 and tmax=10000000000000"
-                              " need 372,529.0 GiB of per-sweep ensemble rows")
+                              " need 1,564,621.9 GiB of per-sweep ensemble "
+                              "rows")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -837,7 +837,7 @@ class TestCli:
     ], ids=["jobs", "lattice"])
     def test_past_a_bound_exit_one(self, monkeypatch, tmp_path, capsys,
                                    argv):
-        made = record_executors(monkeypatch)
+        made = record_workers(monkeypatch)
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -846,58 +846,63 @@ class TestCli:
 
     def test_jobs_at_the_cap_ask_for_as_many_workers(self, monkeypatch,
                                                      tmp_path):
-        """With more replicas than --jobs at the cap, the executor is asked
-        for MAX_JOBS workers; this spy runs the replicas in the calling
-        thread, so no thread starts."""
-        import techmarket.ensemble as ens
+        """With more replicas than --jobs at the cap, the kernel's ensemble
+        call is given MAX_JOBS States; this spy lets it use only the
+        first, which runs the replicas in the calling thread, so no thread
+        starts."""
+        lib, made = compiled.kernel(), []
+        real = lib.tm_run_ensemble
 
-        made = []
+        def serial(ensemble_ref):
+            made.append(ensemble_ref._obj.n_states)
+            ensemble_ref._obj.n_states = 1
+            return real(ensemble_ref)
 
-        class Serial:
-            map = staticmethod(map)
-
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(ens, "ThreadPoolExecutor", Serial)
-        threads = threading.enumerate()
+        monkeypatch.setattr(lib, "tm_run_ensemble", serial)
+        threads = live_threads()
         assert main(["--jobs", str(MAX_JOBS), "--replicas", str(MAX_JOBS + 1),
                      "--tmax", "0", "--out", str(tmp_path)]) == 0
         assert made == [MAX_JOBS]
-        assert threading.enumerate() == threads
+        assert_no_worker_left(threads)
 
     def test_memory_guard_counts_tables_and_running_replicas(
             self, monkeypatch, tmp_path, capsys):
         """The guard counts the ensemble's matrices (24 bytes a replica and
         row), the rescue sum and renormalization error maximum (16 bytes a
-        row), the neighbor tables (48 bytes a site) and the C buffers of the
-        replicas running at once. No replica keeps rows of its own, on
-        threads or serially."""
+        row), the statistics' other rows and the store's slice of them (56
+        and 72 bytes a row), the neighbor tables (48 bytes a site) and the C
+        buffers of the States the replicas run on: one per worker, and one
+        with a text buffer for a logged run at any jobs."""
         have = [0]
         real = os.sysconf
         monkeypatch.setattr(os, "sysconf", lambda name: {
             "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have[0]}.get(name)
             or real(name))
-        flags = ["--tmax", "10", "--replicas", "3", "--events"]
-        # 3 replicas of 11 rows in the matrices (24 bytes), the 10x10
-        # tables, and per running replica 68 bytes a site, the 2,500-byte
-        # stream and a text buffer of 4,096 lines of 187 bytes
-        base = 3 * 11 * 24 + 11 * 16 + 48 * 100
-        running = 68 * 100 + 2500 + 4096 * 187
-        # on 2 threads, 2 replicas run; serially one
-        threaded = base + 2 * running
-        serial = base + running
+        flags = ["--tmax", "10", "--replicas", "3"]
+        # 3 replicas of 11 rows in the matrices (24 bytes), 11 rows of 144
+        # bytes, the 10x10 tables, and per State 68 bytes a site and the
+        # 2,500-byte stream; a logged State adds a text buffer of 4,096
+        # lines of 187 bytes
+        base = 3 * 11 * 24 + 11 * 144 + 48 * 100
+        state = 68 * 100 + 2500
+        # on 2 threads, 2 States; serially one; logged one at any jobs
+        threaded = base + 2 * state
+        serial = base + state
+        logged = base + state + 4096 * 187
         # the matrices were once left out: that count is too little
         uncounted = threaded - 3 * 11 * 24
-        for jobs, have[0], code in (
-                (2, threaded, 0), (2, threaded - 1, 1), (2, uncounted, 1),
-                (1, serial, 0), (1, serial - 1, 1)):
-            out = tmp_path / f"{jobs}-{have[0]}"
-            assert main(flags + ["--jobs", str(jobs),
-                                 "--out", str(out)]) == code
+        for extra, have[0], code in (
+                (["--jobs", "2"], threaded, 0),
+                (["--jobs", "2"], threaded - 1, 1),
+                (["--jobs", "2"], uncounted, 1),
+                (["--jobs", "1"], serial, 0),
+                (["--jobs", "1"], serial - 1, 1),
+                (["--events", "--jobs", "2"], logged, 0),
+                (["--events", "--jobs", "2"], logged - 1, 1),
+                (["--events", "--jobs", "1"], logged, 0),
+                (["--events", "--jobs", "1"], logged - 1, 1)):
+            out = tmp_path / f"{len(extra)}-{extra[-1]}-{have[0]}"
+            assert main(flags + extra + ["--out", str(out)]) == code
             assert out.exists() == (code == 0)
         assert ("of per-sweep ensemble rows and 10x10 lattice buffers, more "
                 "than") in capsys.readouterr().err
@@ -948,8 +953,8 @@ class TestCli:
 
     def test_pool_starts_at_most_one_worker_per_replica(self, monkeypatch,
                                                          tmp_path):
-        threads = threading.enumerate()
-        made = record_executors(monkeypatch)
+        threads = live_threads()
+        made = record_workers(monkeypatch)
         assert main(["--tmax", "5", "--replicas", "2", "--jobs", "4",
                      "--out", str(tmp_path)]) == 0
         assert made == [2]
@@ -1016,10 +1021,7 @@ class TestCli:
             self, monkeypatch, tmp_path, capsys):
         import techmarket.ensemble as ens
 
-        def drift(params, seed, k, out, events=None):
-            raise IntegrityError("normalization error 0.5 exceeds tolerance")
-
-        monkeypatch.setattr(ens, "run_replica", drift)
+        monkeypatch.setattr(compiled, "RENORM_TOLERANCE", -1.0)
         code = main(["--tmax", "5", "--replicas", "1", "--seed", "3",
                      "--out", str(tmp_path)])
         seed = ens.replica_seeds(3, 1)[0]

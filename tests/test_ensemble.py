@@ -3,12 +3,14 @@ times, and the ensemble store."""
 import dataclasses
 import io
 import math
+import os
+import resource
+import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +18,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from techmarket import (
     EnsembleStats,
+    IntegrityError,
     PolicyKind,
     SimParams,
     VariantKind,
+    compiled,
     run_ensemble,
 )
+from techmarket.dynamics import renorm_failure
 from techmarket.ensemble import (
     bytes_needed,
     estimate_tc,
@@ -29,8 +34,16 @@ from techmarket.ensemble import (
 )
 from techmarket.rng import derive_seed
 
-from conftest import assert_no_worker_left, record_executors
-from oracle import kernel_replica
+from conftest import (
+    assert_no_worker_left,
+    live_threads,
+    lowest_failing,
+    record_workers,
+)
+from oracle import ensemble_buffers, kernel_replica
+
+
+SRC = Path(__file__).parents[1] / "src"
 
 
 def small_params(**kw):
@@ -151,32 +164,39 @@ class TestRunEnsemble:
         assert serial.tc_mean == parallel.tc_mean or (
             math.isnan(serial.tc_mean) and math.isnan(parallel.tc_mean))
 
-    def test_more_threads_than_cores_match_serial(self):
-        """8 worker threads, switching threads as often as the interpreter
-        allows: the statistics and the event log equal a serial run's."""
+    def test_more_threads_than_cores_match_serial(self, monkeypatch):
+        """8 workers on 8 replicas, switching Python threads as often as
+        the interpreter allows: the statistics equal a serial run's. With an
+        event log the replicas run on one worker at any jobs, and the log
+        and statistics equal the serial run's too."""
         import techmarket.ensemble as ens
 
         p = small_params(t_max=40, q=0.9, policy=PolicyKind.MEDIUM_TECH)
-        serial_log, parallel_log = io.StringIO(), io.StringIO()
+        serial_log, parallel_log = io.BytesIO(), io.BytesIO()
         serial = ens.run_trajectories(p, 8, 1, serial_log)
+        made = record_workers(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            parallel = ens.run_trajectories(p, 8, 8, parallel_log)
+            parallel = ens.run_trajectories(p, 8, 8)
+            logged = ens.run_trajectories(p, 8, 8, parallel_log)
         finally:
             sys.setswitchinterval(interval)
+        assert made == [8, 1]
         assert_same_stats(parallel, serial)
+        assert_same_stats(logged, serial)
         assert parallel_log.getvalue() == serial_log.getvalue()
 
     def test_constant_synthetic_ensemble(self, monkeypatch):
         import techmarket.ensemble as ens
 
-        def synthetic(params, seed, k, out, events=None):
-            write_rows(out, k, [7] * 5, [3.0] * 5, [3.0] * 5, [0] * 5,
-                       [0.0] * 5)
-            return 0
+        def synthetic(params, seeds, out, tc_vals, jobs, events=None):
+            for k in range(len(seeds)):
+                write_rows(out, k, [7] * 5, [3.0] * 5, [3.0] * 5, [0] * 5,
+                           [0.0] * 5)
+                tc_vals[k] = 0
 
-        monkeypatch.setattr(ens, "run_replica", synthetic)
+        monkeypatch.setattr(compiled, "run_replicas", synthetic)
         st = ens.run_trajectories(small_params(t_max=4), 4)
         assert np.all(np.asarray(st.a_mean) == 3.0)
         assert np.all(np.asarray(st.a_sd) == 0.0)
@@ -211,19 +231,19 @@ class TestRunEnsemble:
         rescued = gen.integers(0, 50, (n_replicas, rows))
         renorm = gen.uniform(0.0, 1e-12, (n_replicas, rows))
         params = small_params(t_max=rows - 1)
-        index = {seed: k for k, seed in
-                 enumerate(replica_seeds(params.seed, n_replicas))}
 
-        def synthetic(params, seed, k, out, events=None):
-            assert index[seed] == k
-            write_rows(out, k, n_firms[k].tolist(), mean_tech[k].tolist(),
-                       ratio[k].tolist(), rescued[k].tolist(),
-                       renorm[k].tolist())
-            hits = np.flatnonzero(mean_tech[k] >= 1.0)
-            return int(hits[0]) if hits.size else None
+        def synthetic(params, seeds, out, tc_vals, jobs, events=None):
+            assert seeds == replica_seeds(params.seed, n_replicas)
+            for k in range(n_replicas):
+                write_rows(out, k, n_firms[k].tolist(),
+                           mean_tech[k].tolist(), ratio[k].tolist(),
+                           rescued[k].tolist(), renorm[k].tolist())
+                hits = np.flatnonzero(mean_tech[k] >= 1.0)
+                if hits.size:
+                    tc_vals[k] = hits[0]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ens, "run_replica", synthetic)
+            mp.setattr(compiled, "run_replicas", synthetic)
             stats = ens.run_trajectories(params, n_replicas)
 
         n_mat = n_firms.astype(float)
@@ -255,22 +275,27 @@ class TestRunEnsemble:
         hits = np.flatnonzero(a_mean >= 1.0)
         assert stats.tc_of_mean == (int(hits[0]) if hits.size else None)
 
-    @pytest.mark.parametrize("params", [
-        small_params(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE,
-                     t_max=600),
-        small_params(q=0.9, policy=PolicyKind.MEDIUM_TECH, t_max=150),
-    ], ids=["active", "mediumtech"])
-    def test_threaded_reductions_equal_the_replicas(self, params):
-        """16 replicas on 4 threads, three times over: the per-sweep rescue
-        sum and renormalization error maximum, which the replicas' kernel
-        runs update as they go, and the crossings are the serial run's, and
-        the sum, maximum and crossings of each replica run alone. The active
-        q=0.99 cell rescues about 85 firms a sweep and crosses never; the
-        medium-tech one crosses at sweeps 60..133. On a machine of few cores
-        few updates race, so this checks the results, not that the updates
-        are atomic."""
-        alone = [kernel_replica(params, seed)
-                 for seed in replica_seeds(params.seed, 16)]
+    @pytest.mark.parametrize("params,jobs", [
+        (small_params(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE,
+                      t_max=600), jobs)
+        for jobs in (4, 1)
+    ] + [
+        (small_params(q=0.9, policy=PolicyKind.MEDIUM_TECH, t_max=150), jobs)
+        for jobs in (4, 1)
+    ], ids=["active", "active_jobs1", "mediumtech", "mediumtech_jobs1"])
+    def test_threaded_reductions_equal_the_replicas(self, params, jobs):
+        """16 replicas on ``jobs`` workers, three times over: each
+        replica's rows, the per-sweep rescue sum and renormalization error
+        maximum, which the replicas' kernel runs update as they go, and the
+        crossings are those of each replica run alone, and the statistics
+        the serial run's. At jobs 1 one State runs all 16 replicas one after
+        another, so this checks that a reused State starts each replica as
+        a new one would. The active q=0.99 cell rescues about 85 firms a
+        sweep and crosses never; the medium-tech one crosses at sweeps
+        60..133. On a machine of few cores few updates race, so this checks
+        the results, not that the updates are atomic."""
+        seeds = replica_seeds(params.seed, 16)
+        alone = [kernel_replica(params, seed) for seed in seeds]
         crossings = [estimate_tc(run.mean_tech) for run in alone]
         want = {
             "rescued_sum": np.sum([run.rescued for run in alone], axis=0),
@@ -280,8 +305,16 @@ class TestRunEnsemble:
         }
         assert want["rescued_sum"].any()
         serial = run_ensemble(params, 16, 1)
+        rows = params.t_max + 1
         for _ in range(3):
-            threaded = run_ensemble(params, 16, 4)
+            out = ensemble_buffers(rows, 16)
+            compiled.run_replicas(params, seeds, out,
+                                  array("d", [math.nan]) * 16, jobs)
+            for name, matrix in zip(("n_firms", "mean_tech", "ratio"), out):
+                for k, run in enumerate(alone):
+                    assert matrix[k * rows:(k + 1) * rows] \
+                        == getattr(run, name), (name, k)
+            threaded = run_ensemble(params, 16, jobs)
             assert_same_stats(threaded, serial)
             for name, value in want.items():
                 assert np.array_equal(getattr(threaded, name), value,
@@ -295,10 +328,10 @@ class TestRunEnsemble:
 
     def test_peak_memory_below_holding_every_trajectory(self):
         """Replicas write straight into the ensemble's buffers: the traced
-        peak of a 40-replica ensemble, serial or on threads, is what the
-        memory guard counts plus the statistics' seven per-sweep rows (56
-        bytes a row), made once every replica has run, and under 64 KiB
-        more. Whole trajectories (48 bytes a row each) would add 3.8 MB."""
+        peak of a 40-replica ensemble, serial or on threads, is below what
+        the memory guard counts, whose statistics' rows and store slice
+        (128 bytes a row) leave room for the run's small objects. Whole
+        trajectories (48 bytes a row each) would add 3.8 MB."""
         params = SimParams(t_max=2000, seed=3)
         run_ensemble(params, 1)  # the kernel is loaded before tracing
         for jobs in (1, 2):
@@ -308,8 +341,7 @@ class TestRunEnsemble:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < (bytes_needed(params, 40, jobs, False)
-                           + 56 * (params.t_max + 1) + 2**16), jobs
+            assert peak < bytes_needed(params, 40, jobs, False), jobs
 
     def test_logged_replica_holds_little_beyond_its_text(self, tmp_path):
         """A logged replica keeps only its rendered text, not its rows: the
@@ -318,7 +350,7 @@ class TestRunEnsemble:
         params = SimParams(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE,
                            t_max=2000, seed=4)
         log = tmp_path / "events.jsonl"
-        with log.open("w") as fh:
+        with log.open("wb") as fh:
             tracemalloc.start()
             try:
                 run_ensemble(params, 1, 1, fh)
@@ -327,88 +359,179 @@ class TestRunEnsemble:
                 tracemalloc.stop()
         assert peak < 1.25 * log.stat().st_size
 
+    def test_logged_peak_does_not_grow_with_tmax(self, tmp_path):
+        """A logged replica's text goes to the log at every pause of the
+        kernel, so the traced peak of a long active q=0.99 replica grows
+        with tmax only by its rows (168 bytes a row in the memory guard's
+        count): 4,500 more sweeps add about 3 MB of JSONL and less than
+        0.8 MB of peak."""
+        peaks, sizes = {}, {}
+        for t_max in (500, 5000):
+            params = SimParams(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE,
+                               t_max=t_max, seed=4)
+            log = tmp_path / f"{t_max}.jsonl"
+            with log.open("wb") as fh:
+                tracemalloc.start()
+                try:
+                    run_ensemble(params, 1, 1, fh)
+                    _, peaks[t_max] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            sizes[t_max] = log.stat().st_size
+            assert peaks[t_max] < bytes_needed(params, 1, 1, True)
+        rows_growth = 168 * 4500
+        assert peaks[5000] - peaks[500] < rows_growth + 2**16
+        assert sizes[5000] - sizes[500] > 4 * rows_growth
+
     def test_invalid_replica_count(self):
         with pytest.raises(ValueError):
             run_ensemble(small_params(), 0)
 
     def test_replica_failure_names_the_seed(self, monkeypatch):
-        import techmarket.ensemble as ens
+        """With RENORM_TOLERANCE between the renormalization errors of the
+        replicas, the lowest failing replica is named, at every jobs."""
+        params = small_params(t_max=5)
+        bad, tolerance = lowest_failing(params, 6)
+        bad_seed = replica_seeds(params.seed, 6)[bad]
+        monkeypatch.setattr(compiled, "RENORM_TOLERANCE", tolerance)
+        for jobs in (1, 2, 4):
+            with pytest.raises(IntegrityError, match=str(bad_seed)):
+                run_ensemble(params, 6, jobs)
 
-        bad_seed = replica_seeds(99, 3)[2]
-
-        def sabotaged(params, seed, k, out, events=None):
-            if seed == bad_seed:
-                raise ValueError("boom")
-            return real(params, seed, k, out, events)
-
-        real = ens.run_replica
-        monkeypatch.setattr(ens, "run_replica", sabotaged)
-        with pytest.raises(ValueError, match=str(bad_seed)):
-            ens.run_trajectories(small_params(t_max=5), 3)
-
-
-class TwoArgError(Exception):
-    """An exception whose constructor takes two arguments."""
-
-    def __init__(self, code, detail):
-        super().__init__(code, detail)
-        self.code = code
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_every_replica_failing_names_replica_0(self, monkeypatch, jobs):
+        """Every replica fails its first renormalization: the error is
+        replica 0's, whichever worker failed first, and no worker is
+        left."""
+        threads = live_threads()
+        seed = replica_seeds(99, 8)[0]
+        error = kernel_replica(small_params(t_max=5), seed).renorm_error[0]
+        assert error > 0.0
+        monkeypatch.setattr(compiled, "RENORM_TOLERANCE", -1.0)
+        with pytest.raises(IntegrityError) as info:
+            run_ensemble(small_params(t_max=5), 8, jobs)
+        assert info.value.args == renorm_failure(error, 0).args
+        assert info.value.__notes__ == [f"replica seed {seed}"]
+        assert_no_worker_left(threads)
 
 
 class TestReplicaFailure:
     @pytest.mark.parametrize("jobs", [1, 2], ids=["1", "2"])
     def test_exception_type_and_fields_kept(self, monkeypatch, jobs):
-        import techmarket.ensemble as ens
-
-        bad_seed = replica_seeds(99, 3)[1]
-        real = ens.run_replica
-
-        def sabotaged(params, seed, k, out, events=None):
-            if seed == bad_seed:
-                raise TwoArgError(7, "boom")
-            return real(params, seed, k, out, events)
-
-        monkeypatch.setattr(ens, "run_replica", sabotaged)
-        with pytest.raises(TwoArgError) as info:
-            ens.run_trajectories(small_params(t_max=5), 3, jobs)
-        assert info.value.code == 7
+        """The failing replica's error is the one its serial run raises:
+        renorm_failure's IntegrityError for its first sweep above the
+        tolerance, with one note naming its seed."""
+        params = small_params(t_max=5, seed=3)
+        bad, tolerance = lowest_failing(params, 3)
+        bad_seed = replica_seeds(3, 3)[bad]
+        errors = kernel_replica(params, bad_seed).renorm_error
+        sweep = next(t for t, err in enumerate(errors) if err > tolerance)
+        monkeypatch.setattr(compiled, "RENORM_TOLERANCE", tolerance)
+        with pytest.raises(IntegrityError) as info:
+            run_ensemble(params, 3, jobs)
+        assert type(info.value) is IntegrityError
+        assert info.value.args == renorm_failure(errors[sweep], sweep).args
         assert info.value.__notes__ == [f"replica seed {bad_seed}"]
 
     def test_failure_cancels_the_queued_replicas(self, monkeypatch):
-        """Replica 0 of 64 raises, or the write of its event log does: at
-        jobs 2, fewer than 64 replicas start, and no worker is left."""
-        import techmarket.ensemble as ens
+        """Every replica of 64 fails its first sweep, or the write of the
+        event log does: at jobs 2, fewer than 64 replicas start (write their
+        first row), and no worker is left. A logged ensemble runs on one
+        worker."""
 
-        class FullDisk(io.StringIO):
+        class FullDisk(io.BytesIO):
             def write(self, text):
                 raise OSError(28, "No space left on device")
 
             writelines = write
 
-        threads = threading.enumerate()
-        bad_seed = replica_seeds(99, 64)[0]
-        started = [0]
-        lock = threading.Lock()
+        threads = live_threads()
+        real = compiled.run_replicas
+        started = []
 
-        def sabotaged(params, seed, k, out, events=None):
-            with lock:
-                started[0] += 1
-            if seed == bad_seed and events is None:
-                raise TwoArgError(7, "boom")
-            time.sleep(0.05)
-            return None
+        def counting(params, seeds, out, tc_vals, jobs, events=None):
+            try:
+                real(params, seeds, out, tc_vals, jobs, events)
+            finally:
+                rows = len(out[3])
+                started.append(sum(out[0][k * rows] > 0
+                                   for k in range(len(seeds))))
 
-        monkeypatch.setattr(ens, "run_replica", sabotaged)
-        made = record_executors(monkeypatch)
-        for error, event_log in ((TwoArgError, None),
-                                 (OSError, FullDisk())):
-            started[0] = 0
+        monkeypatch.setattr(compiled, "run_replicas", counting)
+        made = record_workers(monkeypatch)
+        for error, event_log, tolerance in (
+                (IntegrityError, None, -1.0),
+                (OSError, FullDisk(), compiled.RENORM_TOLERANCE)):
+            monkeypatch.setattr(compiled, "RENORM_TOLERANCE", tolerance)
             with pytest.raises(error):
-                ens.run_trajectories(small_params(t_max=5), 64, 2,
-                                     event_log)
-            assert started[0] < 64
+                run_ensemble(small_params(t_max=5), 64, 2, event_log)
+            assert 0 < started.pop() < 64
             assert_no_worker_left(threads)
-        assert made == [2, 2]
+        assert made == [2, 1]
+
+
+#: A child's run of one ensemble serially, then at 4 jobs with its address
+#: space capped at its size plus ``room`` bytes: prints the workers of the
+#: capped run and whether its rows and crossings equal the serial run's.
+CAPPED_CHILD = """
+import math, resource, sys
+from array import array
+from techmarket import SimParams, compiled
+from techmarket.ensemble import replica_seeds
+
+params = SimParams(t_max=50, q=0.9, seed=5)
+seeds = replica_seeds(params.seed, 6)
+rows = params.t_max + 1
+
+def run(jobs):
+    out = [array("d", [0.0]) * (6 * rows) for _ in range(3)]
+    out += [array("q", [0]) * rows, array("d", [0.0]) * rows]
+    tc_vals = array("d", [math.nan]) * 6
+    compiled.run_replicas(params, seeds, out, tc_vals, jobs)
+    return [a.tobytes() for a in out + [tc_vals]]
+
+serial = run(1)
+lib, made = compiled.kernel(), []
+real = lib.tm_run_ensemble
+
+def recording(ensemble_ref):
+    status = real(ensemble_ref)
+    made.append(ensemble_ref._obj.workers)
+    return status
+
+lib.tm_run_ensemble = recording
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) * 1024 for line in status
+                if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]),
+                                        resource.RLIM_INFINITY))
+same = run(4) == serial
+print(made[0], same)
+"""
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"),
+                    reason="reads the address space's size from /proc")
+@pytest.mark.parametrize("threads", [0, 1])
+def test_threads_that_cannot_start_leave_their_replicas_to_the_others(
+        threads):
+    """In a child whose thread stacks are 64 MiB and whose address space
+    has room for ``threads`` of them, an ensemble at 4 jobs runs on the
+    calling thread and the threads that did start, and gives the rows and
+    crossings of a serial run."""
+    stack = 64 * 2**20
+    compiled.kernel()  # built into the cache the child reads
+
+    def big_stacks():
+        hard = resource.getrlimit(resource.RLIMIT_STACK)[1]
+        resource.setrlimit(resource.RLIMIT_STACK, (stack, hard))
+
+    room = threads * (stack + 2**20) + 16 * 2**20
+    run = subprocess.run(
+        [sys.executable, "-c", CAPPED_CHILD, str(room)], check=True,
+        capture_output=True, text=True, preexec_fn=big_stacks,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert run.stdout.split() == [str(1 + threads), "True"]
 
 
 def assert_same_stats(got: EnsembleStats, want: EnsembleStats) -> None:
@@ -445,10 +568,8 @@ class TestEnsembleStore:
         assert sliced.renorm_error[100] == 0.0
 
     def test_slice_served_without_simulating(self, monkeypatch):
-        import techmarket.ensemble as ens
-
         stored_ensemble(small_params(t_max=40), 2, SERIAL)
-        monkeypatch.setattr(ens, "run_replica", None)  # any call fails
+        monkeypatch.setattr(compiled, "run_replicas", None)  # any call fails
         st = stored_ensemble(small_params(t_max=25), 2, SERIAL)
         assert len(st.t) == 26
 
@@ -458,14 +579,12 @@ class TestEnsembleStore:
         slice of a longer run, summed replica by replica, has other bits
         from 8 replicas on: a t_max=0 request is simulated, and the longer
         run stays stored."""
-        import techmarket.ensemble as ens
-
         params = SimParams(t_max=5, seed=1)
         longer = stored_ensemble(params, 40, SERIAL)
         zero = replace(params, t_max=0)
         assert_same_stats(stored_ensemble(zero, 40, SERIAL),
                           run_ensemble(zero, 40))
-        monkeypatch.setattr(ens, "run_replica", None)  # any call fails
+        monkeypatch.setattr(compiled, "run_replicas", None)  # any call fails
         assert_same_stats(stored_ensemble(params, 40, SERIAL), longer)
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -478,16 +597,15 @@ class TestEnsembleStore:
                                              jobs):
         """A request longer than the stored one simulates every replica
         from sweep 0 and equals a fresh run."""
-        import techmarket.ensemble as ens
-
-        real = ens.run_replica
+        real = compiled.run_replicas
         runs = []
 
-        def spy(params, seed, k, out, events=None):
-            runs.append(len(out[3]) - 1)  # the rows it writes, but the last
-            return real(params, seed, k, out, events)
+        def spy(params, seeds, out, *rest):
+            # the rows each replica writes, but the last
+            runs.extend([len(out[3]) - 1] * len(seeds))
+            return real(params, seeds, out, *rest)
 
-        monkeypatch.setattr(ens, "run_replica", spy)
+        monkeypatch.setattr(compiled, "run_replicas", spy)
         first = replace(params, t_max=params.t_max * 2 // 3)
         middle = replace(params, t_max=params.t_max * 5 // 6)
         assert_same_stats(stored_ensemble(first, 4, jobs),

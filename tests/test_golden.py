@@ -178,9 +178,11 @@ def _ensemble_digest(key) -> str:
 
 
 def compiled_text(params, replica_seed) -> str:
-    """``run_replica``'s event log as replica 0."""
+    """The kernel's event log of the replica, as replica 0 of a one-replica
+    ensemble."""
     chunks = []
-    oracle.kernel_replica(params, replica_seed, chunks.append)
+    oracle.kernel_replica(params, replica_seed,
+                          lambda text: chunks.append(str(text, "ascii")))
     return "".join(chunks)
 
 
