@@ -169,16 +169,17 @@ static uint32_t temper(uint32_t y)
 
 /* A word's next value in the twist, from its top bit, the low bits of the
  * word after it and the word MT_M after it (mod MT_N): mag01[y & 1] as a
- * mask, which -O2 vectorises. */
+ * mask, which gcc vectorises from -O2 on. */
 static uint32_t twist(uint32_t word, uint32_t next, uint32_t ahead)
 {
     uint32_t y = (word & 0x80000000U) | (next & 0x7fffffffU);
     return ahead ^ (y >> 1) ^ ((0U - (y & 0x1U)) & 0x9908b0dfU);
 }
 
-/* Twist mt to its next 624 words and temper them into block. -O2
- * vectorises these loops: the pointers are restrict, and each trip count
- * is a multiple of four or a tail (224, then 3; 396, then 1; 624). */
+/* Twist mt to its next 624 words and temper them into block. gcc
+ * vectorises these loops from -O2 on: the pointers are restrict, and each
+ * trip count is a multiple of four or a tail (224, then 3; 396, then 1;
+ * 624). */
 static void refill_block(uint32_t *restrict mt, uint32_t *restrict block)
 {
     int kk;
@@ -455,7 +456,12 @@ static void update_cycle(State *st, Stream *rs, int64_t n_order)
             double mean = st->ws;
             double tech = st->tech[f];
             double lag = mean < 1.0 ? mean * frontier - tech : frontier - tech;
-            double p = lag > 0.0 ? exp(-st->s * lag) : 1.0;
+            /* Past x = 40, exp(-x) < 2^-53 <= 1 - u for every draw u, so
+             * p = 0 takes the same decision without libm's slow underflow
+             * path; x = inf decides as exp does, and NaN goes to exp.
+             * (-s) * lag is -(s * lag) to the bit. */
+            double x = st->s * lag;
+            double p = lag > 0.0 ? (x > 40.0 ? 0.0 : exp(-x)) : 1.0;
             if (1.0 - uniform(rs) > p) {
                 if ((st->segment == SEGMENT_ANY
                      || segment_of(st, tech, mean) == st->segment)
@@ -468,9 +474,11 @@ static void update_cycle(State *st, Stream *rs, int64_t n_order)
                     double share = st->share[f];
                     remove_firm(st, f);
                     double delta = share / (double)st->n_live;
+                    /* dead slots too: a dead slot's share is never read
+                     * again (visits skip it, occ does not point at it and
+                     * compact drops it), so live shares keep their bits */
                     for (int64_t g = 0; g < st->n_slots; g++)
-                        if (st->id[g] >= 0)
-                            st->share[g] += delta;
+                        st->share[g] += delta;
                     st->ws += delta * st->ts;
                     kind = BANKRUPTED;
                 }
@@ -518,7 +526,9 @@ static void update_cycle(State *st, Stream *rs, int64_t n_order)
     }
 }
 
-/* Close the gaps dead firms left, keeping ascending id order. */
+/* Close the gaps dead firms left, keeping ascending id order. With no dead
+ * firm (n_live == n_slots) every copy is an identity, as occ[site[f]] == f
+ * for each live f, so run skips the call. */
 static void compact(State *st)
 {
     int64_t n = 0;
@@ -585,7 +595,8 @@ static int run(State *st, Stream *rs)
         }
         st->n_rescued = 0;
         update_cycle(st, rs, n);
-        compact(st);
+        if (st->n_live != st->n_slots)
+            compact(st);
 
         double total = 0.0;
         for (int64_t f = 0; f < st->n_slots; f++)

@@ -57,14 +57,16 @@ SOURCE = Path(__file__).with_name("_sweep.c")
 COMPILER = "gcc"
 #: -ffp-contract=off keeps gcc from fusing a multiply and an add, which
 #: rounds once where Python rounds twice; -ffast-math and -march would
-#: change results too. -O2 vectorises the stream's refill (see _sweep.c):
-#: an active q=0.99 replica takes about 0.6 of the CPU time it took at -O1
-#: before the refill was written for it. The compiler's peak memory counts
-#: toward the peak resident set of the run that builds the kernel; the two
-#: ggc params make gcc collect its garbage sooner, which keeps the -O2 peak
-#: about 1.4 MB above -O1's rather than 4 MB, for the same library bytes.
+#: change results too. -O3 gives the bits -O0 gives, as it reassociates no
+#: floating-point sum without -ffast-math. -O2 vectorises the stream's
+#: refill (see _sweep.c): an active q=0.99 replica takes about 0.6 of the
+#: CPU time it took at -O1 before the refill was written for it, and -O3
+#: takes about 0.84 of -O2's. The compiler's peak memory counts toward the
+#: peak resident set of the run that builds the kernel (about 40 MB at
+#: -O3, 37.5 MB at -O2); the two ggc params make gcc collect its garbage
+#: sooner, for the same library bytes.
 #: -pthread: tm_run_ensemble starts its workers' threads.
-FLAGS = ("-O2", "-ffp-contract=off", "--param", "ggc-min-expand=20",
+FLAGS = ("-O3", "-ffp-contract=off", "--param", "ggc-min-expand=20",
          "--param", "ggc-min-heapsize=2048", "-shared", "-fPIC", "-pthread")
 
 _I64, _F64, _I32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int32

@@ -3,11 +3,14 @@ reference, and its build: cache, failure, and the runs that load it; its
 CSV writer against Python's ``%`` formatting."""
 import copy
 import ctypes
+import dataclasses
 import io
+import itertools
 import locale
 import math
 import os
 import random
+import sys
 from array import array
 
 import numpy as np
@@ -40,13 +43,20 @@ from conftest import build_market
 
 @st.composite
 def sim_params(draw):
-    """Validated parameters on 3..7 lattices with horizons up to 40."""
+    """Validated parameters on 3..7 lattices with horizons up to 40: s up
+    to 1e300, where s * lag overflows to inf, and sigma up to the bound
+    validation puts on the frontier."""
     lx, ly = draw(st.integers(3, 7)), draw(st.integers(3, 7))
     c = draw(st.floats(1.0 / (lx * ly), 1.0))
+    t_max = draw(st.integers(0, 40))
+    # 2 * exp(sigma * t_max)**2 * lx * ly is finite below this sigma
+    sigma_max = (math.log(sys.float_info.max / (2 * lx * ly))
+                 / (2 * t_max or 1))
     try:
         return SimParams(
-            sigma=draw(st.floats(0.0, 1.0)),
-            s=draw(st.floats(0.0, 10.0)),
+            sigma=draw(st.floats(0.0, 1.0)
+                       | st.floats(0.9, 1.0).map(lambda f: f * sigma_max)),
+            s=draw(st.floats(0.0, 10.0) | st.floats(0.0, 1e300)),
             b=draw(st.floats(0.0, 1.0)),
             n_min=draw(st.integers(1, max(1, int(c * lx * ly)))),
             omega_s=draw(st.floats(0.01, 0.99)),
@@ -55,11 +65,31 @@ def sim_params(draw):
                    | st.floats(0.0, 1.0)),
             policy=draw(st.sampled_from(PolicyKind)),
             variant=draw(st.sampled_from(VariantKind)),
-            lx=lx, ly=ly,
-            t_max=draw(st.integers(0, 40)),
+            lx=lx, ly=ly, t_max=t_max,
             seed=draw(st.integers(0, 2**64 - 1)))
     except ConfigError:
         assume(False)
+
+
+def roll_at_40(side):
+    """Parameters whose first survival roll has s * lag at 40 (side 0),
+    the largest s * lag below it (-1) or the smallest above it (1): the
+    kernel's bound for skipping exp. The first roll is the first firm of
+    the first shuffle, at the initial market's <A> and frontier 1."""
+    for seed in itertools.count():
+        params = SimParams(lx=5, ly=5, c=0.6, n_min=1, t_max=3, seed=seed)
+        rng = random.Random(seed)
+        market = oracle.init_market(params, rng)
+        market.resync_sums()
+        order = list(market.firms)
+        oracle.shuffle_in_place(order, rng)
+        lag = market.weighted_sum - market.firms[order[0]].tech
+        s = 40.0 / lag
+        if lag > 0.0 and s * lag == 40.0:
+            break
+    while side and (s * lag - 40.0) * side <= 0.0:
+        s = math.nextafter(s, side * math.inf)
+    return dataclasses.replace(params, s=s)
 
 
 #: State's scalars of the end market, with MarketState's names.
@@ -156,6 +186,19 @@ def assert_same_market(state, market):
 @settings(max_examples=150, deadline=None)
 @given(params=sim_params(),
        replica=st.sampled_from((0, 2**63 - 1)) | st.integers(0, 2**63 - 1))
+@example(params=roll_at_40(-1), replica=0)
+@example(params=roll_at_40(0), replica=0)
+@example(params=roll_at_40(1), replica=0)
+# q = 1 rescues every failing firm while the frontier grows past 2e8,
+# where s * lag overflows to inf
+@example(params=SimParams(s=1e300, sigma=1.0, q=1.0, lx=5, ly=5, c=0.6,
+                          n_min=1, t_max=40, seed=13), replica=0)
+# a full lattice at q = 0: bankruptcies top up slots that died in the sweep
+@example(params=SimParams(s=5.0, c=1.0, n_min=1, lx=7, ly=7, t_max=40,
+                          seed=11), replica=0)
+# no roll fails and no merge happens: spin-offs, and no sweep compacts
+@example(params=SimParams(s=0.0, b=0.0, c=0.3, n_min=1, lx=7, ly=7,
+                          t_max=40, seed=12), replica=0)
 def test_compiled_sweeps_match_python(params, replica):
     assert_same_runs(*run_both(params, params.seed, replica), replica)
 
@@ -519,6 +562,37 @@ def test_checkouts_keep_their_own_libraries(monkeypatch, tmp_path,
         for name in (lib.parent.name, f"{lib.parent.name}.source"))
     assert (root / f"{libraries['b'].parent.name}.source").resolve() == (
         tmp_path / "b" / "_sweep.c")
+
+
+def test_kernel_built_at_O0_gives_the_shipped_bits(monkeypatch, tmp_path,
+                                                   fresh_kernel):
+    """The kernel built at -O0, with the rest of FLAGS kept, gives the
+    shipped build's rows and crossings, bit for bit: the optimiser may
+    reorder no floating-point operation. The active cell's frontier
+    passes 40 at sweep 74, after which its rolls skip exp."""
+    cells = [SimParams(q=0.99, variant=VariantKind.ACTIVE_AFTER_RESCUE,
+                       sigma=0.05, t_max=150, seed=3),
+             SimParams(q=0.5, t_max=60, seed=4)]
+
+    def run_cells():
+        runs = []
+        for params in cells:
+            seeds = [derive_seed(params.seed, k) for k in range(4)]
+            rows = oracle.ensemble_buffers(params.t_max + 1, len(seeds))
+            tc_vals = array("d", [math.nan]) * len(seeds)
+            compiled.run_replicas(params, seeds, rows, tc_vals, 2)
+            runs.append([bytes(buffer) for buffer in (*rows, tc_vals)])
+        return runs
+
+    shipped = run_cells()
+    levels = [flag for flag in compiled.FLAGS if flag.startswith("-O")]
+    assert levels == ["-O3"]
+    monkeypatch.setattr(compiled, "FLAGS", tuple(
+        "-O0" if flag in levels else flag for flag in compiled.FLAGS))
+    monkeypatch.setattr(compiled, "cache_dir", lambda: tmp_path / "cache")
+    compiled._load.cache_clear()
+    assert run_cells() == shipped
+    assert len(list((tmp_path / "cache").glob("sweep-*.so"))) == 1
 
 
 def test_event_log_run_uses_the_compiled_kernel(monkeypatch, tmp_path):
