@@ -526,9 +526,7 @@ static void update_cycle(State *st, Stream *rs, int64_t n_order)
     }
 }
 
-/* Close the gaps dead firms left, keeping ascending id order. With no dead
- * firm (n_live == n_slots) every copy is an identity, as occ[site[f]] == f
- * for each live f, so run skips the call. */
+/* Close the gaps dead firms left, keeping ascending id order. */
 static void compact(State *st)
 {
     int64_t n = 0;
@@ -595,8 +593,7 @@ static int run(State *st, Stream *rs)
         }
         st->n_rescued = 0;
         update_cycle(st, rs, n);
-        if (st->n_live != st->n_slots)
-            compact(st);
+        compact(st);
 
         double total = 0.0;
         for (int64_t f = 0; f < st->n_slots; f++)

@@ -196,7 +196,8 @@ def assert_same_market(state, market):
 # a full lattice at q = 0: bankruptcies top up slots that died in the sweep
 @example(params=SimParams(s=5.0, c=1.0, n_min=1, lx=7, ly=7, t_max=40,
                           seed=11), replica=0)
-# no roll fails and no merge happens: spin-offs, and no sweep compacts
+# no roll fails and no merge happens: spin-offs, and every compaction
+# keeps each firm in its slot
 @example(params=SimParams(s=0.0, b=0.0, c=0.3, n_min=1, lx=7, ly=7,
                           t_max=40, seed=12), replica=0)
 def test_compiled_sweeps_match_python(params, replica):
