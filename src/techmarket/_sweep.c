@@ -26,30 +26,30 @@
  * compiled.py mirrors the State struct with ctypes and checks its size
  * against tm_state_size() before use.
  *
- * tm_init seeds the stream from a replica's 64-bit seed as random.Random(seed)
- * does: init_genrand(19650218), then init_by_array over the seed's 32-bit
- * words, least significant first, one word below 2^32 (Matsumoto and
- * Nishimura's 2002 seeding, as CPython runs it). It then draws the initial
- * market, in this order: n0 distinct sites by a partial Fisher-Yates pass
- * over the sites (step i swaps site i with site i + int(u * (n - i)),
- * clamped to n - 1), then one technology u per firm in placement order. Firm
- * f gets id f, slot f, share 1.0 / n0 and the f-th site drawn.
+ * A replica starts by seeding the stream from its 64-bit seed as
+ * random.Random(seed) does: init_genrand(19650218), then init_by_array over
+ * the seed's 32-bit words, least significant first, one word below 2^32
+ * (Matsumoto and Nishimura's 2002 seeding, as CPython runs it). It then draws
+ * the initial market, in this order: n0 distinct sites by a partial
+ * Fisher-Yates pass over the sites (step i swaps site i with site
+ * i + int(u * (n - i)), clamped to n - 1), then one technology u per firm in
+ * placement order. Firm f gets id f, slot f, share 1.0 / n0 and the f-th
+ * site drawn.
  *
  * tm_run_ensemble runs an ensemble's replicas on workers that each reuse one
- * State: the calling thread and a pthread for every further State, created
- * in the call and joined before it returns. A worker claims the next
- * replica index from a shared counter, points its State's rows at that
- * replica's, starts it from its seed (tm_init) and runs its sweeps (as
- * tm_run), then stores its crossing. A replica that fails its
- * renormalisation stops every worker from claiming more; the replicas
- * below it were claimed before it and run to their end, so the lowest
- * failing index, which the call reports, is the one a serial run meets
- * first. A thread that cannot be created leaves its replicas to the other
- * workers, with the same results. A logged ensemble runs on one worker,
+ * State: the calling thread and a pthread for every further State, created in
+ * the call and joined before it returns. A worker claims the next replica
+ * index from a shared counter, points its State's rows at that replica's,
+ * starts it from its seed and runs its sweeps, then stores its crossing. A
+ * replica that fails its renormalisation stops every worker from claiming
+ * more; the replicas below it were claimed before it and run to their end, so
+ * the lowest failing index, which the call reports, is the one a serial run
+ * meets first. A thread that cannot be created leaves its replicas to the
+ * other workers, with the same results. A logged ensemble runs on one worker,
  * whose State's text takes the lines of replica after replica; the call
  * returns PAUSED when it is full and continues where it stopped when it is
- * called again. tm_init and tm_run run a single State by hand: a replica
- * from its seed, or a market that the caller filled in.
+ * called again. The call resumes states[0] as it finds it, so a caller can
+ * also hand it a market of its own, in a State marked as paused.
  *
  * A replica's run writes its rows straight into its ensemble's buffers: a
  * row per sweep, plus the end state's. N (as a double), <A> and its ratio
@@ -64,9 +64,8 @@
  *
  * When State.text is set, each visit also appends the step's line of the
  * event log to it (see put_event). A sweep writes at most one line per firm
- * alive at its start, so tm_run and tm_run_ensemble return PAUSED before a
- * sweep whose lines might not fit; the caller takes the text and calls
- * again.
+ * alive at its start, so tm_run_ensemble returns PAUSED before a sweep
+ * whose lines might not fit; the caller takes the text and calls again.
  * tm_event_line_max gives the longest line's bytes, by which the caller
  * sizes State.text.
  *
@@ -118,7 +117,7 @@ typedef struct {
     double *tech, *share;
     int32_t *site, *order;
     int64_t n_slots, n_live;
-    /* clock, frontier and the running sums, which tm_run sets first */
+    /* clock, frontier and the running sums, which run sets first */
     int64_t sweep, next_id;
     double frontier, ws, ts, tq;
     /* MT19937: 624 words, then the position */
@@ -298,14 +297,6 @@ static void start(State *st, Stream *rs, uint64_t seed, int64_t n_sites,
     st->sweep = st->row = 0;
     st->crossing = -1;
     st->frontier = 1.0;
-}
-
-/* Start a replica from its seed: start, with the stream closed after it */
-void tm_init(State *st, uint64_t seed, int64_t n_sites, int64_t n0)
-{
-    Stream rs;
-    start(st, &rs, seed, n_sites, n0);
-    stream_close(&rs);
 }
 
 static void remove_firm(State *st, int64_t f)
@@ -556,8 +547,14 @@ static void fold_max(double *max, double err)
         ;
 }
 
-/* tm_run's sweeps, drawing from rs */
-static int run(State *st, Stream *rs)
+/* Run the sweeps from row st->row on, drawing from rs: returns OK once the
+ * last row is written, PAUSED before a sweep whose event lines might not
+ * fit, or RENORM_ABOVE_TOLERANCE where the renormalisation fails (a share
+ * total at or below 0 among them), with the error in st->err, the shared
+ * rows left as they were and the sweep not advanced. Kept out of line:
+ * inlined into work, its one caller, it raises gcc's peak memory while
+ * building by about 2 MB, and no speed-up was measured. */
+__attribute__((noinline)) static int run(State *st, Stream *rs)
 {
     for (;;) {
         int64_t n = st->n_slots, row = st->row;
@@ -611,21 +608,6 @@ static int run(State *st, Stream *rs)
         st->frontier = exp(st->sigma * (double)st->sweep);
         st->row++;
     }
-}
-
-/* Run the sweeps from row st->row on: returns OK once the last row is
- * written, PAUSED before a sweep whose event lines might not fit, or
- * RENORM_ABOVE_TOLERANCE where the renormalisation fails (a share total at
- * or below 0 among them), with the error in st->err, the shared rows left
- * as they were and the sweep not advanced. */
-int tm_run(State *st)
-{
-    Stream rs;
-    stream_open(&rs, st->mt);
-    st->n_text = 0;
-    int status = run(st, &rs);
-    stream_close(&rs);
-    return status;
 }
 
 /* An ensemble's run, which lasts across the calls of a paused, logged

@@ -14,10 +14,10 @@ shared with C without a copy. The call releases the GIL.
 A logged ensemble runs on one ``State``, which writes each step's JSON
 line into a text buffer of EVENT_ROWS lines: the call pauses before a
 sweep whose lines might not fit, hands the text to the caller's sink as a
-memoryview of that buffer, without a copy, and is called again. ``start`` and ``run_sweeps`` run a single
-``State`` by hand, from a seed or from a market filled in by the caller;
-the end market and stream stay in its buffers. ``column_stats`` reduces
-an ensemble's matrices to its statistics, summed in numpy's order.
+memoryview of that buffer, without a copy, and is called again. The end
+market and stream of a State's last replica stay in its buffers.
+``column_stats`` reduces an ensemble's matrices to its statistics, summed
+in numpy's order.
 ``csv_rows`` writes CSV rows, each integer and float byte for byte as
 Python's ``"%d"`` and ``"%.12g"`` write it.
 
@@ -118,7 +118,7 @@ class _Ensemble(ctypes.Structure):
 #: Event lines a logged run has room for per C call (at least a lattice's
 #: sites, the most one sweep writes), each of tm_event_line_max() bytes.
 EVENT_ROWS = 4096
-#: tm_run's and tm_run_ensemble's return codes.
+#: tm_run_ensemble's return codes.
 _OK, _RENORM_ABOVE_TOLERANCE, _PAUSED = range(3)
 
 
@@ -201,11 +201,6 @@ def _load() -> ctypes.CDLL | str:
         if size() != ctypes.sizeof(struct):
             return (f"the sweep kernel in {path} does not match compiled.py: "
                     f"{name} layout mismatch")
-    lib.tm_init.argtypes = [ctypes.POINTER(_State), ctypes.c_uint64, _I64,
-                            _I64]
-    lib.tm_init.restype = None
-    lib.tm_run.argtypes = [ctypes.POINTER(_State)]
-    lib.tm_run.restype = ctypes.c_int
     lib.tm_run_ensemble.argtypes = [ctypes.POINTER(_Ensemble)]
     lib.tm_run_ensemble.restype = ctypes.c_int
     lib.tm_event_line_max.argtypes = []
@@ -218,23 +213,23 @@ def _load() -> ctypes.CDLL | str:
     return lib
 
 
-def _view(ctype, buffer, n: int, row: int = 0) -> ctypes.Array:
-    """Row ``row`` of ``n`` ``ctype`` items of a writable buffer, without a
-    copy. Raises ValueError when the buffer is too short for it."""
-    return (ctype * n).from_buffer(buffer, row * n * ctypes.sizeof(ctype))
+def _view(ctype, buffer, n: int) -> ctypes.Array:
+    """The first ``n`` ``ctype`` items of a writable buffer, without a
+    copy. Raises ValueError when the buffer is too short for them."""
+    return (ctype * n).from_buffer(buffer)
 
 
-def new_state(params: SimParams, replica: int, out: Sequence[array],
+def new_state(params: SimParams, out: Sequence[array],
               logged: bool) -> _State:
-    """A State of ``params`` with zeroed buffers for its lattice, running
-    replica ``replica`` of the ensemble whose buffers are ``out``: the
+    """A State of ``params`` with zeroed buffers for its lattice, writing
+    replica 0's rows of the ensemble whose buffers are ``out``: the
     replica-major 'd' matrices of N, mean technology and ratio, then the
     per-row rescue sum ('q') and renormalization error maximum ('d'), of
-    ``len(out[3])`` rows each. With ``logged``, it also has an event log's
-    text buffer, whose lines name ``replica``. The struct keeps the ctypes
-    arrays it points into alive, and the from_buffer views keep the tables
-    and the ensemble's buffers. Raises ValueError when ``replica`` is not a
-    row of the matrices."""
+    ``len(out[3])`` rows each. A replica the State claims points its rows
+    at that replica's, and its event log's lines, when ``logged`` gives it
+    a text buffer, name that replica. The struct keeps the ctypes arrays it
+    points into alive, and the from_buffer views keep the tables and the
+    ensemble's buffers."""
     n_mat, a_mat, r_mat, rescued_sum, renorm_max = out
     rows = len(rescued_sum)
     n_sites = params.lx * params.ly
@@ -253,14 +248,14 @@ def new_state(params: SimParams, replica: int, out: Sequence[array],
         share=(_F64 * cap)(), site=(_I32 * cap)(), order=(_I32 * cap)(),
         mt=(ctypes.c_uint32 * _MT_WORDS)(),
         n_rows=rows,
-        n_firms=_view(_F64, n_mat, rows, replica),
-        mean_tech=_view(_F64, a_mat, rows, replica),
-        ratio=_view(_F64, r_mat, rows, replica),
+        n_firms=_view(_F64, n_mat, rows),
+        mean_tech=_view(_F64, a_mat, rows),
+        ratio=_view(_F64, r_mat, rows),
         rescued=_view(_I64, rescued_sum, rows),
         renorm_error=_view(_F64, renorm_max, rows),
         threshold=TC_THRESHOLD, crossing=-1,
         text=(ctypes.c_char * max_text)() if logged else None,
-        max_text=max_text, replica=replica)
+        max_text=max_text)
 
 
 def _text_bytes(n_sites: int) -> int:
@@ -278,28 +273,6 @@ def state_bytes(n_sites: int, logged: bool) -> int:
             + (_text_bytes(n_sites) if logged else 0))
 
 
-def start(state: _State, params: SimParams, seed: int) -> None:
-    """Seed a ``new_state``'s stream as ``random.Random(seed)`` would and
-    draw its market at sweep 0, as ``_sweep.c``'s tm_init describes."""
-    kernel().tm_init(ctypes.byref(state), seed, params.lx * params.ly,
-                     params.n_initial_firms)
-
-
-def run_sweeps(state: _State, events: Optional[Callable] = None) -> None:
-    """Run ``state`` from its sweep for one sweep per row but the last, and
-    write every row; with an event sink, a callable (the State must be
-    logged), pass it each C call's event log lines, ASCII, as one
-    memoryview of the State's text buffer: the sink writes or copies them
-    before it returns, as the next call overwrites them. A share
-    total that drifts beyond RENORM_TOLERANCE raises IntegrityError after
-    the failing sweep's lines are passed on."""
-    lib = kernel()
-    status = _until_done(lambda: lib.tm_run(ctypes.byref(state)), state,
-                         events)
-    if status == _RENORM_ABOVE_TOLERANCE:
-        raise renorm_failure(state.err, state.sweep)
-
-
 def workers(jobs: int, n_replicas: int, logged: bool) -> int:
     """The States ``run_replicas`` runs an ensemble on: one for a logged
     ensemble, whose lines then come in replica order, else one per job up
@@ -315,15 +288,18 @@ def run_replicas(params: SimParams, seeds: Sequence[int],
     States: the calling thread and a thread for each further State, which
     the call starts and joins (see tm_run_ensemble). Each replica writes its
     rows into the ensemble's buffers ``out`` (see ``new_state``) and its
-    crossing, if any, into ``tc_vals[k]``. With an event sink, as in
-    ``run_sweeps``, the replicas run one after another on one State, and
-    the C call, paused whenever its text is full, passes each part's lines
-    to the sink. A replica whose share total drifts beyond RENORM_TOLERANCE
-    stops the claiming of further replicas and raises IntegrityError for
-    the lowest such replica, with a note naming its seed."""
+    crossing, if any, into ``tc_vals[k]``. With an event sink, a callable,
+    the replicas run one after another on one State, and the C call, paused
+    whenever its text is full, passes each part's lines to the sink, ASCII,
+    as one memoryview of the State's text buffer: the sink writes or copies
+    them before it returns, as the next call overwrites them. A replica
+    whose share total drifts beyond RENORM_TOLERANCE stops the claiming of
+    further replicas and raises IntegrityError for the lowest such replica,
+    with a note naming its seed, after the failing sweep's lines are passed
+    on."""
     lib = kernel()
     n, rows, logged = len(seeds), len(out[3]), events is not None
-    states = [new_state(params, 0, out, logged)
+    states = [new_state(params, out, logged)
               for _ in range(workers(jobs, n, logged))]
     ensemble = _Ensemble(
         states=(ctypes.POINTER(_State) * len(states))(

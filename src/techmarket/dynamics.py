@@ -62,7 +62,7 @@ in Python, step for step, and is the reference the kernel is tested
 against.
 
 A logged run writes one line of JSON per step, which the kernel hands to
-the caller's sink (see ``compiled.run_sweeps``): what
+the caller's sink (see ``compiled.run_replicas``): what
 ``json.dumps(..., separators=(",", ":"))`` gives for the keys replica, t
 (the sweep), firm and kind (the step's outcome, in lower case), then
 partner (the absorbed firm for merged, the interaction partner for

@@ -4,17 +4,18 @@ against.
 This is the model of ``techmarket.dynamics``, step for step and draw for
 draw, on a market of ``Firm`` objects in a registry ordered by id. It gives
 the kernel's bits: the same rows, event-log text, end market and stream.
-``init_market`` starts a market as ``_sweep.c``'s tm_init does, and
-``run_sweeps`` runs it as tm_run does, into a ``Trajectory``, this module's
-own per-replica record, which also counts each sweep's bankruptcies. A
-step's outcome is an ``EventKind`` and its record an event row of
-EVENT_FIELDS integers, this module's own format too; ``emit_event_log``
-renders the rows as the lines tm_run writes.
+``init_market`` starts a market as ``_sweep.c`` starts a replica from its
+seed, and ``run_sweeps`` runs it as the kernel runs a replica's sweeps,
+into a ``Trajectory``, this module's own per-replica record, which also
+counts each sweep's bankruptcies. A step's outcome is an ``EventKind`` and
+its record an event row of EVENT_FIELDS integers, this module's own format
+too; ``emit_event_log`` renders the rows as the lines the kernel writes.
 
 ``kernel_replica`` runs one replica on the kernel as the only replica of an
-ensemble, whose buffers are then its own rows, and ``compiled_state`` fills
-a kernel State from a market of this module, so that the kernel can start
-from a hand-built one.
+ensemble, whose buffers are then its own rows. ``compiled_state`` fills a
+kernel State from a market of this module, and ``run_compiled_state`` runs
+it to its end through the ensemble entry, so that the kernel can start
+from a hand-built market.
 """
 from __future__ import annotations
 
@@ -527,10 +528,10 @@ def compiled_state(market: MarketState, params: SimParams, rows: Rows,
                    logged: bool = False) -> ctypes.Structure:
     """A ``compiled.new_state`` holding ``market`` and the stream of
     ``rng``, writing replica 0's rows into ``rows``, an
-    ``ensemble_buffers``, for ``compiled.run_sweeps`` to run from the
+    ``ensemble_buffers``, for ``run_compiled_state`` to run from the
     market's sweep: firms in slots in the registry's order. The market's
     lattice must be params' shape; ``market`` and ``rng`` are only read."""
-    state = compiled.new_state(params, 0, rows, logged)
+    state = compiled.new_state(params, rows, logged)
     firms = list(market.firms.values())
     slot = {f.id: k for k, f in enumerate(firms)}
     for k, f in enumerate(firms):
@@ -542,5 +543,27 @@ def compiled_state(market: MarketState, params: SimParams, rows: Rows,
         state.mt[k] = word
     state.n_slots = state.n_live = len(firms)
     state.sweep, state.next_id = market.sweep, market.next_id
-    state.frontier = market.frontier_value  # tm_run computes ws, ts and tq
+    state.frontier = market.frontier_value  # the kernel computes ws, ts, tq
     return state
+
+
+def run_compiled_state(state: ctypes.Structure, events=None) -> array:
+    """Run ``state``, a ``compiled_state``, from its market's sweep to its
+    last row, with ``compiled.run_replicas``'s event sink, and return the
+    ``tc_vals`` of its one-replica ensemble: its crossing, or nan. The
+    ensemble is paused inside replica 0, the replica a new State names,
+    and has no replica left to claim, so ``tm_run_ensemble`` resumes the
+    State and reads no seed and no matrix of the ensemble's. A share total
+    that drifts beyond RENORM_TOLERANCE raises IntegrityError after the
+    failing sweep's lines are passed on."""
+    tc_vals = array("d", [math.nan])
+    ensemble = compiled._Ensemble(
+        states=ctypes.pointer(ctypes.pointer(state)), n_states=1,
+        n_replicas=1, tc_vals=compiled._view(compiled._F64, tc_vals, 1),
+        next=1, failed=1, paused=1)
+    lib = compiled.kernel()
+    status = compiled._until_done(
+        lambda: lib.tm_run_ensemble(ctypes.byref(ensemble)), state, events)
+    if status == compiled._RENORM_ABOVE_TOLERANCE:
+        raise renorm_failure(state.err, state.sweep)
+    return tc_vals

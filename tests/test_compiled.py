@@ -4,6 +4,7 @@ CSV writer against Python's ``%`` formatting."""
 import copy
 import ctypes
 import dataclasses
+import functools
 import io
 import itertools
 import locale
@@ -118,21 +119,40 @@ def run_states(monkeypatch):
 
 
 def run_both(params, seed, replica=0):
-    """The kernel's run of (params, seed) as a one-replica ensemble, with an
-    event log whose lines name the replica ``replica``, then the oracle's
-    replica from ``random.Random(seed)``: the compiled run's (rows, event
-    log text a chunk per kernel call, State), then the oracle's
-    (trajectory, event rows, market, rng)."""
-    rows = oracle.ensemble_buffers(params.t_max + 1)
-    state = compiled.new_state(params, 0, rows, True)
-    state.replica = replica
-    compiled.start(state, params, seed)
-    compiled_run = rows, run_logged(state), state
+    """The kernel's logged run of (params, seed) as replica ``replica`` of a
+    ``compiled.run_replicas`` ensemble whose claims start there, so that no
+    replica below it runs, then the oracle's replica from
+    ``random.Random(seed)``: the compiled run's (rows, event log text a
+    chunk per kernel call, State, crossings), its rows those of replica
+    ``replica``, then the oracle's (trajectory, event rows, market, rng)."""
+    n, rows = replica + 1, params.t_max + 1
+    out, tc_vals = oracle.ensemble_buffers(rows, n), array("d", [math.nan]) * n
+    compiled.kernel()  # loaded first: the load checks _Ensemble's size
+    with pytest.MonkeyPatch.context() as mp:
+        states = spy_states(mp)
+        mp.setattr(compiled, "_Ensemble",
+                   functools.partial(compiled._Ensemble, next=replica))
+        _, chunks = run_logged(lambda sink: compiled.run_replicas(
+            params, [0] * replica + [seed], out, tc_vals, 1, sink))
+    own = oracle.Rows(*(column[replica * rows:] for column in out[:3]),
+                      *out[3:])
+    compiled_run = own, chunks, states.pop(), tc_vals
     rng = random.Random(seed)
     market = oracle.init_market(params, rng)
-    trajectory, events = oracle.Trajectory.empty(params.t_max + 1), array("q")
+    trajectory, events = oracle.Trajectory.empty(rows), array("q")
     oracle.run_sweeps(market, params, rng, trajectory, events)
     return compiled_run, (trajectory, events, market, rng)
+
+
+def run_hand_built(market, params, rng):
+    """The kernel's logged run of a State filled from ``market`` and the
+    stream of ``rng``, which are only read: (rows, event log text a chunk
+    per kernel call, State, crossings)."""
+    rows = oracle.ensemble_buffers(params.t_max + 1)
+    state = oracle.compiled_state(market, params, rows, rng, True)
+    tc_vals, chunks = run_logged(
+        lambda sink: oracle.run_compiled_state(state, sink))
+    return rows, chunks, state, tc_vals
 
 
 def oracle_text(events, replica=0) -> str:
@@ -142,25 +162,29 @@ def oracle_text(events, replica=0) -> str:
     return out.getvalue()
 
 
-def run_logged(state):
-    """Run a logged State to its end: its event log, a chunk per kernel
-    call."""
+def run_logged(run):
+    """Call ``run`` with an event sink: what it returns, and the event log
+    it passes on, a chunk per kernel call."""
     chunks = []
-    compiled.run_sweeps(state,
-                        lambda text: chunks.append(str(text, "ascii")))
-    return chunks
+    return run(lambda text: chunks.append(str(text, "ascii"))), chunks
 
 
 def assert_same_runs(compiled_run, oracle_run, replica=0):
     """The compiled run's rows, crossing, event log, end market and end
     stream against the oracle's, its event rows rendered as replica
-    ``replica``'s."""
-    (tr_c, chunks, state), (tr_py, events, market, rng) = (compiled_run,
-                                                           oracle_run)
+    ``replica``'s: the State's crossing, and the ensemble's crossing of
+    that replica, nan when it never crosses."""
+    (tr_c, chunks, state, tc_vals), (tr_py, events, market, rng) = (
+        compiled_run, oracle_run)
     for name in oracle.Rows._fields:
         assert np.array_equal(getattr(tr_c, name), getattr(tr_py, name)), name
-    assert state.crossing == next((row for row, a in enumerate(tr_py.mean_tech)
-                                   if a >= TC_THRESHOLD), -1)
+    crossing = next((row for row, a in enumerate(tr_py.mean_tech)
+                     if a >= TC_THRESHOLD), -1)
+    assert state.crossing == crossing
+    if crossing < 0:
+        assert math.isnan(tc_vals[replica])
+    else:
+        assert tc_vals[replica] == crossing
     assert "".join(chunks) == oracle_text(events, replica)
     assert_same_market(state, market)
     # the end stream: 624 words and the position
@@ -184,8 +208,10 @@ def assert_same_market(state, market):
 
 
 @settings(max_examples=150, deadline=None)
-@given(params=sim_params(),
-       replica=st.sampled_from((0, 2**63 - 1)) | st.integers(0, 2**63 - 1))
+@given(params=sim_params(), replica=st.integers(0, 999))
+# the last replica of a 1,000-replica ensemble, which crosses at row 13
+@example(params=SimParams(q=0.5, sigma=0.1, lx=5, ly=5, c=0.6, n_min=1,
+                          t_max=40, seed=2), replica=999)
 @example(params=roll_at_40(-1), replica=0)
 @example(params=roll_at_40(0), replica=0)
 @example(params=roll_at_40(1), replica=0)
@@ -237,7 +263,7 @@ def test_initial_market_matches_the_oracle(run_states, params):
         trajectory = oracle.kernel_replica(params, seed)
         state = run_states.pop()
         market = oracle.init_market(params, random.Random(seed))
-        market.resync_sums()  # tm_run set them before the first row
+        market.resync_sums()  # the kernel sets them before the first row
         assert_same_market(state, market)
         assert state.n_live == params.n_initial_firms == len(market.firms)
         assert trajectory.n_firms[0] == len(market.firms)
@@ -326,13 +352,13 @@ def test_state_bytes_is_what_new_state_allocates(logged, lx, ly):
     index in hex, each entry ending with the array. 80x60 has more sites
     than EVENT_ROWS, so its text buffer holds a line per site."""
     params = SimParams(lx=lx, ly=ly, t_max=0)
-    state = compiled.new_state(params, 0, oracle.ensemble_buffers(1), logged)
+    state = compiled.new_state(params, oracle.ensemble_buffers(1), logged)
     fields = [name for name, _ in compiled._State._fields_]
     kept = [state._objects.get(f"{fields.index(name):x}") for name in OWNED]
     allocated = sum(ctypes.sizeof(entry[-1]) for entry in kept if entry)
     assert allocated == compiled.state_bytes(lx * ly, logged)
     assert (kept[-1] is not None) == logged
-    if logged:  # tm_run's bound is the buffer's size
+    if logged:  # the kernel pauses at the buffer's size
         lines = max(compiled.EVENT_ROWS, lx * ly)
         assert state.max_text == ctypes.sizeof(kept[-1][-1]) == (
             lines * compiled.kernel().tm_event_line_max())
@@ -350,9 +376,7 @@ def test_stream_handed_over_at_a_position_matches_the_oracle(position):
     for _ in range(position):
         rng.getrandbits(32)  # one word each
     assert rng.getstate()[1][-1] == position
-    rows = oracle.ensemble_buffers(params.t_max + 1)
-    state = oracle.compiled_state(market, params, rows, rng, True)
-    compiled_run = rows, run_logged(state), state
+    compiled_run = run_hand_built(market, params, rng)
     trajectory, events = oracle.Trajectory.empty(params.t_max + 1), array("q")
     oracle.run_sweeps(market, params, rng, trajectory, events)
     assert_same_runs(compiled_run, (trajectory, events, market, rng))
@@ -388,9 +412,7 @@ def test_hand_built_market_runs_as_on_the_oracle():
     rng = random.Random(77)
     market = oracle.init_market(params, rng)
     oracle.run_sweeps(market, params, rng, oracle.Trajectory.empty(8))
-    rows = oracle.ensemble_buffers(params.t_max + 1)
-    state = oracle.compiled_state(market, params, rows, rng, True)
-    compiled_run = rows, run_logged(state), state
+    compiled_run = run_hand_built(market, params, rng)
     trajectory, events = oracle.Trajectory.empty(params.t_max + 1), array("q")
     oracle.run_sweeps(market, params, rng, trajectory, events)
     assert market.sweep == 37
@@ -419,7 +441,7 @@ def test_share_drift_raises_the_python_message():
                                       random.Random(1), logged=True)
         chunks = []
         with pytest.raises(IntegrityError) as compiled_error:
-            compiled.run_sweeps(
+            oracle.run_compiled_state(
                 state, lambda text: chunks.append(str(text, "ascii")))
         assert str(compiled_error.value) == str(python_error.value)
         assert str(compiled_error.value) == (
