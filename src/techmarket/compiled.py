@@ -2,15 +2,18 @@
 ctypes: every replica starts from its seed, runs its sweeps and writes its
 event log in C.
 
-``run_replicas`` runs all of an ensemble's replicas in one C call, on one
-``State`` per worker: the calling thread, and threads that the call starts
-and joins before it returns. A ``State``, which ``new_state`` allocates
-with zeroed buffers for the parameters' lattice, points at its ensemble's
-buffers; a worker reuses it for every replica it claims, writing the
-replica's rows into the ensemble's matrices and its rescues and
-renormalization errors into the rows every replica shares. The lattice's
-neighbor tables and the ensemble's buffers, all ``array`` buffers, are
-shared with C without a copy. The call releases the GIL.
+``run_replicas`` allocates an ensemble's ``Buffers``, runs all of its
+replicas in one C call, on one ``State`` per worker: the calling thread,
+and threads that the call starts and joins before it returns, and returns
+the buffers. A ``State``, which ``new_state`` allocates with zeroed
+buffers for the parameters' lattice and sets with their policy's segment
+code, points at its ensemble's buffers; a worker reuses it for every
+replica it claims, writing the replica's rows into the ensemble's
+matrices and its rescues and renormalization errors into the rows every
+replica shares. The lattice's neighbor tables, the seeds and the buffers,
+all ``array`` buffers, are shared with C without a copy. The call releases
+the GIL. ``kernel_bytes`` counts the bytes they all take, for the memory
+guard.
 A logged ensemble runs on one ``State``, which writes each step's JSON
 line into a text buffer of EVENT_ROWS lines: the call pauses before a
 sweep whose lines might not fit, hands the text to the caller's sink as a
@@ -37,21 +40,17 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import os
 import zlib
 from array import array
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .dynamics import (
-    _POLICY_SEGMENT,
-    RENORM_TOLERANCE,
-    TC_THRESHOLD,
-    renorm_failure,
-)
+from .dynamics import RENORM_TOLERANCE, TC_THRESHOLD, renorm_failure
 from .errors import ConfigError
 from .market import neighbor_tables
-from .params import SimParams, VariantKind
+from .params import PolicyKind, SimParams, VariantKind
 
 SOURCE = Path(__file__).with_name("_sweep.c")
 COMPILER = "gcc"
@@ -219,19 +218,44 @@ def _view(ctype, buffer, n: int) -> ctypes.Array:
     return (ctype * n).from_buffer(buffer)
 
 
-def new_state(params: SimParams, out: Sequence[array],
-              logged: bool) -> _State:
+class Buffers(NamedTuple):
+    """An ensemble's buffers: the replica-major 'd' matrices of N, mean
+    technology and ratio, the per-row rescue sum ('q') and renormalization
+    error maximum ('d'), and each replica's crossing ('d', nan if none)."""
+
+    n_firms: array
+    mean_tech: array
+    ratio: array
+    rescued: array
+    renorm_error: array
+    tc_vals: array
+
+
+def new_buffers(params: SimParams, n_replicas: int) -> Buffers:
+    """Zeroed ``Buffers`` of an ensemble of ``n_replicas`` replicas of
+    ``params``, of t_max + 1 rows each, with no crossing."""
+    rows = params.t_max + 1
+    return Buffers(*(array("d", [0.0]) * (n_replicas * rows)
+                     for _ in range(3)),
+                   array("q", [0]) * rows, array("d", [0.0]) * rows,
+                   array("d", [math.nan]) * n_replicas)
+
+
+#: _sweep.c's SEGMENT_* code of the segment (see dynamics) a policy covers
+_SEGMENT = {PolicyKind.EGALITARIAN: -1,  # SEGMENT_ANY: every firm
+            PolicyKind.LOW_TECH: 0, PolicyKind.MEDIUM_TECH: 1,
+            PolicyKind.HIGH_TECH: 2}
+
+
+def new_state(params: SimParams, buffers: Buffers, logged: bool) -> _State:
     """A State of ``params`` with zeroed buffers for its lattice, writing
-    replica 0's rows of the ensemble whose buffers are ``out``: the
-    replica-major 'd' matrices of N, mean technology and ratio, then the
-    per-row rescue sum ('q') and renormalization error maximum ('d'), of
-    ``len(out[3])`` rows each. A replica the State claims points its rows
-    at that replica's, and its event log's lines, when ``logged`` gives it
-    a text buffer, name that replica. The struct keeps the ctypes arrays it
-    points into alive, and the from_buffer views keep the tables and the
-    ensemble's buffers."""
-    n_mat, a_mat, r_mat, rescued_sum, renorm_max = out
-    rows = len(rescued_sum)
+    replica 0's rows of the ensemble whose buffers are ``buffers``, of
+    ``len(buffers.rescued)`` rows each. A replica the State claims points
+    its rows at that replica's, and its event log's lines, when ``logged``
+    gives it a text buffer, name that replica. The struct keeps the ctypes
+    arrays it points into alive, and the from_buffer views keep the tables
+    and the ensemble's buffers."""
+    rows = len(buffers.rescued)
     n_sites = params.lx * params.ly
     cap = 2 * n_sites  # see State.id in _sweep.c
     vn4, moore8 = neighbor_tables(params.lx, params.ly)
@@ -239,8 +263,7 @@ def new_state(params: SimParams, out: Sequence[array],
     return _State(
         s=params.s, b=params.b, q=params.q, omega_s=params.omega_s,
         sigma=params.sigma, tolerance=RENORM_TOLERANCE,
-        n_min=params.n_min,
-        segment=_POLICY_SEGMENT.get(params.policy, -1),  # -1: SEGMENT_ANY
+        n_min=params.n_min, segment=_SEGMENT[params.policy],
         passive=params.variant is VariantKind.PASSIVE_AFTER_RESCUE,
         vn4=(_INT * (4 * n_sites)).from_buffer(vn4),
         moore8=(_INT * (8 * n_sites)).from_buffer(moore8),
@@ -248,11 +271,11 @@ def new_state(params: SimParams, out: Sequence[array],
         share=(_F64 * cap)(), site=(_I32 * cap)(), order=(_I32 * cap)(),
         mt=(ctypes.c_uint32 * _MT_WORDS)(),
         n_rows=rows,
-        n_firms=_view(_F64, n_mat, rows),
-        mean_tech=_view(_F64, a_mat, rows),
-        ratio=_view(_F64, r_mat, rows),
-        rescued=_view(_I64, rescued_sum, rows),
-        renorm_error=_view(_F64, renorm_max, rows),
+        n_firms=_view(_F64, buffers.n_firms, rows),
+        mean_tech=_view(_F64, buffers.mean_tech, rows),
+        ratio=_view(_F64, buffers.ratio, rows),
+        rescued=_view(_I64, buffers.rescued, rows),
+        renorm_error=_view(_F64, buffers.renorm_error, rows),
         threshold=TC_THRESHOLD, crossing=-1,
         text=(ctypes.c_char * max_text)() if logged else None,
         max_text=max_text)
@@ -264,15 +287,6 @@ def _text_bytes(n_sites: int) -> int:
     return max(EVENT_ROWS, n_sites) * kernel().tm_event_line_max()
 
 
-def state_bytes(n_sites: int, logged: bool) -> int:
-    """Bytes of the buffers ``new_state`` allocates on a lattice of
-    ``n_sites`` sites: occ, then id, tech, share, site and order for twice
-    the sites (see State.id in _sweep.c), the stream, and a logged
-    replica's text buffer."""
-    return ((4 + 2 * (8 + 8 + 8 + 4 + 4)) * n_sites + 4 * _MT_WORDS
-            + (_text_bytes(n_sites) if logged else 0))
-
-
 def workers(jobs: int, n_replicas: int, logged: bool) -> int:
     """The States ``run_replicas`` runs an ensemble on: one for a logged
     ensemble, whose lines then come in replica order, else one per job up
@@ -280,16 +294,33 @@ def workers(jobs: int, n_replicas: int, logged: bool) -> int:
     return 1 if logged else min(jobs, n_replicas)
 
 
-def run_replicas(params: SimParams, seeds: Sequence[int],
-                 out: Sequence[array], tc_vals: array, jobs: int,
-                 events: Optional[Callable] = None) -> None:
-    """Run replica k of an ensemble of ``params`` from ``seeds[k]`` for
-    every k, in one C call on ``workers(jobs, len(seeds), logged)``
-    States: the calling thread and a thread for each further State, which
-    the call starts and joins (see tm_run_ensemble). Each replica writes its
-    rows into the ensemble's buffers ``out`` (see ``new_state``) and its
-    crossing, if any, into ``tc_vals[k]``. With an event sink, a callable,
-    the replicas run one after another on one State, and the C call, paused
+def kernel_bytes(params: SimParams, n_replicas: int, jobs: int,
+                 logged: bool) -> int:
+    """The bytes ``run_replicas`` allocates for ``n_replicas`` replicas of
+    ``params`` at ``jobs``, with an event sink when ``logged``: the
+    ``Buffers`` (24 bytes a replica and row for the matrices, 16 a row, 8
+    a replica), the lattice's neighbor tables (48 bytes a site), and what
+    ``new_state`` allocates for each of the ``workers``: occ, then id,
+    tech, share, site and order for twice the sites (see State.id in
+    _sweep.c), the stream, and a logged State's text buffer, whose text
+    goes to the sink without a copy."""
+    rows = params.t_max + 1
+    n_sites = params.lx * params.ly
+    state = ((4 + 2 * (8 + 8 + 8 + 4 + 4)) * n_sites + 4 * _MT_WORDS
+             + (_text_bytes(n_sites) if logged else 0))
+    return ((24 * n_replicas + 16) * rows + 8 * n_replicas + 48 * n_sites
+            + workers(jobs, n_replicas, logged) * state)
+
+
+def run_replicas(params: SimParams, seeds: array, jobs: int,
+                 events: Optional[Callable] = None) -> Buffers:
+    """The ``Buffers`` of an ensemble of ``params`` whose replica k runs
+    from ``seeds[k]``, an array('Q') read in place, for every k, in one C
+    call on ``workers(jobs, len(seeds), logged)`` States: the calling
+    thread and a thread for each further State, which the call starts and
+    joins (see tm_run_ensemble). Each replica writes its rows and its
+    crossing, if any, into the buffers. With an event sink, a callable, the
+    replicas run one after another on one State, and the C call, paused
     whenever its text is full, passes each part's lines to the sink, ASCII,
     as one memoryview of the State's text buffer: the sink writes or copies
     them before it returns, as the next call overwrites them. A replica
@@ -298,20 +329,21 @@ def run_replicas(params: SimParams, seeds: Sequence[int],
     with a note naming its seed, after the failing sweep's lines are passed
     on."""
     lib = kernel()
-    n, rows, logged = len(seeds), len(out[3]), events is not None
-    states = [new_state(params, out, logged)
+    n, rows, logged = len(seeds), params.t_max + 1, events is not None
+    buffers = new_buffers(params, n)
+    states = [new_state(params, buffers, logged)
               for _ in range(workers(jobs, n, logged))]
     ensemble = _Ensemble(
         states=(ctypes.POINTER(_State) * len(states))(
             *map(ctypes.pointer, states)),
         n_states=len(states),
-        seeds=_view(ctypes.c_uint64, array("Q", seeds), n),
+        seeds=_view(ctypes.c_uint64, seeds, n),
         n_replicas=n, n_sites=params.lx * params.ly,
         n0=params.n_initial_firms,
-        n_firms=_view(_F64, out[0], n * rows),
-        mean_tech=_view(_F64, out[1], n * rows),
-        ratio=_view(_F64, out[2], n * rows),
-        tc_vals=_view(_F64, tc_vals, n), failed=n)
+        n_firms=_view(_F64, buffers.n_firms, n * rows),
+        mean_tech=_view(_F64, buffers.mean_tech, n * rows),
+        ratio=_view(_F64, buffers.ratio, n * rows),
+        tc_vals=_view(_F64, buffers.tc_vals, n), failed=n)
     status = _until_done(lambda: lib.tm_run_ensemble(ctypes.byref(ensemble)),
                          states[0], events)
     if status == _RENORM_ABOVE_TOLERANCE:
@@ -320,21 +352,24 @@ def run_replicas(params: SimParams, seeds: Sequence[int],
         error = renorm_failure(state.err, state.sweep)
         error.add_note(f"replica seed {seeds[k]}")
         raise error
+    return buffers
 
 
 def _until_done(call: Callable[[], int], state: _State,
                 events: Optional[Callable]) -> int:
     """Call ``call`` until it returns other than PAUSED, and return that;
     with an event sink, pass it the text ``state`` wrote in each call, as
-    a memoryview of the State's buffer that the next call overwrites."""
+    a memoryview of the State's buffer that the next call overwrites.
+    The view is sliced, as ctypes keeps every array type it makes, one for
+    each length, until the process ends."""
     if events is not None:
-        address = ctypes.addressof(state.text.contents)
+        text = memoryview((ctypes.c_char * state.max_text).from_address(
+            ctypes.addressof(state.text.contents)))
     status = _PAUSED
     while status == _PAUSED:
         status = call()
         if events is not None:
-            text = ctypes.c_char * state.n_text
-            events(memoryview(text.from_address(address)))
+            events(text[:state.n_text])
     return status
 
 

@@ -15,8 +15,10 @@ random order. Each visit runs the update cycle:
 
 1. If more than n_min firms are alive, roll for survival. A firm whose roll
    fails may still be rescued by the government with probability q, provided
-   the active policy covers its current technology segment. A bankrupted
-   firm leaves its site and its share is split equally among the survivors.
+   the active policy covers its current technology segment: Low below
+   <A> - sigma_g, High above <A> + sigma_g, else Medium, with sigma_g the
+   spread of the live firms' technologies. A bankrupted firm leaves its
+   site and its share is split equally among the survivors.
 2. Under the passive variant a rescued firm ends its step; under the active
    variant it carries on like any survivor.
 3. A surviving firm picks one of its 4 von Neumann neighbor sites. If the
@@ -74,20 +76,12 @@ left out when there is none.
 from __future__ import annotations
 
 from .errors import IntegrityError
-from .market import Segment
-from .params import PolicyKind
 
 #: Allowed pre-correction drift of sum(shares) from 1 at a sweep boundary.
 RENORM_TOLERANCE = 1e-2
 #: Threshold the mean technology must reach to end the catch-up phase; the
 #: frontier value at t=0.
 TC_THRESHOLD = 1.0
-
-_POLICY_SEGMENT = {
-    PolicyKind.LOW_TECH: Segment.LOW,
-    PolicyKind.MEDIUM_TECH: Segment.MEDIUM,
-    PolicyKind.HIGH_TECH: Segment.HIGH,
-}
 
 
 def renorm_failure(err: float, t: int) -> IntegrityError:

@@ -6,10 +6,11 @@ is n_replicas of them run from seeds derived as ``derive_seed(params.seed,
 k)`` for replica k. An ensemble's replicas run in one call of the
 compiled kernel (``compiled.run_replicas``), each from its seed through
 all of its sweeps, on threads that the call starts and joins; each writes
-its rows straight into the ensemble's buffers, so no replica keeps a
-trajectory of its own and Python does nothing per replica. No replica
-leaves the process, and the statistics and event logs are identical at
-any thread count.
+its rows straight into the ensemble's buffers, which the call allocates
+and returns, so no replica keeps a trajectory of its own and Python does
+nothing per replica. No replica leaves the process, and the statistics
+and event logs are identical at any thread count. ``bytes_needed`` is the
+memory guard's count of what a run holds.
 
 Across-replica spread is reported as the population standard deviation
 (divide by n), matching descriptive +-1 SD bands. The statistics are
@@ -81,17 +82,18 @@ def estimate_tc(mean_tech_series: Sequence[float]) -> Optional[int]:
                  if a >= TC_THRESHOLD), None)
 
 
-def replica_seeds(base_seed: int, n_replicas: int) -> list[int]:
-    return [derive_seed(base_seed, k) for k in range(n_replicas)]
+def replica_seeds(base_seed: int, n_replicas: int) -> array:
+    """The replicas' seeds, an array('Q') the kernel reads in place."""
+    return array("Q", (derive_seed(base_seed, k) for k in range(n_replicas)))
 
 
 def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
                      event_log: Optional[BinaryIO] = None) -> EnsembleStats:
     """The statistics of an ensemble from base seed ``params.seed``, whose
     replicas run ``jobs`` at a time. Each replica's kernel run writes its N,
-    mean technology and ratio rows into (replicas x sweeps) matrices, 24
-    bytes per replica and sweep, and adds its rescues and renormalization
-    errors to the per-sweep sum and maximum, 16 bytes a sweep.
+    mean technology and ratio rows into (replicas x sweeps) matrices, and
+    adds its rescues and renormalization errors to the per-sweep sum and
+    maximum, which ``compiled.run_replicas`` allocates and returns.
 
     Every replica runs in one kernel call (``compiled.run_replicas``), on
     min(jobs, n_replicas) workers: the calling thread and threads that the
@@ -109,49 +111,41 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
     rows = params.t_max + 1
-    n_mat, a_mat, r_mat = (array("d", [0.0]) * (n_replicas * rows)
-                           for _ in range(3))
-    rescued_sum = array("q", [0]) * rows
-    renorm_error = array("d", [0.0]) * rows
-    tc_vals = array("d", [math.nan]) * n_replicas
-    compiled.run_replicas(
-        params, replica_seeds(params.seed, n_replicas),
-        (n_mat, a_mat, r_mat, rescued_sum, renorm_error), tc_vals, jobs,
+    out = compiled.run_replicas(
+        params, replica_seeds(params.seed, n_replicas), jobs,
         None if event_log is None else event_log.write)
-    n_mean, n_sd = _column_stats(n_mat, rows)
-    a_mean, a_sd = _column_stats(a_mat, rows)
-    ratio_mean, ratio_sd = _column_stats(r_mat, rows)
+    n_mean, n_sd = _column_stats(out.n_firms, rows)
+    a_mean, a_sd = _column_stats(out.mean_tech, rows)
+    ratio_mean, ratio_sd = _column_stats(out.ratio, rows)
     return _stats({
         "t": array("q", range(rows)),
         "n_mean": n_mean, "n_sd": n_sd,
         "a_mean": a_mean, "a_sd": a_sd,
         "ratio_mean": ratio_mean, "ratio_sd": ratio_sd,
-        "rescued_sum": rescued_sum,
-        "renorm_error": renorm_error,
-    }, tc_vals)
+        "rescued_sum": out.rescued,
+        "renorm_error": out.renorm_error,
+    }, out.tc_vals)
 
 
 def bytes_needed(params: SimParams, n_replicas: int, jobs: int,
-                 logged: bool) -> int:
-    """The most bytes ``run_trajectories(params, n_replicas, jobs)`` and
-    ``stored_ensemble``'s slice of its result hold at once, with an event
-    log when ``logged``. It counts:
-
-    - the three replica-major matrices, 24 bytes a replica and row;
-    - the per-row rescue sum and renormalization error maximum, 16 bytes a
-      row;
-    - the statistics' seven other per-row arrays, made while the matrices
-      are held, 56 bytes a row;
-    - the store's slice, a copy of the nine per-row arrays, 72 bytes a row;
-    - the lattice's neighbor tables, 12 ints (48 bytes) a site;
-    - the C buffers of the States the replicas run on, ``state_bytes``
-      each: one per worker, and a single one, with its text buffer, for a
-      logged ensemble, whose text goes to the log without a copy."""
+                 logged: bool, cells: int = 1) -> int:
+    """The most bytes a scenario of ``cells`` cells like ``params`` holds
+    while ``run_trajectories(params, n_replicas, jobs)`` runs one, with an
+    event log when ``logged``, and ``stored_ensemble`` slices it. It counts
+    ``compiled.kernel_bytes``; each replica's seed, 8 bytes, and 80 for
+    the statistics of a vector (the crossings, or a single sweep): two
+    floats and their list slots a value, and the pairwise sum's slices; the
+    statistics' seven other rows, 56 bytes a row; the store's slice, 72
+    bytes a row and 8 a replica; and in a scenario of two or more cells as
+    much again for each cell: the store's entries of the others and the
+    slice of the cell before, held while the next runs. (A curve cell's
+    entry of its previous horizon fits in what its statistics do not yet
+    take.) Entries left by earlier scenarios are not counted."""
     rows = params.t_max + 1
-    n_sites = params.lx * params.ly
-    states = compiled.workers(jobs, n_replicas, logged)
-    return ((n_replicas * 24 + 16 + 56 + 72) * rows + 48 * n_sites
-            + states * compiled.state_bytes(n_sites, logged))
+    held = cells if cells > 1 else 0
+    return (compiled.kernel_bytes(params, n_replicas, jobs, logged)
+            + (8 + 80 + 8 + 8 * held) * n_replicas
+            + (56 + 72 + 72 * held) * rows)
 
 
 def _pairwise_sum(x: Sequence[float]) -> float:

@@ -1,4 +1,4 @@
-"""Lattice geometry and technology segments.
+"""Lattice geometry.
 
 The market lives on a periodic (toroidal) rectangular lattice. Each occupied
 site holds one firm with a technology level A_i >= 0 and a market share
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 from array import array
-from enum import IntEnum
 
 # von Neumann then Moore offsets; table order fixes the meaning of each
 # direction draw in the update step.
@@ -23,17 +22,6 @@ _MOORE_OFFSETS = (
     (-1, 0), (1, 0),
     (-1, 1), (0, 1), (1, 1),
 )
-
-
-class Segment(IntEnum):
-    """Technology segment relative to the market mean <A> and the spread
-    sigma_g of the live firms' technologies: Low below <A> - sigma_g, High
-    above <A> + sigma_g, Medium between (boundaries included in Medium).
-    Valued as ``_sweep.c``'s SEGMENT_*."""
-
-    LOW = 0
-    MEDIUM = 1
-    HIGH = 2
 
 
 @functools.lru_cache(maxsize=64)

@@ -123,7 +123,8 @@ def run_scenario(name: str, base: SimParams, controls: RunControls,
     cells = resolve_cells(name, base, controls)
     replicas = controls.replicas
     t_max = cells[0][1].t_max
-    need = bytes_needed(cells[0][1], replicas, controls.jobs, controls.events)
+    need = bytes_needed(cells[0][1], replicas, controls.jobs, controls.events,
+                        len(cells))
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(

@@ -11,10 +11,14 @@ counts each sweep's bankruptcies. A step's outcome is an ``EventKind`` and
 its record an event row of EVENT_FIELDS integers, this module's own format
 too; ``emit_event_log`` renders the rows as the lines the kernel writes.
 
+This module owns the oracle's names for what the kernel codes as
+integers: a step's ``EventKind`` and a firm's technology ``Segment``, with
+the segment each policy covers.
+
 ``kernel_replica`` runs one replica on the kernel as the only replica of an
-ensemble, whose buffers are then its own rows. ``compiled_state`` fills a
-kernel State from a market of this module, and ``run_compiled_state`` runs
-it to its end through the ensemble entry, so that the kernel can start
+ensemble, whose ``compiled.Buffers`` are then its own rows. ``compiled_state``
+fills a kernel State from a market of this module, and ``run_compiled_state``
+runs it to its end through the ensemble entry, so that the kernel can start
 from a hand-built market.
 """
 from __future__ import annotations
@@ -25,16 +29,12 @@ import random
 from array import array
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, NamedTuple, Optional, TextIO
+from typing import Iterable, Optional, TextIO
 
 from techmarket import compiled
-from techmarket.dynamics import (
-    _POLICY_SEGMENT,
-    RENORM_TOLERANCE,
-    renorm_failure,
-)
-from techmarket.market import Segment, neighbor_tables
-from techmarket.params import SimParams, VariantKind
+from techmarket.dynamics import RENORM_TOLERANCE, renorm_failure
+from techmarket.market import neighbor_tables
+from techmarket.params import PolicyKind, SimParams, VariantKind
 
 
 class EventKind(IntEnum):
@@ -61,6 +61,25 @@ EVENT_FIELDS = 6
 
 #: The ``,"kind":"<name>"`` fragment of an event line, by EventKind value.
 _KIND_FIELDS = {kind: f',"kind":"{kind.name.lower()}"' for kind in EventKind}
+
+
+class Segment(IntEnum):
+    """Technology segment relative to the market mean <A> and the spread
+    sigma_g of the live firms' technologies: Low below <A> - sigma_g, High
+    above <A> + sigma_g, Medium between (boundaries included in Medium).
+    Valued as ``_sweep.c``'s SEGMENT_*."""
+
+    LOW = 0
+    MEDIUM = 1
+    HIGH = 2
+
+
+#: The segment each policy but the egalitarian one covers.
+_POLICY_SEGMENT = {
+    PolicyKind.LOW_TECH: Segment.LOW,
+    PolicyKind.MEDIUM_TECH: Segment.MEDIUM,
+    PolicyKind.HIGH_TECH: Segment.HIGH,
+}
 
 
 #: array typecodes of Trajectory's columns, in field order: int64 and
@@ -495,43 +514,30 @@ def emit_event_log(out: TextIO, replica: int, events: array) -> None:
 
 # -- the kernel's runs --------------------------------------------------------
 
-class Rows(NamedTuple):
-    """An ensemble's buffers, in the order ``compiled.new_state`` takes
-    them as ``out``. In a one-replica ensemble they are the replica's rows,
-    N as a float64: the columns an oracle Trajectory has but bankrupted."""
-
-    n_firms: array
-    mean_tech: array
-    ratio: array
-    rescued: array
-    renorm_error: array
+#: The rows a kernel replica's ``compiled.Buffers`` and an oracle
+#: ``Trajectory`` both have: every buffer but the crossings, which the
+#: Trajectory leaves to its mean technology's first row at TC_THRESHOLD.
+SHARED_ROWS = ("n_firms", "mean_tech", "ratio", "rescued", "renorm_error")
 
 
-def ensemble_buffers(rows: int, replicas: int = 1) -> Rows:
-    """Zeroed buffers of an ensemble of ``replicas`` replicas of ``rows``
-    rows, as ``run_trajectories`` makes them."""
-    return Rows(*(array("d", [0.0]) * (replicas * rows) for _ in range(3)),
-                array("q", [0]) * rows, array("d", [0.0]) * rows)
+def kernel_replica(params: SimParams, seed: int,
+                   events=None) -> compiled.Buffers:
+    """The buffers of the kernel's replica of (params, seed), run by
+    ``compiled.run_replicas`` as the only replica of an ensemble: its rows,
+    N as a float64, and its crossing."""
+    return compiled.run_replicas(params, array("Q", [seed]), 1, events)
 
 
-def kernel_replica(params: SimParams, seed: int, events=None) -> Rows:
-    """The rows of the kernel's replica of (params, seed), run by
-    ``compiled.run_replicas`` as the only replica of an ensemble."""
-    rows = ensemble_buffers(params.t_max + 1)
-    compiled.run_replicas(params, [seed], rows, array("d", [math.nan]), 1,
-                          events)
-    return rows
-
-
-def compiled_state(market: MarketState, params: SimParams, rows: Rows,
-                   rng: random.Random,
+def compiled_state(market: MarketState, params: SimParams,
+                   buffers: compiled.Buffers, rng: random.Random,
                    logged: bool = False) -> ctypes.Structure:
     """A ``compiled.new_state`` holding ``market`` and the stream of
-    ``rng``, writing replica 0's rows into ``rows``, an
-    ``ensemble_buffers``, for ``run_compiled_state`` to run from the
-    market's sweep: firms in slots in the registry's order. The market's
-    lattice must be params' shape; ``market`` and ``rng`` are only read."""
-    state = compiled.new_state(params, rows, logged)
+    ``rng``, writing replica 0's rows into ``buffers``, a
+    ``compiled.new_buffers`` of one replica, for ``run_compiled_state`` to
+    run from the market's sweep: firms in slots in the registry's order.
+    The market's lattice must be params' shape; ``market`` and ``rng`` are
+    only read."""
+    state = compiled.new_state(params, buffers, logged)
     firms = list(market.firms.values())
     slot = {f.id: k for k, f in enumerate(firms)}
     for k, f in enumerate(firms):

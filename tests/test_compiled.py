@@ -36,6 +36,7 @@ from techmarket import (
 from techmarket.cli import main
 from techmarket.dynamics import TC_THRESHOLD
 from techmarket.ensemble import run_ensemble
+from techmarket.market import neighbor_tables
 from techmarket.rng import derive_seed
 
 import oracle
@@ -125,18 +126,17 @@ def run_both(params, seed, replica=0):
     ``random.Random(seed)``: the compiled run's (rows, event log text a
     chunk per kernel call, State, crossings), its rows those of replica
     ``replica``, then the oracle's (trajectory, event rows, market, rng)."""
-    n, rows = replica + 1, params.t_max + 1
-    out, tc_vals = oracle.ensemble_buffers(rows, n), array("d", [math.nan]) * n
+    rows = params.t_max + 1
     compiled.kernel()  # loaded first: the load checks _Ensemble's size
     with pytest.MonkeyPatch.context() as mp:
         states = spy_states(mp)
         mp.setattr(compiled, "_Ensemble",
                    functools.partial(compiled._Ensemble, next=replica))
-        _, chunks = run_logged(lambda sink: compiled.run_replicas(
-            params, [0] * replica + [seed], out, tc_vals, 1, sink))
-    own = oracle.Rows(*(column[replica * rows:] for column in out[:3]),
-                      *out[3:])
-    compiled_run = own, chunks, states.pop(), tc_vals
+        out, chunks = run_logged(lambda sink: compiled.run_replicas(
+            params, array("Q", [0] * replica + [seed]), 1, sink))
+    own = out._replace(**{name: getattr(out, name)[replica * rows:]
+                          for name in ("n_firms", "mean_tech", "ratio")})
+    compiled_run = own, chunks, states.pop(), out.tc_vals
     rng = random.Random(seed)
     market = oracle.init_market(params, rng)
     trajectory, events = oracle.Trajectory.empty(rows), array("q")
@@ -148,7 +148,7 @@ def run_hand_built(market, params, rng):
     """The kernel's logged run of a State filled from ``market`` and the
     stream of ``rng``, which are only read: (rows, event log text a chunk
     per kernel call, State, crossings)."""
-    rows = oracle.ensemble_buffers(params.t_max + 1)
+    rows = compiled.new_buffers(params, 1)
     state = oracle.compiled_state(market, params, rows, rng, True)
     tc_vals, chunks = run_logged(
         lambda sink: oracle.run_compiled_state(state, sink))
@@ -176,7 +176,7 @@ def assert_same_runs(compiled_run, oracle_run, replica=0):
     that replica, nan when it never crosses."""
     (tr_c, chunks, state, tc_vals), (tr_py, events, market, rng) = (
         compiled_run, oracle_run)
-    for name in oracle.Rows._fields:
+    for name in oracle.SHARED_ROWS:
         assert np.array_equal(getattr(tr_c, name), getattr(tr_py, name)), name
     crossing = next((row for row, a in enumerate(tr_py.mean_tech)
                      if a >= TC_THRESHOLD), -1)
@@ -347,16 +347,24 @@ OWNED = ("occ", "id", "tech", "share", "site", "order", "mt", "text")
 @pytest.mark.parametrize("lx,ly", [(10, 10), (80, 60)],
                          ids=["10x10", "80x60"])
 def test_state_bytes_is_what_new_state_allocates(logged, lx, ly):
-    """``state_bytes`` is the sum of the buffers a ``new_state`` points to,
-    read where the struct keeps them alive: ``_objects``, keyed by field
-    index in hex, each entry ending with the array. 80x60 has more sites
-    than EVENT_ROWS, so its text buffer holds a line per site."""
-    params = SimParams(lx=lx, ly=ly, t_max=0)
-    state = compiled.new_state(params, oracle.ensemble_buffers(1), logged)
+    """``kernel_bytes`` counts for each State the sum of the buffers a
+    ``new_state`` points to, read where the struct keeps them alive:
+    ``_objects``, keyed by field index in hex, each entry ending with the
+    array; and the ensemble's ``new_buffers`` and the neighbor tables.
+    80x60 has more sites than EVENT_ROWS, so its text buffer holds a line
+    per site."""
+    params = SimParams(lx=lx, ly=ly, t_max=7)
+    state = compiled.new_state(params, compiled.new_buffers(params, 1),
+                               logged)
     fields = [name for name, _ in compiled._State._fields_]
     kept = [state._objects.get(f"{fields.index(name):x}") for name in OWNED]
     allocated = sum(ctypes.sizeof(entry[-1]) for entry in kept if entry)
-    assert allocated == compiled.state_bytes(lx * ly, logged)
+    tables = neighbor_tables(lx, ly)
+    for n, jobs in ((3, 2), (1, 4)):
+        buffers = compiled.new_buffers(params, n)
+        assert compiled.kernel_bytes(params, n, jobs, logged) == (
+            sum(len(b) * b.itemsize for b in (*buffers, *tables))
+            + compiled.workers(jobs, n, logged) * allocated)
     assert (kept[-1] is not None) == logged
     if logged:  # the kernel pauses at the buffer's size
         lines = max(compiled.EVENT_ROWS, lx * ly)
@@ -399,7 +407,7 @@ def test_replicas_run_on_the_compiled_kernel(monkeypatch):
 ], ids=["mediumtech_passive", "egalitarian_active"])
 def test_replica_columns_match_across_kernels(params):
     compiled_run, oracle_run = run_both(params, derive_seed(3, 1))
-    for name in oracle.Rows._fields:
+    for name in oracle.SHARED_ROWS:
         assert np.array_equal(getattr(compiled_run[0], name),
                               getattr(oracle_run[0], name)), name
 
@@ -436,7 +444,7 @@ def test_share_drift_raises_the_python_message():
                               random.Random(1),
                               oracle.Trajectory.empty(params.t_max + 1),
                               events)
-        rows = oracle.ensemble_buffers(params.t_max + 1)
+        rows = compiled.new_buffers(params, 1)
         state = oracle.compiled_state(market, params, rows,
                                       random.Random(1), logged=True)
         chunks = []
@@ -600,11 +608,10 @@ def test_kernel_built_at_O0_gives_the_shipped_bits(monkeypatch, tmp_path,
     def run_cells():
         runs = []
         for params in cells:
-            seeds = [derive_seed(params.seed, k) for k in range(4)]
-            rows = oracle.ensemble_buffers(params.t_max + 1, len(seeds))
-            tc_vals = array("d", [math.nan]) * len(seeds)
-            compiled.run_replicas(params, seeds, rows, tc_vals, 2)
-            runs.append([bytes(buffer) for buffer in (*rows, tc_vals)])
+            seeds = array("Q", (derive_seed(params.seed, k)
+                                for k in range(4)))
+            out = compiled.run_replicas(params, seeds, 2)
+            runs.append([bytes(buffer) for buffer in out])
         return runs
 
     shipped = run_cells()

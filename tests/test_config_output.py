@@ -11,6 +11,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from array import array
 from dataclasses import replace
 from pathlib import Path
@@ -35,7 +36,7 @@ from techmarket.config import (
     parse_config_file,
     resolve_config,
 )
-from techmarket.ensemble import run_ensemble
+from techmarket.ensemble import bytes_needed, run_ensemble
 from techmarket.rng import derive_seed
 from techmarket.output import (
     TC_CURVE_HEADER,
@@ -462,9 +463,9 @@ class TestScenarios:
         real = compiled.run_replicas
         calls = []
 
-        def spy(params, seeds, out, tc_vals, jobs, events=None):
+        def spy(params, seeds, jobs, events=None):
             calls.extend([events is not None] * len(seeds))
-            return real(params, seeds, out, tc_vals, jobs, events)
+            return real(params, seeds, jobs, events)
 
         monkeypatch.setattr(compiled, "run_replicas", spy)
         flags = {"seed": "5", "tmax": "12", "replicas": "2", "q": "0.5"}
@@ -870,9 +871,12 @@ class TestCli:
         """The guard counts the ensemble's matrices (24 bytes a replica and
         row), the rescue sum and renormalization error maximum (16 bytes a
         row), the statistics' other rows and the store's slice of them (56
-        and 72 bytes a row), the neighbor tables (48 bytes a site) and the C
-        buffers of the States the replicas run on: one per worker, and one
-        with a text buffer for a logged run at any jobs."""
+        and 72 bytes a row), 104 bytes a replica (its seed, its crossing,
+        the crossings' statistics and their slice), the neighbor tables (48
+        bytes a site) and the C buffers of the States the replicas run on:
+        one per worker, and one with a text buffer for a logged run at any
+        jobs. A preset of three cells adds, for each cell, 72 bytes a row
+        and 8 a replica."""
         have = [0]
         real = os.sysconf
         monkeypatch.setattr(os, "sysconf", lambda name: {
@@ -880,21 +884,24 @@ class TestCli:
             or real(name))
         flags = ["--tmax", "10", "--replicas", "3"]
         # 3 replicas of 11 rows in the matrices (24 bytes), 11 rows of 144
-        # bytes, the 10x10 tables, and per State 68 bytes a site and the
-        # 2,500-byte stream; a logged State adds a text buffer of 4,096
-        # lines of 187 bytes
-        base = 3 * 11 * 24 + 11 * 144 + 48 * 100
+        # bytes, 3 replicas of 104 bytes, the 10x10 tables, and per State 68
+        # bytes a site and the 2,500-byte stream; a logged State adds a
+        # text buffer of 4,096 lines of 187 bytes
+        base = 3 * 11 * 24 + 11 * 144 + 3 * 104 + 48 * 100
         state = 68 * 100 + 2500
         # on 2 threads, 2 States; serially one; logged one at any jobs
         threaded = base + 2 * state
         serial = base + state
         logged = base + state + 4096 * 187
+        preset = threaded + 3 * (11 * 72 + 3 * 8)
         # the matrices were once left out: that count is too little
         uncounted = threaded - 3 * 11 * 24
         for extra, have[0], code in (
                 (["--jobs", "2"], threaded, 0),
                 (["--jobs", "2"], threaded - 1, 1),
                 (["--jobs", "2"], uncounted, 1),
+                (["--scenario", "fig2", "--jobs", "2"], preset, 0),
+                (["--scenario", "fig2", "--jobs", "2"], preset - 1, 1),
                 (["--jobs", "1"], serial, 0),
                 (["--jobs", "1"], serial - 1, 1),
                 (["--events", "--jobs", "2"], logged, 0),
@@ -916,6 +923,26 @@ class TestCli:
         assert err.startswith("config error: replicas=1 and tmax=0 need ")
         assert "32768x32768 lattice buffers" in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_preset_peak_is_below_the_memory_guard(self, tmp_path):
+        """A preset of three cells that share no ensemble holds the store's
+        entries of the cells before, and the slice of the cell before,
+        while the next runs: its traced peak, about 7.3 MB at one replica
+        of 20,000 sweeps, is below the guard's count, which once counted
+        one cell (3.4 MB)."""
+        params, controls = resolve_config(
+            None, {"scenario": "fig2", "replicas": "1", "tmax": "20000",
+                   "sigma": "0.0001", "out": str(tmp_path)})
+        cells = resolve_cells("fig2", params, controls)
+        assert len(cells) == 3
+        run_ensemble(SimParams(t_max=1), 1)  # the kernel is loaded first
+        tracemalloc.start()
+        try:
+            run_scenario("fig2", params, controls)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bytes_needed(cells[0][1], 1, controls.jobs, False, 3)
 
     def test_help_exit_zero_and_names_presets(self, capsys):
         with pytest.raises(SystemExit) as exit_:

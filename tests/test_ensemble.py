@@ -40,7 +40,7 @@ from conftest import (
     lowest_failing,
     record_workers,
 )
-from oracle import ensemble_buffers, kernel_replica
+from oracle import SHARED_ROWS, kernel_replica
 
 
 SRC = Path(__file__).parents[1] / "src"
@@ -63,7 +63,7 @@ class TestRunReplica:
     def test_series_length_and_clock(self):
         p = small_params(t_max=25)
         tr = kernel_replica(p, derive_seed(p.seed, 0))
-        assert all(len(column) == 26 for column in tr)
+        assert all(len(getattr(tr, name)) == 26 for name in SHARED_ROWS)
 
     def test_bit_identical_reruns(self):
         p = small_params(t_max=40)
@@ -135,14 +135,13 @@ def write_rows(out, k, n_firms, mean_tech, ratio, rescued, renorm_error):
     """What replica k's kernel run writes into the ensemble's buffers
     ``out``: its rows of the matrices, then its rescues and renormalization
     errors added to the per-row sum and maximum."""
-    n_mat, a_mat, r_mat, rescued_sum, renorm_max = out
-    rows = len(rescued_sum)
-    for matrix, values in ((n_mat, n_firms), (a_mat, mean_tech),
-                           (r_mat, ratio)):
+    rows = len(out.rescued)
+    for matrix, values in ((out.n_firms, n_firms), (out.mean_tech, mean_tech),
+                           (out.ratio, ratio)):
         matrix[k * rows:(k + 1) * rows] = array("d", values)
     for t in range(rows):
-        rescued_sum[t] += rescued[t]
-        renorm_max[t] = max(renorm_max[t], renorm_error[t])
+        out.rescued[t] += rescued[t]
+        out.renorm_error[t] = max(out.renorm_error[t], renorm_error[t])
 
 
 class TestRunEnsemble:
@@ -190,11 +189,13 @@ class TestRunEnsemble:
     def test_constant_synthetic_ensemble(self, monkeypatch):
         import techmarket.ensemble as ens
 
-        def synthetic(params, seeds, out, tc_vals, jobs, events=None):
+        def synthetic(params, seeds, jobs, events=None):
+            out = compiled.new_buffers(params, len(seeds))
             for k in range(len(seeds)):
                 write_rows(out, k, [7] * 5, [3.0] * 5, [3.0] * 5, [0] * 5,
                            [0.0] * 5)
-                tc_vals[k] = 0
+                out.tc_vals[k] = 0
+            return out
 
         monkeypatch.setattr(compiled, "run_replicas", synthetic)
         st = ens.run_trajectories(small_params(t_max=4), 4)
@@ -232,15 +233,17 @@ class TestRunEnsemble:
         renorm = gen.uniform(0.0, 1e-12, (n_replicas, rows))
         params = small_params(t_max=rows - 1)
 
-        def synthetic(params, seeds, out, tc_vals, jobs, events=None):
+        def synthetic(params, seeds, jobs, events=None):
             assert seeds == replica_seeds(params.seed, n_replicas)
+            out = compiled.new_buffers(params, n_replicas)
             for k in range(n_replicas):
                 write_rows(out, k, n_firms[k].tolist(),
                            mean_tech[k].tolist(), ratio[k].tolist(),
                            rescued[k].tolist(), renorm[k].tolist())
                 hits = np.flatnonzero(mean_tech[k] >= 1.0)
                 if hits.size:
-                    tc_vals[k] = hits[0]
+                    out.tc_vals[k] = hits[0]
+            return out
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(compiled, "run_replicas", synthetic)
@@ -307,9 +310,7 @@ class TestRunEnsemble:
         serial = run_ensemble(params, 16, 1)
         rows = params.t_max + 1
         for _ in range(3):
-            out = ensemble_buffers(rows, 16)
-            compiled.run_replicas(params, seeds, out,
-                                  array("d", [math.nan]) * 16, jobs)
+            out = compiled.run_replicas(params, seeds, jobs)
             for name, matrix in zip(("n_firms", "mean_tech", "ratio"), out):
                 for k, run in enumerate(alone):
                     assert matrix[k * rows:(k + 1) * rows] \
@@ -342,6 +343,22 @@ class TestRunEnsemble:
             finally:
                 tracemalloc.stop()
             assert peak < bytes_needed(params, 40, jobs, False), jobs
+
+    def test_many_replicas_peak_below_the_memory_guard(self):
+        """The guard counts what an ensemble holds per replica: its seed,
+        an array('Q') the kernel reads in place, its crossing, and the
+        statistics of a vector, here the single sweep of t_max 0. 20,000
+        replicas peak at about 1.5 MB, three times what the matrices and
+        rows alone take."""
+        params = SimParams(t_max=0, seed=3)
+        run_ensemble(params, 1)  # the kernel is loaded before tracing
+        tracemalloc.start()
+        try:
+            run_ensemble(params, 20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bytes_needed(params, 20_000, 1, False)
 
     def test_logged_replica_holds_little_beyond_its_text(self, tmp_path):
         """A logged replica keeps only its rendered text, not its rows: the
@@ -446,18 +463,14 @@ class TestReplicaFailure:
             writelines = write
 
         threads = live_threads()
-        real = compiled.run_replicas
-        started = []
+        real = compiled.new_buffers
+        allocated = []
 
-        def counting(params, seeds, out, tc_vals, jobs, events=None):
-            try:
-                real(params, seeds, out, tc_vals, jobs, events)
-            finally:
-                rows = len(out[3])
-                started.append(sum(out[0][k * rows] > 0
-                                   for k in range(len(seeds))))
+        def recording(params, n_replicas):
+            allocated.append(real(params, n_replicas))
+            return allocated[-1]
 
-        monkeypatch.setattr(compiled, "run_replicas", counting)
+        monkeypatch.setattr(compiled, "new_buffers", recording)
         made = record_workers(monkeypatch)
         for error, event_log, tolerance in (
                 (IntegrityError, None, -1.0),
@@ -465,7 +478,9 @@ class TestReplicaFailure:
             monkeypatch.setattr(compiled, "RENORM_TOLERANCE", tolerance)
             with pytest.raises(error):
                 run_ensemble(small_params(t_max=5), 64, 2, event_log)
-            assert 0 < started.pop() < 64
+            out = allocated.pop()
+            rows = len(out.rescued)
+            assert 0 < sum(out.n_firms[k * rows] > 0 for k in range(64)) < 64
             assert_no_worker_left(threads)
         assert made == [2, 1]
 
@@ -474,21 +489,15 @@ class TestReplicaFailure:
 #: space capped at its size plus ``room`` bytes: prints the workers of the
 #: capped run and whether its rows and crossings equal the serial run's.
 CAPPED_CHILD = """
-import math, resource, sys
-from array import array
+import resource, sys
 from techmarket import SimParams, compiled
 from techmarket.ensemble import replica_seeds
 
 params = SimParams(t_max=50, q=0.9, seed=5)
 seeds = replica_seeds(params.seed, 6)
-rows = params.t_max + 1
 
 def run(jobs):
-    out = [array("d", [0.0]) * (6 * rows) for _ in range(3)]
-    out += [array("q", [0]) * rows, array("d", [0.0]) * rows]
-    tc_vals = array("d", [math.nan]) * 6
-    compiled.run_replicas(params, seeds, out, tc_vals, jobs)
-    return [a.tobytes() for a in out + [tc_vals]]
+    return [a.tobytes() for a in compiled.run_replicas(params, seeds, jobs)]
 
 serial = run(1)
 lib, made = compiled.kernel(), []
@@ -600,10 +609,11 @@ class TestEnsembleStore:
         real = compiled.run_replicas
         runs = []
 
-        def spy(params, seeds, out, *rest):
+        def spy(params, seeds, *rest):
+            out = real(params, seeds, *rest)
             # the rows each replica writes, but the last
-            runs.extend([len(out[3]) - 1] * len(seeds))
-            return real(params, seeds, out, *rest)
+            runs.extend([len(out.rescued) - 1] * len(seeds))
+            return out
 
         monkeypatch.setattr(compiled, "run_replicas", spy)
         first = replace(params, t_max=params.t_max * 2 // 3)

@@ -166,7 +166,7 @@ def _ensemble_digest(key) -> str:
                        seed=seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ensemble, "replica_seeds",
-                   lambda base, n: [derive_seed(seed, index)])
+                   lambda base, n: array("Q", [derive_seed(seed, index)]))
         stats = ensemble.run_trajectories(params, 1)
     h = hashlib.sha256()
     for name, dtype in (("n_mean", "<f8"), ("a_mean", "<f8"),
@@ -208,7 +208,7 @@ def test_trajectory_digest(key):
     """The kernel's rows are the pinned oracle's, column for column."""
     compiled_run = _golden_replica(key, oracle.kernel_replica)
     oracle_run = _golden_replica(key, oracle_replica)
-    for name in oracle.Rows._fields:
+    for name in oracle.SHARED_ROWS:
         assert np.array_equal(getattr(compiled_run, name),
                               getattr(oracle_run, name)), name
 

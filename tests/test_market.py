@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from techmarket import ConfigError, SimParams
-from techmarket.market import Segment
 
 from conftest import (
     build_market,
@@ -18,6 +17,7 @@ from conftest import (
 )
 from oracle import (
     Lattice,
+    Segment,
     classify_segment,
     frontier,
     init_market,
