@@ -12,8 +12,9 @@
  * - an ensemble at tolerance 0, where every replica fails a
  *   renormalisation, on 1 to 4 workers: each run must report replica 0;
  * and tm_csv_rows and tm_column_stats on edge values, into buffers of the
- * size compiled.py gives them. It frees everything it allocates, so that
- * LeakSanitizer checks the kernel's own allocations too.
+ * size compiled.py gives them, the statistics also of a single column. It
+ * frees everything it allocates, so that LeakSanitizer checks the kernel's
+ * own allocations too.
  *
  * Each line it prints is a name, then values or a digest: the FNV-1a hash
  * (Fowler, Noll and Vo) of bytes, which the test computes from the same
@@ -302,7 +303,8 @@ int main(void)
         free(out);
     }
 
-    /* tm_column_stats on 3 rows of 4 columns, then on 1 row */
+    /* tm_column_stats on 3 rows of 4 columns, then on 1 row, then on the
+     * 12 values as one column, a vector summed in row order */
     const double m[12] = {1e308, INFINITY, 0.5, -0.0,
                           1e308, 1.0, NAN, 5e-324,
                           -1e308, -INFINITY, 0.25, 5e-324};
@@ -316,5 +318,11 @@ int main(void)
         free(mean);
         free(sd);
     }
+    double *mean = malloc(sizeof(double)), *sd = malloc(sizeof(double));
+    tm_column_stats(m, 12, 1, mean, sd);
+    printf("stats column %016llx\n", (unsigned long long)fnv(
+        fnv(FNV_START, mean, sizeof(double)), sd, sizeof(double)));
+    free(mean);
+    free(sd);
     return failures ? 1 : 0;
 }

@@ -3,7 +3,8 @@ trajectories and this event log bit for bit. The trajectories are pinned on
 the Python oracle, bankruptcies included, and on the compiled kernel as a
 one-replica ensemble exposes them; the kernel's rows must also equal the
 oracle's. The event log is pinned on both. The preset scenarios must write
-these CSVs byte for byte.
+these CSVs byte for byte, at 2 replicas and, where statistics are taken
+over vectors of 8 or more values, at 40 and 400.
 
 The digests pin the behaviour contract (bit-identical trajectories, CSVs and
 event logs for a fixed seed). A change that keeps behaviour leaves them
@@ -127,6 +128,20 @@ CSV_DIGESTS = {
     },
 }
 
+# (preset, replicas, tmax or None for the preset's) -> {CSV file name:
+# sha256 of its bytes}, at seed 42: statistics of vectors of 8 or more
+# values, fig5's catch-up times and the single sweep of tmax 0
+MANY_REPLICA_CSV_DIGESTS = {
+    ("fig5", 40, None): {
+        "fig5_tc_curve.csv":
+            "2e71678bafd9f34bd5357ecc6c735ca4c828343ea32915484b0040e025deff3d",
+    },
+    ("custom", 400, 0): {
+        "custom_q0_egalitarian_passive.csv":
+            "65f5a2fc2fa2dab501c80c102c45ef5b433dac0d4ae2d32abcb9ebf22f3d57ce",
+    },
+}
+
 
 def _case_id(key) -> str:
     return f"q{key[0]:g}_{key[1].value}_{key[2].value}"
@@ -234,11 +249,28 @@ def test_event_log_digest_python_kernel(key):
     assert _event_log_digest(key, oracle_text) == EVENT_LOG_DIGESTS[key]
 
 
+def _csv_digests(preset, settings, out) -> dict[str, str]:
+    """The sha256 of each CSV that ``preset`` writes at seed 42 with
+    ``settings``, config values as strings."""
+    params, controls = resolve_config(
+        None, {"scenario": preset, "seed": "42", "out": str(out), **settings})
+    written = run_scenario(preset, params, controls).written
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in written if p.suffix == ".csv"}
+
+
 @pytest.mark.parametrize("preset", list(CSV_DIGESTS))
 def test_preset_csv_digests(preset, tmp_path):
-    params, controls = resolve_config(
-        None, {"scenario": preset, "replicas": "2", "seed": "42",
-               "out": str(tmp_path)})
-    written = run_scenario(preset, params, controls).written
-    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in written if p.suffix == ".csv"} == CSV_DIGESTS[preset]
+    assert _csv_digests(preset, {"replicas": "2"}, tmp_path) \
+        == CSV_DIGESTS[preset]
+
+
+@pytest.mark.parametrize("key", list(MANY_REPLICA_CSV_DIGESTS),
+                         ids=lambda key: f"{key[0]}_{key[1]}")
+def test_many_replica_csv_digests(key, tmp_path):
+    preset, replicas, t_max = key
+    settings = {"replicas": str(replicas)}
+    if t_max is not None:
+        settings["tmax"] = str(t_max)
+    assert _csv_digests(preset, settings, tmp_path) \
+        == MANY_REPLICA_CSV_DIGESTS[key]

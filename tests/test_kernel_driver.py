@@ -81,6 +81,8 @@ def expected() -> list[str]:
     for n in (3, 1):
         mean, sd = compiled.column_stats(m[:4 * n], 4)
         lines.append(f"stats {n} {fnv(bytes(mean) + bytes(sd))}")
+    mean, sd = compiled.column_stats(m, 1)
+    lines.append(f"stats column {fnv(bytes(mean) + bytes(sd))}")
     return lines
 
 
