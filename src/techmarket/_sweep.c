@@ -69,9 +69,9 @@
  * tm_event_line_max gives the longest line's bytes, by which the caller
  * sizes State.text.
  *
- * tm_column_stats reduces the ensemble's matrices to the statistics of
- * ensemble.run_trajectories, summed in the order numpy's mean and std sum
- * them, so that the results have numpy's bits.
+ * tm_column_stats reduces the ensemble's matrices and crossings to the
+ * statistics of ensemble.run_trajectories, summed replica by replica, the
+ * order in which numpy's mean and std sum the columns of a matrix.
  *
  * tm_csv_rows writes the CSV rows of output.py: integers as Python's "%d"
  * and floats as its "%.12g" write them, byte for byte. glibc's snprintf is
@@ -726,7 +726,8 @@ int tm_run_ensemble(Ensemble *en)
  * row-major n x cols matrix x, as numpy's x.mean(axis=0) and x.std(axis=0)
  * give them for cols >= 2: summed row by row, then divided by n; the SD
  * sums the squared deviations the same way, divides by n and takes the
- * square root. (numpy sums a single column pairwise, as a vector.) */
+ * square root. A single column is summed in the same row order, which
+ * numpy, summing a vector pairwise, does not from 8 rows on. */
 void tm_column_stats(const double *x, int64_t n, int64_t cols, double *mean,
                      double *sd)
 {

@@ -19,8 +19,8 @@ line into a text buffer of EVENT_ROWS lines: the call pauses before a
 sweep whose lines might not fit, hands the text to the caller's sink as a
 memoryview of that buffer, without a copy, and is called again. The end
 market and stream of a State's last replica stay in its buffers.
-``column_stats`` reduces an ensemble's matrices to its statistics, summed
-in numpy's order.
+``column_stats`` reduces an ensemble's matrices, and its crossings, to
+its statistics, summed replica by replica.
 ``csv_rows`` writes CSV rows, each integer and float byte for byte as
 Python's ``"%d"`` and ``"%.12g"`` write it.
 
@@ -376,8 +376,9 @@ def _until_done(call: Callable[[], int], state: _State,
 def column_stats(matrix: array, cols: int) -> tuple[array, array]:
     """Each column's mean and population SD over the rows of ``matrix``, a
     non-empty row-major 'd' array of ``cols`` columns, summed row by row:
-    bit for bit numpy's mean and std over axis 0 when ``cols`` >= 2 (see
-    tm_column_stats)."""
+    bit for bit numpy's mean and std over axis 0 when ``cols`` >= 2, and
+    for a single column its sum in row order, which numpy's 1-D sum is not
+    (see tm_column_stats)."""
     n = len(matrix) // cols
     if n < 1:
         raise ValueError("column_stats needs at least one row")

@@ -13,13 +13,13 @@ and event logs are identical at any thread count. ``bytes_needed`` is the
 memory guard's count of what a run holds.
 
 Across-replica spread is reported as the population standard deviation
-(divide by n), matching descriptive +-1 SD bands. The statistics are
-summed in the order numpy's ``mean`` and ``std`` sum, so they have numpy's
-bits without importing it: a (replicas x sweeps) matrix with two or more
-sweeps row by row in the compiled kernel (``compiled.column_stats``), and
-a vector, which is the catch-up times or a single sweep, pairwise by
-``_vector_stats``. The per-sweep rescue sum and renormalization error
-maximum are order-free, so the replicas add to them as they run.
+(divide by n), matching descriptive +-1 SD bands. Every mean and SD over
+replicas is summed replica by replica in the compiled kernel
+(``compiled.column_stats``): a (replicas x sweeps) matrix, a single sweep
+and the catch-up times alike. A matrix of two or more sweeps so has the
+bits of numpy's ``mean`` and ``std`` over axis 0; a vector does not, as
+numpy sums one pairwise. The per-sweep rescue sum and renormalization
+error maximum are order-free, so the replicas add to them as they run.
 Per-sweep statistics are ``array`` objects: 'q' for t and rescued_sum,
 'd' for the rest; ``numpy.asarray`` views them without a copy.
 
@@ -28,13 +28,11 @@ of every scenario run in one process. Per parameter set other than t_max
 and per replica count it keeps the statistics of the longest horizon run so
 far. A request up to that horizon is answered by slicing them: a
 column-wise mean or SD over replicas depends only on that sweep's values,
-so the slice is bit-identical to a fresh run. A longer request simulates
-every replica from sweep 0 and replaces the entry. A t_max=0 request is
-simulated and not stored: its single sweep is a vector, summed pairwise,
-so a slice of a longer run, summed replica by replica, has other bits
-from 8 replicas on; zero sweeps cost only each replica's set-up. The
-store costs 72 bytes per aggregate row plus one crossing per replica,
-kept until the process ends.
+so the slice is bit-identical to a fresh run, t_max=0 included. A
+request at the stored horizon gets the stored statistics themselves. A
+longer request simulates every replica from sweep 0 and replaces the
+entry. The store costs 72 bytes per aggregate row plus one crossing per
+replica, kept until the process ends.
 """
 from __future__ import annotations
 
@@ -114,9 +112,9 @@ def run_trajectories(params: SimParams, n_replicas: int, jobs: int = 1,
     out = compiled.run_replicas(
         params, replica_seeds(params.seed, n_replicas), jobs,
         None if event_log is None else event_log.write)
-    n_mean, n_sd = _column_stats(out.n_firms, rows)
-    a_mean, a_sd = _column_stats(out.mean_tech, rows)
-    ratio_mean, ratio_sd = _column_stats(out.ratio, rows)
+    n_mean, n_sd = compiled.column_stats(out.n_firms, rows)
+    a_mean, a_sd = compiled.column_stats(out.mean_tech, rows)
+    ratio_mean, ratio_sd = compiled.column_stats(out.ratio, rows)
     return _stats({
         "t": array("q", range(rows)),
         "n_mean": n_mean, "n_sd": n_sd,
@@ -131,68 +129,29 @@ def bytes_needed(params: SimParams, n_replicas: int, jobs: int,
                  logged: bool, cells: int = 1) -> int:
     """The most bytes a scenario of ``cells`` cells like ``params`` holds
     while ``run_trajectories(params, n_replicas, jobs)`` runs one, with an
-    event log when ``logged``, and ``stored_ensemble`` slices it. It counts
-    ``compiled.kernel_bytes``; each replica's seed, 8 bytes, and 80 for
-    the statistics of a vector (the crossings, or a single sweep): two
-    floats and their list slots a value, and the pairwise sum's slices; the
-    statistics' seven other rows, 56 bytes a row; the store's slice, 72
-    bytes a row and 8 a replica; and in a scenario of two or more cells as
-    much again for each cell: the store's entries of the others and the
-    slice of the cell before, held while the next runs. (A curve cell's
-    entry of its previous horizon fits in what its statistics do not yet
-    take.) Entries left by earlier scenarios are not counted."""
+    event log when ``logged``, and ``stored_ensemble`` stores it:
+    ``compiled.kernel_bytes``; the replicas' seeds and crossings, 8 bytes a
+    replica each; the statistics' seven other rows, 56 bytes a row; up to
+    a sixteenth more of the seeds, crossings and t, arrays that grow as
+    they are built; and 3 KB for each ctypes array type that the run's
+    views and States make, at most 15, one for each length, which ctypes
+    keeps. A scenario of two or more cells adds for each cell a store
+    entry, 72 bytes a row and 8 a replica: the entries of the others, and
+    a curve cell's entry of its previous horizon, held while it runs the
+    next. A request at the stored horizon gets the entry itself, not a
+    copy. Entries left by earlier scenarios are not counted."""
     rows = params.t_max + 1
     held = cells if cells > 1 else 0
     return (compiled.kernel_bytes(params, n_replicas, jobs, logged)
-            + (8 + 80 + 8 + 8 * held) * n_replicas
-            + (56 + 72 + 72 * held) * rows)
-
-
-def _pairwise_sum(x: Sequence[float]) -> float:
-    """numpy's sum of a float64 vector: in order below 8 values, in 8
-    interleaved accumulators up to 128, and above that the sums of two
-    halves split at a multiple of 8."""
-    n = len(x)
-    if n < 8:
-        total = 0.0
-        for v in x:
-            total += v
-        return total
-    if n <= 128:
-        r = list(x[:8])
-        for i in range(8, n - n % 8, 8):
-            for j in range(8):
-                r[j] += x[i + j]
-        total = (((r[0] + r[1]) + (r[2] + r[3]))
-                 + ((r[4] + r[5]) + (r[6] + r[7])))
-        for v in x[n - n % 8:]:
-            total += v
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
-
-
-def _vector_stats(x: Sequence[float]) -> tuple[float, float]:
-    """numpy's mean and std of a non-empty float64 vector."""
-    mean = _pairwise_sum(x) / len(x)
-    return mean, math.sqrt(_pairwise_sum([(v - mean) * (v - mean)
-                                          for v in x]) / len(x))
-
-
-def _column_stats(matrix: array, cols: int) -> tuple[array, array]:
-    """numpy's mean and std over axis 0 of a (replicas x cols) matrix,
-    which sums a single column as a vector."""
-    if cols > 1:
-        return compiled.column_stats(matrix, cols)
-    mean, sd = _vector_stats(matrix)
-    return array("d", [mean]), array("d", [sd])
+            + (17 + 8 * held) * n_replicas + (57 + 72 * held) * rows
+            + 15 * 3 * 2**10)
 
 
 def _stats(rows: dict[str, array], tc_vals: array) -> EnsembleStats:
     """EnsembleStats from its per-sweep rows and per-replica crossings."""
-    crossed = [tc for tc in tc_vals if not math.isnan(tc)]
-    tc_mean, tc_sd = (_vector_stats(crossed) if crossed
-                      else (math.nan, math.nan))
+    crossed = array("d", (tc for tc in tc_vals if not math.isnan(tc)))
+    tc_mean, tc_sd = ([v[0] for v in compiled.column_stats(crossed, 1)]
+                      if crossed else (math.nan, math.nan))
     return EnsembleStats(
         n_replicas=len(tc_vals),
         **rows,
@@ -206,7 +165,10 @@ def _stats(rows: dict[str, array], tc_vals: array) -> EnsembleStats:
 
 
 def _slice(stats: EnsembleStats, t_max: int) -> EnsembleStats:
-    """The statistics of the same ensemble run only to sweep t_max."""
+    """The statistics of the same ensemble run only to sweep t_max: at its
+    own horizon ``stats`` itself, which no caller changes."""
+    if t_max == stats.t[-1]:
+        return stats
     rows = {name: getattr(stats, name)[:t_max + 1] for name in _ROW_FIELDS}
     rows["rescued_sum"][t_max] = 0  # a run's last row has no sweep after it
     rows["renorm_error"][t_max] = 0.0
@@ -229,9 +191,7 @@ def stored_ensemble(params: SimParams, n_replicas: int,
     """``run_trajectories(params, n_replicas)``, bit for bit, through the
     store: sliced from a stored run at least as long, and otherwise
     simulated from sweep 0 at ``jobs`` and stored in place of the shorter
-    run. A t_max=0 request is simulated and leaves the store as it is."""
-    if params.t_max == 0:
-        return run_trajectories(params, n_replicas, jobs)
+    run."""
     key = (replace(params, t_max=0), n_replicas)
     stats = _STORE.get(key)
     if stats is None or stats.t[-1] < params.t_max:

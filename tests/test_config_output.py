@@ -823,11 +823,11 @@ class TestCli:
         assert main(["--sigma", "0", "--tmax", "10000000000000",
                      "--replicas", "1", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        # 168 bytes a row: 24 in the ensemble's matrices, 16 in the rescue
-        # sum and renormalization error maximum, 56 in the statistics' other
-        # rows and 72 in the store's slice of them
+        # 97 bytes a row: 24 in the ensemble's matrices, 16 in the rescue
+        # sum and renormalization error maximum, and 57 in the statistics'
+        # other rows, t's growth as it is built included
         assert err.startswith("config error: replicas=1 and tmax=10000000000000"
-                              " need 1,564,621.9 GiB of per-sweep ensemble "
+                              " need 903,382.9 GiB of per-sweep ensemble "
                               "rows")
         assert err.count("\n") == 1
         assert not out.exists()
@@ -870,24 +870,24 @@ class TestCli:
             self, monkeypatch, tmp_path, capsys):
         """The guard counts the ensemble's matrices (24 bytes a replica and
         row), the rescue sum and renormalization error maximum (16 bytes a
-        row), the statistics' other rows and the store's slice of them (56
-        and 72 bytes a row), 104 bytes a replica (its seed, its crossing,
-        the crossings' statistics and their slice), the neighbor tables (48
-        bytes a site) and the C buffers of the States the replicas run on:
-        one per worker, and one with a text buffer for a logged run at any
-        jobs. A preset of three cells adds, for each cell, 72 bytes a row
-        and 8 a replica."""
+        row), the statistics' other rows (57 bytes a row, t's growth
+        included), 25 bytes a replica (its seed, its crossing and the array
+        of the crossings), the neighbor tables (48 bytes a site), the C
+        buffers of the States the replicas run on: one per worker, and one
+        with a text buffer for a logged run at any jobs, and 45 KB of
+        ctypes array types. A preset of three cells adds, for each cell, 72
+        bytes a row and 8 a replica."""
         have = [0]
         real = os.sysconf
         monkeypatch.setattr(os, "sysconf", lambda name: {
             "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have[0]}.get(name)
             or real(name))
         flags = ["--tmax", "10", "--replicas", "3"]
-        # 3 replicas of 11 rows in the matrices (24 bytes), 11 rows of 144
-        # bytes, 3 replicas of 104 bytes, the 10x10 tables, and per State 68
-        # bytes a site and the 2,500-byte stream; a logged State adds a
-        # text buffer of 4,096 lines of 187 bytes
-        base = 3 * 11 * 24 + 11 * 144 + 3 * 104 + 48 * 100
+        # 3 replicas of 11 rows in the matrices (24 bytes), 11 rows of 73
+        # bytes, 3 replicas of 25 bytes, the 10x10 tables, 15 array types
+        # of 3 KB, and per State 68 bytes a site and the 2,500-byte stream;
+        # a logged State adds a text buffer of 4,096 lines of 187 bytes
+        base = 3 * 11 * 24 + 11 * 73 + 3 * 25 + 48 * 100 + 15 * 3 * 2**10
         state = 68 * 100 + 2500
         # on 2 threads, 2 States; serially one; logged one at any jobs
         threaded = base + 2 * state
@@ -926,10 +926,9 @@ class TestCli:
 
     def test_preset_peak_is_below_the_memory_guard(self, tmp_path):
         """A preset of three cells that share no ensemble holds the store's
-        entries of the cells before, and the slice of the cell before,
-        while the next runs: its traced peak, about 7.3 MB at one replica
-        of 20,000 sweeps, is below the guard's count, which once counted
-        one cell (3.4 MB)."""
+        entries of the cells before while the next runs: its traced peak,
+        about 5.4 MB at one replica of 20,000 sweeps, is below the guard's
+        count, which once counted one cell (3.4 MB)."""
         params, controls = resolve_config(
             None, {"scenario": "fig2", "replicas": "1", "tmax": "20000",
                    "sigma": "0.0001", "out": str(tmp_path)})

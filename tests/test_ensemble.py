@@ -218,11 +218,12 @@ class TestRunEnsemble:
     def test_statistics_match_numpy_bit_for_bit(self, n_replicas, rows,
                                                 data_seed, scale):
         """Synthetic replica rows through run_trajectories: every statistic
-        has the bits of numpy's mean, std(axis=0), sum, max and 1-D
-        mean/std, with rows == 1 (a vector to numpy, summed pairwise) and
-        replicas that never cross among the cases. The synthetic replicas
-        add to the sum and maximum themselves, as the kernel does; the
-        threaded-reduction test checks the kernel's own."""
+        has the bits of numpy's mean, std(axis=0), sum and max, and a
+        vector's, a single sweep's or the catch-up times', those of numpy's
+        sum in replica order, with rows == 1 and replicas that never cross
+        among the cases. The synthetic replicas add to the sum and maximum
+        themselves, as the kernel does; the threaded-reduction test checks
+        the kernel's own."""
         import techmarket.ensemble as ens
 
         gen = np.random.default_rng(data_seed)
@@ -254,21 +255,34 @@ class TestRunEnsemble:
         tc_values = np.array([c[0] if c.size else np.nan for c in crossing],
                              dtype=float)
         crossed = tc_values[~np.isnan(tc_values)]
-        a_mean = mean_tech.mean(axis=0)
+
+        def in_order(x):
+            """Mean and population SD of the vector x, summed in order."""
+            mean = np.cumsum(x)[-1] / x.size
+            d = x - mean
+            return mean, np.sqrt(np.cumsum(d * d)[-1] / x.size)
+
+        def column_stats(matrix):
+            if rows > 1:
+                return matrix.mean(axis=0), matrix.std(axis=0)
+            return tuple(np.array([v]) for v in in_order(matrix[:, 0]))
+
+        (n_mean, n_sd), (a_mean, a_sd), (ratio_mean, ratio_sd) = (
+            column_stats(m) for m in (n_mat, mean_tech, ratio))
         want = {
-            "t": np.arange(rows), "n_mean": n_mat.mean(axis=0),
-            "n_sd": n_mat.std(axis=0), "a_mean": a_mean,
-            "a_sd": mean_tech.std(axis=0), "ratio_mean": ratio.mean(axis=0),
-            "ratio_sd": ratio.std(axis=0), "rescued_sum": rescued.sum(axis=0),
+            "t": np.arange(rows), "n_mean": n_mean, "n_sd": n_sd,
+            "a_mean": a_mean, "a_sd": a_sd, "ratio_mean": ratio_mean,
+            "ratio_sd": ratio_sd, "rescued_sum": rescued.sum(axis=0),
             "renorm_error": renorm.max(axis=0), "tc_values": tc_values,
         }
         for name, value in want.items():
             got = getattr(stats, name)
             assert got.typecode == ("d" if value.dtype.kind == "f" else "q")
             assert np.asarray(got).tobytes() == value.tobytes(), name
+        tc_mean, tc_sd = in_order(crossed) if crossed.size \
+            else (np.nan, np.nan)
         scalars = {
-            "tc_mean": crossed.mean() if crossed.size else np.nan,
-            "tc_sd": crossed.std() if crossed.size else np.nan,
+            "tc_mean": tc_mean, "tc_sd": tc_sd,
             "fraction_reached": (~np.isnan(tc_values)).mean(),
             "max_renorm_error": renorm.max(),
         }
@@ -330,8 +344,8 @@ class TestRunEnsemble:
     def test_peak_memory_below_holding_every_trajectory(self):
         """Replicas write straight into the ensemble's buffers: the traced
         peak of a 40-replica ensemble, serial or on threads, is below what
-        the memory guard counts, whose statistics' rows and store slice
-        (128 bytes a row) leave room for the run's small objects. Whole
+        the memory guard counts: the buffers, the statistics' rows (57
+        bytes a row) and the array types of the ctypes views (45 KB). Whole
         trajectories (48 bytes a row each) would add 3.8 MB."""
         params = SimParams(t_max=2000, seed=3)
         run_ensemble(params, 1)  # the kernel is loaded before tracing
@@ -347,9 +361,9 @@ class TestRunEnsemble:
     def test_many_replicas_peak_below_the_memory_guard(self):
         """The guard counts what an ensemble holds per replica: its seed,
         an array('Q') the kernel reads in place, its crossing, and the
-        statistics of a vector, here the single sweep of t_max 0. 20,000
-        replicas peak at about 1.5 MB, three times what the matrices and
-        rows alone take."""
+        array of the crossings, here empty at t_max 0. 20,000 replicas peak
+        at about 0.84 MB, of which the matrices, seeds and crossings take
+        0.8 MB."""
         params = SimParams(t_max=0, seed=3)
         run_ensemble(params, 1)  # the kernel is loaded before tracing
         tracemalloc.start()
@@ -379,7 +393,7 @@ class TestRunEnsemble:
     def test_logged_peak_does_not_grow_with_tmax(self, tmp_path):
         """A logged replica's text goes to the log at every pause of the
         kernel, so the traced peak of a long active q=0.99 replica grows
-        with tmax only by its rows (168 bytes a row in the memory guard's
+        with tmax only by its rows (97 bytes a row in the memory guard's
         count): 4,500 more sweeps add about 3 MB of JSONL and less than
         0.8 MB of peak."""
         peaks, sizes = {}, {}
@@ -396,7 +410,7 @@ class TestRunEnsemble:
                     tracemalloc.stop()
             sizes[t_max] = log.stat().st_size
             assert peaks[t_max] < bytes_needed(params, 1, 1, True)
-        rows_growth = 168 * 4500
+        rows_growth = 97 * 4500
         assert peaks[5000] - peaks[500] < rows_growth + 2**16
         assert sizes[5000] - sizes[500] > 4 * rows_growth
 
@@ -582,19 +596,25 @@ class TestEnsembleStore:
         st = stored_ensemble(small_params(t_max=25), 2, SERIAL)
         assert len(st.t) == 26
 
-    def test_zero_horizon_is_simulated_and_keeps_the_entry(self,
-                                                           monkeypatch):
-        """A single sweep's statistics are a vector's, summed pairwise, so a
-        slice of a longer run, summed replica by replica, has other bits
-        from 8 replicas on: a t_max=0 request is simulated, and the longer
-        run stays stored."""
+    def test_zero_horizon_is_served_from_a_longer_run(self, monkeypatch):
+        """A single sweep's statistics are summed replica by replica, as a
+        longer run's are: a t_max=0 request is sliced from the stored
+        longer run, with the bits of a fresh run at 8 replicas and more."""
         params = SimParams(t_max=5, seed=1)
-        longer = stored_ensemble(params, 40, SERIAL)
         zero = replace(params, t_max=0)
-        assert_same_stats(stored_ensemble(zero, 40, SERIAL),
-                          run_ensemble(zero, 40))
+        fresh = run_ensemble(zero, 40)
+        stored_ensemble(params, 40, SERIAL)
         monkeypatch.setattr(compiled, "run_replicas", None)  # any call fails
-        assert_same_stats(stored_ensemble(params, 40, SERIAL), longer)
+        assert_same_stats(stored_ensemble(zero, 40, SERIAL), fresh)
+
+    def test_stored_horizon_is_served_without_a_copy(self):
+        """A request at the stored horizon gets the stored statistics
+        themselves: a simulated cell and the CSV written from it hold its
+        rows once. A copy would add 72 bytes a row, 7.2 MB at 100,000
+        sweeps."""
+        params = SimParams(t_max=100_000, sigma=0.0001, seed=1)
+        stored = stored_ensemble(params, 1, SERIAL)
+        assert stored_ensemble(params, 1, SERIAL) is stored
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("params", [
