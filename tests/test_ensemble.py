@@ -612,9 +612,8 @@ class TestEnsembleStore:
         themselves: a simulated cell and the CSV written from it hold its
         rows once. A copy would add 72 bytes a row, 7.2 MB at 100,000
         sweeps."""
-        params = SimParams(t_max=100_000, sigma=0.0001, seed=1)
-        stored = stored_ensemble(params, 1, SERIAL)
-        assert stored_ensemble(params, 1, SERIAL) is stored
+        stored = stored_ensemble(MEDIUM_Q09, 4, SERIAL)
+        assert stored_ensemble(MEDIUM_Q09, 4, SERIAL) is stored
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("params", [
